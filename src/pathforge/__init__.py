@@ -9,7 +9,8 @@ numeric
 paths
     Path parsing, validation, enumeration, and altitude statistics.
 fold
-    Enumeration folds; compiled core with a pure-Python fallback.
+    Exact path statistics summed over all paths of a size, by a
+    transfer-matrix DP.
 bijections
     The four reversible constructions and their inverses.
 identities
@@ -27,8 +28,6 @@ from .fold import (
     BACKEND_NAME,
     DyckFold,
     HAVE_COMPILED,
-    count_alt_motzkin,
-    count_dyck,
     fold_alt_motzkin,
     fold_dyck,
 )

@@ -61,17 +61,28 @@ class FiveTuple:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FiveTuple":
+        """Build a tuple from its JSON form, rejecting malformed input with
+        ValueError: paths must be strings and i/mark1/mark2 ints (not
+        bools), with no coercion."""
+        if not isinstance(data, dict):
+            raise ValueError(f"five-tuple must be a JSON object, got {type(data).__name__}")
         construction = data["construction"]
-        if construction not in _KIND_FOR:
+        if not isinstance(construction, str) or construction not in _KIND_FOR:
             raise ValueError(f"unknown construction {construction!r}")
         kind = _KIND_FOR[construction]
+        for name in ("p1", "p2"):
+            if not isinstance(data[name], str):
+                raise ValueError(f"{name} must be a path string, got {data[name]!r}")
+        for name in ("i", "mark1", "mark2"):
+            if type(data[name]) is not int:
+                raise ValueError(f"{name} must be an integer, got {data[name]!r}")
         return cls(
             construction,
             parse(data["p1"], kind),
             parse(data["p2"], kind),
-            int(data["i"]),
-            int(data["mark1"]),
-            int(data["mark2"]),
+            data["i"],
+            data["mark1"],
+            data["mark2"],
         )
 
 

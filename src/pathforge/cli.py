@@ -3,7 +3,8 @@ inverses, identity verification, walk translation, and Monte Carlo moments.
 
 Output goes to stdout as JSON by default or CSV with ``--format csv``.
 Exit codes: 0 on success, 1 when a verified identity fails (or on a
-computation error), 2 on usage errors.
+computation error), 2 on usage errors, including a verify or report whose
+--k-max leaves no identity to check.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 
 from . import bijections, moments, walks
 from .identities import DEFAULT_RHS_INDEX, IdentityReport, sweep
-from .numeric import GammaPoly
+from .numeric import GammaPoly, catalan
 from .paths import (
     PathKind,
     enumerate_alt_motzkin,
@@ -74,10 +75,8 @@ def _enumerator(kind: PathKind):
 def _cmd_enumerate(args) -> int:
     kind = PathKind(args.kind)
     if args.count_only:
-        from .fold import count_alt_motzkin, count_dyck
-
-        count = count_dyck(args.k) if kind is PathKind.DYCK else count_alt_motzkin(args.k)
-        print(count)
+        # both kinds are counted by the Catalan numbers
+        print(catalan(args.k))
         return 0
     rendered = [p.render() for p in _enumerator(kind)(args.k)]
     if args.format == "csv":
@@ -123,7 +122,8 @@ def _load_tuple(args) -> bijections.FiveTuple:
         data = json.loads(sys.stdin.read())
     else:
         data = json.loads(args.input)
-    data["construction"] = args.construction
+    if isinstance(data, dict):
+        data["construction"] = args.construction
     return bijections.FiveTuple.from_json_dict(data)
 
 
@@ -200,11 +200,19 @@ def _verify_exit_code(reports, selected_rhs_index) -> int:
     return 0
 
 
+def _emit_sweep(result, fmt: str, selected_rhs_index) -> int:
+    # an empty report would read as a pass; a truncated sweep says so in its output
+    if not result.reports and not result.truncated:
+        print("error: --k-max leaves nothing to check (identities 1-3 start at k=1, "
+              "4 and 5 at k=2)", file=sys.stderr)
+        return 2
+    _emit_reports(result.reports, fmt, truncated=result.truncated)
+    return _verify_exit_code(result.reports, selected_rhs_index)
+
+
 def _cmd_verify(args) -> int:
     name = f"thm{args.identity}"
-    result = sweep([name], args.k_max)
-    _emit_reports(result.reports, args.format)
-    return _verify_exit_code(result.reports, args.rhs_index)
+    return _emit_sweep(sweep([name], args.k_max), args.format, args.rhs_index)
 
 
 def _cmd_walk(args) -> int:
@@ -276,8 +284,7 @@ def _cmd_mc(args) -> int:
 def _cmd_report(args) -> int:
     names = [f"thm{i}" for i in args.identities]
     result = sweep(names, args.k_max, time_budget=args.time_budget)
-    _emit_reports(result.reports, args.format, truncated=result.truncated)
-    return _verify_exit_code(result.reports, None)
+    return _emit_sweep(result, args.format, None)
 
 
 def _identity_list(text: str) -> list[int]:

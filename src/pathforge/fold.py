@@ -1,38 +1,33 @@
-"""Backend selection and parallel dispatch for the enumeration folds.
+"""Exact per-altitude path statistics by a transfer-matrix DP.
 
-The compiled Cython core is used when it imported successfully and the
-requested size fits its 64-bit accumulators; otherwise the pure-Python
-twin takes over.  ``PATHFORGE_BACKEND=pure`` forces the fallback.
-``PATHFORGE_THREADS`` bounds fold parallelism (0 or unset = automatic);
-partitioned folds split the enumeration by step prefix and merge the
-partial sums in prefix order, so results are independent of scheduling.
+Every statistic is a sum over all paths of size k.  One forward pass over
+(position, altitude) computes them all exactly in polynomial time, the
+transfer-matrix method for Motzkin paths (Flajolet, *Combinatorial aspects
+of continued fractions*, Discrete Math. 32, 1980).  Each state carries,
+summed over the prefixes that reach it, the prefix count, the count X of
+every event (a rise from, a vertex at, or an even-step level at altitude i)
+and the count of unordered pairs C(X, 2) of those events: marking an event
+adds the pair total to its pairs and the prefix count to its total.  The
+remaining statistics follow from these:
+
+- R*(2i+3-R) = (2i+2)*R - 2*C(R, 2);
+- C(V+1, 2) = V + C(V, 2);
+- the weighted sums are linear combinations of the per-altitude rows.
+
+Alternating Motzkin paths are weighted gamma**rises.  The DP carries the
+polynomial in gamma packed into one int, coefficient r in bits
+[r*W, (r+1)*W) with W wide enough for the largest coefficient, so that a
+rise is a shift by W bits and polynomial sums are int sums.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
 
-from . import _fold_py
-
-try:
-    from . import _foldcore  # type: ignore[attr-defined]
-except ImportError:
-    _foldcore = None
-
-if os.environ.get("PATHFORGE_BACKEND", "").lower() == "pure":
-    _default_backend = _fold_py
-else:
-    _default_backend = _foldcore if _foldcore is not None else _fold_py
-
-HAVE_COMPILED = _foldcore is not None
-BACKEND_NAME = "compiled" if _default_backend is not _fold_py else "pure"
-
-# Partitioned folds only pay off once the path count is large.
-_PARALLEL_MIN_K = 11
-_PREFIX_DEPTH = 8
+# One implementation; the names stay because benchmark runs record them and
+# refuse to compare runs whose backend differs.
+BACKEND_NAME = "pure"
+HAVE_COMPILED = False
 
 
 @dataclass(frozen=True)
@@ -74,110 +69,106 @@ class AltMotzkinFold:
         return sum(self.counts_by_rises)
 
 
-def _backend_for(k: int):
-    limit = getattr(_default_backend, "K_LIMIT", None)
-    if limit is not None and k > limit:
-        return _fold_py
-    return _default_backend
+def _dyck_rule(s: int) -> tuple[int, ...]:
+    return (1, -1)
 
 
-def _resolve_threads(k: int, threads: int | None) -> int:
-    if threads is None:
-        bound = int(os.environ.get("PATHFORGE_THREADS", "0") or "0")
-        if _backend_for(k) is _fold_py or k < _PARALLEL_MIN_K:
-            auto = 1
-        else:
-            auto = min(os.cpu_count() or 1, 8)
-        threads = auto if bound <= 0 else min(auto, bound)
-    return max(1, threads)
+def _alt_motzkin_rule(s: int) -> tuple[int, ...]:
+    # rises only on even steps, falls only on odd steps
+    return (0, 1) if s % 2 == 0 else (0, -1)
 
 
-def _merge_vectors(parts: list[list[int]]) -> tuple[int, ...]:
-    out = [0] * (len(parts[0]) if parts else 0)
-    for p in parts:
-        for i, v in enumerate(p):
-            out[i] += v
-    return tuple(out)
+def _fold(k: int, steps_at, rise_shift: int):
+    """Run the DP over paths of length 2k whose step s (1-based) may change
+    the altitude by any of ``steps_at(s)``; a rise multiplies the weight by
+    2**rise_shift.
+
+    Returns (count, totals, pairs): totals[e][i] and pairs[e][i] sum X and
+    C(X, 2) over paths, for the events e = 0 rise from, 1 even-step level
+    at and 2 vertex at altitude i, i in 0..k.
+    """
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
+    n = 2 * k
+    size = 3 * (k + 1)
+    rise, level, vertex = 0, k + 1, 2 * (k + 1)
+    # altitude -> (prefix count, event totals, event pair totals)
+    totals0 = [0] * size
+    totals0[vertex] = 1
+    states = {0: (1, totals0, [0] * size)}
+    for s in range(1, n + 1):
+        nxt = {}
+        for a, (count, totals, pairs) in states.items():
+            for d in steps_at(s):
+                b = a + d
+                if b < 0 or b > n - s:
+                    continue
+                t, p = totals[:], pairs[:]
+                marks = [vertex + b]
+                if d == 1:
+                    marks.append(rise + a)
+                elif d == 0 and s % 2 == 0:
+                    marks.append(level + a)
+                for j in marks:
+                    p[j] += t[j]
+                    t[j] += count
+                shift = rise_shift if d == 1 else 0
+                if shift:
+                    t = [x << shift for x in t]
+                    p = [x << shift for x in p]
+                count_b = count << shift
+                old = nxt.get(b)
+                if old is None:
+                    nxt[b] = (count_b, t, p)
+                else:
+                    nxt[b] = (
+                        old[0] + count_b,
+                        [x + y for x, y in zip(old[1], t)],
+                        [x + y for x, y in zip(old[2], p)],
+                    )
+        states = nxt
+    count, totals, pairs = states[0]
+
+    def by_event(v):
+        return [v[e * (k + 1):(e + 1) * (k + 1)] for e in range(3)]
+
+    return count, by_event(totals), by_event(pairs)
 
 
-def _merge_matrices(parts: list[list[list[int]]]) -> tuple[tuple[int, ...], ...]:
-    if not parts or not parts[0]:
-        return ()
-    rows, cols = len(parts[0]), len(parts[0][0])
-    out = [[0] * cols for _ in range(rows)]
-    for p in parts:
-        for i in range(rows):
-            row = p[i]
-            for j in range(cols):
-                out[i][j] += row[j]
-    return tuple(tuple(row) for row in out)
-
-
-def _run_partitioned(backend_fn, prefixes, threads):
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(backend_fn, prefixes))
-
-
-def fold_dyck(k: int, threads: int | None = None) -> DyckFold:
+def fold_dyck(k: int) -> DyckFold:
     """Fold per-altitude statistics over all Dyck paths of length 2k."""
-    backend = _backend_for(k)
-    threads = _resolve_threads(k, threads)
-    if threads == 1 or 2 * k <= _PREFIX_DEPTH:
-        raw = [backend.dyck_fold(k, ())]
-    else:
-        prefixes = _fold_py.dyck_prefixes(k, _PREFIX_DEPTH)
-        raw = _run_partitioned(lambda p: backend.dyck_fold(k, p), prefixes, threads)
-    count = sum(r[0] for r in raw)
+    count, (rise, _, vert), (rise_pair, _, vert_pair) = _fold(k, _dyck_rule, 0)
     return DyckFold(
         k,
         count,
-        _merge_vectors([r[1] for r in raw]),
-        _merge_vectors([r[2] for r in raw]),
-        _merge_vectors([r[3] for r in raw]),
-        _merge_vectors([r[4] for r in raw]),
+        tuple(rise[:k]),
+        tuple(vert),
+        tuple((2 * i + 2) * rise[i] - 2 * rise_pair[i] for i in range(k)),
+        tuple(v + vp for v, vp in zip(vert, vert_pair)),
     )
 
 
-def fold_alt_motzkin(k: int, threads: int | None = None) -> AltMotzkinFold:
+def fold_alt_motzkin(k: int) -> AltMotzkinFold:
     """Fold rise-resolved statistics over all alternating Motzkin paths of
     length 2k."""
-    backend = _backend_for(k)
-    threads = _resolve_threads(k, threads)
-    if threads == 1 or 2 * k <= _PREFIX_DEPTH:
-        raw = [backend.alt_motzkin_fold(k, ())]
-    else:
-        prefixes = _fold_py.alt_motzkin_prefixes(k, _PREFIX_DEPTH)
-        raw = _run_partitioned(lambda p: backend.alt_motzkin_fold(k, p), prefixes, threads)
+    # a packed coefficient sums at most 4**k paths, each adding at most
+    # (2k+1)**2 to any statistic
+    width = 2 * k + 2 * (2 * k + 1).bit_length()
+    count, (rise, lev, vert), (rise_pair, lev_pair, _) = _fold(k, _alt_motzkin_rule, width)
+    nr = max(k, 1)
+    mask = (1 << width) - 1
+
+    def unpack(x: int) -> tuple[int, ...]:
+        return tuple((x >> (r * width)) & mask for r in range(nr))
+
     return AltMotzkinFold(
         k,
-        _merge_vectors([r[0] for r in raw]),
-        _merge_matrices([r[1] for r in raw]),
-        _merge_matrices([r[2] for r in raw]),
-        _merge_matrices([r[3] for r in raw]),
-        _merge_vectors([r[4] for r in raw]),
-        _merge_vectors([r[5] for r in raw]),
-        _merge_vectors([r[6] for r in raw]),
-        _merge_vectors([r[7] for r in raw]),
+        unpack(count),
+        tuple(unpack(x) for x in rise[:k]),
+        tuple(unpack(x) for x in vert),
+        tuple(unpack(x) for x in lev[:k]),
+        unpack(sum((i + 1) * rise[i] for i in range(k))),
+        unpack(sum(i * lev[i] for i in range(k))),
+        unpack(sum(rise_pair[:k])),
+        unpack(sum(lev_pair[:k])),
     )
-
-
-def count_dyck(k: int, threads: int | None = None) -> int:
-    """Count Dyck paths of length 2k by exhaustive enumeration."""
-    backend = _backend_for(k)
-    threads = _resolve_threads(k, threads)
-    if threads == 1 or 2 * k <= _PREFIX_DEPTH:
-        return backend.dyck_count(k, ())
-    prefixes = _fold_py.dyck_prefixes(k, _PREFIX_DEPTH)
-    parts = _run_partitioned(lambda p: backend.dyck_count(k, p), prefixes, threads)
-    return sum(parts)
-
-
-def count_alt_motzkin(k: int, threads: int | None = None) -> int:
-    """Count alternating Motzkin paths of length 2k by exhaustive enumeration."""
-    backend = _backend_for(k)
-    threads = _resolve_threads(k, threads)
-    if threads == 1 or 2 * k <= _PREFIX_DEPTH:
-        return backend.alt_motzkin_count(k, ())
-    prefixes = _fold_py.alt_motzkin_prefixes(k, _PREFIX_DEPTH)
-    parts = _run_partitioned(lambda p: backend.alt_motzkin_count(k, p), prefixes, threads)
-    return sum(parts)

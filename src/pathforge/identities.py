@@ -1,5 +1,7 @@
-"""Exact verification of five Catalan/Narayana identities by exhaustive
-enumeration.
+"""Exact verification of five Catalan/Narayana identities.
+
+Every sum over paths comes from the transfer-matrix DP in ``fold``, which
+the tests cross-check against enumeration of every path for small k.
 
 The first three compare squared expectation norms of altitude vectors with
 Catalan/Narayana ratios; they hold for every k and the verifier checks

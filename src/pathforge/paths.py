@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
 
-from . import _fold_py
 from .fold import fold_alt_motzkin, fold_dyck
 from .numeric import GammaPoly, catalan
 
@@ -148,17 +147,82 @@ def parse(text: str, kind: PathKind | str) -> Path:
     return Path(tuple(steps), kind)
 
 
+# module-level names for the enumerators' inner loops
+_RISE, _FALL, _LEVEL = Step.RISE, Step.FALL, Step.LEVEL
+
+
+def _odds_in(a: int, b: int) -> int:
+    # number of odd integers in [a, b]
+    return (b + 1) // 2 - a // 2 if b >= a else 0
+
+
+def dyck_steps(k: int) -> Iterator[tuple[Step, ...]]:
+    """Yield every Dyck step sequence of length 2k, in lexicographic order
+    with rise < fall."""
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
+    n = 2 * k
+    steps = []
+
+    def rec(pos: int, alt: int):
+        if pos == n:
+            yield tuple(steps)
+            return
+        rem = n - pos
+        if alt + 1 <= rem - 1:
+            steps.append(_RISE)
+            yield from rec(pos + 1, alt + 1)
+            steps.pop()
+        if alt > 0:
+            steps.append(_FALL)
+            yield from rec(pos + 1, alt - 1)
+            steps.pop()
+
+    return rec(0, 0)
+
+
+def alt_motzkin_steps(k: int) -> Iterator[tuple[Step, ...]]:
+    """Yield every alternating Motzkin step sequence of length 2k, in
+    lexicographic order with level < rise and level < fall."""
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
+    n = 2 * k
+    steps = []
+
+    def rec(pos: int, alt: int):
+        if pos == n:
+            yield tuple(steps)
+            return
+        s = pos + 1
+        odds_after = _odds_in(s + 1, n)
+        if alt <= odds_after:
+            steps.append(_LEVEL)
+            yield from rec(pos + 1, alt)
+            steps.pop()
+        if s % 2 == 0:
+            if alt + 1 <= odds_after:
+                steps.append(_RISE)
+                yield from rec(pos + 1, alt + 1)
+                steps.pop()
+        elif alt > 0:
+            steps.append(_FALL)
+            yield from rec(pos + 1, alt - 1)
+            steps.pop()
+
+    return rec(0, 0)
+
+
 def enumerate_dyck(k: int) -> Iterator[Path]:
     """Yield every Dyck path of length 2k once, in lexicographic order of
     the rendered string with U < D."""
-    for raw in _fold_py.dyck_steps(k):
+    for raw in dyck_steps(k):
         yield Path(raw, PathKind.DYCK)
 
 
 def enumerate_alt_motzkin(k: int) -> Iterator[Path]:
     """Yield every alternating Motzkin path of length 2k once, in
     lexicographic order of the rendered string with L < U and L < D."""
-    for raw in _fold_py.alt_motzkin_steps(k):
+    for raw in alt_motzkin_steps(k):
         yield Path(raw, PathKind.ALT_MOTZKIN)
 
 

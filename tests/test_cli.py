@@ -13,10 +13,16 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def test_enumerate_count_only(capsys):
-    code, out, _ = run(capsys, "enumerate", "--kind", "dyck", "--k", "3", "--count-only")
+@pytest.mark.parametrize("kind,k,count", [
+    ("dyck", 3, 5),
+    ("dyck", 6, 132),
+    ("dyck", 40, 2622127042276492108820),
+    ("altmotzkin", 40, 2622127042276492108820),
+])
+def test_enumerate_count_only(capsys, kind, k, count):
+    code, out, _ = run(capsys, "enumerate", "--kind", kind, "--k", str(k), "--count-only")
     assert code == 0
-    assert out.strip() == "5"
+    assert out.strip() == str(count)
 
 
 def test_enumerate_json_schema(capsys):
@@ -220,10 +226,39 @@ def test_computation_errors_exit_1(capsys):
     code, _, err = run(capsys, "stats", "--path", "UDX", "--kind", "dyck")
     assert code == 1
     assert "invalid character" in err
+    code, out, err = run(capsys, "enumerate", "--kind", "dyck", "--k", "-1", "--count-only")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
-def test_threads_env_smoke(capsys, monkeypatch):
-    monkeypatch.setenv("PATHFORGE_THREADS", "2")
-    code, out, _ = run(capsys, "enumerate", "--kind", "dyck", "--k", "6", "--count-only")
+@pytest.mark.parametrize("text", [
+    '[1,2]',
+    '{"p1": 5, "p2": "UD", "i": 0, "mark1": 1, "mark2": 2}',
+    '{"p1": "UD", "p2": "UD", "i": 0, "mark1": 1.7, "mark2": 2}',
+    '{"p1": "UD", "p2": "UD", "i": true, "mark1": 1, "mark2": 2}',
+])
+def test_map_rejects_malformed_input(capsys, text):
+    code, out, err = run(capsys, "map", "--construction", "A", "--input", text)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--identity", "4", "--k-max", "1"],
+    ["report", "--identities", "4,5", "--k-max", "1"],
+    ["report", "--k-max", "0"],
+])
+def test_checking_nothing_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "nothing to check" in err
+
+
+def test_truncated_empty_report_still_exits_zero(capsys):
+    # a negative budget is spent before the first report
+    code, out, _ = run(capsys, "report", "--k-max", "3", "--time-budget", "-1")
     assert code == 0
-    assert out.strip() == "132"
+    assert json.loads(out) == {"reports": [], "truncated": True}

@@ -1,14 +1,12 @@
-"""Fold kernels: backend equivalence, the per-path oracle, partitioning."""
+"""The transfer-matrix fold against a per-path enumeration oracle."""
 
 import math
 
 import pytest
 
-from pathforge import _fold_py, fold
+from pathforge import fold
+from pathforge.identities import verify_thm1, verify_thm2, verify_thm3, verify_thm4, verify_thm5
 from pathforge.paths import enumerate_alt_motzkin, enumerate_dyck, stats
-
-compiled = pytest.importorskip("pathforge._foldcore") if fold.HAVE_COMPILED else None
-needs_compiled = pytest.mark.skipif(not fold.HAVE_COMPILED, reason="compiled core not built")
 
 
 def dyck_fold_oracle(k):
@@ -56,96 +54,34 @@ def am_fold_oracle(k):
     return counts, rise, vert, lev, wrise, wlev, rpair, lpair
 
 
-@pytest.mark.parametrize("k", range(7))
+def frozen(x):
+    # the oracles build lists; the fold results hold tuples
+    return tuple(map(frozen, x)) if isinstance(x, (list, tuple)) else x
+
+
+# the oracle enumerates every path; k=10 (16,796 paths of each kind) costs
+# a few seconds
+@pytest.mark.parametrize("k", range(11))
 def test_pure_dyck_fold_matches_per_path_oracle(k):
-    got = _fold_py.dyck_fold(k)
-    assert tuple(got) == tuple(dyck_fold_oracle(k))
+    assert fold.fold_dyck(k) == fold.DyckFold(k, *frozen(dyck_fold_oracle(k)))
 
 
-@pytest.mark.parametrize("k", range(7))
+@pytest.mark.parametrize("k", range(11))
 def test_pure_am_fold_matches_per_path_oracle(k):
-    got = _fold_py.alt_motzkin_fold(k)
-    assert list(got) == list(am_fold_oracle(k))
+    assert fold.fold_alt_motzkin(k) == fold.AltMotzkinFold(k, *frozen(am_fold_oracle(k)))
 
 
-@needs_compiled
-@pytest.mark.parametrize("k", range(9))
-def test_backends_agree_dyck(k):
-    assert list(compiled.dyck_fold(k)) == list(_fold_py.dyck_fold(k))
-    assert compiled.dyck_count(k) == _fold_py.dyck_count(k)
+def test_negative_k_rejected():
+    with pytest.raises(ValueError, match="nonnegative"):
+        fold.fold_dyck(-1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        fold.fold_alt_motzkin(-1)
 
 
-@needs_compiled
-@pytest.mark.parametrize("k", range(8))
-def test_backends_agree_alt_motzkin(k):
-    assert list(compiled.alt_motzkin_fold(k)) == list(_fold_py.alt_motzkin_fold(k))
-    assert compiled.alt_motzkin_count(k) == _fold_py.alt_motzkin_count(k)
-
-
-@needs_compiled
-def test_backends_agree_on_prefixes():
-    for prefix in _fold_py.dyck_prefixes(5, 4):
-        assert list(compiled.dyck_fold(5, prefix)) == list(_fold_py.dyck_fold(5, prefix))
-    for prefix in _fold_py.alt_motzkin_prefixes(4, 3):
-        assert list(compiled.alt_motzkin_fold(4, prefix)) == list(_fold_py.alt_motzkin_fold(4, prefix))
-
-
-@pytest.mark.parametrize("k,depth", [(5, 4), (6, 6), (3, 6)])
-def test_prefix_partition_sums_to_full_dyck_fold(k, depth):
-    full = _fold_py.dyck_fold(k)
-    parts = [_fold_py.dyck_fold(k, p) for p in _fold_py.dyck_prefixes(k, depth)]
-    assert sum(p[0] for p in parts) == full[0]
-    for field in range(1, 5):
-        merged = [sum(p[field][i] for p in parts) for i in range(len(full[field]))]
-        assert merged == full[field]
-
-
-@pytest.mark.parametrize("k,depth", [(4, 4), (5, 3)])
-def test_prefix_partition_sums_to_full_am_fold(k, depth):
-    full = _fold_py.alt_motzkin_fold(k)
-    parts = [_fold_py.alt_motzkin_fold(k, p) for p in _fold_py.alt_motzkin_prefixes(k, depth)]
-    merged_counts = [sum(p[0][r] for p in parts) for r in range(len(full[0]))]
-    assert merged_counts == full[0]
-    for field in (4, 5, 6, 7):
-        merged = [sum(p[field][r] for p in parts) for r in range(len(full[field]))]
-        assert merged == full[field]
-    for field in (1, 2, 3):
-        merged = [
-            [sum(p[field][i][r] for p in parts) for r in range(len(full[0]))]
-            for i in range(len(full[field]))
-        ]
-        assert merged == full[field]
-
-
-def test_invalid_prefixes_rejected():
-    with pytest.raises(ValueError):
-        _fold_py.dyck_fold(2, (-1,))
-    with pytest.raises(ValueError):
-        _fold_py.dyck_fold(2, (1, 1, 1, 1))  # cannot return to zero
-    with pytest.raises(ValueError):
-        _fold_py.alt_motzkin_fold(2, (1,))  # rise on odd step
-    with pytest.raises(ValueError):
-        _fold_py.dyck_fold(1, (1, 1, 1))  # longer than the path
-
-
-def test_threaded_fold_matches_sequential(monkeypatch):
-    monkeypatch.delenv("PATHFORGE_THREADS", raising=False)
-    assert fold.fold_dyck(6, threads=4) == fold.fold_dyck(6, threads=1)
-    assert fold.fold_alt_motzkin(6, threads=4) == fold.fold_alt_motzkin(6, threads=1)
-    assert fold.count_dyck(7, threads=3) == fold.count_dyck(7, threads=1)
-    assert fold.count_alt_motzkin(7, threads=3) == fold.count_alt_motzkin(7, threads=1)
-
-
-def test_threads_env_bound_respected(monkeypatch):
-    monkeypatch.setenv("PATHFORGE_THREADS", "2")
-    assert fold.fold_dyck(6).count == 132
-    monkeypatch.setenv("PATHFORGE_THREADS", "0")
-    assert fold.fold_dyck(6).count == 132
-
-
-@needs_compiled
-def test_compiled_k_limit_guard():
-    with pytest.raises(ValueError):
-        compiled.dyck_fold(compiled.K_LIMIT + 1)
-    # the dispatcher silently falls back instead
-    assert fold._backend_for(compiled.K_LIMIT + 1) is _fold_py
+def test_identities_hold_beyond_enumeration():
+    # Catalan(20) is about 6.6e9 paths of each kind: out of reach of the oracle
+    k = 20
+    for report in (
+        verify_thm1(k), verify_thm2(k), verify_thm3(k), verify_thm4(k), verify_thm5(k)
+    ):
+        assert report.is_default_convention and report.equal, report.identity
