@@ -36,7 +36,6 @@ from .paths import (
     AltitudeStats,
     Path,
     PathKind,
-    Step,
     check_level_parity,
     enumerate_alt_motzkin,
     enumerate_dyck,
@@ -48,17 +47,9 @@ from .bijections import (
     FiveTuple,
     MidPath,
     construct,
-    construct_a,
-    construct_b,
-    construct_c,
-    construct_d,
     five_tuples,
     image_paths,
     invert,
-    invert_a,
-    invert_b,
-    invert_c,
-    invert_d,
     middle_altitude,
 )
 from .identities import (

@@ -4,13 +4,15 @@ single path of twice the length, classified by its middle altitude.
 Construction A glues two marked Dyck paths of length 2k into a Dyck path of
 length 4k with positive even middle altitude; B uses vertex marks and lands
 on all Dyck paths of length 4k+2; C and D are the alternating Motzkin
-versions, steering to even and odd middle altitudes respectively.  Each
-construction has an exact inverse, implemented here and verified
-exhaustively in the tests.
+versions, steering to even and odd middle altitudes respectively.
 
-Internally each surgery edits only the left path; the right path is handled
+The four are variants of one bijection, written once: ``construct`` and
+``invert`` read a table with one row per construction (the left-half
+surgery, its inverse, and what a mark must be).  The right path is handled
 by mirroring (reverse the steps and swap rises with falls), applying the
-left-path surgery, and mirroring back.
+left-half surgery, and mirroring back.  ``five_tuples`` and ``image_paths``
+enumerate the domain and the characterized image of each construction;
+the tests use them to check every construction exhaustively at small k.
 """
 
 from __future__ import annotations
@@ -18,9 +20,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .paths import Path, PathKind, Step, parse
-
-RISE, FALL, LEVEL = 1, -1, 0
+from .paths import (
+    FALL,
+    LEVEL,
+    RISE,
+    Path,
+    PathKind,
+    altitudes,
+    enumerate_alt_motzkin,
+    enumerate_dyck,
+    parse,
+)
 
 _KIND_FOR = {
     "A": PathKind.DYCK,
@@ -100,14 +110,7 @@ def middle_altitude(path: Path) -> int:
 
 
 # ---------------------------------------------------------------------------
-# raw-step helpers (steps are tuples of +1/-1/0, positions 1-based)
-
-def _alts(steps) -> list[int]:
-    alts = [0]
-    for s in steps:
-        alts.append(alts[-1] + s)
-    return alts
-
+# step helpers (steps are Path.steps tuples, positions 1-based)
 
 def _mirror(steps):
     return tuple(-s for s in reversed(steps))
@@ -189,7 +192,9 @@ def _level_partner_left(steps, alts, rise_pos, altitude) -> int:
 # left-half surgeries
 
 def _a_left(steps, i, x1):
-    alts = _alts(steps)
+    """A: flip to rises the closing falls of the marked rise x1 and of the
+    chain of rises left of it; the half ends at altitude 2i+2."""
+    alts = altitudes(steps)
     marks = [x1] + _chain_rises(steps, alts, i, x1)
     out = list(steps)
     for m in marks:
@@ -198,18 +203,20 @@ def _a_left(steps, i, x1):
 
 
 def _a_left_inv(steps, i):
-    alts = _alts(steps)
+    alts = altitudes(steps)
     flips = [_rightmost_rise_from(steps, alts, a) for a in range(i + 1, 2 * i + 2)]
     out = list(steps)
     for q in flips:
         out[q - 1] = FALL
     p1 = tuple(out)
-    x1 = _matching_rise(p1, _alts(p1), flips[0])
+    x1 = _matching_rise(p1, altitudes(p1), flips[0])
     return p1, x1
 
 
 def _b_left(steps, i, v1):
-    alts = _alts(steps)
+    """B: insert a rise after the marked vertex v1, flipping the closing
+    falls of the chain of i rises left of it; the half ends at 2i+1."""
+    alts = altitudes(steps)
     marks = _chain_rises(steps, alts, i, v1 + 1)
     closings = {_matching_fall(steps, alts, m) for m in marks}
     if any(c <= v1 for c in closings):
@@ -221,7 +228,7 @@ def _b_left(steps, i, v1):
 
 
 def _b_left_inv(steps, i):
-    alts = _alts(steps)
+    alts = altitudes(steps)
     delete_pos = _rightmost_rise_from(steps, alts, i)
     flips = [_rightmost_rise_from(steps, alts, a) for a in range(i + 1, 2 * i + 1)]
     if any(q < delete_pos for q in flips):
@@ -234,7 +241,10 @@ def _b_left_inv(steps, i):
 
 
 def _c_left(steps, i, x1):
-    alts = _alts(steps)
+    """C, the alternating Motzkin A: each closing fall trades places with
+    its nearest level step to the right before flipping, which keeps rises
+    on even steps and the rise count unchanged."""
+    alts = altitudes(steps)
     marks = [x1] + _chain_rises(steps, alts, i, x1)
     out = list(steps)
     for m in marks:
@@ -246,7 +256,7 @@ def _c_left(steps, i, x1):
 
 
 def _c_left_inv(steps, i):
-    alts = _alts(steps)
+    alts = altitudes(steps)
     fall_of_x1 = None
     out = list(steps)
     for a in range(i + 1, 2 * i + 2):
@@ -257,12 +267,15 @@ def _c_left_inv(steps, i):
         if a == i + 1:
             fall_of_x1 = partner
     p1 = tuple(out)
-    x1 = _matching_rise(p1, _alts(p1), fall_of_x1)
+    x1 = _matching_rise(p1, altitudes(p1), fall_of_x1)
     return p1, x1
 
 
 def _d_left(steps, i, y1):
-    alts = _alts(steps)
+    """D: the marked even-step level y1 becomes a rise, and the C-style
+    fall/level switches run for the chain of i rises left of it; the half
+    ends at 2i+1 with one rise more."""
+    alts = altitudes(steps)
     marks = _chain_rises(steps, alts, i, y1)
     out = list(steps)
     out[y1 - 1] = RISE
@@ -277,7 +290,7 @@ def _d_left(steps, i, y1):
 
 
 def _d_left_inv(steps, i):
-    alts = _alts(steps)
+    alts = altitudes(steps)
     y1 = _rightmost_rise_from(steps, alts, i)
     out = list(steps)
     out[y1 - 1] = LEVEL
@@ -290,257 +303,126 @@ def _d_left_inv(steps, i):
 
 
 # ---------------------------------------------------------------------------
-# mark validation
+# the four variants
+
+# construction: (left-half surgery, its inverse, what mark1 and mark2 must be)
+_VARIANTS = {
+    "A": (_a_left, _a_left_inv, ("a rise from altitude {i}", "a fall to altitude {i}")),
+    "B": (_b_left, _b_left_inv, ("at altitude {i}", "at altitude {i}")),
+    "C": (_c_left, _c_left_inv, ("a rise from altitude {i}", "a fall to altitude {i}")),
+    "D": (_d_left, _d_left_inv, ("an even-step level at altitude {i}", "an odd-step level at altitude {i}")),
+}
+
 
 def _require(cond, message):
     if not cond:
         raise ValueError(message)
 
 
-def _check_pair(t: FiveTuple, construction: str):
-    _require(t.construction == construction, f"five-tuple is not for construction {construction}")
-    kind = _KIND_FOR[construction]
-    _require(t.p1.kind is kind and t.p2.kind is kind, f"construction {construction} needs {kind.value} paths")
-    _require(t.p1.k == t.p2.k, "p1 and p2 must have the same length")
-    _require(t.p1.k >= 1, "paths must be nonempty")
+def _variant(construction: str):
+    _require(construction in _VARIANTS, f"unknown construction {construction!r}")
+    return _VARIANTS[construction]
 
 
-def _check_rise_fall_marks(t: FiveTuple):
-    k = t.p1.k
-    _require(0 <= t.i <= k - 1, f"i must be in [0, {k - 1}], got {t.i}")
-    _require(t.mark1 in t.p1.rises_from(t.i), f"mark1={t.mark1} is not a rise from altitude {t.i} in p1")
-    _require(t.mark2 in t.p2.falls_to(t.i), f"mark2={t.mark2} is not a fall to altitude {t.i} in p2")
+def _marks(construction: str, path: Path, i: int, side: int) -> tuple[int, ...]:
+    """Positions in ``path`` that may carry mark ``side`` (1 or 2) at altitude
+    i: rises from i (p1) and falls to i (p2) for A and C, vertices at i for
+    B, levels at i on even (p1) and odd (p2) steps for D."""
+    if construction == "B":
+        return path.vertices_at(i)
+    if construction == "D":
+        return path.levels_at(i, even_steps=side == 1)
+    return path.rises_from(i) if side == 1 else path.falls_to(i)
 
 
-# ---------------------------------------------------------------------------
-# the four constructions
-
-def construct_a(t: FiveTuple) -> MidPath:
-    """Glue two marked Dyck paths of length 2k into one of length 4k with
-    middle altitude 2i+2: flip the chain's closing falls in p1, mirror the
-    treatment of p2, and concatenate."""
-    _check_pair(t, "A")
-    _check_rise_fall_marks(t)
-    s1 = tuple(int(s) for s in t.p1.steps)
-    s2 = tuple(int(s) for s in t.p2.steps)
-    n = len(s1)
-    left = _a_left(s1, t.i, t.mark1)
-    right = _mirror(_a_left(_mirror(s2), t.i, n + 1 - t.mark2))
-    path = Path(left + right, PathKind.DYCK)
-    return MidPath(path, middle_altitude(path))
+def _mirror_mark(construction: str, n: int, mark: int) -> int:
+    """Where a mark of a path of length n lands when the path is mirrored:
+    vertex marks (B) at n - mark, step marks at n + 1 - mark."""
+    return n - mark if construction == "B" else n + 1 - mark
 
 
-def invert_a(path: Path) -> FiveTuple:
-    """Recover the unique five-tuple mapping to a Dyck path of length 4k
-    with positive middle altitude."""
-    _require(path.kind is PathKind.DYCK, "construction A inverts Dyck paths")
-    _require(len(path) % 4 == 0 and len(path) > 0, f"path length must be 4k, got {len(path)}")
-    n = len(path) // 2
-    mid = middle_altitude(path)
-    _require(mid > 0, "middle altitude 0 is not in the image of construction A")
-    i = mid // 2 - 1
-    steps = tuple(int(s) for s in path.steps)
-    p1_steps, x1 = _a_left_inv(steps[:n], i)
-    m2_steps, xm = _a_left_inv(_mirror(steps[n:]), i)
-    p2_steps, x2 = _mirror(m2_steps), n + 1 - xm
-    return FiveTuple(
-        "A", Path(p1_steps, PathKind.DYCK), Path(p2_steps, PathKind.DYCK), i, x1, x2
-    )
-
-
-def construct_b(t: FiveTuple) -> MidPath:
-    """Glue two vertex-marked Dyck paths of length 2k into one of length
-    4k+2 with middle altitude 2i+1: insert a rise after the marked vertex
-    of p1 (flipping i closing falls when i > 0), mirror on p2, concatenate."""
-    _check_pair(t, "B")
-    k = t.p1.k
-    _require(0 <= t.i <= k, f"i must be in [0, {k}], got {t.i}")
-    n = 2 * k
-    _require(0 <= t.mark1 <= n and 0 <= t.mark2 <= n, "vertex marks must be in [0, 2k]")
-    _require(t.p1.altitude_at(t.mark1) == t.i, f"vertex mark1={t.mark1} is not at altitude {t.i} in p1")
-    _require(t.p2.altitude_at(t.mark2) == t.i, f"vertex mark2={t.mark2} is not at altitude {t.i} in p2")
-    s1 = tuple(int(s) for s in t.p1.steps)
-    s2 = tuple(int(s) for s in t.p2.steps)
-    left = _b_left(s1, t.i, t.mark1)
-    right = _mirror(_b_left(_mirror(s2), t.i, n - t.mark2))
-    path = Path(left + right, PathKind.DYCK)
-    return MidPath(path, path.altitude_at(n + 1))
-
-
-def invert_b(path: Path) -> FiveTuple:
-    """Recover the unique five-tuple for any Dyck path of length 4k+2."""
-    _require(path.kind is PathKind.DYCK, "construction B inverts Dyck paths")
-    _require(len(path) % 4 == 2 and len(path) >= 6, f"path length must be 4k+2 with k >= 1, got {len(path)}")
-    half = len(path) // 2
-    n = half - 1
-    mid = path.altitude_at(half)
-    i = (mid - 1) // 2
-    steps = tuple(int(s) for s in path.steps)
-    p1_steps, v1 = _b_left_inv(steps[:half], i)
-    m2_steps, vm = _b_left_inv(_mirror(steps[half:]), i)
-    p2_steps, v2 = _mirror(m2_steps), n - vm
-    return FiveTuple(
-        "B", Path(p1_steps, PathKind.DYCK), Path(p2_steps, PathKind.DYCK), i, v1, v2
-    )
-
-
-def construct_c(t: FiveTuple) -> MidPath:
-    """Alternating Motzkin version of A: middle altitude 2i+2 and rise
-    count r1+r2.  Closing falls trade places with their nearest level
-    steps to the right before flipping, which keeps rises on even steps."""
-    _check_pair(t, "C")
-    _check_rise_fall_marks(t)
-    s1 = tuple(int(s) for s in t.p1.steps)
-    s2 = tuple(int(s) for s in t.p2.steps)
-    n = len(s1)
-    left = _c_left(s1, t.i, t.mark1)
-    right = _mirror(_c_left(_mirror(s2), t.i, n + 1 - t.mark2))
-    path = Path(left + right, PathKind.ALT_MOTZKIN)
-    return MidPath(path, middle_altitude(path))
-
-
-def invert_c(path: Path) -> FiveTuple:
-    """Recover the five-tuple for an alternating Motzkin path of length 4k
-    with positive even middle altitude."""
-    _require(path.kind is PathKind.ALT_MOTZKIN, "construction C inverts alternating Motzkin paths")
-    _require(len(path) % 4 == 0 and len(path) > 0, f"path length must be 4k, got {len(path)}")
-    n = len(path) // 2
-    mid = middle_altitude(path)
-    _require(mid > 0 and mid % 2 == 0, f"middle altitude must be positive and even, got {mid}")
-    i = mid // 2 - 1
-    steps = tuple(int(s) for s in path.steps)
-    p1_steps, x1 = _c_left_inv(steps[:n], i)
-    m2_steps, xm = _c_left_inv(_mirror(steps[n:]), i)
-    p2_steps, x2 = _mirror(m2_steps), n + 1 - xm
-    return FiveTuple(
-        "C",
-        Path(p1_steps, PathKind.ALT_MOTZKIN),
-        Path(p2_steps, PathKind.ALT_MOTZKIN),
-        i,
-        x1,
-        x2,
-    )
-
-
-def construct_d(t: FiveTuple) -> MidPath:
-    """Alternating Motzkin surgery with level-step marks: replaces the
-    marked even-step level in p1 with a rise (and the odd-step level in p2
-    with a fall), running the C-style fall/level switches below altitude i.
-    Middle altitude 2i+1, rise count r1+r2+1."""
-    _check_pair(t, "D")
-    k = t.p1.k
-    _require(0 <= t.i <= k - 1, f"i must be in [0, {k - 1}], got {t.i}")
-    _require(
-        t.mark1 in t.p1.levels_at(t.i, even_steps=True),
-        f"mark1={t.mark1} is not an even-step level at altitude {t.i} in p1",
-    )
-    _require(
-        t.mark2 in t.p2.levels_at(t.i, even_steps=False),
-        f"mark2={t.mark2} is not an odd-step level at altitude {t.i} in p2",
-    )
-    s1 = tuple(int(s) for s in t.p1.steps)
-    s2 = tuple(int(s) for s in t.p2.steps)
-    n = len(s1)
-    left = _d_left(s1, t.i, t.mark1)
-    right = _mirror(_d_left(_mirror(s2), t.i, n + 1 - t.mark2))
-    path = Path(left + right, PathKind.ALT_MOTZKIN)
-    return MidPath(path, middle_altitude(path))
-
-
-def invert_d(path: Path) -> FiveTuple:
-    """Recover the five-tuple for an alternating Motzkin path of length 4k
-    with odd middle altitude."""
-    _require(path.kind is PathKind.ALT_MOTZKIN, "construction D inverts alternating Motzkin paths")
-    _require(len(path) % 4 == 0 and len(path) > 0, f"path length must be 4k, got {len(path)}")
-    n = len(path) // 2
-    mid = middle_altitude(path)
-    _require(mid % 2 == 1, f"middle altitude must be odd, got {mid}")
-    i = (mid - 1) // 2
-    steps = tuple(int(s) for s in path.steps)
-    p1_steps, y1 = _d_left_inv(steps[:n], i)
-    m2_steps, ym = _d_left_inv(_mirror(steps[n:]), i)
-    p2_steps, y2 = _mirror(m2_steps), n + 1 - ym
-    return FiveTuple(
-        "D",
-        Path(p1_steps, PathKind.ALT_MOTZKIN),
-        Path(p2_steps, PathKind.ALT_MOTZKIN),
-        i,
-        y1,
-        y2,
-    )
-
-
-_CONSTRUCT = {"A": construct_a, "B": construct_b, "C": construct_c, "D": construct_d}
-_INVERT = {"A": invert_a, "B": invert_b, "C": invert_c, "D": invert_d}
+def _middle_index(construction: str, mid: int) -> int | None:
+    """The i of a doubled path with middle altitude ``mid``: mid = 2i+2
+    (positive and even) for A and C, 2i+1 (odd) for B and D; None when mid
+    follows neither law."""
+    i, rest = divmod(mid - (2 if construction in "AC" else 1), 2)
+    return i if rest == 0 and i >= 0 else None
 
 
 def construct(t: FiveTuple) -> MidPath:
-    """Apply the construction named by the five-tuple."""
-    if t.construction not in _CONSTRUCT:
-        raise ValueError(f"unknown construction {t.construction!r}")
-    return _CONSTRUCT[t.construction](t)
+    """Apply the construction named by the five-tuple: run the left-half
+    surgery on p1 and, mirrored, on p2, and concatenate.  The result has
+    middle altitude 2i+2 (A, C) or 2i+1 (B, D)."""
+    c = t.construction
+    left, _, wording = _variant(c)
+    kind = _KIND_FOR[c]
+    _require(t.p1.kind is kind and t.p2.kind is kind, f"construction {c} needs {kind.value} paths")
+    _require(t.p1.k == t.p2.k, "p1 and p2 must have the same length")
+    _require(t.p1.k >= 1, "paths must be nonempty")
+    for side, path, mark in ((1, t.p1, t.mark1), (2, t.p2, t.mark2)):
+        _require(
+            mark in _marks(c, path, t.i, side),
+            f"mark{side}={mark} is not {wording[side - 1].format(i=t.i)} in p{side}",
+        )
+    n = len(t.p1)
+    s1 = left(t.p1.steps, t.i, t.mark1)
+    s2 = _mirror(left(_mirror(t.p2.steps), t.i, _mirror_mark(c, n, t.mark2)))
+    path = Path(s1 + s2, kind)
+    return MidPath(path, middle_altitude(path))
 
 
 def invert(construction: str, path: Path) -> FiveTuple:
-    """Apply the inverse of the named construction."""
-    if construction not in _INVERT:
-        raise ValueError(f"unknown construction {construction!r}")
-    return _INVERT[construction](path)
+    """Recover the unique five-tuple that the named construction maps to
+    ``path``."""
+    _, left_inv, _ = _variant(construction)
+    kind = _KIND_FOR[construction]
+    _require(path.kind is kind, f"construction {construction} inverts {kind.value} paths")
+    extra = 2 if construction == "B" else 0  # B inserts one rise in each half
+    _require(
+        len(path) % 4 == extra and len(path) > extra,
+        f"path length must be 4k{'+2' if extra else ''} with k >= 1, got {len(path)}",
+    )
+    mid = middle_altitude(path)
+    i = _middle_index(construction, mid)
+    law = "positive and even" if construction in "AC" else "odd"
+    _require(i is not None, f"middle altitude {mid} is not in the image of construction "
+                            f"{construction}: it must be {law}")
+    half = len(path) // 2
+    s1, mark1 = left_inv(path.steps[:half], i)
+    s2, mark2 = left_inv(_mirror(path.steps[half:]), i)
+    return FiveTuple(
+        construction,
+        Path(s1, kind),
+        Path(_mirror(s2), kind),
+        i,
+        mark1,
+        _mirror_mark(construction, len(s2), mark2),
+    )
 
 
 # ---------------------------------------------------------------------------
-# domain and image enumeration (exhaustive; used by tests and the CLI)
+# domain and image enumeration (exhaustive; the tests' oracle)
 
 def five_tuples(construction: str, k: int) -> Iterator[FiveTuple]:
     """Yield every valid five-tuple for the construction at size k."""
-    from .paths import enumerate_alt_motzkin, enumerate_dyck
-
-    if construction not in _KIND_FOR:
-        raise ValueError(f"unknown construction {construction!r}")
-    kind = _KIND_FOR[construction]
-    pool = list(enumerate_dyck(k) if kind is PathKind.DYCK else enumerate_alt_motzkin(k))
-    if construction in ("A", "C"):
-        for p1 in pool:
-            for p2 in pool:
-                for i in range(k):
-                    for m1 in p1.rises_from(i):
-                        for m2 in p2.falls_to(i):
-                            yield FiveTuple(construction, p1, p2, i, m1, m2)
-    elif construction == "B":
-        for p1 in pool:
-            for p2 in pool:
-                for i in range(k + 1):
-                    for m1 in p1.vertices_at(i):
-                        for m2 in p2.vertices_at(i):
-                            yield FiveTuple("B", p1, p2, i, m1, m2)
-    else:
-        for p1 in pool:
-            for p2 in pool:
-                for i in range(k):
-                    for m1 in p1.levels_at(i, even_steps=True):
-                        for m2 in p2.levels_at(i, even_steps=False):
-                            yield FiveTuple("D", p1, p2, i, m1, m2)
+    pool = list(_paths(construction, k))
+    for p1 in pool:
+        for p2 in pool:
+            for i in range(k + 1):  # only B has marks at altitude k
+                for m1 in _marks(construction, p1, i, 1):
+                    for m2 in _marks(construction, p2, i, 2):
+                        yield FiveTuple(construction, p1, p2, i, m1, m2)
 
 
 def image_paths(construction: str, k: int) -> Iterator[Path]:
     """Yield the characterized image of the construction at size k: doubled
-    paths filtered by the middle-altitude law."""
-    from .paths import enumerate_alt_motzkin, enumerate_dyck
+    paths whose middle altitude follows the construction's law."""
+    for p in _paths(construction, 2 * k + 1 if construction == "B" else 2 * k):
+        if _middle_index(construction, middle_altitude(p)) is not None:
+            yield p
 
-    if construction == "A":
-        for p in enumerate_dyck(2 * k):
-            if middle_altitude(p) > 0:
-                yield p
-    elif construction == "B":
-        yield from enumerate_dyck(2 * k + 1)
-    elif construction == "C":
-        for p in enumerate_alt_motzkin(2 * k):
-            mid = middle_altitude(p)
-            if mid > 0 and mid % 2 == 0:
-                yield p
-    elif construction == "D":
-        for p in enumerate_alt_motzkin(2 * k):
-            if middle_altitude(p) % 2 == 1:
-                yield p
-    else:
-        raise ValueError(f"unknown construction {construction!r}")
+
+def _paths(construction: str, k: int) -> Iterator[Path]:
+    """Every path of size k of the kind the construction takes."""
+    _variant(construction)
+    return (enumerate_dyck if _KIND_FOR[construction] is PathKind.DYCK else enumerate_alt_motzkin)(k)

@@ -74,16 +74,25 @@ def _enumerator(kind: PathKind):
 
 def _cmd_enumerate(args) -> int:
     kind = PathKind(args.kind)
+    count = catalan(args.k)  # both kinds are counted by the Catalan numbers
     if args.count_only:
-        # both kinds are counted by the Catalan numbers
-        print(catalan(args.k))
+        print(count)
         return 0
-    rendered = [p.render() for p in _enumerator(kind)(args.k)]
+    rendered = (p.render() for p in _enumerator(kind)(args.k))
     if args.format == "csv":
         for line in rendered:
             print(line)
-    else:
-        _emit_json({"kind": kind.value, "k": args.k, "count": len(rendered), "paths": rendered})
+        return 0
+    # paths are written as they are generated; the bytes are those of
+    # _emit_json on the whole object, whose "paths" list is never empty
+    head = json.dumps({"kind": kind.value, "k": args.k, "count": count}, indent=2)
+    out = sys.stdout
+    out.write(head[:-2] + ',\n  "paths": [\n')
+    sep = ""
+    for line in rendered:
+        out.write(f"{sep}    {json.dumps(line)}")
+        sep = ",\n"
+    out.write("\n  ]\n}\n")
     return 0
 
 
@@ -287,6 +296,16 @@ def _cmd_report(args) -> int:
     return _emit_sweep(result, args.format, None)
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _identity_list(text: str) -> list[int]:
     try:
         values = [int(part) for part in text.split(",")]
@@ -310,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list or count all paths of a given size")
     p.add_argument("--kind", choices=["dyck", "altmotzkin"], required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_nonnegative_int, required=True)
     p.add_argument("--count-only", action="store_true")
     add_format(p)
     p.set_defaults(func=_cmd_enumerate)

@@ -148,7 +148,7 @@ class GammaPoly:
 
     @classmethod
     def from_json(cls, data: Iterable[str]) -> "GammaPoly":
-        return cls(int(s) for s in data)
+        return cls(int(c) for c in data)
 
     def __repr__(self) -> str:
         return f"GammaPoly({list(self.coeffs)!r})"

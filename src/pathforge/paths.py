@@ -1,9 +1,11 @@
 """Path objects, parsing, exhaustive enumeration, and altitude statistics.
 
 A path is a sequence of rise/fall/level steps that starts and ends at
-altitude zero and never dips below it.  Step positions are 1-based where
-parity matters: alternating Motzkin paths allow rises only on even steps
-and falls only on odd steps.
+altitude zero and never dips below it.  Steps are the plain ints
+``RISE, LEVEL, FALL = 1, 0, -1``, each its altitude change; this module
+owns that encoding, and every other module reads steps through it.  Step
+positions are 1-based where parity matters: alternating Motzkin paths
+allow rises only on even steps and falls only on odd steps.
 """
 
 from __future__ import annotations
@@ -11,26 +13,21 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterator, Union
 
 from .fold import fold_alt_motzkin, fold_dyck
 from .numeric import GammaPoly, catalan
 
+RISE, LEVEL, FALL = 1, 0, -1
 
-class Step(enum.IntEnum):
-    """A single step; the value is its altitude change."""
-
-    RISE = 1
-    LEVEL = 0
-    FALL = -1
-
-    @property
-    def char(self) -> str:
-        return _STEP_TO_CHAR[self]
+_CHARS = "DLU"  # indexed by step + 1
+_CHAR_TO_STEP = {"U": RISE, "D": FALL, "L": LEVEL}
 
 
-_STEP_TO_CHAR = {Step.RISE: "U", Step.FALL: "D", Step.LEVEL: "L"}
-_CHAR_TO_STEP = {"U": Step.RISE, "D": Step.FALL, "L": Step.LEVEL}
+def altitudes(steps) -> tuple[int, ...]:
+    """Altitude at each of the len(steps)+1 vertices: the prefix sums."""
+    return tuple(accumulate(steps, initial=0))
 
 
 class PathKind(enum.Enum):
@@ -42,29 +39,35 @@ class PathKind(enum.Enum):
 class Path:
     """A validated Dyck or alternating Motzkin path.
 
-    Validation happens on construction: altitude stays nonnegative, the
-    path closes at zero, Dyck paths contain no level steps, and
-    alternating Motzkin paths obey the even-rise/odd-fall rule.
+    Validation happens on every construction: each step is one of the ints
+    1, 0, -1, altitude stays nonnegative, the path closes at zero, Dyck
+    paths contain no level steps, and alternating Motzkin paths obey the
+    even-rise/odd-fall rule.
     """
 
-    steps: tuple[Step, ...]
+    steps: tuple[int, ...]
     kind: PathKind
 
     def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(Step(s) for s in self.steps))
-        n = len(self.steps)
+        steps = tuple(self.steps)
+        object.__setattr__(self, "steps", steps)
+        n = len(steps)
         if n % 2 != 0:
             raise ValueError(f"path length must be even, got {n}")
+        dyck = self.kind is PathKind.DYCK
+        motzkin = self.kind is PathKind.ALT_MOTZKIN
         alt = 0
-        for pos, s in enumerate(self.steps, start=1):
-            if self.kind is PathKind.DYCK and s is Step.LEVEL:
+        for pos, s in enumerate(steps, start=1):
+            if type(s) is not int or not -1 <= s <= 1:
+                raise ValueError(f"step {pos} is {s!r}, not one of 1, 0, -1")
+            if dyck and s == LEVEL:
                 raise ValueError(f"level step at position {pos} in a Dyck path")
-            if self.kind is PathKind.ALT_MOTZKIN:
-                if s is Step.RISE and pos % 2 != 0:
+            if motzkin:
+                if s == RISE and pos % 2 != 0:
                     raise ValueError(f"rise on odd step {pos}")
-                if s is Step.FALL and pos % 2 != 1:
+                if s == FALL and pos % 2 != 1:
                     raise ValueError(f"fall on even step {pos}")
-            alt += int(s)
+            alt += s
             if alt < 0:
                 raise ValueError(f"altitude drops below zero after step {pos}")
         if alt != 0:
@@ -79,52 +82,49 @@ class Path:
 
     def altitudes(self) -> tuple[int, ...]:
         """Altitude at each of the len+1 vertices."""
-        alts = [0]
-        for s in self.steps:
-            alts.append(alts[-1] + int(s))
-        return tuple(alts)
+        return altitudes(self.steps)
 
     def altitude_at(self, vertex: int) -> int:
-        return sum(int(s) for s in self.steps[:vertex])
+        return altitudes(self.steps)[vertex]
 
     def render(self) -> str:
-        return "".join(s.char for s in self.steps)
+        return "".join(_CHARS[s + 1] for s in self.steps)
 
     def __str__(self) -> str:
         return self.render()
 
     def mirrored(self) -> "Path":
         """Left-right reversal: reverse the steps and swap rises with falls."""
-        return Path(tuple(Step(-int(s)) for s in reversed(self.steps)), self.kind)
+        return Path(tuple(-s for s in reversed(self.steps)), self.kind)
 
     def rise_count(self) -> int:
-        return sum(1 for s in self.steps if s is Step.RISE)
+        return self.steps.count(RISE)
 
     def rises_from(self, altitude: int) -> tuple[int, ...]:
         """1-based positions of rises that start at the given altitude."""
-        alts = self.altitudes()
+        alts = altitudes(self.steps)
         return tuple(
             pos
             for pos, s in enumerate(self.steps, start=1)
-            if s is Step.RISE and alts[pos - 1] == altitude
+            if s == RISE and alts[pos - 1] == altitude
         )
 
     def falls_to(self, altitude: int) -> tuple[int, ...]:
         """1-based positions of falls that land at the given altitude."""
-        alts = self.altitudes()
+        alts = altitudes(self.steps)
         return tuple(
             pos
             for pos, s in enumerate(self.steps, start=1)
-            if s is Step.FALL and alts[pos] == altitude
+            if s == FALL and alts[pos] == altitude
         )
 
     def levels_at(self, altitude: int, even_steps: bool | None = None) -> tuple[int, ...]:
         """1-based positions of level steps at the given altitude, optionally
         filtered to even or odd positions."""
-        alts = self.altitudes()
+        alts = altitudes(self.steps)
         out = []
         for pos, s in enumerate(self.steps, start=1):
-            if s is not Step.LEVEL or alts[pos - 1] != altitude:
+            if s != LEVEL or alts[pos - 1] != altitude:
                 continue
             if even_steps is None or (pos % 2 == 0) == even_steps:
                 out.append(pos)
@@ -132,7 +132,7 @@ class Path:
 
     def vertices_at(self, altitude: int) -> tuple[int, ...]:
         """Vertex indices (0..len) at the given altitude."""
-        return tuple(v for v, a in enumerate(self.altitudes()) if a == altitude)
+        return tuple(v for v, a in enumerate(altitudes(self.steps)) if a == altitude)
 
 
 def parse(text: str, kind: PathKind | str) -> Path:
@@ -147,16 +147,12 @@ def parse(text: str, kind: PathKind | str) -> Path:
     return Path(tuple(steps), kind)
 
 
-# module-level names for the enumerators' inner loops
-_RISE, _FALL, _LEVEL = Step.RISE, Step.FALL, Step.LEVEL
-
-
 def _odds_in(a: int, b: int) -> int:
     # number of odd integers in [a, b]
     return (b + 1) // 2 - a // 2 if b >= a else 0
 
 
-def dyck_steps(k: int) -> Iterator[tuple[Step, ...]]:
+def dyck_steps(k: int) -> Iterator[tuple[int, ...]]:
     """Yield every Dyck step sequence of length 2k, in lexicographic order
     with rise < fall."""
     if k < 0:
@@ -170,18 +166,18 @@ def dyck_steps(k: int) -> Iterator[tuple[Step, ...]]:
             return
         rem = n - pos
         if alt + 1 <= rem - 1:
-            steps.append(_RISE)
+            steps.append(RISE)
             yield from rec(pos + 1, alt + 1)
             steps.pop()
         if alt > 0:
-            steps.append(_FALL)
+            steps.append(FALL)
             yield from rec(pos + 1, alt - 1)
             steps.pop()
 
     return rec(0, 0)
 
 
-def alt_motzkin_steps(k: int) -> Iterator[tuple[Step, ...]]:
+def alt_motzkin_steps(k: int) -> Iterator[tuple[int, ...]]:
     """Yield every alternating Motzkin step sequence of length 2k, in
     lexicographic order with level < rise and level < fall."""
     if k < 0:
@@ -196,16 +192,16 @@ def alt_motzkin_steps(k: int) -> Iterator[tuple[Step, ...]]:
         s = pos + 1
         odds_after = _odds_in(s + 1, n)
         if alt <= odds_after:
-            steps.append(_LEVEL)
+            steps.append(LEVEL)
             yield from rec(pos + 1, alt)
             steps.pop()
         if s % 2 == 0:
             if alt + 1 <= odds_after:
-                steps.append(_RISE)
+                steps.append(RISE)
                 yield from rec(pos + 1, alt + 1)
                 steps.pop()
         elif alt > 0:
-            steps.append(_FALL)
+            steps.append(FALL)
             yield from rec(pos + 1, alt - 1)
             steps.pop()
 
@@ -252,11 +248,11 @@ def stats(path: Path) -> AltitudeStats:
     alt = 0
     verts[0] = 1
     for pos, s in enumerate(path.steps, start=1):
-        if s is Step.RISE:
+        if s == RISE:
             rises[alt] += 1
-        elif s is Step.LEVEL and pos % 2 == 0:
+        elif s == LEVEL and pos % 2 == 0:
             levels[alt] += 1
-        alt += int(s)
+        alt += s
         verts[alt] += 1
     return AltitudeStats(
         rises_by_altitude=tuple(rises),
@@ -292,11 +288,11 @@ def check_level_parity(path: Path) -> LevelParityReport:
     even = [0] * k
     alt = 0
     for pos, s in enumerate(path.steps, start=1):
-        if s is Step.LEVEL:
+        if s == LEVEL:
             total[alt] += 1
             if pos % 2 == 0:
                 even[alt] += 1
-        alt += int(s)
+        alt += s
     violations = tuple(
         i for i in range(k) if total[i] % 2 != 0 or 2 * even[i] != total[i]
     )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .identities import verify_thm1, verify_thm2
-from .paths import Path, PathKind, Step
+from .paths import Path, PathKind
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ def walk_to_dyck(walk: Walk) -> Path:
     """Inverse of dyck_to_walk; rejects walks that use loops."""
     if any(m == 0 for m in walk.moves()):
         raise ValueError("walk uses loops; it does not correspond to a Dyck path")
-    return Path(tuple(Step(m) for m in walk.moves()), PathKind.DYCK)
+    return Path(walk.moves(), PathKind.DYCK)
 
 
 def alt_motzkin_to_walk(path: Path, start: int = 0) -> Walk:
@@ -82,7 +82,7 @@ def alt_motzkin_to_walk(path: Path, start: int = 0) -> Walk:
 
 def walk_to_alt_motzkin(walk: Walk) -> Path:
     """Inverse of alt_motzkin_to_walk; the parity rule is revalidated."""
-    return Path(tuple(Step(m) for m in walk.moves()), PathKind.ALT_MOTZKIN)
+    return Path(walk.moves(), PathKind.ALT_MOTZKIN)
 
 
 @dataclass(frozen=True)

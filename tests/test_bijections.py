@@ -17,18 +17,18 @@ def t5(construction, p1, p2, i, m1, m2):
 
 
 def test_construct_a_worked_example():
-    out = bj.construct_a(t5("A", "UDUD", "UUDD", 0, 1, 4))
+    out = bj.construct(t5("A", "UDUD", "UUDD", 0, 1, 4))
     assert out.path.render() == "UUUDDUDD"
     assert out.middle_altitude == 2
 
 
 def test_invert_a_worked_example():
-    t = bj.invert_a(parse("UUUDDUDD", "dyck"))
+    t = bj.invert("A", parse("UUUDDUDD", "dyck"))
     assert t == t5("A", "UDUD", "UUDD", 0, 1, 4)
 
 
 def test_construct_a_k1_only_input():
-    out = bj.construct_a(t5("A", "UD", "UD", 0, 1, 2))
+    out = bj.construct(t5("A", "UD", "UD", 0, 1, 2))
     assert out.path.render() == "UUDD"
     assert out.middle_altitude == 2
 
@@ -39,11 +39,11 @@ def test_a_input_count_k2():
 
 def test_invert_a_rejects_zero_middle():
     with pytest.raises(ValueError, match="middle altitude 0"):
-        bj.invert_a(parse("UUDDUUDD", "dyck"))
+        bj.invert("A", parse("UUDDUUDD", "dyck"))
 
 
 def test_construct_b_worked_example():
-    out = bj.construct_b(t5("B", "UD", "UD", 0, 0, 0))
+    out = bj.construct(t5("B", "UD", "UD", 0, 0, 0))
     assert out.path.render() == "UUDDUD"
     assert out.middle_altitude == 1
 
@@ -54,13 +54,13 @@ def test_b_input_count_k1():
 
 def test_b_admits_top_altitude_vertex():
     # i may reach k: the staircase pair maps to the unique path through 2k+1
-    out = bj.construct_b(t5("B", "UUDD", "UUDD", 2, 2, 2))
+    out = bj.construct(t5("B", "UUDD", "UUDD", 2, 2, 2))
     assert out.middle_altitude == 5
     assert out.path.k == 2 * 2 + 1
 
 
 def test_construct_c_worked_example():
-    out = bj.construct_c(t5("C", "LUDL", "LUDL", 0, 2, 3))
+    out = bj.construct(t5("C", "LUDL", "LUDL", 0, 2, 3))
     assert out.path.render() == "LULUDLDL"
     assert out.middle_altitude == 2
     assert out.path.rise_count() == 2
@@ -72,7 +72,7 @@ def test_c_has_no_inputs_at_k1():
 
 
 def test_construct_d_worked_example():
-    out = bj.construct_d(t5("D", "LL", "LL", 0, 2, 1))
+    out = bj.construct(t5("D", "LL", "LL", 0, 2, 1))
     assert out.path.render() == "LUDL"
     assert out.middle_altitude == 1
     assert out.path.rise_count() == 1
@@ -105,26 +105,26 @@ def test_construct_rejects_bad_marks(construction, p, fragment):
 
 def test_construct_b_rejects_bad_vertex():
     with pytest.raises(ValueError, match="not at altitude"):
-        bj.construct_b(t5("B", "UUDD", "UUDD", 1, 0, 1))
+        bj.construct(t5("B", "UUDD", "UUDD", 1, 0, 1))
 
 
 def test_construct_d_rejects_parity_violations():
     with pytest.raises(ValueError, match="even-step level"):
-        bj.construct_d(t5("D", "LL", "LL", 0, 1, 1))
+        bj.construct(t5("D", "LL", "LL", 0, 1, 1))
     with pytest.raises(ValueError, match="odd-step level"):
-        bj.construct_d(t5("D", "LL", "LL", 0, 2, 2))
+        bj.construct(t5("D", "LL", "LL", 0, 2, 2))
 
 
 def test_invert_c_rejects_odd_or_zero_middle():
     with pytest.raises(ValueError, match="positive and even"):
-        bj.invert_c(parse("LUDLLUDL", "altmotzkin"))  # middle altitude 0
+        bj.invert("C", parse("LUDLLUDL", "altmotzkin"))  # middle altitude 0
     with pytest.raises(ValueError, match="positive and even"):
-        bj.invert_c(parse("LUDL", "altmotzkin"))  # middle altitude 1
+        bj.invert("C", parse("LUDL", "altmotzkin"))  # middle altitude 1
 
 
 def test_invert_d_rejects_even_middle():
     with pytest.raises(ValueError, match="must be odd"):
-        bj.invert_d(parse("LLLL", "altmotzkin"))
+        bj.invert("D", parse("LLLL", "altmotzkin"))
 
 
 @pytest.mark.parametrize("construction", "ABCD")

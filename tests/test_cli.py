@@ -1,10 +1,15 @@
 """CLI surface: documented flag combinations, JSON schemas, exit codes."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pathforge import bijections
 from pathforge.cli import main
+from pathforge.paths import enumerate_alt_motzkin, enumerate_dyck
 
 
 def run(capsys, *argv):
@@ -30,6 +35,7 @@ def test_enumerate_json_schema(capsys):
     assert code == 0
     data = json.loads(out)
     assert data == {"kind": "dyck", "k": 2, "count": 2, "paths": ["UUDD", "UDUD"]}
+    assert out == json.dumps(data, indent=2) + "\n"
 
 
 def test_enumerate_csv_one_path_per_line(capsys):
@@ -220,16 +226,16 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["enumerate", "--kind", "dyck", "--k", "3", "--frobnicate"])
     assert exc.value.code == 2
+    for extra in ([], ["--count-only"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--kind", "dyck", "--k", "-1", *extra])
+        assert exc.value.code == 2
 
 
 def test_computation_errors_exit_1(capsys):
     code, _, err = run(capsys, "stats", "--path", "UDX", "--kind", "dyck")
     assert code == 1
     assert "invalid character" in err
-    code, out, err = run(capsys, "enumerate", "--kind", "dyck", "--k", "-1", "--count-only")
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("text", [
@@ -262,3 +268,73 @@ def test_truncated_empty_report_still_exits_zero(capsys):
     code, out, _ = run(capsys, "report", "--k-max", "3", "--time-budget", "-1")
     assert code == 0
     assert json.loads(out) == {"reports": [], "truncated": True}
+
+
+# generated input for the fuzz below: valid five-tuples, the same with one
+# field moved by a little, doubled paths, and arbitrary text, missing keys
+# and wrong types
+_VALID_TUPLES = [(t.construction, t.to_json_dict()) for c in "ABCD" for k in (1, 2, 3)
+                 for t in bijections.five_tuples(c, k)]
+_SMALL_PATHS = [p.render() for k in range(4) for p in (*enumerate_dyck(k), *enumerate_alt_motzkin(k))]
+_DYCK_DOUBLED = [p.render() for k in range(1, 5) for p in enumerate_dyck(k)]
+_AM_DOUBLED = [p.render() for k in range(1, 5) for p in enumerate_alt_motzkin(k)]
+_DOUBLED_PATHS = {"A": _DYCK_DOUBLED, "B": _DYCK_DOUBLED, "C": _AM_DOUBLED, "D": _AM_DOUBLED}
+_PATH_TEXT = st.one_of(st.sampled_from(_SMALL_PATHS), st.text(alphabet="UDLX", max_size=8))
+_WRONG_TYPE = st.one_of(st.none(), st.booleans(), st.floats(allow_nan=False), st.text(max_size=3),
+                        st.lists(st.integers(-1, 8), max_size=2))
+_FIELDS = {"p1": _PATH_TEXT, "p2": _PATH_TEXT, "i": st.integers(-1, 3),
+           "mark1": st.integers(-1, 8), "mark2": st.integers(-1, 8)}
+_ANY_TUPLE = st.fixed_dictionaries({}, optional={name: st.one_of(values, _WRONG_TYPE)
+                                                 for name, values in _FIELDS.items()})
+
+
+def _moved(ct, field, delta):
+    construction, data = ct
+    return construction, json.dumps({**data, field: data[field] + delta})
+
+
+_MAP_INPUT = st.one_of(
+    st.sampled_from(_VALID_TUPLES).map(lambda ct: (ct[0], json.dumps(ct[1]))),
+    st.builds(_moved, st.sampled_from(_VALID_TUPLES), st.sampled_from(["i", "mark1", "mark2"]),
+              st.integers(-2, 2)),
+    st.tuples(st.sampled_from("ABCD"), _ANY_TUPLE.map(json.dumps)),
+    st.tuples(st.sampled_from("ABCD"), st.text(max_size=10)),
+)
+_INVERT_INPUT = st.sampled_from("ABCD").flatmap(lambda c: st.tuples(
+    st.just(c), st.one_of(st.sampled_from(_DOUBLED_PATHS[c]), st.text(max_size=12))))
+
+
+def run_any(*argv):
+    """Exit code, stdout and stderr of main; argparse's SystemExit counts
+    as an exit code, any other exception escapes."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.one_of(_MAP_INPUT.map(lambda x: ("map", *x)), _INVERT_INPUT.map(lambda x: ("invert", *x))))
+def test_fuzz_map_and_invert(case):
+    command, construction, text = case
+    flag = "--input" if command == "map" else "--path"
+    code, out, err = run_any(command, "--construction", construction, flag, text)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err
+    if code != 0:
+        return
+    record = json.loads(out)
+    if command == "map":
+        back_code, back, _ = run_any("invert", "--construction", construction, "--path", record["path"])
+        assert back_code == 0
+        assert json.loads(back) == {**json.loads(text), "construction": construction}
+    else:
+        again_code, again, _ = run_any("map", "--construction", construction, "--input", out)
+        assert again_code == 0
+        assert json.loads(again)["path"] == text.strip()

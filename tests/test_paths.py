@@ -6,9 +6,11 @@ import pytest
 
 from pathforge.numeric import GammaPoly, catalan, narayana_poly
 from pathforge.paths import (
+    FALL,
+    LEVEL,
+    RISE,
     Path,
     PathKind,
-    Step,
     check_level_parity,
     enumerate_alt_motzkin,
     enumerate_dyck,
@@ -22,7 +24,7 @@ def test_parse_sawtooth():
     p = parse("UDUDUD", "dyck")
     assert p.k == 3
     assert p.kind is PathKind.DYCK
-    assert p.steps == (Step.RISE, Step.FALL) * 3
+    assert p.steps == (RISE, FALL) * 3
 
 
 def test_parse_altitude_profile():
@@ -59,7 +61,7 @@ def test_fall_on_even_step_rejected():
     # falls only on odd steps: UD at positions 2,3 puts the fall on step 3 (fine)
     # but a fall on step 4 violates alternation
     with pytest.raises(ValueError, match="fall on even step 4"):
-        Path((Step.LEVEL, Step.RISE, Step.LEVEL, Step.FALL), PathKind.ALT_MOTZKIN)
+        Path((LEVEL, RISE, LEVEL, FALL), PathKind.ALT_MOTZKIN)
 
 
 def test_parse_render_round_trip_enumerated():
@@ -121,8 +123,8 @@ def test_alt_motzkin_small_enumerations():
 def test_alt_motzkin_first_and_last_steps_level():
     for k in range(1, 7):
         for p in enumerate_alt_motzkin(k):
-            assert p.steps[0] is Step.LEVEL
-            assert p.steps[-1] is Step.LEVEL
+            assert p.steps[0] == LEVEL
+            assert p.steps[-1] == LEVEL
 
 
 @pytest.mark.parametrize("k", range(9))
@@ -242,7 +244,7 @@ def test_expectation_vectors_weighting_consistency():
 
 def test_path_equality_and_hash():
     a = parse("UUDD", "dyck")
-    b = Path((Step.RISE, Step.RISE, Step.FALL, Step.FALL), PathKind.DYCK)
+    b = Path((RISE, RISE, FALL, FALL), PathKind.DYCK)
     assert a == b
     assert hash(a) == hash(b)
     assert a != parse("UDUD", "dyck")
@@ -266,3 +268,18 @@ def test_position_queries():
     assert q.levels_at(0) == (1, 4)
     assert q.levels_at(0, even_steps=True) == (4,)
     assert q.levels_at(0, even_steps=False) == (1,)
+
+
+@pytest.mark.parametrize("steps", [(2, -1, -1), (2, -1, -1, 0), (1, 1.0, -1, -1), (True, False)])
+def test_path_rejects_values_that_are_not_steps(steps):
+    with pytest.raises(ValueError):
+        Path(steps, "dyck")
+    if len(steps) % 2 == 0:
+        with pytest.raises(ValueError, match="not one of 1, 0, -1"):
+            Path(steps, PathKind.DYCK)
+
+
+def test_steps_are_plain_ints():
+    paths = [parse("UUDD", "dyck"), parse("LUDL", "altmotzkin"), *enumerate_dyck(4), *enumerate_alt_motzkin(4)]
+    for p in paths:
+        assert all(type(s) is int for s in p.steps), p.render()
