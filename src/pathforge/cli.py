@@ -3,8 +3,8 @@ inverses, identity verification, walk translation, and Monte Carlo moments.
 
 Output goes to stdout as JSON by default or CSV with ``--format csv``.
 Exit codes: 0 on success, 1 when a verified identity fails (or on a
-computation error), 2 on usage errors, including a verify or report whose
---k-max leaves no identity to check.
+computation error), 2 on usage errors, including a number argument below
+its minimum and a verify or report whose --k-max leaves no identity to check.
 """
 
 from __future__ import annotations
@@ -296,14 +296,19 @@ def _cmd_report(args) -> int:
     return _emit_sweep(result, args.format, None)
 
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type for integers no smaller than low."""
+
+    def parse_int(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse_int
 
 
 def _identity_list(text: str) -> list[int]:
@@ -329,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list or count all paths of a given size")
     p.add_argument("--kind", choices=["dyck", "altmotzkin"], required=True)
-    p.add_argument("--k", type=_nonnegative_int, required=True)
+    p.add_argument("--k", type=_int_at_least(0), required=True)
     p.add_argument("--count-only", action="store_true")
     add_format(p)
     p.set_defaults(func=_cmd_enumerate)
@@ -371,11 +376,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mc", help="Monte Carlo moment estimate vs exact target")
     p.add_argument("--ensemble", choices=["wigner", "wishart"], required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--k", type=_int_at_least(1), required=True)
+    p.add_argument("--n", type=_int_at_least(2), required=True)
+    p.add_argument("--m", type=_int_at_least(2), default=None)
+    p.add_argument("--trials", type=_int_at_least(1), default=20)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     add_format(p)
     p.set_defaults(func=_cmd_mc)
 

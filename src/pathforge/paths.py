@@ -39,10 +39,10 @@ class PathKind(enum.Enum):
 class Path:
     """A validated Dyck or alternating Motzkin path.
 
-    Validation happens on every construction: each step is one of the ints
-    1, 0, -1, altitude stays nonnegative, the path closes at zero, Dyck
-    paths contain no level steps, and alternating Motzkin paths obey the
-    even-rise/odd-fall rule.
+    Validation happens on every construction: kind is a PathKind member,
+    each step is one of the ints 1, 0, -1, altitude stays nonnegative, the
+    path closes at zero, Dyck paths contain no level steps, and alternating
+    Motzkin paths obey the even-rise/odd-fall rule.
     """
 
     steps: tuple[int, ...]
@@ -56,6 +56,8 @@ class Path:
             raise ValueError(f"path length must be even, got {n}")
         dyck = self.kind is PathKind.DYCK
         motzkin = self.kind is PathKind.ALT_MOTZKIN
+        if not (dyck or motzkin):
+            raise ValueError(f"kind must be a PathKind, got {self.kind!r}")
         alt = 0
         for pos, s in enumerate(steps, start=1):
             if type(s) is not int or not -1 <= s <= 1:

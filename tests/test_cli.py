@@ -230,6 +230,11 @@ def test_usage_errors_exit_2():
         with pytest.raises(SystemExit) as exc:
             main(["enumerate", "--kind", "dyck", "--k", "-1", *extra])
         assert exc.value.code == 2
+    for bad in (["--n", "0"], ["--n", "10", "--trials", "0"], ["--k", "0"], ["--k", "x"],
+                ["--seed", "-1"], ["--ensemble", "wishart", "--m", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["mc", "--ensemble", "wigner", "--k", "2", "--n", "10", *bad])
+        assert exc.value.code == 2
 
 
 def test_computation_errors_exit_1(capsys):

@@ -36,7 +36,7 @@ def test_trace_power_rejects_bad_input():
         trace_power(np.eye(2), 0)
 
 
-@pytest.mark.parametrize("n,k", [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4)])
+@pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (2, 5), (3, 5), (3, 6)])
 def test_trace_power_matches_index_walk_expansion(n, k):
     rng = np.random.default_rng(7)
     matrix = rng.standard_normal((n, n))
@@ -57,6 +57,17 @@ def test_wishart_seeded_determinism():
     a = wishart_moment(2, 60, 30, trials=4, seed=5)
     b = wishart_moment(2, 60, 30, trials=4, seed=5)
     assert a == b
+
+
+def test_substreams_are_pinned():
+    # fixed values of these seeded runs: a change to the draws, their order or
+    # the substream seeding moves them, which comparing two runs cannot catch
+    a = wigner_moment(4, 50, trials=4, seed=11)
+    assert a.estimate == pytest.approx(2.096931253598832, rel=1e-12)
+    assert a.stderr == pytest.approx(0.047575598066145565, rel=1e-12)
+    b = wishart_moment(2, 60, 30, trials=4, seed=5)
+    assert b.estimate == pytest.approx(1.464046877430441, rel=1e-12)
+    assert b.stderr == pytest.approx(0.04469371815780204, rel=1e-12)
 
 
 def test_wigner_targets():

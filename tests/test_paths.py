@@ -279,6 +279,14 @@ def test_path_rejects_values_that_are_not_steps(steps):
             Path(steps, PathKind.DYCK)
 
 
+@pytest.mark.parametrize("kind", ["dyck", "altmotzkin", None])
+def test_path_rejects_kind_that_is_not_a_path_kind(kind):
+    with pytest.raises(ValueError, match="kind must be a PathKind"):
+        Path((0, 0), kind)
+    with pytest.raises(ValueError, match="kind must be a PathKind"):
+        Path((1, -1), kind)
+
+
 def test_steps_are_plain_ints():
     paths = [parse("UUDD", "dyck"), parse("LUDL", "altmotzkin"), *enumerate_dyck(4), *enumerate_alt_motzkin(4)]
     for p in paths:
