@@ -3,8 +3,10 @@ inverses, identity verification, walk translation, and Monte Carlo moments.
 
 Output goes to stdout as JSON by default or CSV with ``--format csv``.
 Exit codes: 0 on success, 1 when a verified identity fails (or on a
-computation error), 2 on usage errors, including a number argument below
-its minimum and a verify or report whose --k-max leaves no identity to check.
+computation error, or when stdout is closed before all output is written),
+2 on usage errors, including a number argument below its minimum, a negative
+or non-finite --time-budget and a verify or report whose --k-max leaves no
+identity to check.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import argparse
 import csv
 import io
 import json
+import math
+import os
 import sys
 from fractions import Fraction
 
@@ -311,6 +315,17 @@ def _int_at_least(low: int):
     return parse_int
 
 
+def _seconds(text: str) -> float:
+    """An argparse type for a finite, non-negative number of seconds."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number of seconds, got {text!r}")
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {text!r}")
+    return value
+
+
 def _identity_list(text: str) -> list[int]:
     try:
         values = [int(part) for part in text.split(",")]
@@ -388,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--identities", type=_identity_list, default=[1, 2, 3, 4, 5],
                    help="comma-separated identity numbers (default all)")
     p.add_argument("--k-max", type=int, required=True)
-    p.add_argument("--time-budget", type=float, default=None, help="seconds; truncates the sweep")
+    p.add_argument("--time-budget", type=_seconds, default=None, help="seconds; truncates the sweep")
     add_format(p)
     p.set_defaults(func=_cmd_report)
 
@@ -399,9 +414,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
     except (ValueError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader of stdout has gone; what is still buffered goes to
+        # devnull so that the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

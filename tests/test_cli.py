@@ -1,8 +1,13 @@
 """CLI surface: documented flag combinations, JSON schemas, exit codes."""
 
 import contextlib
+import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -235,6 +240,10 @@ def test_usage_errors_exit_2():
         with pytest.raises(SystemExit) as exc:
             main(["mc", "--ensemble", "wigner", "--k", "2", "--n", "10", *bad])
         assert exc.value.code == 2
+    for budget in ("-1", "nan", "inf", "soon"):
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--k-max", "3", "--time-budget", budget])
+        assert exc.value.code == 2
 
 
 def test_computation_errors_exit_1(capsys):
@@ -269,8 +278,8 @@ def test_checking_nothing_is_a_usage_error(capsys, argv):
 
 
 def test_truncated_empty_report_still_exits_zero(capsys):
-    # a negative budget is spent before the first report
-    code, out, _ = run(capsys, "report", "--k-max", "3", "--time-budget", "-1")
+    # a zero budget is spent before the first report
+    code, out, _ = run(capsys, "report", "--k-max", "3", "--time-budget", "0")
     assert code == 0
     assert json.loads(out) == {"reports": [], "truncated": True}
 
@@ -343,3 +352,123 @@ def test_fuzz_map_and_invert(case):
         again_code, again, _ = run_any("map", "--construction", construction, "--input", out)
         assert again_code == 0
         assert json.loads(again)["path"] == text.strip()
+
+
+def _pathforge(argv, stdout):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("PYTHONUNBUFFERED", None)  # stdout block-buffered, as a pipe has it by default
+    return subprocess.Popen([sys.executable, "-m", "pathforge", *argv], env=env,
+                            stdout=stdout, stderr=subprocess.PIPE)
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--kind", "dyck", "--k", "10"],
+    ["report", "--k-max", "25"],
+])
+def test_closed_stdout_exits_1_without_traceback(argv):
+    # like `| head -1`: both outputs are far larger than a pipe buffer, so a
+    # write fails once the reader has gone
+    proc = _pathforge(argv, subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert first == b"{\n"
+    assert "Traceback" not in err and "Error" not in err, err
+
+
+def test_stdout_closed_before_a_short_output_exits_1_quietly():
+    # the whole output fits the stdout buffer, so the write that fails is
+    # the final flush
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    proc = _pathforge(["verify", "--identity", "1", "--k-max", "3"], write_end)
+    os.close(write_end)
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == ""
+
+
+# the fuzz below drives mc, report and verify at tiny sizes, as generated or
+# with one word of the command line replaced by an out-of-range number or by
+# junk; junk has no decimal digit, so it never parses as a number that asks
+# for unbounded work
+_JUNK = st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=4)
+_OUT_OF_RANGE = ["-1", "0", "1", "6", "-0", "nan", "inf", "1e400"]
+
+
+def _flag(flag, values):
+    return values.map(lambda v: (flag, str(v)))
+
+
+def _option(flag, values):
+    return st.one_of(st.just(()), _flag(flag, values))
+
+
+def _argv(command, *parts):
+    def spoil(args):
+        argv, i, word = args
+        i = 1 + i % (len(argv) - 1)
+        return (*argv[:i], word, *argv[i + 1:])
+
+    argvs = st.tuples(*parts).map(lambda ps: (command, *(a for p in ps for a in p)))
+    words = st.one_of(st.sampled_from(_OUT_OF_RANGE), _JUNK)
+    return st.one_of(argvs, st.tuples(argvs, st.integers(0, 15), words).map(spoil))
+
+
+_FORMAT = _option("--format", st.sampled_from(["json", "csv"]))
+_MC_ARGV = _argv(
+    "mc",
+    st.one_of(
+        st.just(("--ensemble", "wigner")),
+        _flag("--m", st.integers(2, 8)).map(lambda m: ("--ensemble", "wishart", *m)),
+        st.sampled_from([("--ensemble", "wigner", "--m", "3"), ("--ensemble", "wishart")]),
+    ),
+    _flag("--k", st.integers(1, 9)),
+    _flag("--n", st.integers(2, 8)),
+    _option("--trials", st.integers(1, 3)),
+    _option("--seed", st.integers(0, 5)),
+    _FORMAT,
+)
+_REPORT_ARGV = _argv(
+    "report",
+    _flag("--k-max", st.integers(1, 6)),
+    _option("--identities", st.lists(st.integers(1, 5), min_size=1, max_size=3).map(
+        lambda ids: ",".join(map(str, ids)))),
+    _option("--time-budget", st.one_of(st.floats(0, 30), st.just("1e-6"))),
+    _FORMAT,
+)
+_VERIFY_ARGV = _argv(
+    "verify",
+    _flag("--identity", st.integers(1, 5)),
+    _flag("--k-max", st.integers(1, 6)),
+    _option("--rhs-index", st.sampled_from(["k", "k-1"])),
+    _FORMAT,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.one_of(_MC_ARGV, _REPORT_ARGV, _VERIFY_ARGV))
+def test_fuzz_mc_report_and_verify(argv):
+    code, out, err = run_any(*argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        return
+    if code == 1 and err:
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err
+        return
+    # exit 0, or exit 1 from a verify or report that printed a failed verdict
+    assert code == 0 or argv[0] != "mc"
+    if "csv" in argv:
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows and len({len(row) for row in rows}) == 1
+        assert code == 0 or any(row[-1] == "False" for row in rows[1:])
+    else:
+        data = json.loads(out)
+        assert isinstance(data, dict)
+        assert code == 0 or any(r["equal"] is False for r in data["reports"])

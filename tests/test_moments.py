@@ -2,11 +2,12 @@
 
 from fractions import Fraction
 from itertools import product
+from math import sqrt
 
 import numpy as np
 import pytest
 
-from pathforge.moments import trace_power, wigner_moment, wishart_moment
+from pathforge.moments import _wigner_matrix, trace_power, wigner_moment, wishart_moment
 
 
 def index_walk_trace(matrix, k):
@@ -43,6 +44,43 @@ def test_trace_power_matches_index_walk_expansion(n, k):
     expected = index_walk_trace(matrix, k)
     got = trace_power(matrix, k)
     assert got == pytest.approx(expected, rel=1e-10)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("k", range(1, 9))
+def test_trace_power_symmetric_matches_index_walk_expansion(n, k):
+    # k = 6 and 8 square a square, so the symmetric path runs syrk twice
+    z = np.random.default_rng(n).standard_normal((n, n))
+    matrix = z + z.T
+    assert np.array_equal(matrix, matrix.T)
+    assert trace_power(matrix, k) == pytest.approx(index_walk_trace(matrix, k), rel=1e-10)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_trace_power_one_ulp_off_symmetric_takes_general_path(k):
+    z = np.random.default_rng(5).standard_normal((3, 3))
+    matrix = z + z.T
+    matrix[0, 1] = np.nextafter(matrix[0, 1], np.inf)
+    got = trace_power(matrix, k)
+    assert got == pytest.approx(index_walk_trace(matrix, k), rel=1e-10)
+    # bit for bit the general path's value
+    half = np.linalg.matrix_power(matrix, k // 2)
+    rest = half if k % 2 == 0 else half @ matrix
+    assert got == float(np.einsum("ij,ji->", half, rest))
+
+
+@pytest.mark.parametrize("n", [2, 127, 128, 129, 300])
+def test_wigner_matrix_is_the_mirrored_draw(n):
+    # the blocked in-place mirror gives the matrix of triu(z, 1) + its
+    # transpose, for one block, exact blocks and a partial last block
+    got = _wigner_matrix(np.random.default_rng(n), n)
+    rng = np.random.default_rng(n)
+    upper = np.triu(rng.standard_normal((n, n)), 1)
+    expected = upper + upper.T
+    np.fill_diagonal(expected, rng.standard_normal(n))
+    expected /= sqrt(n)
+    assert np.array_equal(got, expected)
+    assert np.array_equal(got, got.T)
 
 
 def test_wigner_seeded_determinism():
