@@ -10,7 +10,7 @@ paths
     Path parsing, validation, enumeration, and altitude statistics.
 fold
     Exact path statistics summed over all paths of a size, by a
-    transfer-matrix DP.
+    transfer-matrix DP; one pass yields every size up to a bound.
 bijections
     The four reversible constructions and their inverses.
 identities
@@ -18,7 +18,10 @@ identities
 walks
     Closed halfline walks and the path correspondence.
 moments
-    Wigner/Wishart Monte Carlo moment estimates.
+    Wigner/Wishart Monte Carlo moment estimates.  The only module that
+    needs numpy, so the package does not import it: its names
+    (``MomentEstimate``, ``trace_power``, ``wigner_moment``,
+    ``wishart_moment``) are imported from ``pathforge.moments``.
 cli
     The ``pathforge`` command-line tool.
 """
@@ -29,7 +32,9 @@ from .fold import (
     DyckFold,
     HAVE_COMPILED,
     fold_alt_motzkin,
+    fold_alt_motzkin_upto,
     fold_dyck,
+    fold_dyck_upto,
 )
 from .numeric import GAMMA, GammaPoly, ONE, ZERO, catalan, narayana, narayana_poly
 from .paths import (
@@ -73,6 +78,5 @@ from .walks import (
     walk_to_alt_motzkin,
     walk_to_dyck,
 )
-from .moments import MomentEstimate, trace_power, wigner_moment, wishart_moment
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import bijections, moments, walks
+from . import bijections, walks
 from .identities import DEFAULT_RHS_INDEX, IdentityReport, sweep
 from .numeric import GammaPoly, catalan
 from .paths import (
@@ -194,6 +194,10 @@ def _emit_reports(reports, fmt: str, truncated: bool = False):
             for rec in records
         ]
         _emit_csv(rows, header)
+        if truncated:
+            # the table has no place for the flag the JSON object carries
+            print(f"note: sweep truncated by --time-budget after {len(records)} reports",
+                  file=sys.stderr)
     else:
         obj = {"reports": records}
         if truncated:
@@ -267,6 +271,8 @@ def _cmd_walk(args) -> int:
 
 
 def _cmd_mc(args) -> int:
+    from . import moments  # numpy loads here, for mc alone
+
     if args.ensemble == "wigner":
         if args.m is not None:
             raise ValueError("--m applies to the wishart ensemble only")

@@ -3,12 +3,20 @@
 Every statistic is a sum over all paths of size k.  One forward pass over
 (position, altitude) computes them all exactly in polynomial time, the
 transfer-matrix method for Motzkin paths (Flajolet, *Combinatorial aspects
-of continued fractions*, Discrete Math. 32, 1980).  Each state carries,
-summed over the prefixes that reach it, the prefix count, the count X of
-every event (a rise from, a vertex at, or an even-step level at altitude i)
-and the count of unordered pairs C(X, 2) of those events: marking an event
-adds the pair total to its pairs and the prefix count to its total.  The
-remaining statistics follow from these:
+of continued fractions*, Discrete Math. 32, 1980).  A path of length 2k is
+a prefix that is back at altitude 0 after step 2k, so one pass to length
+2K yields every size k <= K, from the altitude-0 state after each even
+step: O(K^3) int operations for all of them, where folding each size
+apart costs O(K^4).  ``fold_dyck_upto`` and ``fold_alt_motzkin_upto``
+yield those folds in order; ``fold_dyck`` and ``fold_alt_motzkin`` are
+the last of them.
+
+Each state carries, summed over the prefixes that reach it, the prefix
+count, the count X of every event (a rise from, a vertex at, or an
+even-step level at altitude i) and the count of unordered pairs C(X, 2)
+of those events: marking an event adds the pair total to its pairs and
+the prefix count to its total.  The remaining statistics follow from
+these:
 
 - R*(2i+3-R) = (2i+2)*R - 2*C(R, 2);
 - C(V+1, 2) = V + C(V, 2);
@@ -16,13 +24,16 @@ remaining statistics follow from these:
 
 Alternating Motzkin paths are weighted gamma**rises.  The DP carries the
 polynomial in gamma packed into one int, coefficient r in bits
-[r*W, (r+1)*W) with W wide enough for the largest coefficient, so that a
-rise is a shift by W bits and polynomial sums are int sums.
+[r*W, (r+1)*W) with W wide enough for the largest coefficient of the
+largest size in the pass, so that a rise is a shift by W bits and
+polynomial sums are int sums.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from typing import Iterator
 
 # One implementation; the names stay because benchmark runs record them and
 # refuse to compare runs whose backend differs.
@@ -78,24 +89,36 @@ def _alt_motzkin_rule(s: int) -> tuple[int, ...]:
     return (0, 1) if s % 2 == 0 else (0, -1)
 
 
-def _fold(k: int, steps_at, rise_shift: int):
-    """Run the DP over paths of length 2k whose step s (1-based) may change
-    the altitude by any of ``steps_at(s)``; a rise multiplies the weight by
-    2**rise_shift.
+def _fold_upto(k_max: int, steps_at, rise_shift: int):
+    """Run the DP over paths of length up to 2*k_max whose step s (1-based)
+    may change the altitude by any of ``steps_at(s)``; a rise multiplies the
+    weight by 2**rise_shift.
 
-    Returns (count, totals, pairs): totals[e][i] and pairs[e][i] sum X and
-    C(X, 2) over paths, for the events e = 0 rise from, 1 even-step level
-    at and 2 vertex at altitude i, i in 0..k.
+    Yields (k, count, totals, pairs) for k = 0..k_max, from the altitude-0
+    state after step 2k: totals[e][i] and pairs[e][i] sum X and C(X, 2)
+    over paths of length 2k, for the events e = 0 rise from, 1 even-step
+    level at and 2 vertex at altitude i, i in 0..k_max.  A state is kept
+    only while it can still return to 0 by step 2*k_max, which keeps every
+    path that returns by an earlier even step.
     """
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-    n = 2 * k
-    size = 3 * (k + 1)
-    rise, level, vertex = 0, k + 1, 2 * (k + 1)
+    if k_max < 0:
+        raise ValueError(f"k must be nonnegative, got {k_max}")
+    n = 2 * k_max
+    size = 3 * (k_max + 1)
+    rise, level, vertex = 0, k_max + 1, 2 * (k_max + 1)
+
+    def snapshot(k):
+        # the altitude-0 state, its rows cut to altitudes 0..k: the only
+        # ones a path of length 2k reaches
+        count, totals, pairs = states[0]
+        rows = [slice(e * (k_max + 1), e * (k_max + 1) + k + 1) for e in range(3)]
+        return k, count, [totals[r] for r in rows], [pairs[r] for r in rows]
+
     # altitude -> (prefix count, event totals, event pair totals)
     totals0 = [0] * size
     totals0[vertex] = 1
     states = {0: (1, totals0, [0] * size)}
+    yield snapshot(0)
     for s in range(1, n + 1):
         nxt = {}
         for a, (count, totals, pairs) in states.items():
@@ -127,17 +150,12 @@ def _fold(k: int, steps_at, rise_shift: int):
                         [x + y for x, y in zip(old[2], p)],
                     )
         states = nxt
-    count, totals, pairs = states[0]
-
-    def by_event(v):
-        return [v[e * (k + 1):(e + 1) * (k + 1)] for e in range(3)]
-
-    return count, by_event(totals), by_event(pairs)
+        if s % 2 == 0:
+            yield snapshot(s // 2)
 
 
-def fold_dyck(k: int) -> DyckFold:
-    """Fold per-altitude statistics over all Dyck paths of length 2k."""
-    count, (rise, _, vert), (rise_pair, _, vert_pair) = _fold(k, _dyck_rule, 0)
+def _dyck_fold(snapshot) -> DyckFold:
+    k, count, (rise, _, vert), (rise_pair, _, vert_pair) = snapshot
     return DyckFold(
         k,
         count,
@@ -148,13 +166,14 @@ def fold_dyck(k: int) -> DyckFold:
     )
 
 
-def fold_alt_motzkin(k: int) -> AltMotzkinFold:
-    """Fold rise-resolved statistics over all alternating Motzkin paths of
-    length 2k."""
-    # a packed coefficient sums at most 4**k paths, each adding at most
-    # (2k+1)**2 to any statistic
-    width = 2 * k + 2 * (2 * k + 1).bit_length()
-    count, (rise, lev, vert), (rise_pair, lev_pair, _) = _fold(k, _alt_motzkin_rule, width)
+def _alt_motzkin_width(k_max: int) -> int:
+    # a packed coefficient sums at most 4**k_max paths, each adding at most
+    # (2k_max+1)**2 to any statistic
+    return 2 * k_max + 2 * (2 * k_max + 1).bit_length()
+
+
+def _alt_motzkin_fold(snapshot, width: int) -> AltMotzkinFold:
+    k, count, (rise, lev, vert), (rise_pair, lev_pair, _) = snapshot
     nr = max(k, 1)
     mask = (1 << width) - 1
 
@@ -172,3 +191,35 @@ def fold_alt_motzkin(k: int) -> AltMotzkinFold:
         unpack(sum(rise_pair[:k])),
         unpack(sum(lev_pair[:k])),
     )
+
+
+def _last(snapshots):
+    return deque(snapshots, maxlen=1)[0]
+
+
+def fold_dyck_upto(k_max: int) -> Iterator[DyckFold]:
+    """Yield the fold of every size k = 0..k_max, in order, from one DP pass
+    to length 2*k_max; each size's fold is yielded as soon as the pass has
+    reached step 2k."""
+    return map(_dyck_fold, _fold_upto(k_max, _dyck_rule, 0))
+
+
+def fold_alt_motzkin_upto(k_max: int) -> Iterator[AltMotzkinFold]:
+    """Yield the rise-resolved fold of every size k = 0..k_max, in order,
+    from one DP pass to length 2*k_max, as fold_dyck_upto does."""
+    width = _alt_motzkin_width(k_max)
+    return (_alt_motzkin_fold(s, width) for s in _fold_upto(k_max, _alt_motzkin_rule, width))
+
+
+def fold_dyck(k: int) -> DyckFold:
+    """Fold per-altitude statistics over all Dyck paths of length 2k: the
+    last fold of fold_dyck_upto(k)."""
+    return _dyck_fold(_last(_fold_upto(k, _dyck_rule, 0)))
+
+
+def fold_alt_motzkin(k: int) -> AltMotzkinFold:
+    """Fold rise-resolved statistics over all alternating Motzkin paths of
+    length 2k: the last fold of fold_alt_motzkin_upto(k), with only that
+    one unpacked."""
+    width = _alt_motzkin_width(k)
+    return _alt_motzkin_fold(_last(_fold_upto(k, _alt_motzkin_rule, width)), width)

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -284,6 +285,37 @@ def test_truncated_empty_report_still_exits_zero(capsys):
     assert json.loads(out) == {"reports": [], "truncated": True}
 
 
+def test_truncated_csv_report_says_so_on_stderr(capsys):
+    # the table is the same as for a sweep that finished; stderr tells them apart
+    code, out, err = run(capsys, "report", "--k-max", "1", "--time-budget", "0", "--format", "csv")
+    assert code == 0
+    assert out == "id,k,rhs_index,lhs,rhs,equal\r\n"
+    assert err == "note: sweep truncated by --time-budget after 0 reports\n"
+    code, out, err = run(capsys, "report", "--k-max", "2", "--format", "csv")
+    assert code == 0 and len(out.splitlines()) == 11
+    assert err == ""
+
+
+# sha256 of stdout, recorded while every size was still folded in a DP pass
+# of its own; any change to an exact value or to the output format shows here
+_PINNED_OUTPUTS = {
+    "report --k-max 30": "fd0857789ed21eef3c7fe34ee87e24b91c3dcc9bed35a60880ade8edcca6a552",
+    "report --k-max 30 --format csv": "cb168fcf51f6390904a89429a5ae376758e8435757a536d5ab5a48e1a643426f",
+    "verify --identity 1 --k-max 30": "9e3d2f575fcf1222fabcbef9b8fb08d34220db0fad97f390dd424355752b7ce9",
+    "verify --identity 2 --k-max 30": "f4d1f9e8352f790909624d91cd4e53c2cbf2356d6b2031159f3a92d547e76dcc",
+    "verify --identity 3 --k-max 30": "a6136df57024d03fb8c3b2f1c9dd7e7ba43f0f6c9dabadedcdbfd5e0b8087671",
+    "verify --identity 4 --k-max 30": "e2217adf46675ed9fc6766abe8c3f3303af241038d02aefaf889877dfbd9bff9",
+    "verify --identity 5 --k-max 30": "42fc402bb55cbf4a85bc983dcd6d76e0c05719e48cdf43d63685759d83134f7a",
+}
+
+
+@pytest.mark.parametrize("command", _PINNED_OUTPUTS)
+def test_exact_outputs_are_pinned(capsys, command):
+    code, out, err = run(capsys, *command.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_OUTPUTS[command]
+
+
 # generated input for the fuzz below: valid five-tuples, the same with one
 # field moved by a little, doubled paths, and arbitrary text, missing keys
 # and wrong types
@@ -354,11 +386,14 @@ def test_fuzz_map_and_invert(case):
         assert json.loads(again)["path"] == text.strip()
 
 
-def _pathforge(argv, stdout):
+def _pathforge(argv, stdout, module=True):
+    """Start ``python -m pathforge ARGV``, or ``python ARGV`` without module,
+    with this checkout's src on the path."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     env.pop("PYTHONUNBUFFERED", None)  # stdout block-buffered, as a pipe has it by default
-    return subprocess.Popen([sys.executable, "-m", "pathforge", *argv], env=env,
+    prefix = ["-m", "pathforge"] if module else []
+    return subprocess.Popen([sys.executable, *prefix, *argv], env=env,
                             stdout=stdout, stderr=subprocess.PIPE)
 
 
@@ -377,6 +412,66 @@ def test_closed_stdout_exits_1_without_traceback(argv):
     assert proc.wait(timeout=120) == 1
     assert first == b"{\n"
     assert "Traceback" not in err and "Error" not in err, err
+
+
+# starts pathforge with the given arguments and its own stdout and stderr,
+# then writes exit code, wall seconds and peak RSS in KiB as stderr's last line
+_MEASURE_SCRIPT = """
+import os, subprocess, sys, time
+start = time.perf_counter()
+proc = subprocess.Popen([sys.executable, "-m", "pathforge", *sys.argv[1:]])
+_, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)
+print(proc.returncode, time.perf_counter() - start, usage.ru_maxrss, file=sys.stderr)
+"""
+
+
+def test_huge_k_max_under_a_time_budget_stays_cheap():
+    # the budget binds between folds, and the folds grow in passes from
+    # small sizes, so no step is sized for k-max.  A small interpreter
+    # starts the command: a child forked from this test process would
+    # count the test process's memory in its peak RSS.
+    argv = ["report", "--k-max", "1000000", "--time-budget", "0.5"]
+    proc = _pathforge(["-c", _MEASURE_SCRIPT, *argv], subprocess.PIPE, module=False)
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    code, wall, rss_kib = err.decode().splitlines()[-1].split()
+    assert code == "0"
+    assert json.loads(out)["truncated"] is True
+    assert float(wall) < 5
+    assert int(rss_kib) / 1024 < 100
+
+
+# each command runs in the same fresh interpreter; only mc may import numpy
+_IMPORT_GRAPH_SCRIPT = """
+import contextlib, io, sys
+from pathforge.cli import main
+for argv in [
+    ["stats", "--path", "UDUD", "--kind", "dyck"],
+    ["map", "--construction", "B"],
+    ["invert", "--construction", "A", "--path", "UUUDDUDD"],
+    ["walk", "--to", "--path", "LUDL"],
+    ["verify", "--identity", "4", "--k-max", "6"],
+    ["report", "--k-max", "6", "--format", "csv"],
+    ["enumerate", "--kind", "altmotzkin", "--k", "4"],
+]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    print(argv[0], code, "numpy" in sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["mc", "--ensemble", "wigner", "--k", "2", "--n", "4", "--trials", "2"])
+print("mc", code, "numpy" in sys.modules)
+"""
+
+
+def test_only_mc_imports_numpy():
+    proc = _pathforge(["-c", _IMPORT_GRAPH_SCRIPT], subprocess.PIPE, module=False)
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    assert out.decode().splitlines() == [
+        "stats 0 False", "map 0 False", "invert 0 False", "walk 0 False", "verify 0 False",
+        "report 0 False", "enumerate 0 False", "mc 0 True",
+    ]
 
 
 def test_stdout_closed_before_a_short_output_exits_1_quietly():
@@ -472,3 +567,46 @@ def test_fuzz_mc_report_and_verify(argv):
         data = json.loads(out)
         assert isinstance(data, dict)
         assert code == 0 or any(r["equal"] is False for r in data["reports"])
+
+
+# enumerate lists every path only up to k=8; --count-only takes any k
+_ENUMERATE_ARGV = _argv(
+    "enumerate",
+    _flag("--kind", st.sampled_from(["dyck", "altmotzkin"])),
+    st.one_of(_flag("--k", st.integers(0, 8)),
+              _flag("--k", st.integers(0, 3000)).map(lambda k: (*k, "--count-only"))),
+    _FORMAT,
+)
+_STATS_ARGV = _argv(
+    "stats",
+    st.lists(_PATH_TEXT, min_size=1, max_size=3).map(
+        lambda paths: tuple(a for p in paths for a in ("--path", p))),
+    _flag("--kind", st.sampled_from(["dyck", "altmotzkin"])),
+    _FORMAT,
+)
+_NODES = st.lists(st.integers(-1, 3), max_size=9).map(lambda nodes: ",".join(map(str, nodes)))
+_WALK_ARGV = _argv(
+    "walk",
+    st.one_of(_PATH_TEXT.map(lambda p: ("--to", "--path", p)),
+              st.one_of(_NODES, _JUNK).map(lambda w: ("--from", "--path", w))),
+    _option("--kind", st.sampled_from(["dyck", "altmotzkin"])),
+    _FORMAT,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.one_of(_ENUMERATE_ARGV, _STATS_ARGV, _WALK_ARGV))
+def test_fuzz_enumerate_stats_and_walk(argv):
+    code, out, err = run_any(*argv)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err
+    if code != 0:
+        return
+    if "csv" in argv:
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows and len({len(row) for row in rows}) == 1
+    else:
+        json.loads(out)

@@ -72,10 +72,25 @@ def test_pure_am_fold_matches_per_path_oracle(k):
 
 
 def test_negative_k_rejected():
-    with pytest.raises(ValueError, match="nonnegative"):
-        fold.fold_dyck(-1)
-    with pytest.raises(ValueError, match="nonnegative"):
-        fold.fold_alt_motzkin(-1)
+    for fn in (fold.fold_dyck, fold.fold_alt_motzkin):
+        with pytest.raises(ValueError, match="nonnegative"):
+            fn(-1)
+    for upto in (fold.fold_dyck_upto, fold.fold_alt_motzkin_upto):
+        with pytest.raises(ValueError, match="nonnegative"):
+            list(upto(-1))
+
+
+@pytest.mark.parametrize("k_max", [12, 20])
+@pytest.mark.parametrize("upto,single", [
+    (fold.fold_dyck_upto, fold.fold_dyck),
+    (fold.fold_alt_motzkin_upto, fold.fold_alt_motzkin),
+])
+def test_one_pass_yields_each_size_as_a_pass_to_that_size(upto, single, k_max):
+    # a pass to k_max packs gamma coefficients wider and prunes altitudes
+    # later than a pass to k, and must not change what size k reads; the
+    # packing width's bound is loose, so a width too small for k_max shows
+    # only from about k = 20
+    assert list(upto(k_max)) == [single(k) for k in range(k_max + 1)]
 
 
 def test_identities_hold_beyond_enumeration():

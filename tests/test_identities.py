@@ -1,11 +1,14 @@
 """Identity verification: worked values, independent pairwise oracles, and
 the cross-check against the construction images."""
 
+import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from pathforge import bijections as bj
+from pathforge import identities
 from pathforge.identities import (
     IDENTITIES,
     sweep,
@@ -202,6 +205,84 @@ def test_sweep_time_budget_truncates():
     result = sweep(IDENTITIES, 6, time_budget=0.0)
     assert result.truncated
     assert len(result.reports) < 30
+
+
+def per_identity_reports(k_max):
+    # each identity on its own, every fold computed apart, in sweep order
+    reports = []
+    for k in range(1, k_max + 1):
+        reports.append(verify_thm1(k))
+    for k in range(1, k_max + 1):
+        reports.append(verify_thm2(k))
+    for k in range(1, k_max + 1):
+        reports.append(verify_thm3(k))
+    for k in range(2, k_max + 1):
+        reports += [verify_thm4(k, "k-1"), verify_thm4(k, "k")]
+    for k in range(2, k_max + 1):
+        reports += [verify_thm5(k, "k"), verify_thm5(k, "k-1")]
+    return reports
+
+
+def test_sweep_equals_each_identity_folded_apart():
+    assert list(sweep(IDENTITIES, 12).reports) == per_identity_reports(12)
+
+
+_FOLDS = ("fold_dyck_upto", "fold_alt_motzkin_upto", "fold_dyck", "fold_alt_motzkin")
+
+
+def count_fold_calls(monkeypatch):
+    """Wrap the fold functions identities calls; the dict counts calls by name."""
+    calls = dict.fromkeys(_FOLDS, 0)
+    for name in _FOLDS:
+        def wrapper(*args, _name=name, _fn=getattr(identities, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(identities, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("names,k_max", [
+    (IDENTITIES, 1), (IDENTITIES, 2), (IDENTITIES, 20), (["thm1", "thm2", "thm4"], 33),
+    (["thm5"], 16),
+])
+def test_sweep_folds_each_kind_in_logarithmically_many_passes(monkeypatch, names, k_max):
+    calls = count_fold_calls(monkeypatch)
+    sweep(names, k_max)
+    kinds = {identities._FOLD_KIND[name] for name in names}
+    for kind, upto in (("dyck", "fold_dyck_upto"), ("altmotzkin", "fold_alt_motzkin_upto")):
+        if kind in kinds:
+            assert 1 <= calls[upto] <= math.ceil(math.log2(k_max)) + 1
+        else:
+            assert calls[upto] == 0
+    assert calls["fold_dyck"] == calls["fold_alt_motzkin"] == 0
+
+
+def test_thm4_and_thm5_read_both_sizes_from_one_pass(monkeypatch):
+    calls = count_fold_calls(monkeypatch)
+    assert verify_thm4(5, "k-1").equal
+    assert verify_thm5(5, "k-1").rhs == verify_thm5(4).rhs
+    assert calls == {"fold_dyck_upto": 1, "fold_alt_motzkin_upto": 2, "fold_dyck": 0,
+                     "fold_alt_motzkin": 0}
+
+
+def test_truncated_sweep_is_a_prefix_of_the_full_sweep(monkeypatch):
+    # a clock that ticks once per reading cuts the sweep at every point
+    # where it checks the budget: between folds and between reports
+    full = sweep(IDENTITIES, 8)
+    cut_points = set()
+    for budget in range(400):
+        ticks = iter(range(10**6))
+        monkeypatch.setattr(identities, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+        result = sweep(IDENTITIES, 8, time_budget=budget)
+        assert result.reports == full.reports[:len(result.reports)]
+        if not result.truncated:
+            assert result == full
+            break
+        cut_points.add(len(result.reports))
+    else:
+        pytest.fail("a budget of 400 clock readings did not finish the sweep")
+    assert len(cut_points) > 10
 
 
 def test_report_fields():
