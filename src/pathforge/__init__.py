@@ -7,10 +7,12 @@ Modules
 numeric
     Catalan/Narayana numbers and exact integer polynomials in gamma.
 paths
-    Path parsing, validation, enumeration, and altitude statistics.
+    Path parsing, the step law of each kind, validation, enumeration,
+    and altitude statistics.
 fold
     Exact path statistics summed over all paths of a size, by a
-    transfer-matrix DP; one pass yields every size up to a bound.
+    transfer-matrix DP over the step law; one pass yields every size up
+    to a bound.  Also the exact expected altitude vectors.
 bijections
     The four reversible constructions and their inverses.
 identities
@@ -31,6 +33,7 @@ from .fold import (
     BACKEND_NAME,
     DyckFold,
     HAVE_COMPILED,
+    expectation_vectors,
     fold_alt_motzkin,
     fold_alt_motzkin_upto,
     fold_dyck,
@@ -44,7 +47,6 @@ from .paths import (
     check_level_parity,
     enumerate_alt_motzkin,
     enumerate_dyck,
-    expectation_vectors,
     parse,
     stats,
 )

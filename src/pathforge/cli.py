@@ -5,8 +5,8 @@ Output goes to stdout as JSON by default or CSV with ``--format csv``.
 Exit codes: 0 on success, 1 when a verified identity fails (or on a
 computation error, or when stdout is closed before all output is written),
 2 on usage errors, including a number argument below its minimum, a negative
-or non-finite --time-budget and a verify or report whose --k-max leaves no
-identity to check.
+or non-finite --time-budget, a verify or report whose --k-max leaves no
+identity to check, and a --k-max above K_MAX_LIMIT with no --time-budget.
 """
 
 from __future__ import annotations
@@ -30,6 +30,10 @@ from .paths import (
     parse,
     stats,
 )
+
+# the largest --k-max a sweep runs without a --time-budget: on 2 vCPUs an
+# all-identity sweep takes about 5 s to K=100 and 30 s to K=150
+K_MAX_LIMIT = 100
 
 _DEFAULT_TUPLES = {
     "A": {"p1": "UD", "p2": "UD", "i": 0, "mark1": 1, "mark2": 2},
@@ -58,6 +62,16 @@ def _emit_csv(rows, header):
     for row in rows:
         writer.writerow(row)
     sys.stdout.write(out.getvalue())
+
+
+def _emit_records(records: list[dict], fmt: str):
+    """Write records as CSV rows under the first record's keys, or as JSON:
+    the record itself when there is one, else the list."""
+    if fmt == "csv":
+        header = list(records[0])
+        _emit_csv([[_csv_cell(rec[h]) for h in header] for rec in records], header)
+    else:
+        _emit_json(records[0] if len(records) == 1 else records)
 
 
 def _csv_cell(value):
@@ -116,12 +130,7 @@ def _stats_record(text: str, kind: PathKind) -> dict:
 
 def _cmd_stats(args) -> int:
     kind = PathKind(args.kind)
-    records = [_stats_record(text, kind) for text in args.path]
-    if args.format == "csv":
-        header = ["kind", "k", "path", "R", "V", "L", "r"]
-        _emit_csv([[_csv_cell(rec[h]) for h in header] for rec in records], header)
-    else:
-        _emit_json(records[0] if len(records) == 1 else records)
+    _emit_records([_stats_record(text, kind) for text in args.path], args.format)
     return 0
 
 
@@ -149,11 +158,7 @@ def _cmd_map(args) -> int:
         "middle_altitude": mp.middle_altitude,
         "rises": mp.path.rise_count(),
     }
-    if args.format == "csv":
-        header = list(record)
-        _emit_csv([[record[h] for h in header]], header)
-    else:
-        _emit_json(record)
+    _emit_records([record], args.format)
     return 0
 
 
@@ -161,12 +166,7 @@ def _cmd_invert(args) -> int:
     kind = bijections._KIND_FOR[args.construction]
     path = parse(args.path, kind)
     t = bijections.invert(args.construction, path)
-    record = t.to_json_dict()
-    if args.format == "csv":
-        header = list(record)
-        _emit_csv([[record[h] for h in header]], header)
-    else:
-        _emit_json(record)
+    _emit_records([t.to_json_dict()], args.format)
     return 0
 
 
@@ -227,7 +227,18 @@ def _emit_sweep(result, fmt: str, selected_rhs_index) -> int:
     return _verify_exit_code(result.reports, selected_rhs_index)
 
 
+def _k_max_refused(k_max: int) -> bool:
+    """Say so on stderr, and return True, when k_max is above K_MAX_LIMIT."""
+    if k_max <= K_MAX_LIMIT:
+        return False
+    print(f"error: --k-max {k_max} is above the limit of {K_MAX_LIMIT} for an exact sweep; "
+          "use report --time-budget to sweep further", file=sys.stderr)
+    return True
+
+
 def _cmd_verify(args) -> int:
+    if _k_max_refused(args.k_max):
+        return 2
     name = f"thm{args.identity}"
     return _emit_sweep(sweep([name], args.k_max), args.format, args.rhs_index)
 
@@ -271,7 +282,13 @@ def _cmd_walk(args) -> int:
 
 
 def _cmd_mc(args) -> int:
-    from . import moments  # numpy loads here, for mc alone
+    try:
+        from . import moments  # numpy loads here, for mc alone
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        print(f"error: mc needs numpy ({exc})", file=sys.stderr)
+        return 1
 
     if args.ensemble == "wigner":
         if args.m is not None:
@@ -292,15 +309,13 @@ def _cmd_mc(args) -> int:
         "stderr": est.stderr,
         "target": float(est.target),
     }
-    if args.format == "csv":
-        header = list(record)
-        _emit_csv([[_csv_cell(record[h]) for h in header]], header)
-    else:
-        _emit_json(record)
+    _emit_records([record], args.format)
     return 0
 
 
 def _cmd_report(args) -> int:
+    if args.time_budget is None and _k_max_refused(args.k_max):
+        return 2
     names = [f"thm{i}" for i in args.identities]
     result = sweep(names, args.k_max, time_budget=args.time_budget)
     return _emit_sweep(result, args.format, None)
@@ -380,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify one identity for k up to a bound")
     p.add_argument("--identity", type=int, choices=[1, 2, 3, 4, 5], required=True)
-    p.add_argument("--k-max", type=int, required=True)
+    p.add_argument("--k-max", type=int, required=True, help=f"at most {K_MAX_LIMIT}")
     p.add_argument("--rhs-index", choices=["k", "k-1"], default=None,
                    help="which right-hand variant gates the exit code (identities 4 and 5; both are always printed)")
     add_format(p)
@@ -408,7 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="sweep several identities and tabulate verdicts")
     p.add_argument("--identities", type=_identity_list, default=[1, 2, 3, 4, 5],
                    help="comma-separated identity numbers (default all)")
-    p.add_argument("--k-max", type=int, required=True)
+    p.add_argument("--k-max", type=int, required=True,
+                   help=f"at most {K_MAX_LIMIT} unless --time-budget is given")
     p.add_argument("--time-budget", type=_seconds, default=None, help="seconds; truncates the sweep")
     add_format(p)
     p.set_defaults(func=_cmd_report)

@@ -9,7 +9,9 @@ a prefix that is back at altitude 0 after step 2k, so one pass to length
 step: O(K^3) int operations for all of them, where folding each size
 apart costs O(K^4).  ``fold_dyck_upto`` and ``fold_alt_motzkin_upto``
 yield those folds in order; ``fold_dyck`` and ``fold_alt_motzkin`` are
-the last of them.
+the last of them, and ``expectation_vectors`` divides one by its path
+count.  The steps each position allows come from the step law in
+``paths``, the same table that validates a ``Path``.
 
 Each state carries, summed over the prefixes that reach it, the prefix
 count, the count X of every event (a rise from, a vertex at, or an
@@ -33,7 +35,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator
+from fractions import Fraction
+from typing import Iterator, Union
+
+from .numeric import GammaPoly
+from .paths import PathKind, fall_room, steps_at
 
 # One implementation; the names stay because benchmark runs record them and
 # refuse to compare runs whose backend differs.
@@ -80,30 +86,23 @@ class AltMotzkinFold:
         return sum(self.counts_by_rises)
 
 
-def _dyck_rule(s: int) -> tuple[int, ...]:
-    return (1, -1)
-
-
-def _alt_motzkin_rule(s: int) -> tuple[int, ...]:
-    # rises only on even steps, falls only on odd steps
-    return (0, 1) if s % 2 == 0 else (0, -1)
-
-
-def _fold_upto(k_max: int, steps_at, rise_shift: int):
-    """Run the DP over paths of length up to 2*k_max whose step s (1-based)
-    may change the altitude by any of ``steps_at(s)``; a rise multiplies the
+def _fold_upto(k_max: int, kind: PathKind, rise_shift: int):
+    """Run the DP over paths of the kind of length up to 2*k_max, each step
+    s (1-based) one of ``paths.steps_at(kind, s)``; a rise multiplies the
     weight by 2**rise_shift.
 
     Yields (k, count, totals, pairs) for k = 0..k_max, from the altitude-0
     state after step 2k: totals[e][i] and pairs[e][i] sum X and C(X, 2)
     over paths of length 2k, for the events e = 0 rise from, 1 even-step
     level at and 2 vertex at altitude i, i in 0..k_max.  A state is kept
-    only while it can still return to 0 by step 2*k_max, which keeps every
-    path that returns by an earlier even step.
+    only while the falls the law still allows can bring it back to 0 by
+    step 2*k_max, which keeps every path that returns by an earlier even
+    step.
     """
     if k_max < 0:
         raise ValueError(f"k must be nonnegative, got {k_max}")
     n = 2 * k_max
+    room = fall_room(kind, n)
     size = 3 * (k_max + 1)
     rise, level, vertex = 0, k_max + 1, 2 * (k_max + 1)
 
@@ -121,10 +120,11 @@ def _fold_upto(k_max: int, steps_at, rise_shift: int):
     yield snapshot(0)
     for s in range(1, n + 1):
         nxt = {}
+        allowed = steps_at(kind, s)
         for a, (count, totals, pairs) in states.items():
-            for d in steps_at(s):
+            for d in allowed:
                 b = a + d
-                if b < 0 or b > n - s:
+                if b < 0 or b > room[s]:
                     continue
                 t, p = totals[:], pairs[:]
                 marks = [vertex + b]
@@ -201,20 +201,20 @@ def fold_dyck_upto(k_max: int) -> Iterator[DyckFold]:
     """Yield the fold of every size k = 0..k_max, in order, from one DP pass
     to length 2*k_max; each size's fold is yielded as soon as the pass has
     reached step 2k."""
-    return map(_dyck_fold, _fold_upto(k_max, _dyck_rule, 0))
+    return map(_dyck_fold, _fold_upto(k_max, PathKind.DYCK, 0))
 
 
 def fold_alt_motzkin_upto(k_max: int) -> Iterator[AltMotzkinFold]:
     """Yield the rise-resolved fold of every size k = 0..k_max, in order,
     from one DP pass to length 2*k_max, as fold_dyck_upto does."""
     width = _alt_motzkin_width(k_max)
-    return (_alt_motzkin_fold(s, width) for s in _fold_upto(k_max, _alt_motzkin_rule, width))
+    return (_alt_motzkin_fold(s, width) for s in _fold_upto(k_max, PathKind.ALT_MOTZKIN, width))
 
 
 def fold_dyck(k: int) -> DyckFold:
     """Fold per-altitude statistics over all Dyck paths of length 2k: the
     last fold of fold_dyck_upto(k)."""
-    return _dyck_fold(_last(_fold_upto(k, _dyck_rule, 0)))
+    return _dyck_fold(_last(_fold_upto(k, PathKind.DYCK, 0)))
 
 
 def fold_alt_motzkin(k: int) -> AltMotzkinFold:
@@ -222,4 +222,60 @@ def fold_alt_motzkin(k: int) -> AltMotzkinFold:
     length 2k: the last fold of fold_alt_motzkin_upto(k), with only that
     one unpacked."""
     width = _alt_motzkin_width(k)
-    return _alt_motzkin_fold(_last(_fold_upto(k, _alt_motzkin_rule, width)), width)
+    return _alt_motzkin_fold(_last(_fold_upto(k, PathKind.ALT_MOTZKIN, width)), width)
+
+
+@dataclass(frozen=True)
+class ExpectationVectors:
+    """Exact expected altitude vectors as numerators over a common
+    denominator: ints over catalan(k) for uniform Dyck paths, GammaPoly
+    over the Narayana polynomial for rise-weighted alternating Motzkin
+    paths."""
+
+    kind: PathKind
+    k: int
+    rise_numerators: tuple[Union[int, GammaPoly], ...]
+    vertex_numerators: tuple[Union[int, GammaPoly], ...]
+    level_numerators: tuple[Union[int, GammaPoly], ...] | None
+    denominator: Union[int, GammaPoly]
+
+    def rise_expectations(self) -> tuple[Fraction, ...]:
+        if self.kind is not PathKind.DYCK:
+            raise ValueError("exact Fractions only for the uniform Dyck weighting")
+        return tuple(Fraction(x, self.denominator) for x in self.rise_numerators)
+
+    def vertex_expectations(self) -> tuple[Fraction, ...]:
+        if self.kind is not PathKind.DYCK:
+            raise ValueError("exact Fractions only for the uniform Dyck weighting")
+        return tuple(Fraction(x, self.denominator) for x in self.vertex_numerators)
+
+
+def expectation_vectors(
+    k: int, kind: PathKind | str, weighting: str | None = None
+) -> ExpectationVectors:
+    """Expected rise/vertex(/level) vectors at size k: the fold's sums over
+    its path count.
+
+    Dyck paths are weighted uniformly; alternating Motzkin paths carry
+    weight gamma**rises, so the numerators are polynomials in gamma over
+    the Narayana polynomial denominator.  ``weighting`` ("uniform" or
+    "gamma") is implied by the kind and only checked for consistency.
+    """
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    kind = PathKind(kind)
+    implied = "uniform" if kind is PathKind.DYCK else "gamma"
+    if weighting is not None and weighting != implied:
+        raise ValueError(f"{kind.value} paths use the {implied} weighting, got {weighting!r}")
+    if kind is PathKind.DYCK:
+        f = fold_dyck(k)
+        return ExpectationVectors(kind, k, f.rise_sums, f.vertex_sums, None, f.count)
+    f = fold_alt_motzkin(k)
+    return ExpectationVectors(
+        kind,
+        k,
+        tuple(GammaPoly(row) for row in f.rise_sums),
+        tuple(GammaPoly(row) for row in f.vertex_sums),
+        tuple(GammaPoly(row) for row in f.level_sums),
+        GammaPoly(f.counts_by_rises),
+    )

@@ -1,28 +1,29 @@
-"""Path objects, parsing, exhaustive enumeration, and altitude statistics.
+"""Path objects, parsing, the step law, enumeration, and altitude statistics.
 
 A path is a sequence of rise/fall/level steps that starts and ends at
 altitude zero and never dips below it.  Steps are the plain ints
 ``RISE, LEVEL, FALL = 1, 0, -1``, each its altitude change; this module
-owns that encoding, and every other module reads steps through it.  Step
-positions are 1-based where parity matters: alternating Motzkin paths
-allow rises only on even steps and falls only on odd steps.
+owns that encoding, and every other module reads steps through it.
+
+It also owns the step law of each kind, which steps may come at each
+1-based position: a Dyck path rises or falls at every step; an alternating
+Motzkin path may level anywhere but rises only on even steps and falls
+only on odd steps.  ``Path`` validation, the enumerators and the exact
+fold in ``fold`` all read the law through ``steps_at`` and ``fall_room``.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
-from typing import Iterator, Union
-
-from .fold import fold_alt_motzkin, fold_dyck
-from .numeric import GammaPoly, catalan
+from typing import Iterator
 
 RISE, LEVEL, FALL = 1, 0, -1
 
 _CHARS = "DLU"  # indexed by step + 1
 _CHAR_TO_STEP = {"U": RISE, "D": FALL, "L": LEVEL}
+_NAMES = {RISE: "rise", LEVEL: "level step", FALL: "fall"}
 
 
 def altitudes(steps) -> tuple[int, ...]:
@@ -35,14 +36,37 @@ class PathKind(enum.Enum):
     ALT_MOTZKIN = "altmotzkin"
 
 
+# kind -> the steps allowed at a 1-based position, indexed by position % 2,
+# in the order enumeration tries them
+_LAW = {
+    PathKind.DYCK: ((RISE, FALL), (RISE, FALL)),
+    PathKind.ALT_MOTZKIN: ((LEVEL, RISE), (LEVEL, FALL)),
+}
+
+
+def steps_at(kind: PathKind, pos: int) -> tuple[int, ...]:
+    """The steps a path of this kind may take at 1-based position pos."""
+    return _LAW[kind][pos % 2]
+
+
+def fall_room(kind: PathKind, n: int) -> list[int]:
+    """room[s], for s = 0..n: how many of the steps s+1..n of a path of
+    length n may be falls, the most altitude it can still shed after
+    step s."""
+    room = [0] * (n + 1)
+    for s in range(n - 1, -1, -1):
+        room[s] = room[s + 1] + (FALL in steps_at(kind, s + 1))
+    return room
+
+
 @dataclass(frozen=True)
 class Path:
     """A validated Dyck or alternating Motzkin path.
 
     Validation happens on every construction: kind is a PathKind member,
-    each step is one of the ints 1, 0, -1, altitude stays nonnegative, the
-    path closes at zero, Dyck paths contain no level steps, and alternating
-    Motzkin paths obey the even-rise/odd-fall rule.
+    each step is one of the ints 1, 0, -1 that the kind's step law allows
+    at its position, altitude stays nonnegative, and the path closes at
+    zero.
     """
 
     steps: tuple[int, ...]
@@ -54,21 +78,18 @@ class Path:
         n = len(steps)
         if n % 2 != 0:
             raise ValueError(f"path length must be even, got {n}")
-        dyck = self.kind is PathKind.DYCK
-        motzkin = self.kind is PathKind.ALT_MOTZKIN
-        if not (dyck or motzkin):
+        if not isinstance(self.kind, PathKind):
             raise ValueError(f"kind must be a PathKind, got {self.kind!r}")
+        law = _LAW[self.kind]
         alt = 0
         for pos, s in enumerate(steps, start=1):
             if type(s) is not int or not -1 <= s <= 1:
                 raise ValueError(f"step {pos} is {s!r}, not one of 1, 0, -1")
-            if dyck and s == LEVEL:
-                raise ValueError(f"level step at position {pos} in a Dyck path")
-            if motzkin:
-                if s == RISE and pos % 2 != 0:
-                    raise ValueError(f"rise on odd step {pos}")
-                if s == FALL and pos % 2 != 1:
-                    raise ValueError(f"fall on even step {pos}")
+            if s not in law[pos % 2]:
+                parity = "odd" if pos % 2 else "even"
+                raise ValueError(
+                    f"{_NAMES[s]} on {parity} step {pos}, which {self.kind.value} paths forbid"
+                )
             alt += s
             if alt < 0:
                 raise ValueError(f"altitude drops below zero after step {pos}")
@@ -149,63 +170,26 @@ def parse(text: str, kind: PathKind | str) -> Path:
     return Path(tuple(steps), kind)
 
 
-def _odds_in(a: int, b: int) -> int:
-    # number of odd integers in [a, b]
-    return (b + 1) // 2 - a // 2 if b >= a else 0
-
-
-def dyck_steps(k: int) -> Iterator[tuple[int, ...]]:
-    """Yield every Dyck step sequence of length 2k, in lexicographic order
-    with rise < fall."""
+def _steps(kind: PathKind, k: int) -> Iterator[tuple[int, ...]]:
+    """Yield every step sequence of length 2k that the kind's law allows,
+    trying at each position the allowed steps in the law's order."""
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
     n = 2 * k
+    allowed = [steps_at(kind, pos) for pos in range(n + 1)]
+    room = fall_room(kind, n)
     steps = []
 
     def rec(pos: int, alt: int):
         if pos == n:
             yield tuple(steps)
             return
-        rem = n - pos
-        if alt + 1 <= rem - 1:
-            steps.append(RISE)
-            yield from rec(pos + 1, alt + 1)
-            steps.pop()
-        if alt > 0:
-            steps.append(FALL)
-            yield from rec(pos + 1, alt - 1)
-            steps.pop()
-
-    return rec(0, 0)
-
-
-def alt_motzkin_steps(k: int) -> Iterator[tuple[int, ...]]:
-    """Yield every alternating Motzkin step sequence of length 2k, in
-    lexicographic order with level < rise and level < fall."""
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-    n = 2 * k
-    steps = []
-
-    def rec(pos: int, alt: int):
-        if pos == n:
-            yield tuple(steps)
-            return
-        s = pos + 1
-        odds_after = _odds_in(s + 1, n)
-        if alt <= odds_after:
-            steps.append(LEVEL)
-            yield from rec(pos + 1, alt)
-            steps.pop()
-        if s % 2 == 0:
-            if alt + 1 <= odds_after:
-                steps.append(RISE)
-                yield from rec(pos + 1, alt + 1)
+        for d in allowed[pos + 1]:
+            # a step is kept while the path can still close by step n
+            if 0 <= alt + d <= room[pos + 1]:
+                steps.append(d)
+                yield from rec(pos + 1, alt + d)
                 steps.pop()
-        elif alt > 0:
-            steps.append(FALL)
-            yield from rec(pos + 1, alt - 1)
-            steps.pop()
 
     return rec(0, 0)
 
@@ -213,15 +197,13 @@ def alt_motzkin_steps(k: int) -> Iterator[tuple[int, ...]]:
 def enumerate_dyck(k: int) -> Iterator[Path]:
     """Yield every Dyck path of length 2k once, in lexicographic order of
     the rendered string with U < D."""
-    for raw in dyck_steps(k):
-        yield Path(raw, PathKind.DYCK)
+    return (Path(raw, PathKind.DYCK) for raw in _steps(PathKind.DYCK, k))
 
 
 def enumerate_alt_motzkin(k: int) -> Iterator[Path]:
     """Yield every alternating Motzkin path of length 2k once, in
     lexicographic order of the rendered string with L < U and L < D."""
-    for raw in alt_motzkin_steps(k):
-        yield Path(raw, PathKind.ALT_MOTZKIN)
+    return (Path(raw, PathKind.ALT_MOTZKIN) for raw in _steps(PathKind.ALT_MOTZKIN, k))
 
 
 @dataclass(frozen=True)
@@ -299,60 +281,3 @@ def check_level_parity(path: Path) -> LevelParityReport:
         i for i in range(k) if total[i] % 2 != 0 or 2 * even[i] != total[i]
     )
     return LevelParityReport(tuple(zip(total, even)), violations)
-
-
-@dataclass(frozen=True)
-class ExpectationVectors:
-    """Exact expected altitude vectors as numerators over a common
-    denominator: ints over catalan(k) for uniform Dyck paths, GammaPoly
-    over the Narayana polynomial for rise-weighted alternating Motzkin
-    paths."""
-
-    kind: PathKind
-    k: int
-    rise_numerators: tuple[Union[int, GammaPoly], ...]
-    vertex_numerators: tuple[Union[int, GammaPoly], ...]
-    level_numerators: tuple[Union[int, GammaPoly], ...] | None
-    denominator: Union[int, GammaPoly]
-
-    def rise_expectations(self) -> tuple[Fraction, ...]:
-        if self.kind is not PathKind.DYCK:
-            raise ValueError("exact Fractions only for the uniform Dyck weighting")
-        return tuple(Fraction(x, self.denominator) for x in self.rise_numerators)
-
-    def vertex_expectations(self) -> tuple[Fraction, ...]:
-        if self.kind is not PathKind.DYCK:
-            raise ValueError("exact Fractions only for the uniform Dyck weighting")
-        return tuple(Fraction(x, self.denominator) for x in self.vertex_numerators)
-
-
-def expectation_vectors(
-    k: int, kind: PathKind | str, weighting: str | None = None
-) -> ExpectationVectors:
-    """Expected rise/vertex(/level) vectors at size k.
-
-    Dyck paths are weighted uniformly; alternating Motzkin paths carry
-    weight gamma**rises, so the numerators are polynomials in gamma over
-    the Narayana polynomial denominator.  ``weighting`` ("uniform" or
-    "gamma") is implied by the kind and only checked for consistency.
-    """
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    kind = PathKind(kind)
-    implied = "uniform" if kind is PathKind.DYCK else "gamma"
-    if weighting is not None and weighting != implied:
-        raise ValueError(f"{kind.value} paths use the {implied} weighting, got {weighting!r}")
-    if kind is PathKind.DYCK:
-        f = fold_dyck(k)
-        return ExpectationVectors(
-            kind, k, f.rise_sums, f.vertex_sums, None, catalan(k)
-        )
-    f = fold_alt_motzkin(k)
-    return ExpectationVectors(
-        kind,
-        k,
-        tuple(GammaPoly(row) for row in f.rise_sums),
-        tuple(GammaPoly(row) for row in f.vertex_sums),
-        tuple(GammaPoly(row) for row in f.level_sums),
-        GammaPoly(f.counts_by_rises),
-    )

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pathforge import bijections
-from pathforge.cli import main
+from pathforge.cli import K_MAX_LIMIT, main
 from pathforge.paths import enumerate_alt_motzkin, enumerate_dyck
 
 
@@ -278,6 +278,27 @@ def test_checking_nothing_is_a_usage_error(capsys, argv):
     assert "nothing to check" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--identity", "1", "--k-max", str(K_MAX_LIMIT + 1)],
+    ["verify", "--identity", "1", "--k-max", "1000000"],
+    ["report", "--k-max", str(K_MAX_LIMIT + 1)],
+])
+def test_k_max_above_the_limit_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"limit of {K_MAX_LIMIT}" in err and "report --time-budget" in err
+
+
+def test_k_max_at_the_limit_runs(capsys):
+    code, out, err = run(capsys, "verify", "--identity", "1", "--k-max", str(K_MAX_LIMIT))
+    assert (code, err) == (0, "")
+    assert [r["k"] for r in json.loads(out)["reports"]] == list(range(1, K_MAX_LIMIT + 1))
+    # under a time budget the limit does not apply
+    code, out, _ = run(capsys, "report", "--k-max", str(K_MAX_LIMIT + 1), "--time-budget", "0")
+    assert code == 0 and json.loads(out)["truncated"] is True
+
+
 def test_truncated_empty_report_still_exits_zero(capsys):
     # a zero budget is spent before the first report
     code, out, _ = run(capsys, "report", "--k-max", "3", "--time-budget", "0")
@@ -296,9 +317,13 @@ def test_truncated_csv_report_says_so_on_stderr(capsys):
     assert err == ""
 
 
-# sha256 of stdout, recorded while every size was still folded in a DP pass
-# of its own; any change to an exact value or to the output format shows here
+# sha256 of stdout, the reports recorded while every size was still folded in
+# a DP pass of its own and the listings while each kind had an enumerator of
+# its own; any change to an exact value, a path order or the output format
+# shows here
 _PINNED_OUTPUTS = {
+    "enumerate --kind dyck --k 10": "69ce3ffd1c2eedce26b0dbc4c0c66ac477df47e2f35c650395a62a07215088da",
+    "enumerate --kind altmotzkin --k 10": "b531282f3233d1ef67c57e2d4748e0e8773bef456bc37273eea4249d336b77f9",
     "report --k-max 30": "fd0857789ed21eef3c7fe34ee87e24b91c3dcc9bed35a60880ade8edcca6a552",
     "report --k-max 30 --format csv": "cb168fcf51f6390904a89429a5ae376758e8435757a536d5ab5a48e1a643426f",
     "verify --identity 1 --k-max 30": "9e3d2f575fcf1222fabcbef9b8fb08d34220db0fad97f390dd424355752b7ce9",
@@ -472,6 +497,17 @@ def test_only_mc_imports_numpy():
         "stats 0 False", "map 0 False", "invert 0 False", "walk 0 False", "verify 0 False",
         "report 0 False", "enumerate 0 False", "mc 0 True",
     ]
+
+
+def test_mc_without_numpy_is_one_error_line():
+    script = ("import sys; sys.modules['numpy'] = None; from pathforge.cli import main; "
+              "sys.exit(main(['mc', '--ensemble', 'wigner', '--k', '2', '--n', '4']))")
+    proc = _pathforge(["-c", script], subprocess.PIPE, module=False)
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert out == b""
+    assert err.decode().startswith("error: mc needs numpy"), err
+    assert len(err.decode().splitlines()) == 1
 
 
 def test_stdout_closed_before_a_short_output_exits_1_quietly():

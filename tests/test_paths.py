@@ -1,9 +1,11 @@
 """Path parsing, enumeration, statistics, and the level-parity lemma."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from pathforge.fold import expectation_vectors
 from pathforge.numeric import GammaPoly, catalan, narayana_poly
 from pathforge.paths import (
     FALL,
@@ -14,7 +16,6 @@ from pathforge.paths import (
     check_level_parity,
     enumerate_alt_motzkin,
     enumerate_dyck,
-    expectation_vectors,
     parse,
     stats,
 )
@@ -62,6 +63,22 @@ def test_fall_on_even_step_rejected():
     # but a fall on step 4 violates alternation
     with pytest.raises(ValueError, match="fall on even step 4"):
         Path((LEVEL, RISE, LEVEL, FALL), PathKind.ALT_MOTZKIN)
+
+
+def test_path_accepts_exactly_the_enumerated_sequences():
+    # the law read by validation and the law read by enumeration agree on
+    # every sequence of up to 8 steps
+    for kind, enumerate_kind in ((PathKind.DYCK, enumerate_dyck),
+                                 (PathKind.ALT_MOTZKIN, enumerate_alt_motzkin)):
+        listed = {p.steps for k in range(5) for p in enumerate_kind(k)}
+        for n in range(9):
+            for steps in product((RISE, LEVEL, FALL), repeat=n):
+                try:
+                    Path(steps, kind)
+                    valid = True
+                except ValueError:
+                    valid = False
+                assert valid == (steps in listed), (kind, steps)
 
 
 def test_parse_render_round_trip_enumerated():
