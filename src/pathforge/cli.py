@@ -282,6 +282,13 @@ def _cmd_walk(args) -> int:
 
 
 def _cmd_mc(args) -> int:
+    # usage errors, found before numpy loads, so they read the same without it
+    if args.ensemble == "wigner" and args.m is not None:
+        print("error: --m applies to the wishart ensemble only", file=sys.stderr)
+        return 2
+    if args.ensemble == "wishart" and args.m is None:
+        print("error: --m is required for the wishart ensemble", file=sys.stderr)
+        return 2
     try:
         from . import moments  # numpy loads here, for mc alone
     except ModuleNotFoundError as exc:
@@ -291,12 +298,8 @@ def _cmd_mc(args) -> int:
         return 1
 
     if args.ensemble == "wigner":
-        if args.m is not None:
-            raise ValueError("--m applies to the wishart ensemble only")
         est = moments.wigner_moment(args.k, args.n, args.trials, args.seed)
     else:
-        if args.m is None:
-            raise ValueError("--m is required for the wishart ensemble")
         est = moments.wishart_moment(args.k, args.n, args.m, args.trials, args.seed)
     record = {
         "ensemble": est.ensemble,

@@ -46,11 +46,17 @@ def trace_power(matrix: np.ndarray, k: int) -> float:
 
     For k >= 3 an exactly symmetric A (``A == A.T`` entry for entry, as
     both Monte Carlo ensembles are) takes a faster path.  Its powers are
-    symmetric, so A^h is built by squarings ``p @ p.T``, which numpy hands
-    to BLAS syrk at half the flops of a general product, with one extra
-    ``@ A`` for each odd exponent; and the trace sum reads both factors
-    in the same order (``np.vdot``) instead of one of them transposed.  Any
-    other matrix, one ulp off symmetric included, takes the general path.
+    symmetric, so they are built by squarings ``p @ p.T``, which numpy
+    hands to BLAS syrk at half the flops of a general product, with one
+    extra ``@ A`` for each odd exponent.  For even k, tr(A^k) is the
+    squared Frobenius norm of A^h, and A^h is never formed: it is X Y^T
+    with X = A^ceil(h/2) and Y = A^floor(h/2), and its upper triangle is
+    summed one row panel of 128 rows at a time.  At k = 4 nothing beside
+    the matrix is held but that 128-by-n panel; k = 4 costs n^3 flops
+    and k = 6 and 8 cost 2 n^3.  For odd k the trace sum reads
+    A^h and A^h @ A in the same order (``np.vdot``).  The symmetry test
+    runs in the same panels.  Any other matrix, one ulp off symmetric
+    included, takes the general path.
     """
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -59,13 +65,45 @@ def trace_power(matrix: np.ndarray, k: int) -> float:
         raise ValueError(f"power must be positive, got {k}")
     if k == 1:
         return float(matrix.trace())
-    if k >= 3 and np.array_equal(matrix, matrix.T):
-        half = _symmetric_power(matrix, k // 2)
-        rest = half if k % 2 == 0 else half @ matrix
-        return float(np.vdot(half, rest))
+    if k >= 3 and _is_symmetric(matrix):
+        h = k // 2
+        if k % 2 == 0:
+            y = _symmetric_power(matrix, h // 2)
+            # y @ matrix.T is y @ matrix for a symmetric matrix; at k = 6, where
+            # y is the matrix itself, numpy runs it as syrk
+            x = y if h % 2 == 0 else y @ matrix.T
+            return _product_square_norm(x, y)
+        half = _symmetric_power(matrix, h)
+        return float(np.vdot(half, half @ matrix))
     half = np.linalg.matrix_power(matrix, k // 2)
     rest = half if k % 2 == 0 else half @ matrix
     return float(np.einsum("ij,ji->", half, rest))
+
+
+_BLOCK = 128  # rows or columns per block: the Wigner mirror, symmetry test and trace panels
+
+
+def _is_symmetric(matrix: np.ndarray) -> bool:
+    # row panel [i, i+B) right of the diagonal against column panel [i, i+B)
+    # below it, so the bool temporary is one panel, not n-by-n
+    return all(
+        np.array_equal(matrix[i:i + _BLOCK, i:], matrix[i:, i:i + _BLOCK].T)
+        for i in range(0, matrix.shape[0], _BLOCK)
+    )
+
+
+def _product_square_norm(x: np.ndarray, y: np.ndarray) -> float:
+    # squared Frobenius norm of the symmetric product x @ y.T, summed over its
+    # upper triangle: panel P = (x @ y.T)[i:j, i:] counts its diagonal block
+    # once and the rest, which mirrors the part left of the block, twice
+    total = 0.0
+    for i in range(0, x.shape[0], _BLOCK):
+        j = min(i + _BLOCK, x.shape[0])
+        panel = x[i:j] @ y[i:].T
+        block = panel[:, : j - i]
+        total += 2 * np.vdot(panel, panel) - np.vdot(block, block)
+        del panel, block  # else the next panel is formed beside this one
+    return float(total)
 
 
 def _symmetric_power(matrix: np.ndarray, h: int) -> np.ndarray:
@@ -90,9 +128,6 @@ def _summarize(values: list[float]) -> tuple[float, float]:
     return estimate, stderr
 
 
-_MIRROR_BLOCK = 128  # columns per block of the Wigner mirror copy
-
-
 def _wigner_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
     """One scaled Wigner trial matrix, exactly symmetric.
 
@@ -105,8 +140,8 @@ def _wigner_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
     its own upper triangle.
     """
     a = rng.standard_normal((n, n))
-    for i in range(0, n, _MIRROR_BLOCK):
-        j = min(i + _MIRROR_BLOCK, n)
+    for i in range(0, n, _BLOCK):
+        j = min(i + _BLOCK, n)
         a[j:, i:j] = a[i:j, j:].T
         upper = np.triu(a[i:j, i:j], 1)
         a[i:j, i:j] = upper + upper.T
@@ -123,9 +158,11 @@ def wigner_moment(k: int, n: int, trials: int = 20, seed: int = 0) -> MomentEsti
     tr(A^k)/n.  The limit is C_{k/2} for even k and 0 for odd k.
 
     Each trial matrix is built in place, mirrored block by block from the
-    upper triangle of one n-by-n draw, so no second n-by-n array is held
-    beside it; being exactly symmetric, it takes ``trace_power``'s syrk
-    path for k >= 3.
+    upper triangle of one n-by-n draw, and goes straight into
+    ``trace_power``, so it is freed before the next trial draws.  Being
+    exactly symmetric, it takes the symmetric path for k >= 3: a trial
+    holds one n-by-n array and a 128-row panel at k = 4, and k = 6 costs
+    2 n^3 flops.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
@@ -135,11 +172,19 @@ def wigner_moment(k: int, n: int, trials: int = 20, seed: int = 0) -> MomentEsti
         raise ValueError(f"trials must be positive, got {trials}")
     values = []
     for trial in range(trials):
-        a = _wigner_matrix(_trial_rng(seed, trial), n)
-        values.append(trace_power(a, k) / n)
+        values.append(trace_power(_wigner_matrix(_trial_rng(seed, trial), n), k) / n)
     estimate, stderr = _summarize(values)
     target = catalan(k // 2) if k % 2 == 0 else 0
     return MomentEstimate("wigner", k, n, None, trials, seed, estimate, stderr, target)
+
+
+def _wishart_matrix(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
+    """One Wishart trial matrix G G^T / n for an m-by-n Gaussian G; the
+    product is syrk, so it is exactly symmetric, and is divided in place."""
+    g = rng.standard_normal((m, n))
+    w = g @ g.T
+    w /= n
+    return w
 
 
 def wishart_moment(k: int, n: int, m: int, trials: int = 20, seed: int = 0) -> MomentEstimate:
@@ -148,6 +193,11 @@ def wishart_moment(k: int, n: int, m: int, trials: int = 20, seed: int = 0) -> M
 
     The limit as m/n -> gamma is the Narayana polynomial at gamma; the
     normalization makes the k=1 target exactly 1.
+
+    G is dropped once W is formed and W once its trace is taken, so a
+    trial holds at most G and W, and ``trace_power`` sees only W, which is
+    exactly symmetric: for k >= 3 it takes the symmetric path, one m-by-m
+    array and a 128-row panel at k = 4.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
@@ -157,10 +207,7 @@ def wishart_moment(k: int, n: int, m: int, trials: int = 20, seed: int = 0) -> M
         raise ValueError(f"trials must be positive, got {trials}")
     values = []
     for trial in range(trials):
-        rng = _trial_rng(seed, trial)
-        g = rng.standard_normal((m, n))
-        w = (g @ g.T) / n
-        values.append(trace_power(w, k) / m)
+        values.append(trace_power(_wishart_matrix(_trial_rng(seed, trial), m, n), k) / m)
     estimate, stderr = _summarize(values)
     target = narayana_poly(k).evaluate(Fraction(m, n))
     return MomentEstimate("wishart", k, n, m, trials, seed, estimate, stderr, target)

@@ -197,9 +197,12 @@ def test_mc_json_schema_and_determinism(capsys):
 
 
 def test_mc_wigner_m_rejected(capsys):
-    code, _, err = run(capsys, "mc", "--ensemble", "wigner", "--k", "2", "--n", "10", "--m", "5")
-    assert code == 1
-    assert "wishart" in err
+    # an ensemble without its --m, or with one it does not take, is a usage error
+    for argv in (("--ensemble", "wigner", "--m", "5"), ("--ensemble", "wishart")):
+        code, out, err = run(capsys, "mc", *argv, "--k", "2", "--n", "10")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: --m ") and "wishart" in err
 
 
 def test_report_sweep(capsys):
@@ -508,6 +511,16 @@ def test_mc_without_numpy_is_one_error_line():
     assert out == b""
     assert err.decode().startswith("error: mc needs numpy"), err
     assert len(err.decode().splitlines()) == 1
+
+
+def test_mc_usage_error_needs_no_numpy():
+    script = ("import sys; sys.modules['numpy'] = None; from pathforge.cli import main; "
+              "sys.exit(main(['mc', '--ensemble', 'wigner', '--k', '2', '--n', '4', '--m', '5']))")
+    proc = _pathforge(["-c", script], subprocess.PIPE, module=False)
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    assert out == b""
+    assert err.decode() == "error: --m applies to the wishart ensemble only\n"
 
 
 def test_stdout_closed_before_a_short_output_exits_1_quietly():

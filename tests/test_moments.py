@@ -1,5 +1,6 @@
 """Monte Carlo moment estimates: determinism, targets, and the trace oracle."""
 
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from math import sqrt
@@ -20,6 +21,12 @@ def index_walk_trace(matrix, k):
             term *= matrix[walk[j], walk[(j + 1) % k]]
         total += term
     return total
+
+
+def general_path_trace(matrix, k):
+    half = np.linalg.matrix_power(matrix, k // 2)
+    rest = half if k % 2 == 0 else half @ matrix
+    return float(np.einsum("ij,ji->", half, rest))
 
 
 def test_trace_power_identity():
@@ -63,10 +70,53 @@ def test_trace_power_one_ulp_off_symmetric_takes_general_path(k):
     matrix[0, 1] = np.nextafter(matrix[0, 1], np.inf)
     got = trace_power(matrix, k)
     assert got == pytest.approx(index_walk_trace(matrix, k), rel=1e-10)
-    # bit for bit the general path's value
-    half = np.linalg.matrix_power(matrix, k // 2)
-    rest = half if k % 2 == 0 else half @ matrix
-    assert got == float(np.einsum("ij,ji->", half, rest))
+    assert got == general_path_trace(matrix, k)  # bit for bit
+
+
+@pytest.mark.parametrize("n", [127, 128, 129, 300])
+@pytest.mark.parametrize("k", [4, 6, 8, 10])
+def test_trace_power_symmetric_across_panels(n, k):
+    # one panel short of, exactly at and past a 128-row panel, and a partial
+    # last panel; k = 6 and 10 take the odd-h product y @ A
+    z = np.random.default_rng(n).standard_normal((n, n))
+    matrix = (z + z.T) / sqrt(n)
+    assert np.array_equal(matrix, matrix.T)
+    expected = np.trace(np.linalg.matrix_power(matrix, k))
+    assert trace_power(matrix, k) == pytest.approx(expected, rel=1e-10)
+
+
+@pytest.mark.parametrize("n,entry", [
+    (129, (128, 0)), (129, (0, 128)), (129, (128, 127)),
+    (300, (200, 250)), (300, (290, 270)), (300, (270, 290)),
+])
+@pytest.mark.parametrize("k", [4, 5, 6])
+def test_trace_power_one_ulp_off_symmetric_across_panels(n, entry, k):
+    # one entry in a row of the last panel, or in a later 128-row panel than
+    # the first, is nudged: the panelled symmetry test must see it in either
+    # triangle
+    z = np.random.default_rng(9).standard_normal((n, n))
+    matrix = (z + z.T) / sqrt(n)
+    matrix[entry] = np.nextafter(matrix[entry], np.inf)
+    assert trace_power(matrix, k) == general_path_trace(matrix, k)
+
+
+def traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_trial_holds_one_matrix():
+    # numpy reports its buffers to tracemalloc; a second n-by-n (Wigner) or
+    # m-by-m (Wishart) array held in a trial, or a matrix kept while the next
+    # trial draws, lifts the peak past these bounds
+    n = 1200
+    assert traced_peak(lambda: wigner_moment(4, n, trials=3)) < 1.6 * n * n * 8
+    m = 600
+    assert traced_peak(lambda: wishart_moment(2, n, m, trials=3)) < 1.75 * m * n * 8
 
 
 @pytest.mark.parametrize("n", [2, 127, 128, 129, 300])
