@@ -1,6 +1,9 @@
 """The four constructions: worked examples, exhaustive round trips, image
 characterizations, and the weight bookkeeping behind the identities."""
 
+import hashlib
+import json
+
 import pytest
 
 from pathforge import bijections as bj
@@ -150,6 +153,27 @@ def test_round_trips_exhaustive(construction):
         assert outputs == image, f"{construction} k={k}: image mismatch"
         for path in image:
             assert bj.construct(bj.invert(construction, path)).path == path
+
+
+# sha256 of "tuple path" for every five-tuple and "path tuple" for every
+# image path, k = 1..K: a different bijection onto the same image changes it
+_PINNED_MAPS = {
+    ("A", 5): "bb4d479c66d5c0d76776959f27a33a20cbbfb221ad8cbc88d032b3c4d5ac8192",
+    ("B", 4): "40c2ba7f507df1e3ecfbac521a4c8cc787b6d2e31973ffc04b37e5fbf99463d9",
+    ("C", 4): "dbf455645975ad7a2022b25a964b4a6135d09e4143850f5af0d8f2a7addf6dc0",
+    ("D", 4): "49afa706ea3b9efc5d32a15d0dd126c1d2bbf19d69fa952615c6e8edb063bb5b",
+}
+
+
+@pytest.mark.parametrize("construction,k_max", _PINNED_MAPS)
+def test_construct_and_invert_are_pinned(construction, k_max):
+    h = hashlib.sha256()
+    for k in range(1, k_max + 1):
+        for t in bj.five_tuples(construction, k):
+            h.update(f"{json.dumps(t.to_json_dict())} {bj.construct(t).path.render()}\n".encode())
+        for p in bj.image_paths(construction, k):
+            h.update(f"{p.render()} {json.dumps(bj.invert(construction, p).to_json_dict())}\n".encode())
+    assert h.hexdigest() == _PINNED_MAPS[construction, k_max]
 
 
 @pytest.mark.parametrize("k", (1, 2, 3, 4))
