@@ -73,12 +73,10 @@ from .walks import (
     Walk,
     WalkIdentitySummary,
     WalkStatistics,
-    alt_motzkin_to_walk,
-    dyck_to_walk,
+    path_to_walk,
     walk_identity_summary,
     walk_statistics,
-    walk_to_alt_motzkin,
-    walk_to_dyck,
+    walk_to_path,
 )
 
 __version__ = "0.1.0"

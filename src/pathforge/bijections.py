@@ -6,11 +6,17 @@ length 4k with positive even middle altitude; B uses vertex marks and lands
 on all Dyck paths of length 4k+2; C and D are the alternating Motzkin
 versions, steering to even and odd middle altitudes respectively.
 
-The four are variants of one bijection, written once: ``construct`` and
-``invert`` read a table with one row per construction (the left-half
-surgery, its inverse, and what a mark must be).  The right path is handled
-by mirroring (reverse the steps and swap rises with falls), applying the
-left-half surgery, and mirroring back.  ``five_tuples`` and ``image_paths``
+The four are variants of one bijection, written once as ``_left`` and its
+inverse ``_left_inv``.  The left-half surgery opens into rises the closing
+falls of a chain of i rises left of the mark.  A marked rise (A, C) opens
+its own closing fall too; any other mark becomes a new rise: D's marked
+level step, or a level step that B inserts after its marked vertex.  The
+path kind decides how a fall opens: a Dyck fall flips, and an alternating
+Motzkin fall trades places with its nearest level step to the right,
+which becomes the rise; closing is the exact inverse.  One table row per
+construction names its kind and its marks.  The right path is mirrored
+(steps reversed, rises and falls swapped), put through the same surgery
+and mirrored back.  ``five_tuples`` and ``image_paths``
 enumerate the domain and the characterized image of each construction;
 the tests use them to check every construction exhaustively at small k.
 """
@@ -31,13 +37,6 @@ from .paths import (
     enumerate_dyck,
     parse,
 )
-
-_KIND_FOR = {
-    "A": PathKind.DYCK,
-    "B": PathKind.DYCK,
-    "C": PathKind.ALT_MOTZKIN,
-    "D": PathKind.ALT_MOTZKIN,
-}
 
 
 @dataclass(frozen=True)
@@ -77,9 +76,9 @@ class FiveTuple:
         if not isinstance(data, dict):
             raise ValueError(f"five-tuple must be a JSON object, got {type(data).__name__}")
         construction = data["construction"]
-        if not isinstance(construction, str) or construction not in _KIND_FOR:
+        if not isinstance(construction, str) or construction not in _CONSTRUCTIONS:
             raise ValueError(f"unknown construction {construction!r}")
-        kind = _KIND_FOR[construction]
+        kind = _CONSTRUCTIONS[construction].kind
         for name in ("p1", "p2"):
             if not isinstance(data[name], str):
                 raise ValueError(f"{name} must be a path string, got {data[name]!r}")
@@ -139,23 +138,20 @@ def _matching_rise(steps, alts, fall_pos) -> int:
     raise RuntimeError(f"no matching rise for fall at step {fall_pos}")
 
 
-def _first_rise_left(steps, alts, before_pos, end_altitude) -> int:
-    """Nearest rise strictly left of ``before_pos`` ending at ``end_altitude``."""
-    for q in range(before_pos - 1, 0, -1):
-        if steps[q - 1] == RISE and alts[q] == end_altitude:
-            return q
-    raise RuntimeError(f"no rise to altitude {end_altitude} left of step {before_pos}")
-
-
 def _chain_rises(steps, alts, top_altitude, before_pos) -> list[int]:
-    """Scan left marking the first rise ending at top_altitude, then the
-    first rise ending one lower left of it, and so on down to altitude 1."""
-    marks = []
-    cur = before_pos
+    """Scan left of ``before_pos`` for the nearest rise ending at
+    top_altitude, then left of it for the nearest rise ending one lower,
+    and so on down to altitude 1."""
+    chain = []
+    q = before_pos - 1
     for a in range(top_altitude, 0, -1):
-        cur = _first_rise_left(steps, alts, cur, a)
-        marks.append(cur)
-    return marks
+        while q > 0 and not (steps[q - 1] == RISE and alts[q] == a):
+            q -= 1
+        if q == 0:
+            raise RuntimeError(f"no rise to altitude {a} left of step {before_pos}")
+        chain.append(q)
+        q -= 1
+    return chain
 
 
 def _rightmost_rise_from(steps, alts, altitude) -> int:
@@ -177,9 +173,10 @@ def _level_partner_right(steps, alts, fall_pos) -> int:
     raise RuntimeError(f"no level partner right of fall at step {fall_pos}")
 
 
-def _level_partner_left(steps, alts, rise_pos, altitude) -> int:
-    """Nearest level step at ``altitude`` strictly left of a rise; on an
-    odd step by the parity lemma."""
+def _level_partner_left(steps, alts, rise_pos) -> int:
+    """Nearest level step at the rise's starting altitude strictly left of
+    it; on an odd step by the parity lemma."""
+    altitude = alts[rise_pos - 1]
     for q in range(rise_pos - 1, 0, -1):
         if steps[q - 1] == LEVEL and alts[q - 1] == altitude:
             if q % 2 != 1:
@@ -189,128 +186,51 @@ def _level_partner_left(steps, alts, rise_pos, altitude) -> int:
 
 
 # ---------------------------------------------------------------------------
-# left-half surgeries
-
-def _a_left(steps, i, x1):
-    """A: flip to rises the closing falls of the marked rise x1 and of the
-    chain of rises left of it; the half ends at altitude 2i+2."""
-    alts = altitudes(steps)
-    marks = [x1] + _chain_rises(steps, alts, i, x1)
-    out = list(steps)
-    for m in marks:
-        out[_matching_fall(steps, alts, m) - 1] = RISE
-    return tuple(out)
-
-
-def _a_left_inv(steps, i):
-    alts = altitudes(steps)
-    flips = [_rightmost_rise_from(steps, alts, a) for a in range(i + 1, 2 * i + 2)]
-    out = list(steps)
-    for q in flips:
-        out[q - 1] = FALL
-    p1 = tuple(out)
-    x1 = _matching_rise(p1, altitudes(p1), flips[0])
-    return p1, x1
-
-
-def _b_left(steps, i, v1):
-    """B: insert a rise after the marked vertex v1, flipping the closing
-    falls of the chain of i rises left of it; the half ends at 2i+1."""
-    alts = altitudes(steps)
-    marks = _chain_rises(steps, alts, i, v1 + 1)
-    closings = {_matching_fall(steps, alts, m) for m in marks}
-    if any(c <= v1 for c in closings):
-        raise RuntimeError("closing fall left of the marked vertex")
-    out = list(steps[:v1]) + [RISE]
-    for pos in range(v1 + 1, len(steps) + 1):
-        out.append(RISE if pos in closings else steps[pos - 1])
-    return tuple(out)
-
-
-def _b_left_inv(steps, i):
-    alts = altitudes(steps)
-    delete_pos = _rightmost_rise_from(steps, alts, i)
-    flips = [_rightmost_rise_from(steps, alts, a) for a in range(i + 1, 2 * i + 1)]
-    if any(q < delete_pos for q in flips):
-        raise RuntimeError("flipped rise left of the inserted rise")
-    out = list(steps)
-    for q in flips:
-        out[q - 1] = FALL
-    del out[delete_pos - 1]
-    return tuple(out), delete_pos - 1
-
-
-def _c_left(steps, i, x1):
-    """C, the alternating Motzkin A: each closing fall trades places with
-    its nearest level step to the right before flipping, which keeps rises
-    on even steps and the rise count unchanged."""
-    alts = altitudes(steps)
-    marks = [x1] + _chain_rises(steps, alts, i, x1)
-    out = list(steps)
-    for m in marks:
-        fall = _matching_fall(steps, alts, m)
-        partner = _level_partner_right(steps, alts, fall)
-        out[fall - 1] = LEVEL
-        out[partner - 1] = RISE
-    return tuple(out)
-
-
-def _c_left_inv(steps, i):
-    alts = altitudes(steps)
-    fall_of_x1 = None
-    out = list(steps)
-    for a in range(i + 1, 2 * i + 2):
-        rise = _rightmost_rise_from(steps, alts, a)
-        partner = _level_partner_left(steps, alts, rise, a)
-        out[rise - 1] = LEVEL
-        out[partner - 1] = FALL
-        if a == i + 1:
-            fall_of_x1 = partner
-    p1 = tuple(out)
-    x1 = _matching_rise(p1, altitudes(p1), fall_of_x1)
-    return p1, x1
-
-
-def _d_left(steps, i, y1):
-    """D: the marked even-step level y1 becomes a rise, and the C-style
-    fall/level switches run for the chain of i rises left of it; the half
-    ends at 2i+1 with one rise more."""
-    alts = altitudes(steps)
-    marks = _chain_rises(steps, alts, i, y1)
-    out = list(steps)
-    out[y1 - 1] = RISE
-    for m in marks:
-        fall = _matching_fall(steps, alts, m)
-        if fall <= y1:
-            raise RuntimeError("closing fall left of the marked level step")
-        partner = _level_partner_right(steps, alts, fall)
-        out[fall - 1] = LEVEL
-        out[partner - 1] = RISE
-    return tuple(out)
-
-
-def _d_left_inv(steps, i):
-    alts = altitudes(steps)
-    y1 = _rightmost_rise_from(steps, alts, i)
-    out = list(steps)
-    out[y1 - 1] = LEVEL
-    for a in range(i + 1, 2 * i + 1):
-        rise = _rightmost_rise_from(steps, alts, a)
-        partner = _level_partner_left(steps, alts, rise, a)
-        out[rise - 1] = LEVEL
-        out[partner - 1] = FALL
-    return tuple(out), y1
-
-
-# ---------------------------------------------------------------------------
 # the four variants
 
-# construction: (left-half surgery, its inverse, what mark1 and mark2 must be)
-_VARIANTS = {
-    "A": (_a_left, _a_left_inv, ("a rise from altitude {i}", "a fall to altitude {i}")),
-    "B": (_b_left, _b_left_inv, ("at altitude {i}", "at altitude {i}")),
-    "C": (_c_left, _c_left_inv, ("a rise from altitude {i}", "a fall to altitude {i}")),
-    "D": (_d_left, _d_left_inv, ("an even-step level at altitude {i}", "an odd-step level at altitude {i}")),
+@dataclass(frozen=True)
+class _Construction:
+    """What sets a construction apart: the kind of its paths, which decides
+    how a fall opens, and its marks: "rise" (a rise from i in p1 and a fall
+    to i in p2), "vertex" (vertices at i) or "level" (levels at i on an even
+    step in p1 and an odd step in p2); ``wording`` names them in errors."""
+
+    kind: PathKind
+    marks: str
+    wording: tuple[str, str]
+
+    @property
+    def middle_offset(self) -> int:
+        """The middle altitude is 2i plus this: 2 for a marked rise, 1 for a
+        new one."""
+        return 2 if self.marks == "rise" else 1
+
+    def candidates(self, path: Path, i: int, side: int) -> tuple[int, ...]:
+        """Positions in ``path`` that may carry mark ``side`` (1 or 2)."""
+        if self.marks == "vertex":
+            return path.vertices_at(i)
+        if self.marks == "level":
+            return path.levels_at(i, even_steps=side == 1)
+        return path.rises_from(i) if side == 1 else path.falls_to(i)
+
+    def mirror_mark(self, n: int, mark: int) -> int:
+        """Where a mark of a path of length n lands when the path is
+        mirrored: a vertex at n - mark, a step at n + 1 - mark."""
+        return n - mark if self.marks == "vertex" else n + 1 - mark
+
+    def middle_index(self, mid: int) -> int | None:
+        """The i of a doubled path with middle altitude ``mid``, or None
+        when mid follows no law of this construction."""
+        i, rest = divmod(mid - self.middle_offset, 2)
+        return i if rest == 0 and i >= 0 else None
+
+
+_CONSTRUCTIONS = {
+    "A": _Construction(PathKind.DYCK, "rise", ("a rise from altitude {i}", "a fall to altitude {i}")),
+    "B": _Construction(PathKind.DYCK, "vertex", ("at altitude {i}", "at altitude {i}")),
+    "C": _Construction(PathKind.ALT_MOTZKIN, "rise", ("a rise from altitude {i}", "a fall to altitude {i}")),
+    "D": _Construction(PathKind.ALT_MOTZKIN, "level",
+                       ("an even-step level at altitude {i}", "an odd-step level at altitude {i}")),
 }
 
 
@@ -319,84 +239,127 @@ def _require(cond, message):
         raise ValueError(message)
 
 
-def _variant(construction: str):
-    _require(construction in _VARIANTS, f"unknown construction {construction!r}")
-    return _VARIANTS[construction]
+def _construction(name: str) -> _Construction:
+    _require(name in _CONSTRUCTIONS, f"unknown construction {name!r}")
+    return _CONSTRUCTIONS[name]
 
 
-def _marks(construction: str, path: Path, i: int, side: int) -> tuple[int, ...]:
-    """Positions in ``path`` that may carry mark ``side`` (1 or 2) at altitude
-    i: rises from i (p1) and falls to i (p2) for A and C, vertices at i for
-    B, levels at i on even (p1) and odd (p2) steps for D."""
-    if construction == "B":
-        return path.vertices_at(i)
-    if construction == "D":
-        return path.levels_at(i, even_steps=side == 1)
-    return path.rises_from(i) if side == 1 else path.falls_to(i)
+# ---------------------------------------------------------------------------
+# the one left-half surgery
+
+def _open(kind, out, steps, alts, fall):
+    """Turn a closing fall into a rise in ``out``.  A Dyck fall flips; an
+    alternating Motzkin fall trades places with its nearest level step to
+    the right, which becomes the rise, so rises stay on even steps."""
+    if kind is PathKind.DYCK:
+        out[fall - 1] = RISE
+    else:
+        out[fall - 1] = LEVEL
+        out[_level_partner_right(steps, alts, fall) - 1] = RISE
 
 
-def _mirror_mark(construction: str, n: int, mark: int) -> int:
-    """Where a mark of a path of length n lands when the path is mirrored:
-    vertex marks (B) at n - mark, step marks at n + 1 - mark."""
-    return n - mark if construction == "B" else n + 1 - mark
+def _close(kind, out, steps, alts, rise) -> int:
+    """Undo ``_open`` on the rise it made; returns where the fall is now."""
+    if kind is PathKind.DYCK:
+        out[rise - 1] = FALL
+        return rise
+    fall = _level_partner_left(steps, alts, rise)
+    out[rise - 1] = LEVEL
+    out[fall - 1] = FALL
+    return fall
 
 
-def _middle_index(construction: str, mid: int) -> int | None:
-    """The i of a doubled path with middle altitude ``mid``: mid = 2i+2
-    (positive and even) for A and C, 2i+1 (odd) for B and D; None when mid
-    follows neither law."""
-    i, rest = divmod(mid - (2 if construction in "AC" else 1), 2)
-    return i if rest == 0 and i >= 0 else None
+def _left(c: _Construction, steps, i, mark):
+    """Open the closing falls of the chain of i rises left of the mark.  A
+    marked rise (A, C) opens its own closing fall too and the half ends at
+    2i+2; otherwise the mark becomes a new rise and the half ends at 2i+1:
+    D's marked level step, or for B a level step inserted after the
+    marked vertex."""
+    if c.marks == "vertex":
+        steps, mark = steps[:mark] + (LEVEL,) + steps[mark:], mark + 1
+    alts = altitudes(steps)
+    chain = _chain_rises(steps, alts, i, mark)
+    out = list(steps)
+    if c.marks == "rise":
+        chain.append(mark)
+    else:
+        out[mark - 1] = RISE
+    for rise in chain:
+        fall = _matching_fall(steps, alts, rise)
+        if fall <= mark:
+            raise RuntimeError("closing fall left of the mark")
+        _open(c.kind, out, steps, alts, fall)
+    return tuple(out)
+
+
+def _left_inv(c: _Construction, steps, i):
+    """Inverse of ``_left``: close the rightmost rises from altitudes i+1 up,
+    then recover the mark (the rise that closes at the first of them, or
+    the new rise from altitude i, made level again or deleted for B)."""
+    alts = altitudes(steps)
+    new = None if c.marks == "rise" else _rightmost_rise_from(steps, alts, i)
+    top = 2 * i + c.middle_offset
+    opened = [_rightmost_rise_from(steps, alts, a) for a in range(i + 1, top)]
+    if new is not None and any(q < new for q in opened):
+        raise RuntimeError("opened rise left of the new rise")
+    out = list(steps)
+    falls = [_close(c.kind, out, steps, alts, q) for q in opened]
+    if new is None:
+        p = tuple(out)
+        return p, _matching_rise(p, altitudes(p), falls[0])
+    out[new - 1] = LEVEL
+    if c.marks == "vertex":
+        del out[new - 1]
+        return tuple(out), new - 1
+    return tuple(out), new
 
 
 def construct(t: FiveTuple) -> MidPath:
     """Apply the construction named by the five-tuple: run the left-half
     surgery on p1 and, mirrored, on p2, and concatenate.  The result has
     middle altitude 2i+2 (A, C) or 2i+1 (B, D)."""
-    c = t.construction
-    left, _, wording = _variant(c)
-    kind = _KIND_FOR[c]
-    _require(t.p1.kind is kind and t.p2.kind is kind, f"construction {c} needs {kind.value} paths")
+    c = _construction(t.construction)
+    _require(t.p1.kind is c.kind and t.p2.kind is c.kind,
+             f"construction {t.construction} needs {c.kind.value} paths")
     _require(t.p1.k == t.p2.k, "p1 and p2 must have the same length")
     _require(t.p1.k >= 1, "paths must be nonempty")
     for side, path, mark in ((1, t.p1, t.mark1), (2, t.p2, t.mark2)):
         _require(
-            mark in _marks(c, path, t.i, side),
-            f"mark{side}={mark} is not {wording[side - 1].format(i=t.i)} in p{side}",
+            mark in c.candidates(path, t.i, side),
+            f"mark{side}={mark} is not {c.wording[side - 1].format(i=t.i)} in p{side}",
         )
     n = len(t.p1)
-    s1 = left(t.p1.steps, t.i, t.mark1)
-    s2 = _mirror(left(_mirror(t.p2.steps), t.i, _mirror_mark(c, n, t.mark2)))
-    path = Path(s1 + s2, kind)
+    s1 = _left(c, t.p1.steps, t.i, t.mark1)
+    s2 = _mirror(_left(c, _mirror(t.p2.steps), t.i, c.mirror_mark(n, t.mark2)))
+    path = Path(s1 + s2, c.kind)
     return MidPath(path, middle_altitude(path))
 
 
 def invert(construction: str, path: Path) -> FiveTuple:
     """Recover the unique five-tuple that the named construction maps to
     ``path``."""
-    _, left_inv, _ = _variant(construction)
-    kind = _KIND_FOR[construction]
-    _require(path.kind is kind, f"construction {construction} inverts {kind.value} paths")
-    extra = 2 if construction == "B" else 0  # B inserts one rise in each half
+    c = _construction(construction)
+    _require(path.kind is c.kind, f"construction {construction} inverts {c.kind.value} paths")
+    extra = 2 if c.marks == "vertex" else 0  # B inserts one step in each half
     _require(
         len(path) % 4 == extra and len(path) > extra,
         f"path length must be 4k{'+2' if extra else ''} with k >= 1, got {len(path)}",
     )
     mid = middle_altitude(path)
-    i = _middle_index(construction, mid)
-    law = "positive and even" if construction in "AC" else "odd"
+    i = c.middle_index(mid)
+    law = "positive and even" if c.marks == "rise" else "odd"
     _require(i is not None, f"middle altitude {mid} is not in the image of construction "
                             f"{construction}: it must be {law}")
     half = len(path) // 2
-    s1, mark1 = left_inv(path.steps[:half], i)
-    s2, mark2 = left_inv(_mirror(path.steps[half:]), i)
+    s1, mark1 = _left_inv(c, path.steps[:half], i)
+    s2, mark2 = _left_inv(c, _mirror(path.steps[half:]), i)
     return FiveTuple(
         construction,
-        Path(s1, kind),
-        Path(_mirror(s2), kind),
+        Path(s1, c.kind),
+        Path(_mirror(s2), c.kind),
         i,
         mark1,
-        _mirror_mark(construction, len(s2), mark2),
+        c.mirror_mark(len(s2), mark2),
     )
 
 
@@ -405,24 +368,25 @@ def invert(construction: str, path: Path) -> FiveTuple:
 
 def five_tuples(construction: str, k: int) -> Iterator[FiveTuple]:
     """Yield every valid five-tuple for the construction at size k."""
-    pool = list(_paths(construction, k))
+    c = _construction(construction)
+    pool = list(_paths(c, k))
     for p1 in pool:
         for p2 in pool:
             for i in range(k + 1):  # only B has marks at altitude k
-                for m1 in _marks(construction, p1, i, 1):
-                    for m2 in _marks(construction, p2, i, 2):
+                for m1 in c.candidates(p1, i, 1):
+                    for m2 in c.candidates(p2, i, 2):
                         yield FiveTuple(construction, p1, p2, i, m1, m2)
 
 
 def image_paths(construction: str, k: int) -> Iterator[Path]:
     """Yield the characterized image of the construction at size k: doubled
     paths whose middle altitude follows the construction's law."""
-    for p in _paths(construction, 2 * k + 1 if construction == "B" else 2 * k):
-        if _middle_index(construction, middle_altitude(p)) is not None:
+    c = _construction(construction)
+    for p in _paths(c, 2 * k + 1 if c.marks == "vertex" else 2 * k):
+        if c.middle_index(middle_altitude(p)) is not None:
             yield p
 
 
-def _paths(construction: str, k: int) -> Iterator[Path]:
+def _paths(c: _Construction, k: int) -> Iterator[Path]:
     """Every path of size k of the kind the construction takes."""
-    _variant(construction)
-    return (enumerate_dyck if _KIND_FOR[construction] is PathKind.DYCK else enumerate_alt_motzkin)(k)
+    return (enumerate_dyck if c.kind is PathKind.DYCK else enumerate_alt_motzkin)(k)

@@ -6,7 +6,8 @@ Exit codes: 0 on success, 1 when a verified identity fails (or on a
 computation error, or when stdout is closed before all output is written),
 2 on usage errors, including a number argument below its minimum, a negative
 or non-finite --time-budget, a verify or report whose --k-max leaves no
-identity to check, and a --k-max above K_MAX_LIMIT with no --time-budget.
+identity to check, a --k-max above K_MAX_LIMIT with no --time-budget, and
+a verify --rhs-index for identities 1-3.
 """
 
 from __future__ import annotations
@@ -163,7 +164,7 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_invert(args) -> int:
-    kind = bijections._KIND_FOR[args.construction]
+    kind = bijections._CONSTRUCTIONS[args.construction].kind
     path = parse(args.path, kind)
     t = bijections.invert(args.construction, path)
     _emit_records([t.to_json_dict()], args.format)
@@ -237,6 +238,9 @@ def _k_max_refused(k_max: int) -> bool:
 
 
 def _cmd_verify(args) -> int:
+    if args.rhs_index is not None and args.identity < 4:
+        print("error: --rhs-index applies to identities 4 and 5 only", file=sys.stderr)
+        return 2
     if _k_max_refused(args.k_max):
         return 2
     name = f"thm{args.identity}"
@@ -249,11 +253,7 @@ def _cmd_walk(args) -> int:
             PathKind.ALT_MOTZKIN if "L" in args.path.upper() else PathKind.DYCK
         )
         path = parse(args.path, kind)
-        walk = (
-            walks.dyck_to_walk(path)
-            if kind is PathKind.DYCK
-            else walks.alt_motzkin_to_walk(path)
-        )
+        walk = walks.path_to_walk(path)
         if args.format == "csv":
             print(walk.render())
         else:
@@ -269,11 +269,7 @@ def _cmd_walk(args) -> int:
             kind = PathKind(args.kind)
         else:
             kind = PathKind.ALT_MOTZKIN if 0 in walk.moves() else PathKind.DYCK
-        path = (
-            walks.walk_to_dyck(walk)
-            if kind is PathKind.DYCK
-            else walks.walk_to_alt_motzkin(walk)
-        )
+        path = walks.walk_to_path(walk, kind)
         if args.format == "csv":
             print(path.render())
         else:

@@ -250,23 +250,17 @@ class ExpectationVectors:
         return tuple(Fraction(x, self.denominator) for x in self.vertex_numerators)
 
 
-def expectation_vectors(
-    k: int, kind: PathKind | str, weighting: str | None = None
-) -> ExpectationVectors:
+def expectation_vectors(k: int, kind: PathKind | str) -> ExpectationVectors:
     """Expected rise/vertex(/level) vectors at size k: the fold's sums over
     its path count.
 
     Dyck paths are weighted uniformly; alternating Motzkin paths carry
     weight gamma**rises, so the numerators are polynomials in gamma over
-    the Narayana polynomial denominator.  ``weighting`` ("uniform" or
-    "gamma") is implied by the kind and only checked for consistency.
+    the Narayana polynomial denominator.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     kind = PathKind(kind)
-    implied = "uniform" if kind is PathKind.DYCK else "gamma"
-    if weighting is not None and weighting != implied:
-        raise ValueError(f"{kind.value} paths use the {implied} weighting, got {weighting!r}")
     if kind is PathKind.DYCK:
         f = fold_dyck(k)
         return ExpectationVectors(kind, k, f.rise_sums, f.vertex_sums, None, f.count)

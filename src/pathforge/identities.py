@@ -187,9 +187,19 @@ def _staged_folds(fold_upto, k_max: int):
         yield from fold_upto(-(-k_max >> j))
 
 
-# the fold each identity reads
-_FOLD_KIND = {"thm1": "dyck", "thm2": "dyck", "thm3": "altmotzkin", "thm4": "dyck",
-              "thm5": "altmotzkin"}
+# identity -> the fold kind it reads, its first k, and one call of its
+# verifier per right-hand variant, in report order.  The verifiers are
+# looked up when called, so a wrapper put on this module's verify_thmN
+# sees every call a sweep makes.
+_SWEEP = {
+    "thm1": ("dyck", 1, (lambda k, f: verify_thm1(k, f),)),
+    "thm2": ("dyck", 1, (lambda k, f: verify_thm2(k, f),)),
+    "thm3": ("altmotzkin", 1, (lambda k, f: verify_thm3(k, f),)),
+    "thm4": ("dyck", 2, (lambda k, f: verify_thm4(k, "k-1", f),
+                         lambda k, f: verify_thm4(k, "k", f))),
+    "thm5": ("altmotzkin", 2, (lambda k, f: verify_thm5(k, "k", f),
+                               lambda k, f: verify_thm5(k, "k-1", f))),
+}
 
 
 def sweep(
@@ -220,9 +230,8 @@ def sweep(
     folds: dict[str, list] = {kind: [] for kind in upto}
     reports: list[IdentityReport] = []
     for name in identities:
-        kind = _FOLD_KIND[name]
+        kind, k_min, variants = _SWEEP[name]
         have = folds[kind]
-        k_min = 2 if name in ("thm4", "thm5") else 1
         for k in range(k_min, k_max + 1):
             while len(have) <= k and not out_of_time():
                 f = next(passes[kind])
@@ -230,16 +239,5 @@ def sweep(
                     have.append(f)
             if out_of_time():
                 return SweepResult(tuple(reports), truncated=True)
-            if name == "thm1":
-                reports.append(verify_thm1(k, have))
-            elif name == "thm2":
-                reports.append(verify_thm2(k, have))
-            elif name == "thm3":
-                reports.append(verify_thm3(k, have))
-            elif name == "thm4":
-                reports.append(verify_thm4(k, "k-1", have))
-                reports.append(verify_thm4(k, "k", have))
-            else:
-                reports.append(verify_thm5(k, "k", have))
-                reports.append(verify_thm5(k, "k-1", have))
+            reports.extend(verify(k, have) for verify in variants)
     return SweepResult(tuple(reports))

@@ -56,11 +56,14 @@ def trace_power(matrix: np.ndarray, k: int) -> float:
     and k = 6 and 8 cost 2 n^3.  For odd k the trace sum reads
     A^h and A^h @ A in the same order (``np.vdot``).  The symmetry test
     runs in the same panels.  Any other matrix, one ulp off symmetric
-    included, takes the general path.
+    included, takes the general path.  Complex input is refused: the
+    result is a real float, and ``np.vdot`` would conjugate.
     """
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
+    if np.iscomplexobj(matrix):
+        raise ValueError(f"expected a real matrix, got dtype {matrix.dtype}")
     if k < 1:
         raise ValueError(f"power must be positive, got {k}")
     if k == 1:

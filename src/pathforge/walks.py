@@ -55,34 +55,18 @@ class Walk:
         return self.render()
 
 
-def dyck_to_walk(path: Path, start: int = 0) -> Walk:
-    """Loop-free closed walk visiting the path's altitudes, offset by start."""
-    if path.kind is not PathKind.DYCK:
-        raise ValueError("expected a Dyck path")
+def path_to_walk(path: Path, start: int = 0) -> Walk:
+    """Closed walk visiting the path's altitudes, offset by start: a loop
+    for each level step, so loop-free for a Dyck path."""
     if start < 0:
         raise ValueError("start node must be nonnegative")
     return Walk(tuple(a + start for a in path.altitudes()))
 
 
-def walk_to_dyck(walk: Walk) -> Path:
-    """Inverse of dyck_to_walk; rejects walks that use loops."""
-    if any(m == 0 for m in walk.moves()):
-        raise ValueError("walk uses loops; it does not correspond to a Dyck path")
-    return Path(walk.moves(), PathKind.DYCK)
-
-
-def alt_motzkin_to_walk(path: Path, start: int = 0) -> Walk:
-    """Closed walk with loops; right moves on even time steps only."""
-    if path.kind is not PathKind.ALT_MOTZKIN:
-        raise ValueError("expected an alternating Motzkin path")
-    if start < 0:
-        raise ValueError("start node must be nonnegative")
-    return Walk(tuple(a + start for a in path.altitudes()))
-
-
-def walk_to_alt_motzkin(walk: Walk) -> Path:
-    """Inverse of alt_motzkin_to_walk; the parity rule is revalidated."""
-    return Path(walk.moves(), PathKind.ALT_MOTZKIN)
+def walk_to_path(walk: Walk, kind: PathKind | str) -> Path:
+    """Inverse of path_to_walk: the walk's moves, validated as a path of the
+    given kind (so a walk with loops is no Dyck path)."""
+    return Path(walk.moves(), PathKind(kind))
 
 
 @dataclass(frozen=True)

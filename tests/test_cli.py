@@ -155,6 +155,15 @@ def test_verify_identity4_exit_code_follows_selected_convention(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("identity", ["1", "2", "3"])
+def test_verify_rhs_index_without_variants_is_a_usage_error(capsys, identity):
+    # identities 1-3 have one right-hand side; the option is refused, not ignored
+    code, out, err = run(capsys, "verify", "--identity", identity, "--k-max", "2",
+                         "--rhs-index", "k")
+    assert (code, out) == (2, "")
+    assert err == "error: --rhs-index applies to identities 4 and 5 only\n"
+
+
 def test_verify_identity3_polynomial_wire_format(capsys):
     code, out, _ = run(capsys, "verify", "--identity", "3", "--k-max", "3")
     assert code == 0

@@ -249,7 +249,7 @@ def count_fold_calls(monkeypatch):
 def test_sweep_folds_each_kind_in_logarithmically_many_passes(monkeypatch, names, k_max):
     calls = count_fold_calls(monkeypatch)
     sweep(names, k_max)
-    kinds = {identities._FOLD_KIND[name] for name in names}
+    kinds = {identities._SWEEP[name][0] for name in names}
     for kind, upto in (("dyck", "fold_dyck_upto"), ("altmotzkin", "fold_alt_motzkin_upto")):
         if kind in kinds:
             assert 1 <= calls[upto] <= math.ceil(math.log2(k_max)) + 1

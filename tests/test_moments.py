@@ -42,6 +42,10 @@ def test_trace_power_rejects_bad_input():
         trace_power(np.ones((2, 3)), 2)
     with pytest.raises(ValueError, match="positive"):
         trace_power(np.eye(2), 0)
+    # tr(diag(i, i)^6) = -2, but vdot conjugates and float() drops imaginary parts
+    for k in (6, 2):
+        with pytest.raises(ValueError, match="real matrix"):
+            trace_power(np.diag([1j, 1j]), k)
 
 
 @pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (2, 5), (3, 5), (3, 6)])

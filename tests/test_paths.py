@@ -250,15 +250,6 @@ def test_expectation_vectors_rejects_k0():
         expectation_vectors(0, "dyck")
 
 
-def test_expectation_vectors_weighting_consistency():
-    assert expectation_vectors(2, "dyck", "uniform") == expectation_vectors(2, "dyck")
-    assert expectation_vectors(2, "altmotzkin", "gamma") == expectation_vectors(2, "altmotzkin")
-    with pytest.raises(ValueError, match="uniform"):
-        expectation_vectors(2, "dyck", "gamma")
-    with pytest.raises(ValueError, match="gamma"):
-        expectation_vectors(2, "altmotzkin", "uniform")
-
-
 def test_path_equality_and_hash():
     a = parse("UUDD", "dyck")
     b = Path((RISE, RISE, FALL, FALL), PathKind.DYCK)

@@ -4,42 +4,53 @@ from fractions import Fraction
 
 import pytest
 
-from pathforge.paths import enumerate_alt_motzkin, enumerate_dyck, parse, stats
+from pathforge.paths import PathKind, enumerate_alt_motzkin, enumerate_dyck, parse, stats
 from pathforge.walks import (
     Walk,
-    alt_motzkin_to_walk,
-    dyck_to_walk,
+    path_to_walk,
     walk_identity_summary,
     walk_statistics,
-    walk_to_alt_motzkin,
-    walk_to_dyck,
+    walk_to_path,
 )
+
+_ENUMERATE = {PathKind.DYCK: enumerate_dyck, PathKind.ALT_MOTZKIN: enumerate_alt_motzkin}
 
 
 def test_dyck_to_walk_examples():
-    assert dyck_to_walk(parse("UD", "dyck")).nodes == (0, 1, 0)
-    assert dyck_to_walk(parse("UUDDUD", "dyck")).nodes == (0, 1, 2, 1, 0, 1, 0)
+    assert path_to_walk(parse("UD", "dyck")).nodes == (0, 1, 0)
+    assert path_to_walk(parse("UUDDUD", "dyck")).nodes == (0, 1, 2, 1, 0, 1, 0)
 
 
 def test_walk_to_dyck_example():
-    assert walk_to_dyck(Walk((0, 1, 0, 1, 0))).render() == "UDUD"
+    assert walk_to_path(Walk((0, 1, 0, 1, 0)), "dyck").render() == "UDUD"
 
 
 def test_walk_to_dyck_rejects_loops():
-    with pytest.raises(ValueError, match="loops"):
-        walk_to_dyck(Walk((0, 0, 1, 0, 0)))
+    with pytest.raises(ValueError, match="level step on odd step 1, which dyck paths forbid"):
+        walk_to_path(Walk((0, 0, 1, 0, 0)), "dyck")
 
 
 def test_alt_motzkin_walk_examples():
-    assert alt_motzkin_to_walk(parse("LL", "altmotzkin")).nodes == (0, 0, 0)
-    assert alt_motzkin_to_walk(parse("LUDL", "altmotzkin")).nodes == (0, 0, 1, 0, 0)
-    assert walk_to_alt_motzkin(Walk((0, 0, 1, 0, 0))).render() == "LUDL"
+    assert path_to_walk(parse("LL", "altmotzkin")).nodes == (0, 0, 0)
+    assert path_to_walk(parse("LUDL", "altmotzkin")).nodes == (0, 0, 1, 0, 0)
+    assert walk_to_path(Walk((0, 0, 1, 0, 0)), "altmotzkin").render() == "LUDL"
 
 
 def test_walk_to_alt_motzkin_rejects_parity_violation():
     # right move at odd time step 1
     with pytest.raises(ValueError, match="rise on odd step"):
-        walk_to_alt_motzkin(Walk((0, 1, 0, 0, 0)))
+        walk_to_path(Walk((0, 1, 0, 0, 0)), "altmotzkin")
+
+
+@pytest.mark.parametrize("kind", PathKind)
+def test_path_walk_map_offsets_and_inverts(kind):
+    for k in range(5):
+        for p in _ENUMERATE[kind](k):
+            walk = path_to_walk(p, start=2)
+            assert walk.nodes == tuple(a + 2 for a in p.altitudes())
+            assert walk_to_path(walk, kind) == p
+    with pytest.raises(ValueError, match="nonnegative"):
+        path_to_walk(next(_ENUMERATE[kind](1)), start=-1)
 
 
 def test_walk_validation():
@@ -60,31 +71,30 @@ def test_walk_parse_render():
 
 
 def test_walk_start_offset():
-    w = dyck_to_walk(parse("UUDD", "dyck"), start=3)
+    w = path_to_walk(parse("UUDD", "dyck"), start=3)
     assert w.nodes == (3, 4, 5, 4, 3)
-    assert walk_to_dyck(w).render() == "UUDD"
+    assert walk_to_path(w, "dyck").render() == "UUDD"
 
 
 @pytest.mark.parametrize("k", range(7))
 def test_round_trips_exhaustive(k):
-    for p in enumerate_dyck(k):
-        assert walk_to_dyck(dyck_to_walk(p)) == p
-    for p in enumerate_alt_motzkin(k):
-        assert walk_to_alt_motzkin(alt_motzkin_to_walk(p)) == p
+    for kind, enumerate_paths in _ENUMERATE.items():
+        for p in enumerate_paths(k):
+            assert walk_to_path(path_to_walk(p), kind) == p
 
 
 def test_walk_statistics_examples():
-    ws = walk_statistics(dyck_to_walk(parse("UDUDUD", "dyck")))
+    ws = walk_statistics(path_to_walk(parse("UDUDUD", "dyck")))
     assert ws.time_at_node == (4, 3)
     assert ws.advances_from_node == (3,)
     assert ws.loops_at_node == (0, 0)
 
-    ws = walk_statistics(alt_motzkin_to_walk(parse("LL", "altmotzkin")))
+    ws = walk_statistics(path_to_walk(parse("LL", "altmotzkin")))
     assert ws.time_at_node == (3,)
     assert ws.advances_from_node == ()
     assert ws.loops_at_node == (2,)
 
-    ws = walk_statistics(alt_motzkin_to_walk(parse("LUDL", "altmotzkin")))
+    ws = walk_statistics(path_to_walk(parse("LUDL", "altmotzkin")))
     assert ws.time_at_node == (4, 1)
     assert ws.advances_from_node == (1,)
     assert ws.loops_at_node == (2, 0)
@@ -94,7 +104,7 @@ def test_walk_statistics_examples():
 def test_walk_statistics_match_path_stats(k):
     for p in enumerate_dyck(k):
         st = stats(p)
-        ws = walk_statistics(dyck_to_walk(p))
+        ws = walk_statistics(path_to_walk(p))
         top = len(ws.time_at_node)
         assert ws.time_at_node == st.vertices_by_altitude[:top]
         assert all(v == 0 for v in st.vertices_by_altitude[top:])
@@ -102,7 +112,7 @@ def test_walk_statistics_match_path_stats(k):
         assert all(v == 0 for v in st.rises_by_altitude[len(ws.advances_from_node):])
     for p in enumerate_alt_motzkin(k):
         st = stats(p)
-        ws = walk_statistics(alt_motzkin_to_walk(p))
+        ws = walk_statistics(path_to_walk(p))
         top = len(ws.time_at_node)
         assert ws.time_at_node == st.vertices_by_altitude[:top]
         # loops count all level steps; even-step levels are exactly half
