@@ -24,13 +24,7 @@ from fractions import Fraction
 from . import bijections, walks
 from .identities import DEFAULT_RHS_INDEX, IdentityReport, sweep
 from .numeric import GammaPoly, catalan
-from .paths import (
-    PathKind,
-    enumerate_alt_motzkin,
-    enumerate_dyck,
-    parse,
-    stats,
-)
+from .paths import PathKind, _listing, parse, stats
 
 # the largest --k-max a sweep runs without a --time-budget: on 2 vCPUs an
 # all-identity sweep takes about 5 s to K=100 and 30 s to K=150
@@ -87,30 +81,23 @@ def _csv_cell(value):
     return value
 
 
-def _enumerator(kind: PathKind):
-    return enumerate_dyck if kind is PathKind.DYCK else enumerate_alt_motzkin
-
-
 def _cmd_enumerate(args) -> int:
     kind = PathKind(args.kind)
     count = catalan(args.k)  # both kinds are counted by the Catalan numbers
     if args.count_only:
         print(count)
         return 0
-    rendered = (p.render() for p in _enumerator(kind)(args.k))
+    rendered = _listing(kind, args.k)
+    out = sys.stdout
     if args.format == "csv":
-        for line in rendered:
-            print(line)
+        out.writelines(f"{line}\n" for line in rendered)
         return 0
     # paths are written as they are generated; the bytes are those of
-    # _emit_json on the whole object, whose "paths" list is never empty
+    # _emit_json on the whole object, whose "paths" list is never empty.
+    # A path is a string over U, D, L, so json.dumps only quotes it.
     head = json.dumps({"kind": kind.value, "k": args.k, "count": count}, indent=2)
-    out = sys.stdout
-    out.write(head[:-2] + ',\n  "paths": [\n')
-    sep = ""
-    for line in rendered:
-        out.write(f"{sep}    {json.dumps(line)}")
-        sep = ",\n"
+    out.write(f'{head[:-2]},\n  "paths": [\n    "{next(rendered)}"')
+    out.writelines(f',\n    "{line}"' for line in rendered)
     out.write("\n  ]\n}\n")
     return 0
 
@@ -250,7 +237,7 @@ def _cmd_verify(args) -> int:
 def _cmd_walk(args) -> int:
     if args.to:
         kind = PathKind(args.kind) if args.kind else (
-            PathKind.ALT_MOTZKIN if "L" in args.path.upper() else PathKind.DYCK
+            PathKind.ALT_MOTZKIN if "L" in args.path else PathKind.DYCK
         )
         path = parse(args.path, kind)
         walk = walks.path_to_walk(path)

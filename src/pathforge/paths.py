@@ -8,8 +8,14 @@ owns that encoding, and every other module reads steps through it.
 It also owns the step law of each kind, which steps may come at each
 1-based position: a Dyck path rises or falls at every step; an alternating
 Motzkin path may level anywhere but rises only on even steps and falls
-only on odd steps.  ``Path`` validation, the enumerators and the exact
+only on odd steps.  ``Path`` validation, the enumerator and the exact
 fold in ``fold`` all read the law through ``steps_at`` and ``fall_room``.
+
+The one enumerator lists rendered strings: it walks the prefixes of a
+path depth first and joins each to every precomputed tail that closes it,
+so a listing (``pathforge enumerate``) writes strings without building
+``Path`` objects.  ``enumerate_dyck``/``enumerate_alt_motzkin`` parse the
+same strings into validated paths, in the same order.
 """
 
 from __future__ import annotations
@@ -170,40 +176,66 @@ def parse(text: str, kind: PathKind | str) -> Path:
     return Path(tuple(steps), kind)
 
 
-def _steps(kind: PathKind, k: int) -> Iterator[tuple[int, ...]]:
-    """Yield every step sequence of length 2k that the kind's law allows,
-    trying at each position the allowed steps in the law's order."""
+# the most steps a precomputed tail closes: the tail table holds at most
+# 2**_TAIL_STEPS strings whatever k is
+_TAIL_STEPS = 12
+
+
+def _listing(kind: PathKind, k: int) -> Iterator[str]:
+    """Yield every path of length 2k that the kind's law allows, rendered,
+    in lexicographic order of the law's order at each position.
+
+    The last d = min(ceil(k/2), _TAIL_STEPS) steps come from a table, built
+    first, of every way to close from each altitude down to 0.  The first
+    2k - d steps are walked depth first on an explicit stack, and each
+    prefix is joined to every tail at its altitude, so a path costs one
+    string concatenation.  Raises at the call, not at the first item, on a
+    negative k."""
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
     n = 2 * k
-    allowed = [steps_at(kind, pos) for pos in range(n + 1)]
+    d = min((k + 1) // 2, _TAIL_STEPS)
+    p = n - d
+    # tails[a]: the strings for steps pos+1..n from altitude a down to 0,
+    # built from pos = n back to pos = p
+    tails = [[""]]
+    for pos in range(n, p, -1):
+        tails = [
+            [_CHARS[s + 1] + t for s in steps_at(kind, pos) if 0 <= a + s < len(tails)
+             for t in tails[a + s]]
+            for a in range(len(tails) + 1)
+        ]
     room = fall_room(kind, n)
-    steps = []
+    # each pos's steps, last first, so that the stack pops them in law order
+    pushes = [[(s, _CHARS[s + 1]) for s in reversed(steps_at(kind, pos))]
+              for pos in range(p + 1)]
 
-    def rec(pos: int, alt: int):
-        if pos == n:
-            yield tuple(steps)
-            return
-        for d in allowed[pos + 1]:
-            # a step is kept while the path can still close by step n
-            if 0 <= alt + d <= room[pos + 1]:
-                steps.append(d)
-                yield from rec(pos + 1, alt + d)
-                steps.pop()
+    def joined():
+        stack = [(0, 0, "")]
+        while stack:
+            pos, alt, prefix = stack.pop()
+            if pos == p:
+                yield from map(prefix.__add__, tails[alt])
+                continue
+            pos += 1
+            for s, char in pushes[pos]:
+                # a step is kept while the path can still close by step n
+                if 0 <= alt + s <= room[pos]:
+                    stack.append((pos, alt + s, prefix + char))
 
-    return rec(0, 0)
+    return joined()
 
 
 def enumerate_dyck(k: int) -> Iterator[Path]:
     """Yield every Dyck path of length 2k once, in lexicographic order of
     the rendered string with U < D."""
-    return (Path(raw, PathKind.DYCK) for raw in _steps(PathKind.DYCK, k))
+    return (parse(text, PathKind.DYCK) for text in _listing(PathKind.DYCK, k))
 
 
 def enumerate_alt_motzkin(k: int) -> Iterator[Path]:
     """Yield every alternating Motzkin path of length 2k once, in
     lexicographic order of the rendered string with L < U and L < D."""
-    return (Path(raw, PathKind.ALT_MOTZKIN) for raw in _steps(PathKind.ALT_MOTZKIN, k))
+    return (parse(text, PathKind.ALT_MOTZKIN) for text in _listing(PathKind.ALT_MOTZKIN, k))
 
 
 @dataclass(frozen=True)

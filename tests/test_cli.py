@@ -193,6 +193,13 @@ def test_walk_invalid_path_is_reported(capsys):
     assert "error" in err
 
 
+def test_walk_lowercase_path_is_refused(capsys):
+    # parse accepts the capitals U, D, L alone, whatever kind is guessed
+    code, out, err = run(capsys, "walk", "--to", "--path", "ludl")
+    assert (code, out) == (1, "")
+    assert err == "error: invalid character 'l' at position 1\n"
+
+
 def test_mc_json_schema_and_determinism(capsys):
     args = ("mc", "--ensemble", "wishart", "--k", "2", "--n", "40", "--m", "20",
             "--trials", "3", "--seed", "7")
@@ -336,6 +343,12 @@ def test_truncated_csv_report_says_so_on_stderr(capsys):
 _PINNED_OUTPUTS = {
     "enumerate --kind dyck --k 10": "69ce3ffd1c2eedce26b0dbc4c0c66ac477df47e2f35c650395a62a07215088da",
     "enumerate --kind altmotzkin --k 10": "b531282f3233d1ef67c57e2d4748e0e8773bef456bc37273eea4249d336b77f9",
+    "enumerate --kind dyck --k 11 --format csv": "dfba36bc75f1eb70f53bcba42cea451a3c4228ad926450da114095fd86d6f264",
+    "enumerate --kind altmotzkin --k 11 --format csv": "29d5c0f7f9f450b2040f37a63c50741c00d90de33199cb45c33a85efe04fecc2",
+    "enumerate --kind dyck --k 0": "8dae2fa481106eb20e975b601ac5900d70dfa19507a1e2af30d60c69851cca42",
+    "enumerate --kind altmotzkin --k 0": "e7df1a5024c7838ad501310f4dea5495adc517f66ccf874a79fb21d60417fa25",
+    "enumerate --kind dyck --k 1": "697c2552a3faf332a4bc9b33db22ea77e3db0a0fc2327ccc4e0571db67c50276",
+    "enumerate --kind altmotzkin --k 1": "d8b9b6c594249b59ceb8a12aac46824986f682d2ae39e67a12380644980c5dec",
     "report --k-max 30": "fd0857789ed21eef3c7fe34ee87e24b91c3dcc9bed35a60880ade8edcca6a552",
     "report --k-max 30 --format csv": "cb168fcf51f6390904a89429a5ae376758e8435757a536d5ab5a48e1a643426f",
     "verify --identity 1 --k-max 30": "9e3d2f575fcf1222fabcbef9b8fb08d34220db0fad97f390dd424355752b7ce9",
@@ -437,9 +450,12 @@ def _pathforge(argv, stdout, module=True):
 @pytest.mark.parametrize("argv", [
     ["enumerate", "--kind", "dyck", "--k", "10"],
     ["report", "--k-max", "25"],
+    # streams: a listing that built every half of length k first would
+    # hold about 2**30 strings before its first line
+    ["enumerate", "--kind", "dyck", "--k", "30"],
 ])
 def test_closed_stdout_exits_1_without_traceback(argv):
-    # like `| head -1`: both outputs are far larger than a pipe buffer, so a
+    # like `| head -1`: each output is far larger than a pipe buffer, so a
     # write fails once the reader has gone
     proc = _pathforge(argv, subprocess.PIPE)
     first = proc.stdout.readline()

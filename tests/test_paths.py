@@ -1,7 +1,11 @@
 """Path parsing, enumeration, statistics, and the level-parity lemma."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path as FilePath
 
 import pytest
 
@@ -13,11 +17,13 @@ from pathforge.paths import (
     RISE,
     Path,
     PathKind,
+    _listing,
     check_level_parity,
     enumerate_alt_motzkin,
     enumerate_dyck,
     parse,
     stats,
+    steps_at,
 )
 
 
@@ -100,12 +106,44 @@ def test_dyck_enumeration_k0():
     assert paths[0].render() == ""
 
 
-def test_dyck_enumeration_lexicographic():
-    order = {"U": 0, "D": 1}
-    rendered = [p.render() for p in enumerate_dyck(4)]
-    keyed = [[order[c] for c in s] for s in rendered]
-    assert keyed == sorted(keyed)
-    assert len(set(rendered)) == len(rendered)
+@pytest.mark.parametrize("kind", PathKind, ids=lambda kind: kind.value)
+def test_enumeration_is_the_law_order_product(kind):
+    # the listing is every sequence of the law's characters, tried at each
+    # position in the law's order, that validation accepts, in that order;
+    # odd and even k give both roundings of the tail length ceil(k/2)
+    enumerate_kind = enumerate_dyck if kind is PathKind.DYCK else enumerate_alt_motzkin
+    char = {RISE: "U", LEVEL: "L", FALL: "D"}
+    for k in range(7):
+        expected = []
+        for chars in product(*(
+            [char[s] for s in steps_at(kind, pos)] for pos in range(1, 2 * k + 1)
+        )):
+            try:
+                expected.append(parse("".join(chars), kind).render())
+            except ValueError:
+                pass
+        assert len(expected) == catalan(k)
+        assert list(_listing(kind, k)) == expected, k
+        assert [p.render() for p in enumerate_kind(k)] == expected, k
+
+
+# prints the first path of size 1000 in an interpreter whose address space
+# is capped at 256 MiB, so that a tail table sized by k fails fast
+_FIRST_OF_HUGE_K = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))
+from pathforge.paths import PathKind, _listing
+print(next(_listing(PathKind(sys.argv[1]), 1000)))
+"""
+
+
+def test_huge_k_lists_its_first_path_at_once():
+    src = str(FilePath(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for kind, first in ((PathKind.DYCK, "U" * 1000 + "D" * 1000), (PathKind.ALT_MOTZKIN, "L" * 2000)):
+        proc = subprocess.run([sys.executable, "-c", _FIRST_OF_HUGE_K, kind.value],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (0, first + "\n"), proc.stderr
 
 
 def test_dyck_k3_rise_vector_multiset():
@@ -133,7 +171,6 @@ def test_dyck_k3_example_table():
 
 def test_alt_motzkin_small_enumerations():
     assert [p.render() for p in enumerate_alt_motzkin(1)] == ["LL"]
-    assert sorted(p.render() for p in enumerate_alt_motzkin(2)) == ["LLLL", "LUDL"]
     assert sorted(p.rise_count() for p in enumerate_alt_motzkin(3)) == [0, 1, 1, 1, 2]
 
 
