@@ -6,23 +6,22 @@ Exit codes: 0 on success, 1 when a verified identity fails (or on a
 computation error, or when stdout is closed before all output is written),
 2 on usage errors, including a number argument below its minimum, a negative
 or non-finite --time-budget, a verify or report whose --k-max leaves no
-identity to check, a --k-max above K_MAX_LIMIT with no --time-budget, and
-a verify --rhs-index for identities 1-3.
+identity to check, a --k-max above K_MAX_LIMIT with no --time-budget,
+a verify --rhs-index for identities 1-3, a report --identities list with a
+repeat, and an enumerate --k whose path count has more digits than Python
+prints (JSON and --count-only; CSV prints no count).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
 import sys
 from fractions import Fraction
 
-from . import bijections, walks
-from .identities import DEFAULT_RHS_INDEX, IdentityReport, sweep
+# every command needs these; each command imports the rest of what it runs
 from .numeric import GammaPoly, catalan
 from .paths import PathKind, _listing, parse, stats
 
@@ -51,6 +50,9 @@ def _emit_json(obj):
 
 
 def _emit_csv(rows, header):
+    import csv
+    import io
+
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(header)
@@ -81,17 +83,33 @@ def _csv_cell(value):
     return value
 
 
+def _count_refused(k: int) -> bool:
+    """Say so on stderr, and return True, when catalan(k) has more digits
+    than Python converts to a string; found from lgamma, with no big-int
+    work."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit (or before 3.10.7)
+    log10 = (math.lgamma(2 * k + 1) - math.lgamma(k + 1) - math.lgamma(k + 2)) / math.log(10)
+    if not limit or log10 < limit:
+        return False
+    print(f"error: --k {k}: the path count has more than {limit} digits, more than Python "
+          "prints; --format csv lists the paths without it", file=sys.stderr)
+    return True
+
+
 def _cmd_enumerate(args) -> int:
     kind = PathKind(args.kind)
+    out = sys.stdout
+    if args.format == "csv" and not args.count_only:
+        # one path per line, no count
+        out.writelines(f"{line}\n" for line in _listing(kind, args.k))
+        return 0
+    if _count_refused(args.k):
+        return 2
     count = catalan(args.k)  # both kinds are counted by the Catalan numbers
     if args.count_only:
         print(count)
         return 0
     rendered = _listing(kind, args.k)
-    out = sys.stdout
-    if args.format == "csv":
-        out.writelines(f"{line}\n" for line in rendered)
-        return 0
     # paths are written as they are generated; the bytes are those of
     # _emit_json on the whole object, whose "paths" list is never empty.
     # A path is a string over U, D, L, so json.dumps only quotes it.
@@ -122,7 +140,8 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _load_tuple(args) -> bijections.FiveTuple:
+def _tuple_json(args):
+    """The five-tuple's JSON value: --input, stdin, or the k=1 default."""
     if args.input is None:
         defaults = _DEFAULT_TUPLES[args.construction]
         if defaults is None:
@@ -134,11 +153,13 @@ def _load_tuple(args) -> bijections.FiveTuple:
         data = json.loads(args.input)
     if isinstance(data, dict):
         data["construction"] = args.construction
-    return bijections.FiveTuple.from_json_dict(data)
+    return data
 
 
 def _cmd_map(args) -> int:
-    t = _load_tuple(args)
+    from . import bijections
+
+    t = bijections.FiveTuple.from_json_dict(_tuple_json(args))
     mp = bijections.construct(t)
     record = {
         "construction": t.construction,
@@ -151,6 +172,8 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_invert(args) -> int:
+    from . import bijections
+
     kind = bijections._CONSTRUCTIONS[args.construction].kind
     path = parse(args.path, kind)
     t = bijections.invert(args.construction, path)
@@ -158,7 +181,7 @@ def _cmd_invert(args) -> int:
     return 0
 
 
-def _report_record(r: IdentityReport) -> dict:
+def _report_record(r) -> dict:
     record = {
         "id": r.identity,
         "k": r.k,
@@ -194,6 +217,8 @@ def _emit_reports(reports, fmt: str, truncated: bool = False):
 
 
 def _verify_exit_code(reports, selected_rhs_index) -> int:
+    from .identities import DEFAULT_RHS_INDEX
+
     for r in reports:
         if r.rhs_index is None:
             if not r.equal:
@@ -225,6 +250,8 @@ def _k_max_refused(k_max: int) -> bool:
 
 
 def _cmd_verify(args) -> int:
+    from .identities import sweep
+
     if args.rhs_index is not None and args.identity < 4:
         print("error: --rhs-index applies to identities 4 and 5 only", file=sys.stderr)
         return 2
@@ -235,6 +262,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_walk(args) -> int:
+    from . import walks
+
     if args.to:
         kind = PathKind(args.kind) if args.kind else (
             PathKind.ALT_MOTZKIN if "L" in args.path else PathKind.DYCK
@@ -300,6 +329,8 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from .identities import sweep
+
     if args.time_budget is None and _k_max_refused(args.k_max):
         return 2
     names = [f"thm{i}" for i in args.identities]
@@ -338,9 +369,11 @@ def _identity_list(text: str) -> list[int]:
         values = [int(part) for part in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated identity numbers, got {text!r}")
-    for v in values:
+    for j, v in enumerate(values):
         if not 1 <= v <= 5:
             raise argparse.ArgumentTypeError(f"identity must be in 1..5, got {v}")
+        if v in values[:j]:
+            raise argparse.ArgumentTypeError(f"identity {v} is repeated")
     return values
 
 

@@ -9,9 +9,8 @@ a prefix that is back at altitude 0 after step 2k, so one pass to length
 step: O(K^3) int operations for all of them, where folding each size
 apart costs O(K^4).  ``fold_dyck_upto`` and ``fold_alt_motzkin_upto``
 yield those folds in order; ``fold_dyck`` and ``fold_alt_motzkin`` are
-the last of them, and ``expectation_vectors`` divides one by its path
-count.  The steps each position allows come from the step law in
-``paths``, the same table that validates a ``Path``.
+the last of them.  The steps each position allows come from the step law
+in ``paths``, the same table that validates a ``Path``.
 
 Each state carries, summed over the prefixes that reach it, the prefix
 count, the count X of every event (a rise from, a vertex at, or an
@@ -35,10 +34,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator, Union
+from typing import Iterator
 
-from .numeric import GammaPoly
 from .paths import PathKind, fall_room, steps_at
 
 # One implementation; the names stay because benchmark runs record them and
@@ -223,53 +220,3 @@ def fold_alt_motzkin(k: int) -> AltMotzkinFold:
     one unpacked."""
     width = _alt_motzkin_width(k)
     return _alt_motzkin_fold(_last(_fold_upto(k, PathKind.ALT_MOTZKIN, width)), width)
-
-
-@dataclass(frozen=True)
-class ExpectationVectors:
-    """Exact expected altitude vectors as numerators over a common
-    denominator: ints over catalan(k) for uniform Dyck paths, GammaPoly
-    over the Narayana polynomial for rise-weighted alternating Motzkin
-    paths."""
-
-    kind: PathKind
-    k: int
-    rise_numerators: tuple[Union[int, GammaPoly], ...]
-    vertex_numerators: tuple[Union[int, GammaPoly], ...]
-    level_numerators: tuple[Union[int, GammaPoly], ...] | None
-    denominator: Union[int, GammaPoly]
-
-    def rise_expectations(self) -> tuple[Fraction, ...]:
-        if self.kind is not PathKind.DYCK:
-            raise ValueError("exact Fractions only for the uniform Dyck weighting")
-        return tuple(Fraction(x, self.denominator) for x in self.rise_numerators)
-
-    def vertex_expectations(self) -> tuple[Fraction, ...]:
-        if self.kind is not PathKind.DYCK:
-            raise ValueError("exact Fractions only for the uniform Dyck weighting")
-        return tuple(Fraction(x, self.denominator) for x in self.vertex_numerators)
-
-
-def expectation_vectors(k: int, kind: PathKind | str) -> ExpectationVectors:
-    """Expected rise/vertex(/level) vectors at size k: the fold's sums over
-    its path count.
-
-    Dyck paths are weighted uniformly; alternating Motzkin paths carry
-    weight gamma**rises, so the numerators are polynomials in gamma over
-    the Narayana polynomial denominator.
-    """
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    kind = PathKind(kind)
-    if kind is PathKind.DYCK:
-        f = fold_dyck(k)
-        return ExpectationVectors(kind, k, f.rise_sums, f.vertex_sums, None, f.count)
-    f = fold_alt_motzkin(k)
-    return ExpectationVectors(
-        kind,
-        k,
-        tuple(GammaPoly(row) for row in f.rise_sums),
-        tuple(GammaPoly(row) for row in f.vertex_sums),
-        tuple(GammaPoly(row) for row in f.level_sums),
-        GammaPoly(f.counts_by_rises),
-    )

@@ -7,15 +7,16 @@ paths; walks whose right moves happen only at even time steps and left
 moves only at odd time steps correspond to alternating Motzkin paths.
 Under the correspondence, time spent at node i is the vertex count V_i,
 advances into node i+1 are the rises R_i, and loops at node i are the
-level steps there.
+level steps there.  So identities 1 and 2 (``identities.verify_thm1`` and
+``verify_thm2``) restate for a uniform random closed loop-free walk of
+length 2k: they give the total square-average advances into higher nodes
+and the total square-average time at a node in closed form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .identities import verify_thm1, verify_thm2
 from .paths import Path, PathKind
 
 
@@ -97,31 +98,3 @@ def walk_statistics(walk: Walk) -> WalkStatistics:
         elif b == a:
             loops[a] += 1
     return WalkStatistics(tuple(time), tuple(advances), tuple(loops))
-
-
-@dataclass(frozen=True)
-class WalkIdentitySummary:
-    """The two Dyck identities restated for uniform random closed loop-free
-    walks of length 2k: total square-average advances into higher nodes and
-    total square-average time at a node, with their closed forms."""
-
-    k: int
-    square_avg_advances: Fraction
-    advances_closed_form: Fraction
-    square_avg_time: Fraction
-    time_closed_form: Fraction
-
-    @property
-    def advances_identity_holds(self) -> bool:
-        return self.square_avg_advances == self.advances_closed_form
-
-    @property
-    def time_identity_holds(self) -> bool:
-        return self.square_avg_time == self.time_closed_form
-
-
-def walk_identity_summary(k: int) -> WalkIdentitySummary:
-    """Exact square-average occupation statistics for walks of length 2k."""
-    r1 = verify_thm1(k)
-    r2 = verify_thm2(k)
-    return WalkIdentitySummary(k, r1.lhs, r1.rhs, r2.lhs, r2.rhs)

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from pathforge import bijections
 from pathforge.cli import K_MAX_LIMIT, main
+from pathforge.numeric import catalan
 from pathforge.paths import enumerate_alt_motzkin, enumerate_dyck
 
 
@@ -29,11 +31,34 @@ def run(capsys, *argv):
     ("dyck", 6, 132),
     ("dyck", 40, 2622127042276492108820),
     ("altmotzkin", 40, 2622127042276492108820),
+    ("altmotzkin", 7152, catalan(7152)),  # 4300 digits, the most Python prints by default
 ])
 def test_enumerate_count_only(capsys, kind, k, count):
     code, out, _ = run(capsys, "enumerate", "--kind", kind, "--k", str(k), "--count-only")
     assert code == 0
     assert out.strip() == str(count)
+
+
+@pytest.mark.parametrize("extra", [[], ["--count-only"]])
+def test_enumerate_count_too_long_to_print_is_refused(capsys, extra):
+    # Catalan(7153) has 4301 digits, one more than Python prints by default;
+    # the refusal comes before the count is computed
+    start = time.perf_counter()
+    code, out, err = run(capsys, "enumerate", "--kind", "dyck", "--k", "7153", *extra)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --k 7153: the path count has more than 4300 digits"), err
+    assert len(err.splitlines()) == 1
+
+
+def test_enumerate_csv_streams_at_any_k():
+    # CSV has no count, so no size refuses it: the first path comes at once
+    proc = _pathforge(["enumerate", "--kind", "dyck", "--k", "20000", "--format", "csv"],
+                      subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.kill()
+    proc.communicate(timeout=120)
+    assert first == b"U" * 20000 + b"D" * 20000 + b"\n"
 
 
 def test_enumerate_json_schema(capsys):
@@ -227,6 +252,15 @@ def test_report_sweep(capsys):
     data = json.loads(out)
     ids = {r["id"] for r in data["reports"]}
     assert ids == {"thm1", "thm4"}
+
+
+def test_report_repeated_identity_is_a_usage_error(capsys):
+    # a repeat would print every report of that identity twice
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--identities", "1,1", "--k-max", "1"])
+    assert exc.value.code == 2
+    _, err = capsys.readouterr()
+    assert "error: argument --identities: identity 1 is repeated" in err
 
 
 def test_report_csv_header(capsys):
@@ -525,6 +559,46 @@ def test_only_mc_imports_numpy():
         "stats 0 False", "map 0 False", "invert 0 False", "walk 0 False", "verify 0 False",
         "report 0 False", "enumerate 0 False", "mc 0 True",
     ]
+
+
+# the pathforge modules each command loads, in a fresh interpreter: a
+# command imports what it runs, so the fold loads for report and verify alone
+_MODULES_SCRIPT = """
+import contextlib, io, sys
+from pathforge.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m == "numpy" or m.startswith("pathforge.")))
+"""
+_BASE = ["pathforge.cli", "pathforge.numeric", "pathforge.paths"]
+_LOADS = {
+    "enumerate": _BASE,
+    "stats": _BASE,
+    "report": _BASE + ["pathforge.fold", "pathforge.identities"],
+    "verify": _BASE + ["pathforge.fold", "pathforge.identities"],
+    "map": _BASE + ["pathforge.bijections"],
+    "invert": _BASE + ["pathforge.bijections"],
+    "walk": _BASE + ["pathforge.walks"],
+    "mc": _BASE + ["pathforge.moments", "numpy"],
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--kind", "altmotzkin", "--k", "4"],
+    ["enumerate", "--kind", "dyck", "--k", "4", "--format", "csv"],
+    ["stats", "--path", "UDUD", "--kind", "dyck"],
+    ["report", "--k-max", "6", "--format", "csv"],
+    ["verify", "--identity", "4", "--k-max", "6"],
+    ["map", "--construction", "B"],
+    ["invert", "--construction", "A", "--path", "UUUDDUDD"],
+    ["walk", "--to", "--path", "LUDL"],
+    ["mc", "--ensemble", "wigner", "--k", "2", "--n", "4", "--trials", "2"],
+], ids=" ".join)
+def test_each_command_loads_only_what_it_runs(argv):
+    proc = _pathforge(["-c", _MODULES_SCRIPT, *argv], subprocess.PIPE, module=False)
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    assert out.decode().split() == ["0", *sorted(_LOADS[argv[0]])]
 
 
 def test_mc_without_numpy_is_one_error_line():

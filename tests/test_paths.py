@@ -9,7 +9,7 @@ from pathlib import Path as FilePath
 
 import pytest
 
-from pathforge.fold import expectation_vectors
+from pathforge.fold import fold_alt_motzkin, fold_dyck
 from pathforge.numeric import GammaPoly, catalan, narayana_poly
 from pathforge.paths import (
     FALL,
@@ -262,29 +262,30 @@ def test_level_parity_requires_alt_motzkin():
 
 
 def test_expectation_vectors_dyck_k3():
-    ev = expectation_vectors(3, "dyck")
-    assert ev.denominator == 5
-    assert ev.rise_numerators == (9, 5, 1)
-    assert ev.vertex_numerators == (14, 14, 6, 1)
-    assert ev.rise_expectations() == (Fraction(9, 5), Fraction(1), Fraction(1, 5))
-    assert ev.vertex_expectations() == (
+    # the paper's worked k=3 values: the fold's sums over its path count
+    f = fold_dyck(3)
+    assert f.count == 5
+    assert f.rise_sums == (9, 5, 1)
+    assert f.vertex_sums == (14, 14, 6, 1)
+    assert [Fraction(x, f.count) for x in f.rise_sums] == [Fraction(9, 5), 1, Fraction(1, 5)]
+    assert [Fraction(x, f.count) for x in f.vertex_sums] == [
         Fraction(14, 5),
         Fraction(14, 5),
         Fraction(6, 5),
         Fraction(1, 5),
-    )
+    ]
 
 
 def test_expectation_vectors_alt_motzkin_k3():
-    ev = expectation_vectors(3, "altmotzkin")
-    assert ev.denominator == GammaPoly([1, 3, 1])
-    assert ev.rise_numerators == (GammaPoly([0, 3, 2]), GammaPoly(), GammaPoly())
-    assert ev.level_numerators == (GammaPoly([3, 5, 1]), GammaPoly([0, 1]), GammaPoly())
-
-
-def test_expectation_vectors_rejects_k0():
-    with pytest.raises(ValueError):
-        expectation_vectors(0, "dyck")
+    # numerators in gamma over the Narayana polynomial 1 + 3g + g^2
+    f = fold_alt_motzkin(3)
+    assert GammaPoly(f.counts_by_rises) == GammaPoly([1, 3, 1])
+    assert [GammaPoly(row) for row in f.rise_sums] == [GammaPoly([0, 3, 2]), GammaPoly(), GammaPoly()]
+    assert [GammaPoly(row) for row in f.level_sums] == [
+        GammaPoly([3, 5, 1]),
+        GammaPoly([0, 1]),
+        GammaPoly(),
+    ]
 
 
 def test_path_equality_and_hash():

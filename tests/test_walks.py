@@ -4,14 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from pathforge.identities import verify_thm1, verify_thm2
 from pathforge.paths import PathKind, enumerate_alt_motzkin, enumerate_dyck, parse, stats
-from pathforge.walks import (
-    Walk,
-    path_to_walk,
-    walk_identity_summary,
-    walk_statistics,
-    walk_to_path,
-)
+from pathforge.walks import Walk, path_to_walk, walk_statistics, walk_to_path
 
 _ENUMERATE = {PathKind.DYCK: enumerate_dyck, PathKind.ALT_MOTZKIN: enumerate_alt_motzkin}
 
@@ -120,14 +115,15 @@ def test_walk_statistics_match_path_stats(k):
             assert loops == 2 * st.even_levels_by_altitude[node]
 
 
-def test_walk_identity_summary_k3():
-    rep = walk_identity_summary(3)
-    assert rep.square_avg_advances == Fraction(107, 25) == rep.advances_closed_form
-    assert rep.square_avg_time == Fraction(429, 25) == rep.time_closed_form
-    assert rep.advances_identity_holds and rep.time_identity_holds
+def test_walk_identities_k3():
+    # identities 1 and 2 over closed loop-free walks of length 6: square-average
+    # advances into higher nodes, and square-average time at a node
+    advances, time = verify_thm1(3), verify_thm2(3)
+    assert advances.lhs == Fraction(107, 25) == advances.rhs
+    assert time.lhs == Fraction(429, 25) == time.rhs
+    assert advances.equal and time.equal
 
 
-def test_walk_identity_summary_k1():
-    rep = walk_identity_summary(1)
-    assert rep.square_avg_advances == 1
-    assert rep.square_avg_time == 5
+def test_walk_identities_k1():
+    assert verify_thm1(1).lhs == 1
+    assert verify_thm2(1).lhs == 5
