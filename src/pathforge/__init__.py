@@ -41,13 +41,13 @@ __version__ = "0.1.0"
 # public name -> the submodule that defines it
 _EXPORTS = {
     **dict.fromkeys(
-        ["GAMMA", "GammaPoly", "ONE", "ZERO", "catalan", "narayana", "narayana_poly"], "numeric"),
+        ["GAMMA", "GammaPoly", "catalan", "narayana", "narayana_poly"], "numeric"),
     **dict.fromkeys(
         ["AltitudeStats", "Path", "PathKind", "check_level_parity", "enumerate_alt_motzkin",
          "enumerate_dyck", "parse", "stats"], "paths"),
     **dict.fromkeys(
-        ["AltMotzkinFold", "BACKEND_NAME", "DyckFold", "HAVE_COMPILED", "fold_alt_motzkin",
-         "fold_alt_motzkin_upto", "fold_dyck", "fold_dyck_upto"], "fold"),
+        ["AltMotzkinFold", "BACKEND_NAME", "DyckFold", "HAVE_COMPILED", "fold_alt_motzkin_upto",
+         "fold_dyck_upto"], "fold"),
     **dict.fromkeys(
         ["FiveTuple", "MidPath", "construct", "five_tuples", "image_paths", "invert",
          "middle_altitude"], "bijections"),

@@ -39,6 +39,10 @@ from .paths import (
 )
 
 
+# the fields of a five-tuple's JSON form
+_FIELDS = frozenset(("construction", "p1", "p2", "i", "mark1", "mark2"))
+
+
 @dataclass(frozen=True)
 class FiveTuple:
     """Input of a construction: two paths, a common altitude, and one mark
@@ -71,10 +75,14 @@ class FiveTuple:
     @classmethod
     def from_json_dict(cls, data: dict) -> "FiveTuple":
         """Build a tuple from its JSON form, rejecting malformed input with
-        ValueError: paths must be strings and i/mark1/mark2 ints (not
-        bools), with no coercion."""
+        ValueError: exactly the six fields of ``to_json_dict``, paths
+        strings and i/mark1/mark2 ints (not bools), with no coercion."""
         if not isinstance(data, dict):
             raise ValueError(f"five-tuple must be a JSON object, got {type(data).__name__}")
+        if data.keys() != _FIELDS:
+            problems = [f"{name!r} is missing" for name in sorted(_FIELDS - data.keys())]
+            problems += [f"{name!r} is unknown" for name in data if name not in _FIELDS]
+            raise ValueError("five-tuple field " + ", ".join(problems))
         construction = data["construction"]
         if not isinstance(construction, str) or construction not in _CONSTRUCTIONS:
             raise ValueError(f"unknown construction {construction!r}")

@@ -3,13 +3,15 @@ inverses, identity verification, walk translation, and Monte Carlo moments.
 
 Output goes to stdout as JSON by default or CSV with ``--format csv``.
 Exit codes: 0 on success, 1 when a verified identity fails (or on a
-computation error, or when stdout is closed before all output is written),
-2 on usage errors, including a number argument below its minimum, a negative
+computation error, an allocation that fails, an mc value that is not a
+finite float, or when stdout is closed before all output is written), 2 on
+usage errors, including a number argument below its minimum, a negative
 or non-finite --time-budget, a verify or report whose --k-max leaves no
 identity to check, a --k-max above K_MAX_LIMIT with no --time-budget,
-a verify --rhs-index for identities 1-3, a report --identities list with a
-repeat, and an enumerate --k whose path count has more digits than Python
-prints (JSON and --count-only; CSV prints no count).
+an mc --k above MC_K_LIMIT, a verify --rhs-index for identities 1-3, a
+report --identities list with a repeat, and an enumerate --k whose path
+count has more digits than Python prints (JSON and --count-only; CSV
+prints no count).
 """
 
 from __future__ import annotations
@@ -28,6 +30,13 @@ from .paths import PathKind, _listing, parse, stats
 # the largest --k-max a sweep runs without a --time-budget: on 2 vCPUs an
 # all-identity sweep takes about 5 s to K=100 and 30 s to K=150
 K_MAX_LIMIT = 100
+
+# the largest mc --k: the Wigner target of an even k is C_{k/2}, and C_520
+# (k = 1040) is the first Catalan number above sys.float_info.max, about
+# 1.8e308 (C_519 is about 1.4e308).  Refused before any big-int work, the
+# bound also keeps the target's cost small for both ensembles: narayana_poly
+# (1039) takes about 0.05 s.  A value still not a finite float is an error.
+MC_K_LIMIT = 1039
 
 _DEFAULT_TUPLES = {
     "A": {"p1": "UD", "p2": "UD", "i": 0, "mark1": 1, "mark2": 2},
@@ -74,10 +83,6 @@ def _emit_records(records: list[dict], fmt: str):
 def _csv_cell(value):
     if isinstance(value, (list, tuple)):
         return " ".join(str(v) for v in value)
-    if isinstance(value, GammaPoly):
-        return " ".join(value.to_json())
-    if isinstance(value, Fraction):
-        return str(value)
     if value is None:
         return ""
     return value
@@ -152,7 +157,10 @@ def _tuple_json(args):
     else:
         data = json.loads(args.input)
     if isinstance(data, dict):
-        data["construction"] = args.construction
+        named = data.setdefault("construction", args.construction)
+        if named != args.construction:
+            raise ValueError(f"--input names construction {named!r}, but --construction is "
+                             f"{args.construction}")
     return data
 
 
@@ -216,20 +224,6 @@ def _emit_reports(reports, fmt: str, truncated: bool = False):
         _emit_json(obj)
 
 
-def _verify_exit_code(reports, selected_rhs_index) -> int:
-    from .identities import DEFAULT_RHS_INDEX
-
-    for r in reports:
-        if r.rhs_index is None:
-            if not r.equal:
-                return 1
-        else:
-            selected = selected_rhs_index or DEFAULT_RHS_INDEX[r.identity]
-            if r.rhs_index == selected and not r.equal:
-                return 1
-    return 0
-
-
 def _emit_sweep(result, fmt: str, selected_rhs_index) -> int:
     # an empty report would read as a pass; a truncated sweep says so in its output
     if not result.reports and not result.truncated:
@@ -237,7 +231,7 @@ def _emit_sweep(result, fmt: str, selected_rhs_index) -> int:
               "4 and 5 at k=2)", file=sys.stderr)
         return 2
     _emit_reports(result.reports, fmt, truncated=result.truncated)
-    return _verify_exit_code(result.reports, selected_rhs_index)
+    return 0 if result.passes(selected_rhs_index) else 1
 
 
 def _k_max_refused(k_max: int) -> bool:
@@ -301,18 +295,36 @@ def _cmd_mc(args) -> int:
     if args.ensemble == "wishart" and args.m is None:
         print("error: --m is required for the wishart ensemble", file=sys.stderr)
         return 2
+    if args.k > MC_K_LIMIT:
+        print(f"error: --k {args.k} is above the limit of {MC_K_LIMIT} for mc: the moment "
+              "target would pass the largest float", file=sys.stderr)
+        return 2
     try:
-        from . import moments  # numpy loads here, for mc alone
+        import numpy as np  # numpy loads here, for mc alone
+
+        from . import moments
     except ModuleNotFoundError as exc:
         if exc.name != "numpy":
             raise
         print(f"error: mc needs numpy ({exc})", file=sys.stderr)
         return 1
 
-    if args.ensemble == "wigner":
-        est = moments.wigner_moment(args.k, args.n, args.trials, args.seed)
-    else:
-        est = moments.wishart_moment(args.k, args.n, args.m, args.trials, args.seed)
+    # an overflow shows as a value that is not finite, refused below
+    with np.errstate(all="ignore"):
+        if args.ensemble == "wigner":
+            est = moments.wigner_moment(args.k, args.n, args.trials, args.seed)
+        else:
+            est = moments.wishart_moment(args.k, args.n, args.m, args.trials, args.seed)
+    try:
+        target = float(est.target)
+    except OverflowError:
+        target = math.inf
+    values = {"estimate": est.estimate, "stderr": est.stderr, "target": target}
+    bad = [name for name, v in values.items() if not math.isfinite(v)]
+    if bad:
+        print(f"error: not a finite float at --k {args.k}: {', '.join(bad)}; lower --k",
+              file=sys.stderr)
+        return 1
     record = {
         "ensemble": est.ensemble,
         "k": est.k,
@@ -320,9 +332,7 @@ def _cmd_mc(args) -> int:
         "m": est.m,
         "trials": est.trials,
         "seed": est.seed,
-        "estimate": est.estimate,
-        "stderr": est.stderr,
-        "target": float(est.target),
+        **values,
     }
     _emit_records([record], args.format)
     return 0
@@ -460,6 +470,9 @@ def main(argv=None) -> int:
         return code
     except (ValueError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
         return 1
     except BrokenPipeError:
         # the reader of stdout has gone; what is still buffered goes to

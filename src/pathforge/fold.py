@@ -8,9 +8,10 @@ a prefix that is back at altitude 0 after step 2k, so one pass to length
 2K yields every size k <= K, from the altitude-0 state after each even
 step: O(K^3) int operations for all of them, where folding each size
 apart costs O(K^4).  ``fold_dyck_upto`` and ``fold_alt_motzkin_upto``
-yield those folds in order; ``fold_dyck`` and ``fold_alt_motzkin`` are
-the last of them.  The steps each position allows come from the step law
-in ``paths``, the same table that validates a ``Path``.
+yield those folds in order, and are the only way to fold: the fold of
+size k is the last item of a pass to k.  The steps each position allows
+come from the step law in ``paths``, the same table that validates a
+``Path``.
 
 Each state carries, summed over the prefixes that reach it, the prefix
 count, the count X of every event (a rise from, a vertex at, or an
@@ -32,7 +33,6 @@ polynomial sums are int sums.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -190,10 +190,6 @@ def _alt_motzkin_fold(snapshot, width: int) -> AltMotzkinFold:
     )
 
 
-def _last(snapshots):
-    return deque(snapshots, maxlen=1)[0]
-
-
 def fold_dyck_upto(k_max: int) -> Iterator[DyckFold]:
     """Yield the fold of every size k = 0..k_max, in order, from one DP pass
     to length 2*k_max; each size's fold is yielded as soon as the pass has
@@ -207,16 +203,3 @@ def fold_alt_motzkin_upto(k_max: int) -> Iterator[AltMotzkinFold]:
     width = _alt_motzkin_width(k_max)
     return (_alt_motzkin_fold(s, width) for s in _fold_upto(k_max, PathKind.ALT_MOTZKIN, width))
 
-
-def fold_dyck(k: int) -> DyckFold:
-    """Fold per-altitude statistics over all Dyck paths of length 2k: the
-    last fold of fold_dyck_upto(k)."""
-    return _dyck_fold(_last(_fold_upto(k, PathKind.DYCK, 0)))
-
-
-def fold_alt_motzkin(k: int) -> AltMotzkinFold:
-    """Fold rise-resolved statistics over all alternating Motzkin paths of
-    length 2k: the last fold of fold_alt_motzkin_upto(k), with only that
-    one unpacked."""
-    width = _alt_motzkin_width(k)
-    return _alt_motzkin_fold(_last(_fold_upto(k, PathKind.ALT_MOTZKIN, width)), width)

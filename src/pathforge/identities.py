@@ -3,9 +3,11 @@
 Every sum over paths comes from the transfer-matrix DP in ``fold``, which
 the tests cross-check against enumeration of every path for small k.
 Each ``verify_thmN`` takes the folds a caller already has, indexed by
-size; without them it folds what it reads itself.  ``sweep`` folds each
-path kind that its identities read once for all of them, every size up to
-k_max from a few DP passes, never one pass per identity or per size.
+size; without them it runs one DP pass to its own k.  ``sweep`` folds
+each path kind that its identities read once for all of them, every size
+up to k_max from a few DP passes, never one pass per identity or per
+size, and ``SweepResult.passes`` decides which of its reports gate the
+verdict.
 
 The first three compare squared expectation norms of altitude vectors with
 Catalan/Narayana ratios; they hold for every k and the verifier checks
@@ -24,14 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .fold import (
-    AltMotzkinFold,
-    DyckFold,
-    fold_alt_motzkin,
-    fold_alt_motzkin_upto,
-    fold_dyck,
-    fold_dyck_upto,
-)
+from .fold import AltMotzkinFold, DyckFold, fold_alt_motzkin_upto, fold_dyck_upto
 from .numeric import GAMMA, GammaPoly, catalan, narayana_poly
 
 Value = Union[Fraction, GammaPoly]
@@ -57,14 +52,6 @@ class IdentityReport:
         return self.lhs == self.rhs
 
     @property
-    def difference(self) -> Value:
-        return self.lhs - self.rhs
-
-    @property
-    def value_kind(self) -> str:
-        return "polynomial" if isinstance(self.lhs, GammaPoly) else "rational"
-
-    @property
     def is_default_convention(self) -> bool:
         return self.rhs_index is None or self.rhs_index == DEFAULT_RHS_INDEX[self.identity]
 
@@ -75,7 +62,9 @@ def verify_thm1(k: int, folds: Sequence[DyckFold] | None = None) -> IdentityRepo
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     c = catalan(k)
-    f = fold_dyck(k) if folds is None else folds[k]
+    if folds is None:
+        folds = tuple(fold_dyck_upto(k))
+    f = folds[k]
     lhs = Fraction(sum(s * s for s in f.rise_sums), c * c)
     rhs = Fraction(catalan(2 * k), c * c) - 1
     return IdentityReport("thm1", k, lhs, rhs)
@@ -87,7 +76,9 @@ def verify_thm2(k: int, folds: Sequence[DyckFold] | None = None) -> IdentityRepo
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     c = catalan(k)
-    f = fold_dyck(k) if folds is None else folds[k]
+    if folds is None:
+        folds = tuple(fold_dyck_upto(k))
+    f = folds[k]
     lhs = Fraction(sum(s * s for s in f.vertex_sums), c * c)
     rhs = Fraction(catalan(2 * k + 1), c * c)
     return IdentityReport("thm2", k, lhs, rhs)
@@ -100,7 +91,9 @@ def verify_thm3(k: int, folds: Sequence[AltMotzkinFold] | None = None) -> Identi
     ``folds[k]``, when given, is the size-k fold."""
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    f = fold_alt_motzkin(k) if folds is None else folds[k]
+    if folds is None:
+        folds = tuple(fold_alt_motzkin_upto(k))
+    f = folds[k]
     lhs = GammaPoly()
     for row in f.rise_sums:
         p = GammaPoly(row)
@@ -167,10 +160,16 @@ class SweepResult:
     reports: tuple[IdentityReport, ...]
     truncated: bool = False
 
-    @property
-    def all_expected_equal(self) -> bool:
-        """Every report under the default conventions is an equality."""
-        return all(r.equal for r in self.reports if r.is_default_convention)
+    def passes(self, rhs_index: str | None = None) -> bool:
+        """Every report that gates the verdict is an equality: each report
+        with one right-hand side, and of identities 4 and 5 the variant
+        rhs_index selects (None: the default convention)."""
+        return all(
+            r.equal
+            for r in self.reports
+            if r.rhs_index is None
+            or r.rhs_index == (rhs_index or DEFAULT_RHS_INDEX[r.identity])
+        )
 
 
 def _staged_folds(fold_upto, k_max: int):

@@ -47,7 +47,7 @@ class GammaPoly:
 
     Coefficients are stored lowest power first with no trailing zeros, so
     equal polynomials compare equal structurally.  Instances are immutable
-    and hashable; the zero polynomial has degree None.
+    and hashable.
     """
 
     __slots__ = ("coeffs",)
@@ -60,14 +60,6 @@ class GammaPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("GammaPoly is immutable")
-
-    @property
-    def degree(self) -> int | None:
-        return len(self.coeffs) - 1 if self.coeffs else None
-
-    def coeff(self, r: int) -> int:
-        """Coefficient of gamma**r (0 beyond the degree)."""
-        return self.coeffs[r] if 0 <= r < len(self.coeffs) else 0
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -146,29 +138,8 @@ class GammaPoly:
         """Wire form: array of decimal coefficient strings, lowest power first."""
         return [str(c) for c in self.coeffs]
 
-    @classmethod
-    def from_json(cls, data: Iterable[str]) -> "GammaPoly":
-        return cls(int(c) for c in data)
-
     def __repr__(self) -> str:
         return f"GammaPoly({list(self.coeffs)!r})"
 
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        terms = []
-        for r, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if r == 0:
-                terms.append(str(c))
-            else:
-                lead = "" if c == 1 else ("-" if c == -1 else str(c))
-                power = "g" if r == 1 else f"g^{r}"
-                terms.append(f"{lead}{power}")
-        return " + ".join(terms).replace("+ -", "- ")
 
-
-ZERO = GammaPoly()
-ONE = GammaPoly((1,))
 GAMMA = GammaPoly((0, 1))

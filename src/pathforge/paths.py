@@ -122,10 +122,6 @@ class Path:
     def __str__(self) -> str:
         return self.render()
 
-    def mirrored(self) -> "Path":
-        """Left-right reversal: reverse the steps and swap rises with falls."""
-        return Path(tuple(-s for s in reversed(self.steps)), self.kind)
-
     def rise_count(self) -> int:
         return self.steps.count(RISE)
 

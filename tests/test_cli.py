@@ -246,6 +246,40 @@ def test_mc_wigner_m_rejected(capsys):
         assert err.count("\n") == 1 and err.startswith("error: --m ") and "wishart" in err
 
 
+@pytest.mark.filterwarnings("error")  # a numpy overflow warning would reach stderr
+@pytest.mark.parametrize("argv,code,message", [
+    # an n too large to allocate: 800 TiB is beyond any 47-bit address space
+    (["--ensemble", "wigner", "--k", "2", "--n", "10000000", "--trials", "1"], 1, "Unable to allocate"),
+    # C_520, the target of k = 1040, is above the largest float; the refusal
+    # does no big-int work, however large k is
+    (["--ensemble", "wigner", "--k", "1040", "--n", "2", "--trials", "2"], 2, "--k 1040 "),
+    (["--ensemble", "wishart", "--k", "1040", "--n", "2", "--m", "2"], 2, "--k 1040 "),
+    (["--ensemble", "wigner", "--k", "1000000", "--n", "2"], 2, "--k 1000000 "),
+    # below the limit, an estimate, stderr or target that overflows
+    (["--ensemble", "wigner", "--k", "600", "--n", "4", "--trials", "2"], 1, "stderr"),
+    (["--ensemble", "wigner", "--k", "600", "--n", "4", "--trials", "2", "--format", "csv"], 1,
+     "stderr"),
+    (["--ensemble", "wishart", "--k", "200", "--n", "2", "--m", "100", "--trials", "1"], 1,
+     "target"),
+])
+def test_mc_out_of_range_is_one_error_line(capsys, argv, code, message):
+    start = time.perf_counter()
+    got, out, err = run(capsys, "mc", *argv)
+    assert time.perf_counter() - start < 5
+    # nothing reaches stdout, so no Infinity, inf or NaN either
+    assert (got, out) == (code, "")
+    assert err.count("\n") == 1 and err.startswith("error: ") and message in err, err
+
+
+def test_mc_k_above_the_limit_needs_no_numpy():
+    script = ("import sys; sys.modules['numpy'] = None; from pathforge.cli import main; "
+              "sys.exit(main(['mc', '--ensemble', 'wigner', '--k', '1040', '--n', '2']))")
+    proc = _pathforge(["-c", script], subprocess.PIPE, module=False)
+    out, err = proc.communicate(timeout=120)
+    assert (proc.returncode, out) == (2, b"")
+    assert err.decode().startswith("error: --k 1040 ") and len(err.decode().splitlines()) == 1
+
+
 def test_report_sweep(capsys):
     code, out, _ = run(capsys, "report", "--k-max", "2", "--identities", "1,4")
     assert code == 0
@@ -311,12 +345,29 @@ def test_computation_errors_exit_1(capsys):
     '{"p1": 5, "p2": "UD", "i": 0, "mark1": 1, "mark2": 2}',
     '{"p1": "UD", "p2": "UD", "i": 0, "mark1": 1.7, "mark2": 2}',
     '{"p1": "UD", "p2": "UD", "i": true, "mark1": 1, "mark2": 2}',
+    # no field is overridden, ignored or read as a bare KeyError
+    '{"construction": "B", "p1": "UD", "p2": "UD", "i": 0, "mark1": 1, "mark2": 2}',
+    '{"p1": "UD", "p2": "UD", "i": 0, "mark1": 1, "mark2": 2, "bogus": 7}',
+    '{"p1": "UD", "i": 0, "mark1": 1, "mark2": 2}',
 ])
 def test_map_rejects_malformed_input(capsys, text):
     code, out, err = run(capsys, "map", "--construction", "A", "--input", text)
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_map_input_names_the_fields_it_refuses(capsys):
+    for blob, message in [
+        ('{"p1": "UD", "i": 0, "mark1": 1, "mark2": 2}', "field 'p2' is missing"),
+        ('{"p1": "UD", "p2": "UD", "i": 0, "mark1": 1, "mark2": 2, "bogus": 7}',
+         "field 'bogus' is unknown"),
+        ('{"construction": "B", "p1": "UD", "p2": "UD", "i": 0, "mark1": 1, "mark2": 2}',
+         "names construction 'B', but --construction is A"),
+    ]:
+        code, out, err = run(capsys, "map", "--construction", "A", "--input", blob)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.endswith(f"{message}\n"), err
 
 
 @pytest.mark.parametrize("argv", [

@@ -60,37 +60,35 @@ def frozen(x):
 
 
 # the oracle enumerates every path; k=10 (16,796 paths of each kind) costs
-# a few seconds
+# a few seconds.  Every size is read from one pass to 10.
+_DYCK_FOLDS = tuple(fold.fold_dyck_upto(10))
+_AM_FOLDS = tuple(fold.fold_alt_motzkin_upto(10))
+
+
 @pytest.mark.parametrize("k", range(11))
 def test_pure_dyck_fold_matches_per_path_oracle(k):
-    assert fold.fold_dyck(k) == fold.DyckFold(k, *frozen(dyck_fold_oracle(k)))
+    assert _DYCK_FOLDS[k] == fold.DyckFold(k, *frozen(dyck_fold_oracle(k)))
 
 
 @pytest.mark.parametrize("k", range(11))
 def test_pure_am_fold_matches_per_path_oracle(k):
-    assert fold.fold_alt_motzkin(k) == fold.AltMotzkinFold(k, *frozen(am_fold_oracle(k)))
+    assert _AM_FOLDS[k] == fold.AltMotzkinFold(k, *frozen(am_fold_oracle(k)))
 
 
 def test_negative_k_rejected():
-    for fn in (fold.fold_dyck, fold.fold_alt_motzkin):
-        with pytest.raises(ValueError, match="nonnegative"):
-            fn(-1)
     for upto in (fold.fold_dyck_upto, fold.fold_alt_motzkin_upto):
         with pytest.raises(ValueError, match="nonnegative"):
             list(upto(-1))
 
 
 @pytest.mark.parametrize("k_max", [12, 20])
-@pytest.mark.parametrize("upto,single", [
-    (fold.fold_dyck_upto, fold.fold_dyck),
-    (fold.fold_alt_motzkin_upto, fold.fold_alt_motzkin),
-])
-def test_one_pass_yields_each_size_as_a_pass_to_that_size(upto, single, k_max):
+@pytest.mark.parametrize("upto", [fold.fold_dyck_upto, fold.fold_alt_motzkin_upto])
+def test_one_pass_yields_each_size_as_a_pass_to_that_size(upto, k_max):
     # a pass to k_max packs gamma coefficients wider and prunes altitudes
     # later than a pass to k, and must not change what size k reads; the
     # packing width's bound is loose, so a width too small for k_max shows
     # only from about k = 20
-    assert list(upto(k_max)) == [single(k) for k in range(k_max + 1)]
+    assert list(upto(k_max)) == [list(upto(k))[-1] for k in range(k_max + 1)]
 
 
 def test_identities_hold_beyond_enumeration():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pathforge.numeric import GAMMA, GammaPoly, ONE, ZERO, catalan, narayana, narayana_poly
+from pathforge.numeric import GAMMA, GammaPoly, catalan, narayana, narayana_poly
 
 
 def segner_catalan(k_max):
@@ -74,8 +74,6 @@ def test_narayana_poly_at_one_is_catalan():
 def test_poly_canonical_form():
     assert GammaPoly([1, 2, 0, 0]).coeffs == (1, 2)
     assert GammaPoly([0, 0]).coeffs == ()
-    assert GammaPoly().degree is None
-    assert GammaPoly([5]).degree == 0
     assert not GammaPoly()
     assert GammaPoly([0, 1])
 
@@ -87,9 +85,9 @@ def test_poly_multiplication_schoolbook():
 
 def test_poly_additive_identity():
     p = GammaPoly([2, 0, 7])
-    assert p + ZERO == p
-    assert ZERO + p == p
-    assert p - p == ZERO
+    assert p + GammaPoly() == p
+    assert GammaPoly() + p == p
+    assert p - p == GammaPoly()
 
 
 def test_poly_evaluate():
@@ -102,9 +100,9 @@ def test_poly_evaluate():
 def test_poly_scalar_and_int_coercion():
     p = GammaPoly([1, 1])
     assert 2 * p == GammaPoly([2, 2])
-    assert p * 0 == ZERO
+    assert p * 0 == GammaPoly()
     assert p - 1 == GAMMA
-    assert ONE + GAMMA == p
+    assert GammaPoly([1]) + GAMMA == p
     assert p == p + 0
 
 
@@ -119,7 +117,7 @@ def test_poly_json_round_trip():
     p = GammaPoly([0, 9, 39, 44, 14, 1])
     wire = p.to_json()
     assert wire == ["0", "9", "39", "44", "14", "1"]
-    assert GammaPoly.from_json(wire) == p
+    assert GammaPoly(map(int, wire)) == p
 
 
 small_polys = st.builds(GammaPoly, st.lists(st.integers(-9, 9), max_size=6))

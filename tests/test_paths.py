@@ -9,7 +9,7 @@ from pathlib import Path as FilePath
 
 import pytest
 
-from pathforge.fold import fold_alt_motzkin, fold_dyck
+from pathforge.fold import fold_alt_motzkin_upto, fold_dyck_upto
 from pathforge.numeric import GammaPoly, catalan, narayana_poly
 from pathforge.paths import (
     FALL,
@@ -263,7 +263,7 @@ def test_level_parity_requires_alt_motzkin():
 
 def test_expectation_vectors_dyck_k3():
     # the paper's worked k=3 values: the fold's sums over its path count
-    f = fold_dyck(3)
+    *_, f = fold_dyck_upto(3)
     assert f.count == 5
     assert f.rise_sums == (9, 5, 1)
     assert f.vertex_sums == (14, 14, 6, 1)
@@ -278,7 +278,7 @@ def test_expectation_vectors_dyck_k3():
 
 def test_expectation_vectors_alt_motzkin_k3():
     # numerators in gamma over the Narayana polynomial 1 + 3g + g^2
-    f = fold_alt_motzkin(3)
+    *_, f = fold_alt_motzkin_upto(3)
     assert GammaPoly(f.counts_by_rises) == GammaPoly([1, 3, 1])
     assert [GammaPoly(row) for row in f.rise_sums] == [GammaPoly([0, 3, 2]), GammaPoly(), GammaPoly()]
     assert [GammaPoly(row) for row in f.level_sums] == [
@@ -294,13 +294,6 @@ def test_path_equality_and_hash():
     assert a == b
     assert hash(a) == hash(b)
     assert a != parse("UDUD", "dyck")
-
-
-def test_mirrored():
-    assert parse("UUDDUD", "dyck").mirrored().render() == "UDUUDD"
-    assert parse("LUDL", "altmotzkin").mirrored().render() == "LUDL"
-    p = parse("LULLDL", "altmotzkin")
-    assert p.mirrored().mirrored() == p
 
 
 def test_position_queries():
