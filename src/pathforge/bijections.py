@@ -7,18 +7,23 @@ on all Dyck paths of length 4k+2; C and D are the alternating Motzkin
 versions, steering to even and odd middle altitudes respectively.
 
 The four are variants of one bijection, written once as ``_left`` and its
-inverse ``_left_inv``.  The left-half surgery opens into rises the closing
-falls of a chain of i rises left of the mark.  A marked rise (A, C) opens
-its own closing fall too; any other mark becomes a new rise: D's marked
-level step, or a level step that B inserts after its marked vertex.  The
-path kind decides how a fall opens: a Dyck fall flips, and an alternating
+inverse ``_left_inv``, each one scan of a running minimum.  The left-half
+surgery opens into rises the falls after the mark that reach a new lowest
+altitude: the closing falls of the chain of i rises that enclose the mark
+and, for a marked rise (A, C), the mark's own.  Any other mark becomes a
+new rise: D's marked level step, or a level step that B inserts after its
+marked vertex.  The inverse closes the rises at which the half, read
+leftwards from its end, first reaches each altitude above i.  The path
+kind decides how a fall opens: a Dyck fall flips, and an alternating
 Motzkin fall trades places with its nearest level step to the right,
-which becomes the rise; closing is the exact inverse.  One table row per
-construction names its kind and its marks.  The right path is mirrored
-(steps reversed, rises and falls swapped), put through the same surgery
-and mirrored back.  ``five_tuples`` and ``image_paths``
-enumerate the domain and the characterized image of each construction;
-the tests use them to check every construction exhaustively at small k.
+which becomes the rise; closing is the exact inverse.  Both directions
+read each half once, so ``construct`` and ``invert`` take time linear in
+the path length.  One table row per construction names its kind and its
+marks, and finds the positions that may carry them.  The right path is
+mirrored (steps reversed, rises and falls swapped), put through the same
+surgery and mirrored back.  ``five_tuples`` and ``image_paths`` enumerate
+the domain and the characterized image of each construction; the tests
+use them to check every construction exhaustively at small k.
 """
 
 from __future__ import annotations
@@ -113,7 +118,7 @@ class MidPath:
 
 
 def middle_altitude(path: Path) -> int:
-    return path.altitude_at(len(path) // 2)
+    return sum(path.steps[:len(path) // 2])
 
 
 # ---------------------------------------------------------------------------
@@ -121,18 +126,6 @@ def middle_altitude(path: Path) -> int:
 
 def _mirror(steps):
     return tuple(-s for s in reversed(steps))
-
-
-def _matching_fall(steps, alts, rise_pos) -> int:
-    """First position after a rise where the path returns to the rise's
-    starting altitude (its closing fall)."""
-    start = alts[rise_pos - 1]
-    for q in range(rise_pos + 1, len(steps) + 1):
-        if alts[q] == start:
-            if steps[q - 1] != FALL:
-                raise RuntimeError(f"closing step at {q} is not a fall")
-            return q
-    raise RuntimeError(f"no closing fall for rise at step {rise_pos}")
 
 
 def _matching_rise(steps, alts, fall_pos) -> int:
@@ -144,29 +137,6 @@ def _matching_rise(steps, alts, fall_pos) -> int:
                 raise RuntimeError(f"matching step at {v + 1} is not a rise")
             return v + 1
     raise RuntimeError(f"no matching rise for fall at step {fall_pos}")
-
-
-def _chain_rises(steps, alts, top_altitude, before_pos) -> list[int]:
-    """Scan left of ``before_pos`` for the nearest rise ending at
-    top_altitude, then left of it for the nearest rise ending one lower,
-    and so on down to altitude 1."""
-    chain = []
-    q = before_pos - 1
-    for a in range(top_altitude, 0, -1):
-        while q > 0 and not (steps[q - 1] == RISE and alts[q] == a):
-            q -= 1
-        if q == 0:
-            raise RuntimeError(f"no rise to altitude {a} left of step {before_pos}")
-        chain.append(q)
-        q -= 1
-    return chain
-
-
-def _rightmost_rise_from(steps, alts, altitude) -> int:
-    for q in range(len(steps), 0, -1):
-        if steps[q - 1] == RISE and alts[q - 1] == altitude:
-            return q
-    raise ValueError(f"no rise from altitude {altitude}")
 
 
 def _level_partner_right(steps, alts, fall_pos) -> int:
@@ -214,12 +184,21 @@ class _Construction:
         return 2 if self.marks == "rise" else 1
 
     def candidates(self, path: Path, i: int, side: int) -> tuple[int, ...]:
-        """Positions in ``path`` that may carry mark ``side`` (1 or 2)."""
+        """Positions in ``path`` that may carry mark ``side`` (1 or 2): a
+        rise from i or a fall from i+1 (A, C), a vertex at i (B), or a level
+        at i on an even step for p1 and an odd step for p2 (D)."""
+        alts = path.altitudes()
         if self.marks == "vertex":
-            return path.vertices_at(i)
+            return tuple(v for v, a in enumerate(alts) if a == i)
+        steps = path.steps
         if self.marks == "level":
-            return path.levels_at(i, even_steps=side == 1)
-        return path.rises_from(i) if side == 1 else path.falls_to(i)
+            # even steps in p1, odd steps in p2
+            step, start, positions = LEVEL, i, range(3 - side, len(steps) + 1, 2)
+        elif side == 1:
+            step, start, positions = RISE, i, range(1, len(steps) + 1)
+        else:
+            step, start, positions = FALL, i + 1, range(1, len(steps) + 1)
+        return tuple(q for q in positions if steps[q - 1] == step and alts[q - 1] == start)
 
     def mirror_mark(self, n: int, mark: int) -> int:
         """Where a mark of a path of length n lands when the path is
@@ -277,44 +256,52 @@ def _close(kind, out, steps, alts, rise) -> int:
     return fall
 
 
-def _left(c: _Construction, steps, i, mark):
-    """Open the closing falls of the chain of i rises left of the mark.  A
-    marked rise (A, C) opens its own closing fall too and the half ends at
-    2i+2; otherwise the mark becomes a new rise and the half ends at 2i+1:
-    D's marked level step, or for B a level step inserted after the
-    marked vertex."""
+def _left(c: _Construction, steps, mark):
+    """Open the falls after the mark that reach a new lowest altitude: the
+    closing falls of the chain of i rises that enclose the mark and, for a
+    marked rise (A, C), the mark's own fall, so that the half ends at 2i+2.
+    Any other mark becomes a new rise and the half ends at 2i+1: D's marked
+    level step, or for B a level step inserted after the marked vertex.
+    Each level partner that ``_open`` finds lies before the next new low,
+    so the scans for them cover disjoint ranges and the surgery is linear."""
     if c.marks == "vertex":
         steps, mark = steps[:mark] + (LEVEL,) + steps[mark:], mark + 1
     alts = altitudes(steps)
-    chain = _chain_rises(steps, alts, i, mark)
     out = list(steps)
-    if c.marks == "rise":
-        chain.append(mark)
-    else:
+    if c.marks != "rise":
         out[mark - 1] = RISE
-    for rise in chain:
-        fall = _matching_fall(steps, alts, rise)
-        if fall <= mark:
-            raise RuntimeError("closing fall left of the mark")
-        _open(c.kind, out, steps, alts, fall)
+    low = alts[mark]
+    for q in range(mark + 1, len(steps) + 1):
+        if alts[q] < low:
+            low = alts[q]
+            _open(c.kind, out, steps, alts, q)
     return tuple(out)
 
 
 def _left_inv(c: _Construction, steps, i):
-    """Inverse of ``_left``: close the rightmost rises from altitudes i+1 up,
-    then recover the mark (the rise that closes at the first of them, or
-    the new rise from altitude i, made level again or deleted for B)."""
+    """Inverse of ``_left``: read from the end leftwards, the step at which
+    the half first reaches each altitude a is its rightmost rise from a.
+    Close those from one below the half's last altitude down to i+1, then
+    recover the mark: the rise that closes at the last of them (A, C), or
+    the rise found next, from altitude i, made level again or deleted for
+    B.  Each level partner that ``_close`` finds lies after the next rise
+    found, so the surgery is linear."""
     alts = altitudes(steps)
-    new = None if c.marks == "rise" else _rightmost_rise_from(steps, alts, i)
-    top = 2 * i + c.middle_offset
-    opened = [_rightmost_rise_from(steps, alts, a) for a in range(i + 1, top)]
-    if new is not None and any(q < new for q in opened):
-        raise RuntimeError("opened rise left of the new rise")
+    stop = i + 1 if c.marks == "rise" else i
+    rises = []
+    low = alts[-1]
+    for q in range(len(steps), 0, -1):
+        if alts[q - 1] < low:
+            low = alts[q - 1]
+            if low < stop:
+                break
+            rises.append(q)
+    new = None if c.marks == "rise" else rises.pop()
     out = list(steps)
-    falls = [_close(c.kind, out, steps, alts, q) for q in opened]
+    falls = [_close(c.kind, out, steps, alts, q) for q in rises]
     if new is None:
         p = tuple(out)
-        return p, _matching_rise(p, altitudes(p), falls[0])
+        return p, _matching_rise(p, altitudes(p), falls[-1])
     out[new - 1] = LEVEL
     if c.marks == "vertex":
         del out[new - 1]
@@ -337,8 +324,8 @@ def construct(t: FiveTuple) -> MidPath:
             f"mark{side}={mark} is not {c.wording[side - 1].format(i=t.i)} in p{side}",
         )
     n = len(t.p1)
-    s1 = _left(c, t.p1.steps, t.i, t.mark1)
-    s2 = _mirror(_left(c, _mirror(t.p2.steps), t.i, c.mirror_mark(n, t.mark2)))
+    s1 = _left(c, t.p1.steps, t.mark1)
+    s2 = _mirror(_left(c, _mirror(t.p2.steps), c.mirror_mark(n, t.mark2)))
     path = Path(s1 + s2, c.kind)
     return MidPath(path, middle_altitude(path))
 

@@ -38,13 +38,6 @@ K_MAX_LIMIT = 100
 # (1039) takes about 0.05 s.  A value still not a finite float is an error.
 MC_K_LIMIT = 1039
 
-_DEFAULT_TUPLES = {
-    "A": {"p1": "UD", "p2": "UD", "i": 0, "mark1": 1, "mark2": 2},
-    "B": {"p1": "UD", "p2": "UD", "i": 0, "mark1": 0, "mark2": 0},
-    "C": None,  # no valid input exists at k=1
-    "D": {"p1": "LL", "p2": "LL", "i": 0, "mark1": 2, "mark2": 1},
-}
-
 
 def _json_value(value):
     if isinstance(value, Fraction):
@@ -146,12 +139,15 @@ def _cmd_stats(args) -> int:
 
 
 def _tuple_json(args):
-    """The five-tuple's JSON value: --input, stdin, or the k=1 default."""
+    """The five-tuple's JSON value: --input, stdin, or the construction's
+    first five-tuple at k=1."""
     if args.input is None:
-        defaults = _DEFAULT_TUPLES[args.construction]
-        if defaults is None:
+        from . import bijections
+
+        first = next(bijections.five_tuples(args.construction, 1), None)
+        if first is None:
             raise ValueError(f"construction {args.construction} has no valid input at k=1; pass --input")
-        data = dict(defaults)
+        data = first.to_json_dict()
     elif args.input == "-":
         data = json.loads(sys.stdin.read())
     else:

@@ -113,9 +113,6 @@ class Path:
         """Altitude at each of the len+1 vertices."""
         return altitudes(self.steps)
 
-    def altitude_at(self, vertex: int) -> int:
-        return altitudes(self.steps)[vertex]
-
     def render(self) -> str:
         return "".join(_CHARS[s + 1] for s in self.steps)
 
@@ -124,40 +121,6 @@ class Path:
 
     def rise_count(self) -> int:
         return self.steps.count(RISE)
-
-    def rises_from(self, altitude: int) -> tuple[int, ...]:
-        """1-based positions of rises that start at the given altitude."""
-        alts = altitudes(self.steps)
-        return tuple(
-            pos
-            for pos, s in enumerate(self.steps, start=1)
-            if s == RISE and alts[pos - 1] == altitude
-        )
-
-    def falls_to(self, altitude: int) -> tuple[int, ...]:
-        """1-based positions of falls that land at the given altitude."""
-        alts = altitudes(self.steps)
-        return tuple(
-            pos
-            for pos, s in enumerate(self.steps, start=1)
-            if s == FALL and alts[pos] == altitude
-        )
-
-    def levels_at(self, altitude: int, even_steps: bool | None = None) -> tuple[int, ...]:
-        """1-based positions of level steps at the given altitude, optionally
-        filtered to even or odd positions."""
-        alts = altitudes(self.steps)
-        out = []
-        for pos, s in enumerate(self.steps, start=1):
-            if s != LEVEL or alts[pos - 1] != altitude:
-                continue
-            if even_steps is None or (pos % 2 == 0) == even_steps:
-                out.append(pos)
-        return tuple(out)
-
-    def vertices_at(self, altitude: int) -> tuple[int, ...]:
-        """Vertex indices (0..len) at the given altitude."""
-        return tuple(v for v, a in enumerate(altitudes(self.steps)) if a == altitude)
 
 
 def parse(text: str, kind: PathKind | str) -> Path:

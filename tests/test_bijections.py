@@ -3,6 +3,7 @@ characterizations, and the weight bookkeeping behind the identities."""
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -153,6 +154,29 @@ def test_round_trips_exhaustive(construction):
         assert outputs == image, f"{construction} k={k}: image mismatch"
         for path in image:
             assert bj.construct(bj.invert(construction, path)).path == path
+
+
+# one tall path per construction at m = 8192 (32,768 to 65,536 steps),
+# whose surgery opens or closes thousands of steps
+_M = 8192
+_TALL_PATHS = {
+    "A": "U" * (2 * _M) + "D" * (2 * _M),
+    "B": "U" * (2 * _M + 1) + "D" * (2 * _M + 1),
+    "C": "LU" * (2 * _M) + "DL" * (2 * _M),
+    "D": "LU" * (2 * _M - 1) + "DL" * (2 * _M - 1),
+}
+
+
+@pytest.mark.parametrize("construction", "ABCD")
+def test_construct_and_invert_take_linear_time(construction):
+    """A tall path goes through invert and back in well under 2 s; a
+    surgery that rescans the half for each step it opens takes tens of
+    seconds here."""
+    kind = "dyck" if construction in "AB" else "altmotzkin"
+    path = parse(_TALL_PATHS[construction], kind)
+    start = time.perf_counter()
+    assert bj.construct(bj.invert(construction, path)).path == path
+    assert time.perf_counter() - start < 2.0
 
 
 # sha256 of "tuple path" for every five-tuple and "path tuple" for every

@@ -296,19 +296,6 @@ def test_path_equality_and_hash():
     assert a != parse("UDUD", "dyck")
 
 
-def test_position_queries():
-    p = parse("UUDDUD", "dyck")
-    assert p.rises_from(0) == (1, 5)
-    assert p.rises_from(1) == (2,)
-    assert p.falls_to(0) == (4, 6)
-    assert p.falls_to(1) == (3,)
-    assert p.vertices_at(0) == (0, 4, 6)
-    q = parse("LUDL", "altmotzkin")
-    assert q.levels_at(0) == (1, 4)
-    assert q.levels_at(0, even_steps=True) == (4,)
-    assert q.levels_at(0, even_steps=False) == (1,)
-
-
 @pytest.mark.parametrize("steps", [(2, -1, -1), (2, -1, -1, 0), (1, 1.0, -1, -1), (True, False)])
 def test_path_rejects_values_that_are_not_steps(steps):
     with pytest.raises(ValueError):
