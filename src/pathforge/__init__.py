@@ -17,8 +17,8 @@ paths
     and altitude statistics.
 fold
     Exact path statistics summed over all paths of a size, by a
-    transfer-matrix DP over the step law; one pass yields every size up
-    to a bound.
+    transfer-matrix DP over the step law: per kind, the rows of two events
+    and their pair totals.  One pass yields every size up to a bound.
 bijections
     The four reversible constructions and their inverses.
 identities
@@ -45,17 +45,14 @@ _EXPORTS = {
     **dict.fromkeys(
         ["AltitudeStats", "Path", "PathKind", "check_level_parity", "enumerate_alt_motzkin",
          "enumerate_dyck", "parse", "stats"], "paths"),
-    **dict.fromkeys(
-        ["AltMotzkinFold", "BACKEND_NAME", "DyckFold", "HAVE_COMPILED", "fold_alt_motzkin_upto",
-         "fold_dyck_upto"], "fold"),
+    **dict.fromkeys(["BACKEND_NAME", "Fold", "HAVE_COMPILED", "fold_upto"], "fold"),
     **dict.fromkeys(
         ["FiveTuple", "MidPath", "construct", "five_tuples", "image_paths", "invert",
          "middle_altitude"], "bijections"),
     **dict.fromkeys(
         ["IdentityReport", "SweepResult", "sweep", "verify_thm1", "verify_thm2", "verify_thm3",
          "verify_thm4", "verify_thm5"], "identities"),
-    **dict.fromkeys(
-        ["Walk", "WalkStatistics", "path_to_walk", "walk_statistics", "walk_to_path"], "walks"),
+    **dict.fromkeys(["Walk", "path_to_walk", "walk_to_path"], "walks"),
 }
 _SUBMODULES = frozenset(_EXPORTS.values())
 

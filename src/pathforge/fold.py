@@ -7,199 +7,131 @@ of continued fractions*, Discrete Math. 32, 1980).  A path of length 2k is
 a prefix that is back at altitude 0 after step 2k, so one pass to length
 2K yields every size k <= K, from the altitude-0 state after each even
 step: O(K^3) int operations for all of them, where folding each size
-apart costs O(K^4).  ``fold_dyck_upto`` and ``fold_alt_motzkin_upto``
-yield those folds in order, and are the only way to fold: the fold of
-size k is the last item of a pass to k.  The steps each position allows
-come from the step law in ``paths``, the same table that validates a
-``Path``.
+apart costs O(K^4).  ``fold_upto`` yields those folds in order, and is the
+only way to fold: the fold of size k is the last item of a pass to k.
+The steps each position allows come from the step law in ``paths``, the
+same table that validates a ``Path``.
 
-Each state carries, summed over the prefixes that reach it, the prefix
-count, the count X of every event (a rise from, a vertex at, or an
-even-step level at altitude i) and the count of unordered pairs C(X, 2)
-of those events: marking an event adds the pair total to its pairs and
-the prefix count to its total.  The remaining statistics follow from
-these:
-
-- R*(2i+3-R) = (2i+2)*R - 2*C(R, 2);
-- C(V+1, 2) = V + C(V, 2);
-- the weighted sums are linear combinations of the per-altitude rows.
+A fold carries two events, the ones the identities read: rises from
+altitude i, and either vertices at i (Dyck paths) or even-step level
+steps at i (alternating Motzkin paths, the kind whose law allows level
+steps).  Each state carries, summed over the prefixes that reach it, the
+prefix count, the count X_i of each event at every altitude i, and one
+total of C(X_i, 2) over the altitudes per event: marking an event at i
+adds its count at i to the pair total, then the prefix count to its
+count at i.
 
 Alternating Motzkin paths are weighted gamma**rises.  The DP carries the
 polynomial in gamma packed into one int, coefficient r in bits
 [r*W, (r+1)*W) with W wide enough for the largest coefficient of the
 largest size in the pass, so that a rise is a shift by W bits and
-polynomial sums are int sums.
+polynomial sums are int sums; each fold unpacks its values once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Union
 
-from .paths import PathKind, fall_room, steps_at
+from .numeric import GammaPoly
+from .paths import LEVEL, RISE, PathKind, fall_room, steps_at
 
 # One implementation; the names stay because benchmark runs record them and
 # refuse to compare runs whose backend differs.
 BACKEND_NAME = "pure"
 HAVE_COMPILED = False
 
+Value = Union[int, GammaPoly]
+
 
 @dataclass(frozen=True)
-class DyckFold:
-    """Statistics summed over all Dyck paths of length 2k.
+class Fold:
+    """Statistics summed over all paths of one kind of length 2k.
 
-    rise_sums[i] is the total number of rises from altitude i,
-    vertex_sums[i] the total number of vertices at altitude i,
-    rise_open_sums[i] the total of R_i*(2i+3-R_i) and vertex_pair_sums[i]
-    the total of C(V_i+1, 2), per path.
+    rises[i] totals the rises from altitude i (i < k).  others[i] totals
+    the kind's second event: vertices at altitude i (i <= k) of Dyck
+    paths, or even-step level steps at altitude i (i < k) of alternating
+    Motzkin paths.  rise_pairs and other_pairs total C(X_i, 2) over every
+    altitude i and path, X_i the event's count at i on that path.  Dyck
+    values are ints; alternating Motzkin values are ``GammaPoly``s, each
+    path weighted gamma**rises.
     """
 
     k: int
-    count: int
-    rise_sums: tuple[int, ...]
-    vertex_sums: tuple[int, ...]
-    rise_open_sums: tuple[int, ...]
-    vertex_pair_sums: tuple[int, ...]
+    count: Value
+    rises: tuple[Value, ...]
+    others: tuple[Value, ...]
+    rise_pairs: Value
+    other_pairs: Value
 
 
-@dataclass(frozen=True)
-class AltMotzkinFold:
-    """Rise-count-resolved statistics over all alternating Motzkin paths of
-    length 2k.  Matrix fields are indexed [altitude][rises]; level statistics
-    count even-step level steps only."""
-
-    k: int
-    counts_by_rises: tuple[int, ...]
-    rise_sums: tuple[tuple[int, ...], ...]
-    vertex_sums: tuple[tuple[int, ...], ...]
-    level_sums: tuple[tuple[int, ...], ...]
-    weighted_rise_sums: tuple[int, ...]
-    weighted_level_sums: tuple[int, ...]
-    rise_pair_sums: tuple[int, ...]
-    level_pair_sums: tuple[int, ...]
-
-    @property
-    def count(self) -> int:
-        return sum(self.counts_by_rises)
+def _alt_motzkin_width(k_max: int) -> int:
+    # a packed coefficient sums at most 4**k_max paths, each adding at most
+    # (2k_max+1)**2 to any statistic; a pair total summed over altitudes
+    # stays below that, at most C(2k_max+1, 2) pairs of a path's events
+    return 2 * k_max + 2 * (2 * k_max + 1).bit_length()
 
 
-def _fold_upto(k_max: int, kind: PathKind, rise_shift: int):
-    """Run the DP over paths of the kind of length up to 2*k_max, each step
-    s (1-based) one of ``paths.steps_at(kind, s)``; a rise multiplies the
-    weight by 2**rise_shift.
-
-    Yields (k, count, totals, pairs) for k = 0..k_max, from the altitude-0
-    state after step 2k: totals[e][i] and pairs[e][i] sum X and C(X, 2)
-    over paths of length 2k, for the events e = 0 rise from, 1 even-step
-    level at and 2 vertex at altitude i, i in 0..k_max.  A state is kept
-    only while the falls the law still allows can bring it back to 0 by
-    step 2*k_max, which keeps every path that returns by an earlier even
-    step.
+def fold_upto(kind: PathKind, k_max: int) -> Iterator[Fold]:
+    """Yield the fold of every size k = 0..k_max of the kind, in order,
+    from one DP pass to length 2*k_max, each step s (1-based) one of
+    ``paths.steps_at(kind, s)``; each size's fold is yielded as soon as
+    the pass has reached step 2k.  A state is kept only while the falls
+    the law still allows can bring it back to 0 by step 2*k_max, which
+    keeps every path that returns by an earlier even step.
     """
     if k_max < 0:
         raise ValueError(f"k must be nonnegative, got {k_max}")
     n = 2 * k_max
     room = fall_room(kind, n)
-    size = 3 * (k_max + 1)
-    rise, level, vertex = 0, k_max + 1, 2 * (k_max + 1)
+    levels = LEVEL in steps_at(kind, 2)
+    shift = _alt_motzkin_width(k_max) if levels else 0
+    # a state: [prefix count, rise pairs, other pairs, rises from altitude
+    # 0..k_max, others at altitude 0..k_max]
+    rise, other = 3, 3 + k_max + 1
 
     def snapshot(k):
-        # the altitude-0 state, its rows cut to altitudes 0..k: the only
-        # ones a path of length 2k reaches
-        count, totals, pairs = states[0]
-        rows = [slice(e * (k_max + 1), e * (k_max + 1) + k + 1) for e in range(3)]
-        return k, count, [totals[r] for r in rows], [pairs[r] for r in rows]
+        # the altitude-0 state, its rows cut to the altitudes a path of
+        # length 2k reaches: a vertex may sit at k, a step starts below it
+        v = states[0]
+        if shift:
+            mask = (1 << shift) - 1
 
-    # altitude -> (prefix count, event totals, event pair totals)
-    totals0 = [0] * size
-    totals0[vertex] = 1
-    states = {0: (1, totals0, [0] * size)}
+            def value(x):
+                return GammaPoly([(x >> (r * shift)) & mask for r in range(max(k, 1))])
+        else:
+            value = int
+        top = k if levels else k + 1
+        return Fold(k, value(v[0]), tuple(map(value, v[rise:rise + k])),
+                    tuple(map(value, v[other:other + top])), value(v[1]), value(v[2]))
+
+    start = [1] + [0] * (2 * k_max + 4)
+    if not levels:
+        start[other] = 1  # the vertex before the first step
+    states = {0: start}
     yield snapshot(0)
     for s in range(1, n + 1):
         nxt = {}
         allowed = steps_at(kind, s)
-        for a, (count, totals, pairs) in states.items():
+        for a, v in states.items():
             for d in allowed:
                 b = a + d
                 if b < 0 or b > room[s]:
                     continue
-                t, p = totals[:], pairs[:]
-                marks = [vertex + b]
-                if d == 1:
-                    marks.append(rise + a)
-                elif d == 0 and s % 2 == 0:
-                    marks.append(level + a)
-                for j in marks:
-                    p[j] += t[j]
-                    t[j] += count
-                shift = rise_shift if d == 1 else 0
-                if shift:
+                # (pair total, event count) slots the step marks
+                marks = [(1, rise + a)] if d == RISE else []
+                if not levels:
+                    marks.append((2, other + b))
+                elif d == LEVEL and s % 2 == 0:
+                    marks.append((2, other + a))
+                t = v[:]
+                for p, j in marks:
+                    t[p] += t[j]
+                    t[j] += t[0]
+                if d == RISE and shift:
                     t = [x << shift for x in t]
-                    p = [x << shift for x in p]
-                count_b = count << shift
                 old = nxt.get(b)
-                if old is None:
-                    nxt[b] = (count_b, t, p)
-                else:
-                    nxt[b] = (
-                        old[0] + count_b,
-                        [x + y for x, y in zip(old[1], t)],
-                        [x + y for x, y in zip(old[2], p)],
-                    )
+                nxt[b] = t if old is None else [x + y for x, y in zip(old, t)]
         states = nxt
         if s % 2 == 0:
             yield snapshot(s // 2)
-
-
-def _dyck_fold(snapshot) -> DyckFold:
-    k, count, (rise, _, vert), (rise_pair, _, vert_pair) = snapshot
-    return DyckFold(
-        k,
-        count,
-        tuple(rise[:k]),
-        tuple(vert),
-        tuple((2 * i + 2) * rise[i] - 2 * rise_pair[i] for i in range(k)),
-        tuple(v + vp for v, vp in zip(vert, vert_pair)),
-    )
-
-
-def _alt_motzkin_width(k_max: int) -> int:
-    # a packed coefficient sums at most 4**k_max paths, each adding at most
-    # (2k_max+1)**2 to any statistic
-    return 2 * k_max + 2 * (2 * k_max + 1).bit_length()
-
-
-def _alt_motzkin_fold(snapshot, width: int) -> AltMotzkinFold:
-    k, count, (rise, lev, vert), (rise_pair, lev_pair, _) = snapshot
-    nr = max(k, 1)
-    mask = (1 << width) - 1
-
-    def unpack(x: int) -> tuple[int, ...]:
-        return tuple((x >> (r * width)) & mask for r in range(nr))
-
-    return AltMotzkinFold(
-        k,
-        unpack(count),
-        tuple(unpack(x) for x in rise[:k]),
-        tuple(unpack(x) for x in vert),
-        tuple(unpack(x) for x in lev[:k]),
-        unpack(sum((i + 1) * rise[i] for i in range(k))),
-        unpack(sum(i * lev[i] for i in range(k))),
-        unpack(sum(rise_pair[:k])),
-        unpack(sum(lev_pair[:k])),
-    )
-
-
-def fold_dyck_upto(k_max: int) -> Iterator[DyckFold]:
-    """Yield the fold of every size k = 0..k_max, in order, from one DP pass
-    to length 2*k_max; each size's fold is yielded as soon as the pass has
-    reached step 2k."""
-    return map(_dyck_fold, _fold_upto(k_max, PathKind.DYCK, 0))
-
-
-def fold_alt_motzkin_upto(k_max: int) -> Iterator[AltMotzkinFold]:
-    """Yield the rise-resolved fold of every size k = 0..k_max, in order,
-    from one DP pass to length 2*k_max, as fold_dyck_upto does."""
-    width = _alt_motzkin_width(k_max)
-    return (_alt_motzkin_fold(s, width) for s in _fold_upto(k_max, PathKind.ALT_MOTZKIN, width))
-

@@ -2,12 +2,13 @@
 
 Every sum over paths comes from the transfer-matrix DP in ``fold``, which
 the tests cross-check against enumeration of every path for small k.
-Each ``verify_thmN`` takes the folds a caller already has, indexed by
-size; without them it runs one DP pass to its own k.  ``sweep`` folds
-each path kind that its identities read once for all of them, every size
-up to k_max from a few DP passes, never one pass per identity or per
-size, and ``SweepResult.passes`` decides which of its reports gate the
-verdict.
+A fold carries two per-altitude rows and the pair total of each, and
+each ``verify_thmN`` derives its identity's sides from them.  Each takes
+the folds a caller already has, indexed by size; without them it runs
+one DP pass to its own k.  ``sweep`` folds each path kind that its
+identities read once for all of them, every size up to k_max from a few
+DP passes, never one pass per identity or per size, and
+``SweepResult.passes`` decides which of its reports gate the verdict.
 
 The first three compare squared expectation norms of altitude vectors with
 Catalan/Narayana ratios; they hold for every k and the verifier checks
@@ -26,8 +27,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .fold import AltMotzkinFold, DyckFold, fold_alt_motzkin_upto, fold_dyck_upto
+from .fold import Fold, fold_upto
 from .numeric import GAMMA, GammaPoly, catalan, narayana_poly
+from .paths import PathKind
 
 Value = Union[Fraction, GammaPoly]
 
@@ -56,35 +58,35 @@ class IdentityReport:
         return self.rhs_index is None or self.rhs_index == DEFAULT_RHS_INDEX[self.identity]
 
 
-def verify_thm1(k: int, folds: Sequence[DyckFold] | None = None) -> IdentityReport:
+def verify_thm1(k: int, folds: Sequence[Fold] | None = None) -> IdentityReport:
     """Squared norm of the expected rise vector of Dyck paths equals
     C_{2k}/C_k^2 - 1.  ``folds[k]``, when given, is the size-k fold."""
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     c = catalan(k)
     if folds is None:
-        folds = tuple(fold_dyck_upto(k))
+        folds = tuple(fold_upto(PathKind.DYCK, k))
     f = folds[k]
-    lhs = Fraction(sum(s * s for s in f.rise_sums), c * c)
+    lhs = Fraction(sum(s * s for s in f.rises), c * c)
     rhs = Fraction(catalan(2 * k), c * c) - 1
     return IdentityReport("thm1", k, lhs, rhs)
 
 
-def verify_thm2(k: int, folds: Sequence[DyckFold] | None = None) -> IdentityReport:
+def verify_thm2(k: int, folds: Sequence[Fold] | None = None) -> IdentityReport:
     """Squared norm of the expected vertex vector of Dyck paths equals
     C_{2k+1}/C_k^2.  ``folds[k]``, when given, is the size-k fold."""
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     c = catalan(k)
     if folds is None:
-        folds = tuple(fold_dyck_upto(k))
+        folds = tuple(fold_upto(PathKind.DYCK, k))
     f = folds[k]
-    lhs = Fraction(sum(s * s for s in f.vertex_sums), c * c)
+    lhs = Fraction(sum(s * s for s in f.others), c * c)
     rhs = Fraction(catalan(2 * k + 1), c * c)
     return IdentityReport("thm2", k, lhs, rhs)
 
 
-def verify_thm3(k: int, folds: Sequence[AltMotzkinFold] | None = None) -> IdentityReport:
+def verify_thm3(k: int, folds: Sequence[Fold] | None = None) -> IdentityReport:
     """Rise-weighted analogue for alternating Motzkin paths, compared as
     numerators cleared of the N_k(gamma)^2 denominator:
     sum_i S_R[i]^2 + gamma * sum_i S_L[i]^2 = N_{2k} - N_k^2.
@@ -92,23 +94,15 @@ def verify_thm3(k: int, folds: Sequence[AltMotzkinFold] | None = None) -> Identi
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     if folds is None:
-        folds = tuple(fold_alt_motzkin_upto(k))
+        folds = tuple(fold_upto(PathKind.ALT_MOTZKIN, k))
     f = folds[k]
-    lhs = GammaPoly()
-    for row in f.rise_sums:
-        p = GammaPoly(row)
-        lhs = lhs + p * p
-    level_part = GammaPoly()
-    for row in f.level_sums:
-        p = GammaPoly(row)
-        level_part = level_part + p * p
-    lhs = lhs + GAMMA * level_part
+    lhs = sum(p * p for p in f.rises) + GAMMA * sum(p * p for p in f.others)
     rhs = narayana_poly(2 * k) - narayana_poly(k) * narayana_poly(k)
     return IdentityReport("thm3", k, lhs, rhs)
 
 
 def verify_thm4(
-    k: int, rhs_index: str = "k-1", folds: Sequence[DyckFold] | None = None
+    k: int, rhs_index: str = "k-1", folds: Sequence[Fold] | None = None
 ) -> IdentityReport:
     """Dyck identity with no known bijective proof: the total of
     R_i/2 * (2i+3-R_i) over paths of length 2k against the total of
@@ -121,17 +115,19 @@ def verify_thm4(
     if rhs_index not in ("k", "k-1"):
         raise ValueError(f"rhs_index must be 'k' or 'k-1', got {rhs_index!r}")
     if folds is None:
-        folds = tuple(fold_dyck_upto(k))
+        folds = tuple(fold_upto(PathKind.DYCK, k))
     f = folds[k]
-    lhs = Fraction(sum(f.rise_open_sums), 2)
-    j = k if rhs_index == "k" else k - 1
-    g = folds[j]
-    rhs = Fraction(sum(g.vertex_pair_sums[i] for i in range(min(k, j + 1))))
+    # R(2i+3-R)/2 = (i+1)R - C(R, 2), and C(V+1, 2) = V + C(V, 2)
+    lhs = Fraction(sum((i + 1) * r for i, r in enumerate(f.rises)) - f.rise_pairs)
+    g = folds[k if rhs_index == "k" else k - 1]
+    # the "k" variant sums below altitude k: that drops V_k but no pair,
+    # as a path of size k has at most one vertex at k
+    rhs = Fraction(sum(g.others[:k]) + g.other_pairs)
     return IdentityReport("thm4", k, lhs, rhs, rhs_index=rhs_index)
 
 
 def verify_thm5(
-    k: int, rhs_index: str = "k", folds: Sequence[AltMotzkinFold] | None = None
+    k: int, rhs_index: str = "k", folds: Sequence[Fold] | None = None
 ) -> IdentityReport:
     """Rise-weighted alternating Motzkin identity with no known bijective
     proof: sum of gamma^r * (sum (i+1)R_i + gamma * sum i*L_i) against
@@ -144,11 +140,12 @@ def verify_thm5(
     if rhs_index not in ("k", "k-1"):
         raise ValueError(f"rhs_index must be 'k' or 'k-1', got {rhs_index!r}")
     if folds is None:
-        folds = tuple(fold_alt_motzkin_upto(k))
+        folds = tuple(fold_upto(PathKind.ALT_MOTZKIN, k))
     f = folds[k]
-    lhs = GammaPoly(f.weighted_rise_sums) + GAMMA * GammaPoly(f.weighted_level_sums)
+    lhs = (sum((i + 1) * r for i, r in enumerate(f.rises))
+           + GAMMA * sum(i * x for i, x in enumerate(f.others)))
     g = folds[k if rhs_index == "k" else k - 1]
-    rhs = GammaPoly(g.rise_pair_sums) + GAMMA * GammaPoly(g.level_pair_sums)
+    rhs = g.rise_pairs + GAMMA * g.other_pairs
     return IdentityReport("thm5", k, lhs, rhs, rhs_index=rhs_index)
 
 
@@ -172,9 +169,9 @@ class SweepResult:
         )
 
 
-def _staged_folds(fold_upto, k_max: int):
-    """Yield every fold of the DP passes to ceil(k_max / 2**j) for
-    j = ceil(log2 k_max) .. 0, sizes repeating from one pass to the next.
+def _staged_folds(kind: PathKind, k_max: int):
+    """Yield every fold of the kind from the DP passes to ceil(k_max / 2**j)
+    for j = ceil(log2 k_max) .. 0, sizes repeating from one pass to the next.
 
     A pass to K costs O(K^3) and each pass goes about twice as far as the
     one before it, so together they cost about 8/7 of the last one.  The
@@ -183,7 +180,7 @@ def _staged_folds(fold_upto, k_max: int):
     huge.
     """
     for j in reversed(range((k_max - 1).bit_length() + 1)):
-        yield from fold_upto(-(-k_max >> j))
+        yield from fold_upto(kind, -(-k_max >> j))
 
 
 # identity -> the fold kind it reads, its first k, and one call of its
@@ -191,13 +188,13 @@ def _staged_folds(fold_upto, k_max: int):
 # looked up when called, so a wrapper put on this module's verify_thmN
 # sees every call a sweep makes.
 _SWEEP = {
-    "thm1": ("dyck", 1, (lambda k, f: verify_thm1(k, f),)),
-    "thm2": ("dyck", 1, (lambda k, f: verify_thm2(k, f),)),
-    "thm3": ("altmotzkin", 1, (lambda k, f: verify_thm3(k, f),)),
-    "thm4": ("dyck", 2, (lambda k, f: verify_thm4(k, "k-1", f),
-                         lambda k, f: verify_thm4(k, "k", f))),
-    "thm5": ("altmotzkin", 2, (lambda k, f: verify_thm5(k, "k", f),
-                               lambda k, f: verify_thm5(k, "k-1", f))),
+    "thm1": (PathKind.DYCK, 1, (lambda k, f: verify_thm1(k, f),)),
+    "thm2": (PathKind.DYCK, 1, (lambda k, f: verify_thm2(k, f),)),
+    "thm3": (PathKind.ALT_MOTZKIN, 1, (lambda k, f: verify_thm3(k, f),)),
+    "thm4": (PathKind.DYCK, 2, (lambda k, f: verify_thm4(k, "k-1", f),
+                                lambda k, f: verify_thm4(k, "k", f))),
+    "thm5": (PathKind.ALT_MOTZKIN, 2, (lambda k, f: verify_thm5(k, "k", f),
+                                       lambda k, f: verify_thm5(k, "k-1", f))),
 }
 
 
@@ -224,9 +221,8 @@ def sweep(
     def out_of_time() -> bool:
         return time_budget is not None and time.perf_counter() - start > time_budget
 
-    upto = {"dyck": fold_dyck_upto, "altmotzkin": fold_alt_motzkin_upto}
-    passes = {kind: _staged_folds(fn, k_max) for kind, fn in upto.items()}
-    folds: dict[str, list] = {kind: [] for kind in upto}
+    passes = {kind: _staged_folds(kind, k_max) for kind in PathKind}
+    folds: dict[PathKind, list] = {kind: [] for kind in PathKind}
     reports: list[IdentityReport] = []
     for name in identities:
         kind, k_min, variants = _SWEEP[name]

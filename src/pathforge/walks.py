@@ -7,7 +7,9 @@ paths; walks whose right moves happen only at even time steps and left
 moves only at odd time steps correspond to alternating Motzkin paths.
 Under the correspondence, time spent at node i is the vertex count V_i,
 advances into node i+1 are the rises R_i, and loops at node i are the
-level steps there.  So identities 1 and 2 (``identities.verify_thm1`` and
+level steps there.  ``paths.stats`` of the path counts them: its vertex
+and rise rows, and twice its even-step level row (the level-parity
+lemma).  So identities 1 and 2 (``identities.verify_thm1`` and
 ``verify_thm2``) restate for a uniform random closed loop-free walk of
 length 2k: they give the total square-average advances into higher nodes
 and the total square-average time at a node in closed form.
@@ -69,32 +71,3 @@ def walk_to_path(walk: Walk, kind: PathKind | str) -> Path:
     given kind (so a walk with loops is no Dyck path)."""
     return Path(walk.moves(), PathKind(kind))
 
-
-@dataclass(frozen=True)
-class WalkStatistics:
-    """Occupation statistics of a walk, indexed by node label.
-
-    time_at_node has an entry per visited node (0..max), advances_from_node
-    stops at max-1 (no walk advances out of its top node), loops_at_node
-    counts zero moves and runs 0..max.
-    """
-
-    time_at_node: tuple[int, ...]
-    advances_from_node: tuple[int, ...]
-    loops_at_node: tuple[int, ...]
-
-
-def walk_statistics(walk: Walk) -> WalkStatistics:
-    """Count time steps, advances, and loops per node."""
-    top = max(walk.nodes)
-    time = [0] * (top + 1)
-    advances = [0] * max(top, 0)
-    loops = [0] * (top + 1)
-    for node in walk.nodes:
-        time[node] += 1
-    for a, b in zip(walk.nodes, walk.nodes[1:]):
-        if b == a + 1:
-            advances[a] += 1
-        elif b == a:
-            loops[a] += 1
-    return WalkStatistics(tuple(time), tuple(advances), tuple(loops))

@@ -6,89 +6,62 @@ import pytest
 
 from pathforge import fold
 from pathforge.identities import verify_thm1, verify_thm2, verify_thm3, verify_thm4, verify_thm5
-from pathforge.paths import enumerate_alt_motzkin, enumerate_dyck, stats
+from pathforge.numeric import GammaPoly
+from pathforge.paths import PathKind, enumerate_alt_motzkin, enumerate_dyck, stats
 
 
-def dyck_fold_oracle(k):
-    # re-derive the fold from the public enumeration and stats, one path at a time
-    count = 0
-    rise = [0] * k
-    vert = [0] * (k + 1)
-    rise_open = [0] * k
-    vert_pair = [0] * (k + 1)
-    for p in enumerate_dyck(k):
+def fold_oracle(kind, k):
+    # re-derive the fold from the public enumeration and stats, one path at
+    # a time; an alternating Motzkin path weighs gamma**rises
+    enumerate_paths = enumerate_dyck if kind is PathKind.DYCK else enumerate_alt_motzkin
+    count, rises, others, rise_pairs, other_pairs = 0, [0] * k, None, 0, 0
+    for p in enumerate_paths(k):
         st = stats(p)
-        count += 1
-        for i, x in enumerate(st.rises_by_altitude):
-            rise[i] += x
-            rise_open[i] += x * (2 * i + 3 - x)
-        for i, x in enumerate(st.vertices_by_altitude):
-            vert[i] += x
-            vert_pair[i] += math.comb(x + 1, 2)
-    return count, rise, vert, rise_open, vert_pair
-
-
-def am_fold_oracle(k):
-    nr = max(k, 1)
-    counts = [0] * nr
-    rise = [[0] * nr for _ in range(k)]
-    vert = [[0] * nr for _ in range(k + 1)]
-    lev = [[0] * nr for _ in range(k)]
-    wrise = [0] * nr
-    wlev = [0] * nr
-    rpair = [0] * nr
-    lpair = [0] * nr
-    for p in enumerate_alt_motzkin(k):
-        st = stats(p)
-        r = st.rise_count
-        counts[r] += 1
-        for i in range(k):
-            rise[i][r] += st.rises_by_altitude[i]
-            lev[i][r] += st.even_levels_by_altitude[i]
-            wrise[r] += (i + 1) * st.rises_by_altitude[i]
-            wlev[r] += i * st.even_levels_by_altitude[i]
-            rpair[r] += math.comb(st.rises_by_altitude[i], 2)
-            lpair[r] += math.comb(st.even_levels_by_altitude[i], 2)
-        for i in range(k + 1):
-            vert[i][r] += st.vertices_by_altitude[i]
-    return counts, rise, vert, lev, wrise, wlev, rpair, lpair
-
-
-def frozen(x):
-    # the oracles build lists; the fold results hold tuples
-    return tuple(map(frozen, x)) if isinstance(x, (list, tuple)) else x
+        if kind is PathKind.DYCK:
+            w, row = 1, st.vertices_by_altitude
+        else:
+            w, row = GammaPoly([0] * st.rise_count + [1]), st.even_levels_by_altitude
+        if others is None:
+            others = [0] * len(row)
+        count += w
+        rises = [x + w * r for x, r in zip(rises, st.rises_by_altitude)]
+        others = [x + w * o for x, o in zip(others, row)]
+        rise_pairs += w * sum(math.comb(r, 2) for r in st.rises_by_altitude)
+        other_pairs += w * sum(math.comb(o, 2) for o in row)
+    return fold.Fold(k, count, tuple(rises), tuple(others), rise_pairs, other_pairs)
 
 
 # the oracle enumerates every path; k=10 (16,796 paths of each kind) costs
 # a few seconds.  Every size is read from one pass to 10.
-_DYCK_FOLDS = tuple(fold.fold_dyck_upto(10))
-_AM_FOLDS = tuple(fold.fold_alt_motzkin_upto(10))
+_FOLDS = {kind: tuple(fold.fold_upto(kind, 10)) for kind in PathKind}
 
 
 @pytest.mark.parametrize("k", range(11))
 def test_pure_dyck_fold_matches_per_path_oracle(k):
-    assert _DYCK_FOLDS[k] == fold.DyckFold(k, *frozen(dyck_fold_oracle(k)))
+    assert _FOLDS[PathKind.DYCK][k] == fold_oracle(PathKind.DYCK, k)
 
 
 @pytest.mark.parametrize("k", range(11))
 def test_pure_am_fold_matches_per_path_oracle(k):
-    assert _AM_FOLDS[k] == fold.AltMotzkinFold(k, *frozen(am_fold_oracle(k)))
+    assert _FOLDS[PathKind.ALT_MOTZKIN][k] == fold_oracle(PathKind.ALT_MOTZKIN, k)
 
 
 def test_negative_k_rejected():
-    for upto in (fold.fold_dyck_upto, fold.fold_alt_motzkin_upto):
+    for kind in PathKind:
         with pytest.raises(ValueError, match="nonnegative"):
-            list(upto(-1))
+            list(fold.fold_upto(kind, -1))
 
 
 @pytest.mark.parametrize("k_max", [12, 20])
-@pytest.mark.parametrize("upto", [fold.fold_dyck_upto, fold.fold_alt_motzkin_upto])
-def test_one_pass_yields_each_size_as_a_pass_to_that_size(upto, k_max):
+@pytest.mark.parametrize("kind", PathKind, ids=lambda kind: kind.value)
+def test_one_pass_yields_each_size_as_a_pass_to_that_size(kind, k_max):
     # a pass to k_max packs gamma coefficients wider and prunes altitudes
     # later than a pass to k, and must not change what size k reads; the
     # packing width's bound is loose, so a width too small for k_max shows
     # only from about k = 20
-    assert list(upto(k_max)) == [list(upto(k))[-1] for k in range(k_max + 1)]
+    assert list(fold.fold_upto(kind, k_max)) == [
+        list(fold.fold_upto(kind, k))[-1] for k in range(k_max + 1)
+    ]
 
 
 def test_identities_hold_beyond_enumeration():

@@ -19,7 +19,7 @@ from pathforge.identities import (
     verify_thm5,
 )
 from pathforge.numeric import GAMMA, GammaPoly, catalan
-from pathforge.paths import enumerate_alt_motzkin, enumerate_dyck, stats
+from pathforge.paths import PathKind, enumerate_alt_motzkin, enumerate_dyck, stats
 
 
 def test_thm1_worked_values():
@@ -237,18 +237,16 @@ def test_sweep_equals_each_identity_folded_apart():
     assert list(sweep(IDENTITIES, 12).reports) == per_identity_reports(12)
 
 
-_FOLDS = ("fold_dyck_upto", "fold_alt_motzkin_upto")
-
-
 def count_fold_calls(monkeypatch):
-    """Wrap the fold functions identities calls; the dict counts calls by name."""
-    calls = dict.fromkeys(_FOLDS, 0)
-    for name in _FOLDS:
-        def wrapper(*args, _name=name, _fn=getattr(identities, name)):
-            calls[_name] += 1
-            return _fn(*args)
+    """Wrap the fold entry identities calls; the dict counts calls by kind."""
+    calls = dict.fromkeys(PathKind, 0)
+    fold_upto = identities.fold_upto
 
-        monkeypatch.setattr(identities, name, wrapper)
+    def wrapper(kind, k_max):
+        calls[kind] += 1
+        return fold_upto(kind, k_max)
+
+    monkeypatch.setattr(identities, "fold_upto", wrapper)
     return calls
 
 
@@ -260,18 +258,18 @@ def test_sweep_folds_each_kind_in_logarithmically_many_passes(monkeypatch, names
     calls = count_fold_calls(monkeypatch)
     sweep(names, k_max)
     kinds = {identities._SWEEP[name][0] for name in names}
-    for kind, upto in (("dyck", "fold_dyck_upto"), ("altmotzkin", "fold_alt_motzkin_upto")):
+    for kind in PathKind:
         if kind in kinds:
-            assert 1 <= calls[upto] <= math.ceil(math.log2(k_max)) + 1
+            assert 1 <= calls[kind] <= math.ceil(math.log2(k_max)) + 1
         else:
-            assert calls[upto] == 0
+            assert calls[kind] == 0
 
 
 def test_thm4_and_thm5_read_both_sizes_from_one_pass(monkeypatch):
     calls = count_fold_calls(monkeypatch)
     assert verify_thm4(5, "k-1").equal
     assert verify_thm5(5, "k-1").rhs == verify_thm5(4).rhs
-    assert calls == {"fold_dyck_upto": 1, "fold_alt_motzkin_upto": 2}
+    assert calls == {PathKind.DYCK: 1, PathKind.ALT_MOTZKIN: 2}
 
 
 def test_truncated_sweep_is_a_prefix_of_the_full_sweep(monkeypatch):

@@ -9,8 +9,8 @@ from pathlib import Path as FilePath
 
 import pytest
 
-from pathforge.fold import fold_alt_motzkin_upto, fold_dyck_upto
-from pathforge.numeric import GammaPoly, catalan, narayana_poly
+from pathforge.fold import fold_upto
+from pathforge.numeric import GAMMA, GammaPoly, catalan, narayana_poly
 from pathforge.paths import (
     FALL,
     LEVEL,
@@ -263,12 +263,12 @@ def test_level_parity_requires_alt_motzkin():
 
 def test_expectation_vectors_dyck_k3():
     # the paper's worked k=3 values: the fold's sums over its path count
-    *_, f = fold_dyck_upto(3)
+    *_, f = fold_upto(PathKind.DYCK, 3)
     assert f.count == 5
-    assert f.rise_sums == (9, 5, 1)
-    assert f.vertex_sums == (14, 14, 6, 1)
-    assert [Fraction(x, f.count) for x in f.rise_sums] == [Fraction(9, 5), 1, Fraction(1, 5)]
-    assert [Fraction(x, f.count) for x in f.vertex_sums] == [
+    assert f.rises == (9, 5, 1)
+    assert f.others == (14, 14, 6, 1)
+    assert [Fraction(x, f.count) for x in f.rises] == [Fraction(9, 5), 1, Fraction(1, 5)]
+    assert [Fraction(x, f.count) for x in f.others] == [
         Fraction(14, 5),
         Fraction(14, 5),
         Fraction(6, 5),
@@ -278,14 +278,10 @@ def test_expectation_vectors_dyck_k3():
 
 def test_expectation_vectors_alt_motzkin_k3():
     # numerators in gamma over the Narayana polynomial 1 + 3g + g^2
-    *_, f = fold_alt_motzkin_upto(3)
-    assert GammaPoly(f.counts_by_rises) == GammaPoly([1, 3, 1])
-    assert [GammaPoly(row) for row in f.rise_sums] == [GammaPoly([0, 3, 2]), GammaPoly(), GammaPoly()]
-    assert [GammaPoly(row) for row in f.level_sums] == [
-        GammaPoly([3, 5, 1]),
-        GammaPoly([0, 1]),
-        GammaPoly(),
-    ]
+    *_, f = fold_upto(PathKind.ALT_MOTZKIN, 3)
+    assert f.count == GammaPoly([1, 3, 1])
+    assert f.rises == (GammaPoly([0, 3, 2]), GammaPoly(), GammaPoly())
+    assert f.others == (GammaPoly([3, 5, 1]), GAMMA, GammaPoly())
 
 
 def test_path_equality_and_hash():

@@ -1,12 +1,12 @@
-"""Halfline walk translation and occupation statistics."""
+"""Halfline walk translation and the walk reading of identities 1 and 2."""
 
 from fractions import Fraction
 
 import pytest
 
 from pathforge.identities import verify_thm1, verify_thm2
-from pathforge.paths import PathKind, enumerate_alt_motzkin, enumerate_dyck, parse, stats
-from pathforge.walks import Walk, path_to_walk, walk_statistics, walk_to_path
+from pathforge.paths import PathKind, enumerate_alt_motzkin, enumerate_dyck, parse
+from pathforge.walks import Walk, path_to_walk, walk_to_path
 
 _ENUMERATE = {PathKind.DYCK: enumerate_dyck, PathKind.ALT_MOTZKIN: enumerate_alt_motzkin}
 
@@ -76,43 +76,6 @@ def test_round_trips_exhaustive(k):
     for kind, enumerate_paths in _ENUMERATE.items():
         for p in enumerate_paths(k):
             assert walk_to_path(path_to_walk(p), kind) == p
-
-
-def test_walk_statistics_examples():
-    ws = walk_statistics(path_to_walk(parse("UDUDUD", "dyck")))
-    assert ws.time_at_node == (4, 3)
-    assert ws.advances_from_node == (3,)
-    assert ws.loops_at_node == (0, 0)
-
-    ws = walk_statistics(path_to_walk(parse("LL", "altmotzkin")))
-    assert ws.time_at_node == (3,)
-    assert ws.advances_from_node == ()
-    assert ws.loops_at_node == (2,)
-
-    ws = walk_statistics(path_to_walk(parse("LUDL", "altmotzkin")))
-    assert ws.time_at_node == (4, 1)
-    assert ws.advances_from_node == (1,)
-    assert ws.loops_at_node == (2, 0)
-
-
-@pytest.mark.parametrize("k", range(1, 7))
-def test_walk_statistics_match_path_stats(k):
-    for p in enumerate_dyck(k):
-        st = stats(p)
-        ws = walk_statistics(path_to_walk(p))
-        top = len(ws.time_at_node)
-        assert ws.time_at_node == st.vertices_by_altitude[:top]
-        assert all(v == 0 for v in st.vertices_by_altitude[top:])
-        assert ws.advances_from_node == st.rises_by_altitude[: len(ws.advances_from_node)]
-        assert all(v == 0 for v in st.rises_by_altitude[len(ws.advances_from_node):])
-    for p in enumerate_alt_motzkin(k):
-        st = stats(p)
-        ws = walk_statistics(path_to_walk(p))
-        top = len(ws.time_at_node)
-        assert ws.time_at_node == st.vertices_by_altitude[:top]
-        # loops count all level steps; even-step levels are exactly half
-        for node, loops in enumerate(ws.loops_at_node):
-            assert loops == 2 * st.even_levels_by_altitude[node]
 
 
 def test_walk_identities_k3():
