@@ -52,24 +52,20 @@ def _emit_json(obj):
     print(json.dumps(obj, indent=2))
 
 
-def _emit_csv(rows, header):
-    import csv
-    import io
-
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    sys.stdout.write(out.getvalue())
-
-
-def _emit_records(records: list[dict], fmt: str):
-    """Write records as CSV rows under the first record's keys, or as JSON:
-    the record itself when there is one, else the list."""
+def _emit_records(records: list[dict], fmt: str, header=None):
+    """Write records as CSV rows under header (default: the first record's
+    keys; a key a record lacks is an empty cell), or as JSON: the record
+    itself when there is one, else the list."""
     if fmt == "csv":
-        header = list(records[0])
-        _emit_csv([[_csv_cell(rec[h]) for h in header] for rec in records], header)
+        import csv
+        import io
+
+        header = header or list(records[0])
+        out = io.StringIO()
+        writer = csv.writer(out)
+        writer.writerow(header)
+        writer.writerows([_csv_cell(rec.get(h)) for h in header] for rec in records)
+        sys.stdout.write(out.getvalue())
     else:
         _emit_json(records[0] if len(records) == 1 else records)
 
@@ -200,34 +196,24 @@ def _report_record(r) -> dict:
     return record
 
 
-def _emit_reports(reports, fmt: str, truncated: bool = False):
-    records = [_report_record(r) for r in reports]
-    if fmt == "csv":
-        header = ["id", "k", "rhs_index", "lhs", "rhs", "equal"]
-        rows = [
-            [rec["id"], rec["k"], rec.get("rhs_index", ""), _csv_cell(rec["lhs"]),
-             _csv_cell(rec["rhs"]), rec["equal"]]
-            for rec in records
-        ]
-        _emit_csv(rows, header)
-        if truncated:
-            # the table has no place for the flag the JSON object carries
-            print(f"note: sweep truncated by --time-budget after {len(records)} reports",
-                  file=sys.stderr)
-    else:
-        obj = {"reports": records}
-        if truncated:
-            obj["truncated"] = True
-        _emit_json(obj)
-
-
 def _emit_sweep(result, fmt: str, selected_rhs_index) -> int:
     # an empty report would read as a pass; a truncated sweep says so in its output
     if not result.reports and not result.truncated:
         print("error: --k-max leaves nothing to check (identities 1-3 start at k=1, "
               "4 and 5 at k=2)", file=sys.stderr)
         return 2
-    _emit_reports(result.reports, fmt, truncated=result.truncated)
+    records = [_report_record(r) for r in result.reports]
+    if fmt == "csv":
+        _emit_records(records, fmt, header=["id", "k", "rhs_index", "lhs", "rhs", "equal"])
+        if result.truncated:
+            # the table has no place for the flag the JSON object carries
+            print(f"note: sweep truncated by --time-budget after {len(records)} reports",
+                  file=sys.stderr)
+    else:
+        obj = {"reports": records}
+        if result.truncated:
+            obj["truncated"] = True
+        _emit_json(obj)
     return 0 if result.passes(selected_rhs_index) else 1
 
 
@@ -241,14 +227,14 @@ def _k_max_refused(k_max: int) -> bool:
 
 
 def _cmd_verify(args) -> int:
-    from .identities import sweep
+    from .identities import _ROWS, sweep
 
-    if args.rhs_index is not None and args.identity < 4:
+    name = f"thm{args.identity}"
+    if args.rhs_index not in (None, *_ROWS[name].variants):
         print("error: --rhs-index applies to identities 4 and 5 only", file=sys.stderr)
         return 2
     if _k_max_refused(args.k_max):
         return 2
-    name = f"thm{args.identity}"
     return _emit_sweep(sweep([name], args.k_max), args.format, args.rhs_index)
 
 

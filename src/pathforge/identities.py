@@ -1,14 +1,15 @@
 """Exact verification of five Catalan/Narayana identities.
 
-Every sum over paths comes from the transfer-matrix DP in ``fold``, which
-the tests cross-check against enumeration of every path for small k.
-A fold carries two per-altitude rows and the pair total of each, and
-each ``verify_thmN`` derives its identity's sides from them.  Each takes
-the folds a caller already has, indexed by size; without them it runs
-one DP pass to its own k.  ``sweep`` folds each path kind that its
-identities read once for all of them, every size up to k_max from a few
-DP passes, never one pass per identity or per size, and
-``SweepResult.passes`` decides which of its reports gate the verdict.
+Each identity is one row of ``_ROWS``: the path kind whose folds it
+reads, its first size, its right-hand variants and the algebra that
+gives its two sides from the folds.  Every sum over paths comes from the
+transfer-matrix DP in ``fold``, which the tests cross-check against
+enumeration of every path for small k.  Each ``verify_thmN`` takes the
+folds a caller already has, indexed by size; without them it runs one DP
+pass to its own k.  ``sweep`` folds each path kind that its identities
+read once for all of them, every size up to k_max from a few DP passes,
+never one pass per identity or per size, and ``SweepResult.passes``
+decides which of its reports gate the verdict.
 
 The first three compare squared expectation norms of altitude vectors with
 Catalan/Narayana ratios; they hold for every k and the verifier checks
@@ -17,7 +18,10 @@ conventions exist for the size of the right-hand summation, so the
 verifier computes both variants and reports which matches; the defaults
 frozen here (Dyck paths one size down for identity 4, equal sizes for
 identity 5) are the ones under which the identities actually hold, pinned
-by the worked k=3 values 16 = 16 and 3g + 3g^2.
+by the worked k=3 values 16 = 16 and 3g + 3g^2.  Checked against the DP,
+not proved: both sides of identity 4 equal 4^(k-1), and both sides of
+identity 5 equal sum_{j=2..k} g N_{j-1}(g) c_{k-j}, where c_n is the x^n
+coefficient of 1/((1 - x(1+g))^2 - 4 g x^2).
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .fold import Fold, fold_upto
 from .numeric import GAMMA, GammaPoly, catalan, narayana_poly
@@ -33,10 +37,44 @@ from .paths import PathKind
 
 Value = Union[Fraction, GammaPoly]
 
-IDENTITIES = ("thm1", "thm2", "thm3", "thm4", "thm5")
 
-# rhs summation-size conventions matching the worked examples
-DEFAULT_RHS_INDEX = {"thm4": "k-1", "thm5": "k"}
+@dataclass(frozen=True)
+class _Identity:
+    """One identity: the path kind it folds, its first k, its right-hand
+    variants, default first (None: one right side), and ``sides(f, g, k)
+    -> (lhs, rhs)`` from the size-k fold f and the fold g the variant
+    selects (size k - 1 for "k-1", else f)."""
+
+    kind: PathKind
+    k_min: int
+    variants: tuple[str | None, ...]
+    sides: Callable[[Fold, Fold, int], tuple[Value, Value]]
+
+
+# the default variants of identities 4 and 5 match the worked examples
+_ROWS = {
+    "thm1": _Identity(PathKind.DYCK, 1, (None,), lambda f, g, k: (
+        Fraction(sum(s * s for s in f.rises), (c2 := catalan(k) ** 2)),
+        Fraction(catalan(2 * k), c2) - 1)),
+    "thm2": _Identity(PathKind.DYCK, 1, (None,), lambda f, g, k: (
+        Fraction(sum(s * s for s in f.others), (c2 := catalan(k) ** 2)),
+        Fraction(catalan(2 * k + 1), c2))),
+    "thm3": _Identity(PathKind.ALT_MOTZKIN, 1, (None,), lambda f, g, k: (
+        sum(p * p for p in f.rises) + GAMMA * sum(p * p for p in f.others),
+        narayana_poly(2 * k) - narayana_poly(k) * narayana_poly(k))),
+    "thm4": _Identity(PathKind.DYCK, 2, ("k-1", "k"), lambda f, g, k: (
+        # R(2i+3-R)/2 = (i+1)R - C(R, 2), and C(V+1, 2) = V + C(V, 2)
+        Fraction(sum((i + 1) * r for i, r in enumerate(f.rises)) - f.rise_pairs),
+        # the "k" variant sums below altitude k: that drops V_k but no pair,
+        # as a path of size k has at most one vertex at k
+        Fraction(sum(g.others[:k]) + g.other_pairs))),
+    "thm5": _Identity(PathKind.ALT_MOTZKIN, 2, ("k", "k-1"), lambda f, g, k: (
+        sum((i + 1) * r for i, r in enumerate(f.rises))
+        + GAMMA * sum(i * x for i, x in enumerate(f.others)),
+        g.rise_pairs + GAMMA * g.other_pairs)),
+}
+
+IDENTITIES = tuple(_ROWS)
 
 
 @dataclass(frozen=True)
@@ -55,35 +93,33 @@ class IdentityReport:
 
     @property
     def is_default_convention(self) -> bool:
-        return self.rhs_index is None or self.rhs_index == DEFAULT_RHS_INDEX[self.identity]
+        return self.rhs_index == _ROWS[self.identity].variants[0]
+
+
+def _verify(name, k, folds, rhs_index=None) -> IdentityReport:
+    # the named identity at size k, from folds indexed by size, or from one
+    # DP pass to k when none are given
+    row = _ROWS[name]
+    if k < row.k_min:
+        raise ValueError(f"k must be at least {row.k_min}, got {k}")
+    if rhs_index not in row.variants:
+        raise ValueError(f"rhs_index must be one of {row.variants}, got {rhs_index!r}")
+    if folds is None:
+        folds = tuple(fold_upto(row.kind, k))
+    lhs, rhs = row.sides(folds[k], folds[k - 1 if rhs_index == "k-1" else k], k)
+    return IdentityReport(name, k, lhs, rhs, rhs_index=rhs_index)
 
 
 def verify_thm1(k: int, folds: Sequence[Fold] | None = None) -> IdentityReport:
     """Squared norm of the expected rise vector of Dyck paths equals
     C_{2k}/C_k^2 - 1.  ``folds[k]``, when given, is the size-k fold."""
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    c = catalan(k)
-    if folds is None:
-        folds = tuple(fold_upto(PathKind.DYCK, k))
-    f = folds[k]
-    lhs = Fraction(sum(s * s for s in f.rises), c * c)
-    rhs = Fraction(catalan(2 * k), c * c) - 1
-    return IdentityReport("thm1", k, lhs, rhs)
+    return _verify("thm1", k, folds)
 
 
 def verify_thm2(k: int, folds: Sequence[Fold] | None = None) -> IdentityReport:
     """Squared norm of the expected vertex vector of Dyck paths equals
     C_{2k+1}/C_k^2.  ``folds[k]``, when given, is the size-k fold."""
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    c = catalan(k)
-    if folds is None:
-        folds = tuple(fold_upto(PathKind.DYCK, k))
-    f = folds[k]
-    lhs = Fraction(sum(s * s for s in f.others), c * c)
-    rhs = Fraction(catalan(2 * k + 1), c * c)
-    return IdentityReport("thm2", k, lhs, rhs)
+    return _verify("thm2", k, folds)
 
 
 def verify_thm3(k: int, folds: Sequence[Fold] | None = None) -> IdentityReport:
@@ -91,62 +127,27 @@ def verify_thm3(k: int, folds: Sequence[Fold] | None = None) -> IdentityReport:
     numerators cleared of the N_k(gamma)^2 denominator:
     sum_i S_R[i]^2 + gamma * sum_i S_L[i]^2 = N_{2k} - N_k^2.
     ``folds[k]``, when given, is the size-k fold."""
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if folds is None:
-        folds = tuple(fold_upto(PathKind.ALT_MOTZKIN, k))
-    f = folds[k]
-    lhs = sum(p * p for p in f.rises) + GAMMA * sum(p * p for p in f.others)
-    rhs = narayana_poly(2 * k) - narayana_poly(k) * narayana_poly(k)
-    return IdentityReport("thm3", k, lhs, rhs)
+    return _verify("thm3", k, folds)
 
 
-def verify_thm4(
-    k: int, rhs_index: str = "k-1", folds: Sequence[Fold] | None = None
-) -> IdentityReport:
+def verify_thm4(k: int, rhs_index: str = "k-1", folds: Sequence[Fold] | None = None) -> IdentityReport:
     """Dyck identity with no known bijective proof: the total of
     R_i/2 * (2i+3-R_i) over paths of length 2k against the total of
     C(V_i+1, 2) over paths one size down (rhs_index "k-1", the convention
     matching the worked example) or the same size ("k").  ``folds[j]``,
     when given, is the size-j fold for j = k-1 and k; by default one DP
     pass to k computes both."""
-    if k < 2:
-        raise ValueError(f"k must be at least 2, got {k}")
-    if rhs_index not in ("k", "k-1"):
-        raise ValueError(f"rhs_index must be 'k' or 'k-1', got {rhs_index!r}")
-    if folds is None:
-        folds = tuple(fold_upto(PathKind.DYCK, k))
-    f = folds[k]
-    # R(2i+3-R)/2 = (i+1)R - C(R, 2), and C(V+1, 2) = V + C(V, 2)
-    lhs = Fraction(sum((i + 1) * r for i, r in enumerate(f.rises)) - f.rise_pairs)
-    g = folds[k if rhs_index == "k" else k - 1]
-    # the "k" variant sums below altitude k: that drops V_k but no pair,
-    # as a path of size k has at most one vertex at k
-    rhs = Fraction(sum(g.others[:k]) + g.other_pairs)
-    return IdentityReport("thm4", k, lhs, rhs, rhs_index=rhs_index)
+    return _verify("thm4", k, folds, rhs_index)
 
 
-def verify_thm5(
-    k: int, rhs_index: str = "k", folds: Sequence[Fold] | None = None
-) -> IdentityReport:
+def verify_thm5(k: int, rhs_index: str = "k", folds: Sequence[Fold] | None = None) -> IdentityReport:
     """Rise-weighted alternating Motzkin identity with no known bijective
     proof: sum of gamma^r * (sum (i+1)R_i + gamma * sum i*L_i) against
     sum of gamma^r * (sum C(R_i,2) + gamma * sum C(L_i,2)), with the right
     side over the same size ("k", matching the worked example) or one size
     down ("k-1").  ``folds[j]``, when given, is the size-j fold for
     j = k-1 and k; by default one DP pass to k computes both."""
-    if k < 2:
-        raise ValueError(f"k must be at least 2, got {k}")
-    if rhs_index not in ("k", "k-1"):
-        raise ValueError(f"rhs_index must be 'k' or 'k-1', got {rhs_index!r}")
-    if folds is None:
-        folds = tuple(fold_upto(PathKind.ALT_MOTZKIN, k))
-    f = folds[k]
-    lhs = (sum((i + 1) * r for i, r in enumerate(f.rises))
-           + GAMMA * sum(i * x for i, x in enumerate(f.others)))
-    g = folds[k if rhs_index == "k" else k - 1]
-    rhs = g.rise_pairs + GAMMA * g.other_pairs
-    return IdentityReport("thm5", k, lhs, rhs, rhs_index=rhs_index)
+    return _verify("thm5", k, folds, rhs_index)
 
 
 @dataclass(frozen=True)
@@ -158,15 +159,11 @@ class SweepResult:
     truncated: bool = False
 
     def passes(self, rhs_index: str | None = None) -> bool:
-        """Every report that gates the verdict is an equality: each report
-        with one right-hand side, and of identities 4 and 5 the variant
-        rhs_index selects (None: the default convention)."""
-        return all(
-            r.equal
-            for r in self.reports
-            if r.rhs_index is None
-            or r.rhs_index == (rhs_index or DEFAULT_RHS_INDEX[r.identity])
-        )
+        """Every report that gates the verdict is an equality: of each
+        identity, the variant rhs_index selects (None, or a variant the
+        identity lacks: its default)."""
+        return all(r.equal for r in self.reports if r.rhs_index == rhs_index
+                   or (r.is_default_convention and rhs_index not in _ROWS[r.identity].variants))
 
 
 def _staged_folds(kind: PathKind, k_max: int):
@@ -181,21 +178,6 @@ def _staged_folds(kind: PathKind, k_max: int):
     """
     for j in reversed(range((k_max - 1).bit_length() + 1)):
         yield from fold_upto(kind, -(-k_max >> j))
-
-
-# identity -> the fold kind it reads, its first k, and one call of its
-# verifier per right-hand variant, in report order.  The verifiers are
-# looked up when called, so a wrapper put on this module's verify_thmN
-# sees every call a sweep makes.
-_SWEEP = {
-    "thm1": (PathKind.DYCK, 1, (lambda k, f: verify_thm1(k, f),)),
-    "thm2": (PathKind.DYCK, 1, (lambda k, f: verify_thm2(k, f),)),
-    "thm3": (PathKind.ALT_MOTZKIN, 1, (lambda k, f: verify_thm3(k, f),)),
-    "thm4": (PathKind.DYCK, 2, (lambda k, f: verify_thm4(k, "k-1", f),
-                                lambda k, f: verify_thm4(k, "k", f))),
-    "thm5": (PathKind.ALT_MOTZKIN, 2, (lambda k, f: verify_thm5(k, "k", f),
-                                       lambda k, f: verify_thm5(k, "k-1", f))),
-}
 
 
 def sweep(
@@ -225,14 +207,17 @@ def sweep(
     folds: dict[PathKind, list] = {kind: [] for kind in PathKind}
     reports: list[IdentityReport] = []
     for name in identities:
-        kind, k_min, variants = _SWEEP[name]
-        have = folds[kind]
-        for k in range(k_min, k_max + 1):
+        row = _ROWS[name]
+        # looked up here, so a wrapper put on verify_thmN sees every call
+        verify = globals()[f"verify_{name}"]
+        have = folds[row.kind]
+        for k in range(row.k_min, k_max + 1):
             while len(have) <= k and not out_of_time():
-                f = next(passes[kind])
+                f = next(passes[row.kind])
                 if f.k == len(have):
                     have.append(f)
             if out_of_time():
                 return SweepResult(tuple(reports), truncated=True)
-            reports.extend(verify(k, have) for verify in variants)
+            reports.extend(verify(k, folds=have) if v is None else verify(k, v, have)
+                           for v in row.variants)
     return SweepResult(tuple(reports))

@@ -124,11 +124,12 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
 
 
-def _summarize(values: list[float]) -> tuple[float, float]:
-    arr = np.asarray(values)
-    estimate = float(arr.mean())
-    stderr = float(arr.std(ddof=1) / sqrt(len(arr))) if len(arr) > 1 else 0.0
-    return estimate, stderr
+def _estimate(ensemble, k, n, m, trials, seed, draw, size, target) -> MomentEstimate:
+    # tr(A^k)/size over one A = draw(rng) per (seed, trial) substream, each
+    # going straight into trace_power, so it is freed before the next draws
+    values = np.array([trace_power(draw(_trial_rng(seed, t)), k) / size for t in range(trials)])
+    stderr = float(values.std(ddof=1) / sqrt(trials)) if trials > 1 else 0.0
+    return MomentEstimate(ensemble, k, n, m, trials, seed, float(values.mean()), stderr, target)
 
 
 def _wigner_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -173,12 +174,9 @@ def wigner_moment(k: int, n: int, trials: int = 20, seed: int = 0) -> MomentEsti
         raise ValueError(f"n must be at least 2, got {n}")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    values = []
-    for trial in range(trials):
-        values.append(trace_power(_wigner_matrix(_trial_rng(seed, trial), n), k) / n)
-    estimate, stderr = _summarize(values)
     target = catalan(k // 2) if k % 2 == 0 else 0
-    return MomentEstimate("wigner", k, n, None, trials, seed, estimate, stderr, target)
+    return _estimate("wigner", k, n, None, trials, seed, lambda rng: _wigner_matrix(rng, n), n,
+                     target)
 
 
 def _wishart_matrix(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
@@ -208,9 +206,6 @@ def wishart_moment(k: int, n: int, m: int, trials: int = 20, seed: int = 0) -> M
         raise ValueError(f"matrix dimensions must be at least 2, got n={n}, m={m}")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    values = []
-    for trial in range(trials):
-        values.append(trace_power(_wishart_matrix(_trial_rng(seed, trial), m, n), k) / m)
-    estimate, stderr = _summarize(values)
     target = narayana_poly(k).evaluate(Fraction(m, n))
-    return MomentEstimate("wishart", k, n, m, trials, seed, estimate, stderr, target)
+    return _estimate("wishart", k, n, m, trials, seed, lambda rng: _wishart_matrix(rng, m, n), m,
+                     target)

@@ -9,6 +9,8 @@ import pytest
 
 from pathforge import bijections as bj
 from pathforge import identities
+from pathforge.cli import K_MAX_LIMIT
+from pathforge.fold import fold_upto
 from pathforge.identities import (
     IDENTITIES,
     sweep,
@@ -18,7 +20,7 @@ from pathforge.identities import (
     verify_thm4,
     verify_thm5,
 )
-from pathforge.numeric import GAMMA, GammaPoly, catalan
+from pathforge.numeric import GAMMA, GammaPoly, catalan, narayana_poly
 from pathforge.paths import PathKind, enumerate_alt_motzkin, enumerate_dyck, stats
 
 
@@ -152,6 +154,29 @@ def test_thm4_both_sides_against_direct_enumeration(k):
     assert verify_thm4(k, "k-1").rhs == rhs
 
 
+# --- closed forms of identities 4 and 5: checked against the DP, not proved
+
+def test_thm4_sides_are_powers_of_four():
+    folds = tuple(fold_upto(PathKind.DYCK, K_MAX_LIMIT))
+    for k in range(2, K_MAX_LIMIT + 1):
+        r = verify_thm4(k, folds=folds)
+        assert r.lhs == 4 ** (k - 1) == r.rhs, k
+
+
+def test_thm5_sides_are_a_narayana_convolution():
+    # sum_{j=2..k} g N_{j-1}(g) c_{k-j}, with c_n the x^n coefficient of
+    # 1/((1 - x(1+g))^2 - 4 g x^2): c_n = 2(1+g) c_{n-1} - (1-g)^2 c_{n-2}
+    k_max = 40
+    folds = tuple(fold_upto(PathKind.ALT_MOTZKIN, k_max))
+    c = [GammaPoly([1]), GammaPoly([2, 2])]
+    while len(c) < k_max - 1:
+        c.append(GammaPoly([2, 2]) * c[-1] - GammaPoly([1, -2, 1]) * c[-2])
+    for k in range(2, k_max + 1):
+        closed = sum((GAMMA * narayana_poly(j - 1) * c[k - j] for j in range(2, k + 1)), GammaPoly())
+        r = verify_thm5(k, folds=folds)
+        assert r.lhs == closed == r.rhs, k
+
+
 # --- cross-module: identity left sides count the construction inputs ------
 
 @pytest.mark.parametrize("k", (1, 2, 3, 4))
@@ -257,7 +282,7 @@ def count_fold_calls(monkeypatch):
 def test_sweep_folds_each_kind_in_logarithmically_many_passes(monkeypatch, names, k_max):
     calls = count_fold_calls(monkeypatch)
     sweep(names, k_max)
-    kinds = {identities._SWEEP[name][0] for name in names}
+    kinds = {identities._ROWS[name].kind for name in names}
     for kind in PathKind:
         if kind in kinds:
             assert 1 <= calls[kind] <= math.ceil(math.log2(k_max)) + 1
