@@ -21,7 +21,7 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
+from itertools import islice
 
 # every command needs these; each command imports the rest of what it runs
 from .numeric import GammaPoly, catalan
@@ -41,6 +41,8 @@ MC_K_LIMIT = 1039
 
 
 def _json_value(value):
+    from fractions import Fraction  # loaded by the identities a report writes
+
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, GammaPoly):
@@ -91,12 +93,28 @@ def _count_refused(k: int) -> bool:
     return True
 
 
+# the bytes a listing hands stdout in one write: under python -u or
+# PYTHONUNBUFFERED each write is a system call, so a write per path would
+# cost more than the path
+_BLOCK_BYTES = 1 << 16
+
+
+def _write_paths(out, rendered, k: int, before: str, after: str):
+    """Write before + path + after for each rendered path of size k, in
+    blocks of about _BLOCK_BYTES, each one write: memory stays bounded at
+    any k, and at least one path goes in each block."""
+    per_block = max(1, _BLOCK_BYTES // (2 * k + 8))
+    sep = after + before
+    while block := list(islice(rendered, per_block)):
+        out.write(before + sep.join(block) + after)
+
+
 def _cmd_enumerate(args) -> int:
     kind = PathKind(args.kind)
     out = sys.stdout
     if args.format == "csv" and not args.count_only:
         # one path per line, no count
-        out.writelines(f"{line}\n" for line in _listing(kind, args.k))
+        _write_paths(out, _listing(kind, args.k), args.k, "", "\n")
         return 0
     if _count_refused(args.k):
         return 2
@@ -110,7 +128,7 @@ def _cmd_enumerate(args) -> int:
     # A path is a string over U, D, L, so json.dumps only quotes it.
     head = json.dumps({"kind": kind.value, "k": args.k, "count": count}, indent=2)
     out.write(f'{head[:-2]},\n  "paths": [\n    "{next(rendered)}"')
-    out.writelines(f',\n    "{line}"' for line in rendered)
+    _write_paths(out, rendered, args.k, ',\n    "', '"')
     out.write("\n  ]\n}\n")
     return 0
 

@@ -8,10 +8,12 @@ ratios are ``fractions.Fraction``, and weighted counts are ``GammaPoly``.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Iterable, Union
+from typing import TYPE_CHECKING, Iterable, Union
 
-Scalar = Union[int, Fraction]
+if TYPE_CHECKING:  # a name for the annotations: enumerate and stats load no fractions
+    from fractions import Fraction
+
+Scalar = Union[int, "Fraction"]
 
 
 def catalan(k: int) -> int:

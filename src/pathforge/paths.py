@@ -21,9 +21,8 @@ same strings into validated paths, in the same order.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 RISE, LEVEL, FALL = 1, 0, -1
 
@@ -65,28 +64,28 @@ def fall_room(kind: PathKind, n: int) -> list[int]:
     return room
 
 
-@dataclass(frozen=True)
 class Path:
     """A validated Dyck or alternating Motzkin path.
 
     Validation happens on every construction: kind is a PathKind member,
     each step is one of the ints 1, 0, -1 that the kind's step law allows
     at its position, altitude stays nonnegative, and the path closes at
-    zero.
+    zero.  Instances are immutable and hashable.
     """
+
+    __slots__ = ("steps", "kind")
 
     steps: tuple[int, ...]
     kind: PathKind
 
-    def __post_init__(self):
-        steps = tuple(self.steps)
-        object.__setattr__(self, "steps", steps)
+    def __init__(self, steps, kind: PathKind):
+        steps = tuple(steps)
         n = len(steps)
         if n % 2 != 0:
             raise ValueError(f"path length must be even, got {n}")
-        if not isinstance(self.kind, PathKind):
-            raise ValueError(f"kind must be a PathKind, got {self.kind!r}")
-        law = _LAW[self.kind]
+        if not isinstance(kind, PathKind):
+            raise ValueError(f"kind must be a PathKind, got {kind!r}")
+        law = _LAW[kind]
         alt = 0
         for pos, s in enumerate(steps, start=1):
             if type(s) is not int or not -1 <= s <= 1:
@@ -94,13 +93,36 @@ class Path:
             if s not in law[pos % 2]:
                 parity = "odd" if pos % 2 else "even"
                 raise ValueError(
-                    f"{_NAMES[s]} on {parity} step {pos}, which {self.kind.value} paths forbid"
+                    f"{_NAMES[s]} on {parity} step {pos}, which {kind.value} paths forbid"
                 )
             alt += s
             if alt < 0:
                 raise ValueError(f"altitude drops below zero after step {pos}")
         if alt != 0:
             raise ValueError(f"path ends at altitude {alt}, expected 0")
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "kind", kind)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which validates
+        return Path, (self.steps, self.kind)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.steps, self.kind) == (other.steps, other.kind)
+
+    def __hash__(self):
+        return hash((self.steps, self.kind))
+
+    def __repr__(self) -> str:
+        return f"Path(steps={self.steps!r}, kind={self.kind!r})"
 
     @property
     def k(self) -> int:
@@ -197,8 +219,7 @@ def enumerate_alt_motzkin(k: int) -> Iterator[Path]:
     return (parse(text, PathKind.ALT_MOTZKIN) for text in _listing(PathKind.ALT_MOTZKIN, k))
 
 
-@dataclass(frozen=True)
-class AltitudeStats:
+class AltitudeStats(NamedTuple):
     """The three altitude statistics of a path.
 
     rises_by_altitude[i] counts rises from altitude i to i+1 (length k);
@@ -237,8 +258,7 @@ def stats(path: Path) -> AltitudeStats:
     )
 
 
-@dataclass(frozen=True)
-class LevelParityReport:
+class LevelParityReport(NamedTuple):
     """Per-altitude level-step counts of an alternating Motzkin path.
 
     counts[i] is (total level steps at altitude i, those on even steps);

@@ -451,6 +451,40 @@ def test_exact_outputs_are_pinned(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_OUTPUTS[command]
 
 
+class _CountingRaw(io.RawIOBase):
+    """An unbuffered binary stream that keeps what it is given and counts
+    the write calls, each one a system call on a real file."""
+
+    def __init__(self):
+        self.writes = 0
+        self.data = bytearray()
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        self.writes += 1
+        self.data += b
+        return len(b)
+
+
+@pytest.mark.parametrize("command", [
+    "enumerate --kind dyck --k 10",
+    "enumerate --kind altmotzkin --k 10",
+    "enumerate --kind dyck --k 11 --format csv",
+    "enumerate --kind altmotzkin --k 11 --format csv",
+])
+def test_listing_writes_blocks_to_an_unbuffered_stdout(monkeypatch, command):
+    # the stdout that python -u builds: each write goes through to the raw
+    # stream at once, so a write per path would make thousands
+    raw = _CountingRaw()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="utf-8", newline="\n",
+                                                        write_through=True))
+    assert main(command.split()) == 0
+    assert raw.writes <= 64
+    assert hashlib.sha256(raw.data).hexdigest() == _PINNED_OUTPUTS[command]
+
+
 # generated input for the fuzz below: valid five-tuples, the same with one
 # field moved by a little, doubled paths, and arbitrary text, missing keys
 # and wrong types
@@ -650,6 +684,32 @@ def test_each_command_loads_only_what_it_runs(argv):
     out, err = proc.communicate(timeout=120)
     assert proc.returncode == 0, err
     assert out.decode().split() == ["0", *sorted(_LOADS[argv[0]])]
+
+
+# the modules a command adds to those of a bare interpreter, where the
+# listing and stats build no record that needs them
+_ADDED_SCRIPT = """
+import sys
+bare = set(sys.modules)
+import contextlib, io
+from pathforge.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, *sorted({"dataclasses", "inspect", "fractions", "decimal"} & (set(sys.modules) - bare)))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--kind", "altmotzkin", "--k", "4"],
+    ["enumerate", "--kind", "dyck", "--k", "4", "--format", "csv"],
+    ["stats", "--path", "LUDL", "--path", "LLLL", "--kind", "altmotzkin"],
+    ["stats", "--path", "UUDD", "--kind", "dyck", "--format", "csv"],
+], ids=" ".join)
+def test_listing_and_stats_load_no_dataclasses_or_fractions(argv):
+    proc = _pathforge(["-c", _ADDED_SCRIPT, *argv], subprocess.PIPE, module=False)
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    assert out.decode().split() == ["0"]
 
 
 def test_mc_without_numpy_is_one_error_line():

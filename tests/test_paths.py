@@ -1,6 +1,8 @@
 """Path parsing, enumeration, statistics, and the level-parity lemma."""
 
+import copy
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -290,6 +292,17 @@ def test_path_equality_and_hash():
     assert a == b
     assert hash(a) == hash(b)
     assert a != parse("UDUD", "dyck")
+
+
+def test_path_is_a_frozen_value():
+    p = parse("LUDL", "altmotzkin")
+    with pytest.raises(AttributeError):
+        p.steps = (0, 0)
+    with pytest.raises(AttributeError):
+        del p.kind
+    assert repr(p) == "Path(steps=(0, 1, -1, 0), kind=<PathKind.ALT_MOTZKIN: 'altmotzkin'>)"
+    assert copy.copy(p) == pickle.loads(pickle.dumps(p)) == p
+    assert p != p.steps
 
 
 @pytest.mark.parametrize("steps", [(2, -1, -1), (2, -1, -1, 0), (1, 1.0, -1, -1), (True, False)])
