@@ -19,7 +19,9 @@ Motzkin fall trades places with its nearest level step to the right,
 which becomes the rise; closing is the exact inverse.  Both directions
 read each half once, so ``construct`` and ``invert`` take time linear in
 the path length.  One table row per construction names its kind and its
-marks, and finds the positions that may carry them.  The right path is
+marks; it decides whether a given position may carry a mark from the step
+there and the altitude before it, and lists every such position for the
+enumeration.  The right path is
 mirrored (steps reversed, rises and falls swapped), put through the same
 surgery and mirrored back.  ``five_tuples`` and ``image_paths`` enumerate
 the domain and the characterized image of each construction; the tests
@@ -28,8 +30,8 @@ use them to check every construction exhaustively at small k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from operator import neg
+from typing import Iterator, NamedTuple
 
 from .paths import (
     FALL,
@@ -48,8 +50,7 @@ from .paths import (
 _FIELDS = frozenset(("construction", "p1", "p2", "i", "mark1", "mark2"))
 
 
-@dataclass(frozen=True)
-class FiveTuple:
+class FiveTuple(NamedTuple):
     """Input of a construction: two paths, a common altitude, and one mark
     in each path.
 
@@ -93,8 +94,12 @@ class FiveTuple:
             raise ValueError(f"unknown construction {construction!r}")
         kind = _CONSTRUCTIONS[construction].kind
         for name in ("p1", "p2"):
-            if not isinstance(data[name], str):
-                raise ValueError(f"{name} must be a path string, got {data[name]!r}")
+            text = data[name]
+            if not isinstance(text, str):
+                raise ValueError(f"{name} must be a path string, got {text!r}")
+            if text != text.strip():
+                raise ValueError(f"{name} must be a path string without surrounding "
+                                 f"whitespace, got {text!r}")
         for name in ("i", "mark1", "mark2"):
             if type(data[name]) is not int:
                 raise ValueError(f"{name} must be an integer, got {data[name]!r}")
@@ -108,8 +113,7 @@ class FiveTuple:
         )
 
 
-@dataclass(frozen=True)
-class MidPath:
+class MidPath(NamedTuple):
     """A doubled path together with its middle altitude (the altitude at
     the vertex between the two halves)."""
 
@@ -118,14 +122,14 @@ class MidPath:
 
 
 def middle_altitude(path: Path) -> int:
-    return sum(path.steps[:len(path) // 2])
+    return sum(path.steps[:len(path.steps) // 2])
 
 
 # ---------------------------------------------------------------------------
 # step helpers (steps are Path.steps tuples, positions 1-based)
 
 def _mirror(steps):
-    return tuple(-s for s in reversed(steps))
+    return tuple(map(neg, reversed(steps)))
 
 
 def _matching_rise(steps, alts, fall_pos) -> int:
@@ -166,8 +170,7 @@ def _level_partner_left(steps, alts, rise_pos) -> int:
 # ---------------------------------------------------------------------------
 # the four variants
 
-@dataclass(frozen=True)
-class _Construction:
+class _Construction(NamedTuple):
     """What sets a construction apart: the kind of its paths, which decides
     how a fall opens, and its marks: "rise" (a rise from i in p1 and a fall
     to i in p2), "vertex" (vertices at i) or "level" (levels at i on an even
@@ -200,6 +203,30 @@ class _Construction:
             step, start, positions = FALL, i + 1, range(1, len(steps) + 1)
         return tuple(q for q in positions if steps[q - 1] == step and alts[q - 1] == start)
 
+    def admits(self, path: Path, i: int, side: int, mark: int) -> bool:
+        """Whether ``mark`` is one of ``candidates(path, i, side)``, decided
+        from the step at it and the altitude before it (for B, the altitude
+        at the vertex), so a check costs one sum over the steps before the
+        mark."""
+        steps = path.steps
+        # range membership compares by equality, as the tuple of candidates
+        # does, so a mark equal to no position (None, "1") is refused here
+        # where an ordering test would raise TypeError
+        if self.marks == "vertex":
+            return mark in range(len(steps) + 1) and sum(steps[:mark]) == i
+        if mark not in range(1, len(steps) + 1):
+            return False
+        if self.marks == "level":
+            # even steps in p1, odd steps in p2
+            if mark % 2 != side - 1:
+                return False
+            step, start = LEVEL, i
+        elif side == 1:
+            step, start = RISE, i
+        else:
+            step, start = FALL, i + 1
+        return steps[mark - 1] == step and sum(steps[:mark - 1]) == start
+
     def mirror_mark(self, n: int, mark: int) -> int:
         """Where a mark of a path of length n lands when the path is
         mirrored: a vertex at n - mark, a step at n + 1 - mark."""
@@ -221,13 +248,9 @@ _CONSTRUCTIONS = {
 }
 
 
-def _require(cond, message):
-    if not cond:
-        raise ValueError(message)
-
-
 def _construction(name: str) -> _Construction:
-    _require(name in _CONSTRUCTIONS, f"unknown construction {name!r}")
+    if name not in _CONSTRUCTIONS:
+        raise ValueError(f"unknown construction {name!r}")
     return _CONSTRUCTIONS[name]
 
 
@@ -314,16 +337,17 @@ def construct(t: FiveTuple) -> MidPath:
     surgery on p1 and, mirrored, on p2, and concatenate.  The result has
     middle altitude 2i+2 (A, C) or 2i+1 (B, D)."""
     c = _construction(t.construction)
-    _require(t.p1.kind is c.kind and t.p2.kind is c.kind,
-             f"construction {t.construction} needs {c.kind.value} paths")
-    _require(t.p1.k == t.p2.k, "p1 and p2 must have the same length")
-    _require(t.p1.k >= 1, "paths must be nonempty")
+    if t.p1.kind is not c.kind or t.p2.kind is not c.kind:
+        raise ValueError(f"construction {t.construction} needs {c.kind.value} paths")
+    n = len(t.p1.steps)
+    if len(t.p2.steps) != n:
+        raise ValueError("p1 and p2 must have the same length")
+    if n == 0:
+        raise ValueError("paths must be nonempty")
     for side, path, mark in ((1, t.p1, t.mark1), (2, t.p2, t.mark2)):
-        _require(
-            mark in c.candidates(path, t.i, side),
-            f"mark{side}={mark} is not {c.wording[side - 1].format(i=t.i)} in p{side}",
-        )
-    n = len(t.p1)
+        if not c.admits(path, t.i, side, mark):
+            raise ValueError(f"mark{side}={mark} is not {c.wording[side - 1].format(i=t.i)} "
+                             f"in p{side}")
     s1 = _left(c, t.p1.steps, t.mark1)
     s2 = _mirror(_left(c, _mirror(t.p2.steps), c.mirror_mark(n, t.mark2)))
     path = Path(s1 + s2, c.kind)
@@ -334,18 +358,19 @@ def invert(construction: str, path: Path) -> FiveTuple:
     """Recover the unique five-tuple that the named construction maps to
     ``path``."""
     c = _construction(construction)
-    _require(path.kind is c.kind, f"construction {construction} inverts {c.kind.value} paths")
+    if path.kind is not c.kind:
+        raise ValueError(f"construction {construction} inverts {c.kind.value} paths")
     extra = 2 if c.marks == "vertex" else 0  # B inserts one step in each half
-    _require(
-        len(path) % 4 == extra and len(path) > extra,
-        f"path length must be 4k{'+2' if extra else ''} with k >= 1, got {len(path)}",
-    )
+    n = len(path.steps)
+    if n % 4 != extra or n <= extra:
+        raise ValueError(f"path length must be 4k{'+2' if extra else ''} with k >= 1, got {n}")
     mid = middle_altitude(path)
     i = c.middle_index(mid)
-    law = "positive and even" if c.marks == "rise" else "odd"
-    _require(i is not None, f"middle altitude {mid} is not in the image of construction "
-                            f"{construction}: it must be {law}")
-    half = len(path) // 2
+    if i is None:
+        law = "positive and even" if c.marks == "rise" else "odd"
+        raise ValueError(f"middle altitude {mid} is not in the image of construction "
+                         f"{construction}: it must be {law}")
+    half = n // 2
     s1, mark1 = _left_inv(c, path.steps[:half], i)
     s2, mark2 = _left_inv(c, _mirror(path.steps[half:]), i)
     return FiveTuple(

@@ -26,7 +26,7 @@ from typing import Iterator, NamedTuple
 
 RISE, LEVEL, FALL = 1, 0, -1
 
-_CHARS = "DLU"  # indexed by step + 1
+_CHARS = "LUD"  # indexed by step: 0, 1, -1
 _CHAR_TO_STEP = {"U": RISE, "D": FALL, "L": LEVEL}
 _NAMES = {RISE: "rise", LEVEL: "level step", FALL: "fall"}
 
@@ -39,6 +39,10 @@ def altitudes(steps) -> tuple[int, ...]:
 class PathKind(enum.Enum):
     DYCK = "dyck"
     ALT_MOTZKIN = "altmotzkin"
+
+    # members are singletons, so identity hashing (in C) serves the _LAW
+    # lookups of every Path; Enum's own hashes the name in Python
+    __hash__ = object.__hash__
 
 
 # kind -> the steps allowed at a 1-based position, indexed by position % 2,
@@ -88,9 +92,10 @@ class Path:
         law = _LAW[kind]
         alt = 0
         for pos, s in enumerate(steps, start=1):
-            if type(s) is not int or not -1 <= s <= 1:
-                raise ValueError(f"step {pos} is {s!r}, not one of 1, 0, -1")
-            if s not in law[pos % 2]:
+            # True and 1.0 pass the law's test (they equal 1), not the type's
+            if s not in law[pos % 2] or type(s) is not int:
+                if type(s) is not int or not -1 <= s <= 1:
+                    raise ValueError(f"step {pos} is {s!r}, not one of 1, 0, -1")
                 parity = "odd" if pos % 2 else "even"
                 raise ValueError(
                     f"{_NAMES[s]} on {parity} step {pos}, which {kind.value} paths forbid"
@@ -136,7 +141,7 @@ class Path:
         return altitudes(self.steps)
 
     def render(self) -> str:
-        return "".join(_CHARS[s + 1] for s in self.steps)
+        return "".join(map(_CHARS.__getitem__, self.steps))
 
     def __str__(self) -> str:
         return self.render()
@@ -147,14 +152,14 @@ class Path:
 
 def parse(text: str, kind: PathKind | str) -> Path:
     """Parse a path string over the alphabet U/D/L; round-trips with render."""
-    kind = PathKind(kind)
-    steps = []
-    for pos, char in enumerate(text.strip(), start=1):
-        step = _CHAR_TO_STEP.get(char)
-        if step is None:
-            raise ValueError(f"invalid character {char!r} at position {pos}")
-        steps.append(step)
-    return Path(tuple(steps), kind)
+    if kind.__class__ is not PathKind:
+        kind = PathKind(kind)
+    text = text.strip()
+    steps = list(map(_CHAR_TO_STEP.get, text))
+    if None in steps:
+        pos = steps.index(None)
+        raise ValueError(f"invalid character {text[pos]!r} at position {pos + 1}")
+    return Path(steps, kind)
 
 
 # the most steps a precomputed tail closes: the tail table holds at most
@@ -182,13 +187,13 @@ def _listing(kind: PathKind, k: int) -> Iterator[str]:
     tails = [[""]]
     for pos in range(n, p, -1):
         tails = [
-            [_CHARS[s + 1] + t for s in steps_at(kind, pos) if 0 <= a + s < len(tails)
+            [_CHARS[s] + t for s in steps_at(kind, pos) if 0 <= a + s < len(tails)
              for t in tails[a + s]]
             for a in range(len(tails) + 1)
         ]
     room = fall_room(kind, n)
     # each pos's steps, last first, so that the stack pops them in law order
-    pushes = [[(s, _CHARS[s + 1]) for s in reversed(steps_at(kind, pos))]
+    pushes = [[(s, _CHARS[s]) for s in reversed(steps_at(kind, pos))]
               for pos in range(p + 1)]
 
     def joined():

@@ -1,8 +1,10 @@
 """The four constructions: worked examples, exhaustive round trips, image
 characterizations, and the weight bookkeeping behind the identities."""
 
+import copy
 import hashlib
 import json
+import pickle
 import time
 
 import pytest
@@ -132,6 +134,84 @@ def test_invert_d_rejects_even_middle():
 
 
 @pytest.mark.parametrize("construction", "ABCD")
+def test_admits_is_the_candidates_scan(construction):
+    """The one-mark check that construct runs decides every mark, in range
+    or not, int or bool, as membership in the scan of all positions."""
+    c = bj._CONSTRUCTIONS[construction]
+    paths = enumerate_dyck if c.kind is PathKind.DYCK else enumerate_alt_motzkin
+    for k in range(5):
+        for path in paths(k):
+            n = len(path)
+            for side in (1, 2):
+                for i in range(k + 1):
+                    found = c.candidates(path, i, side)
+                    for mark in (*range(-1, n + 2), True, False, None, "1"):
+                        assert c.admits(path, i, side, mark) is (mark in found), (path, side, i, mark)
+
+
+# every refusal of construct and invert, word for word
+_REFUSALS = [
+    (lambda: bj.construct(bj.FiveTuple("Z", parse("UD", "dyck"), parse("UD", "dyck"), 0, 1, 2)),
+     "unknown construction 'Z'"),
+    (lambda: bj.invert("Z", parse("UUDD", "dyck")), "unknown construction 'Z'"),
+    (lambda: bj.construct(bj.FiveTuple("A", parse("UD", "dyck"), parse("LL", "altmotzkin"), 0, 1, 2)),
+     "construction A needs dyck paths"),
+    (lambda: bj.construct(bj.FiveTuple("D", parse("UD", "dyck"), parse("LL", "altmotzkin"), 0, 2, 1)),
+     "construction D needs altmotzkin paths"),
+    (lambda: bj.invert("C", parse("UUUDDUDD", "dyck")), "construction C inverts altmotzkin paths"),
+    (lambda: bj.invert("B", parse("LUDL", "altmotzkin")), "construction B inverts dyck paths"),
+    (lambda: bj.construct(t5("A", "UD", "UUDD", 0, 1, 4)), "p1 and p2 must have the same length"),
+    (lambda: bj.construct(t5("B", "", "", 0, 0, 0)), "paths must be nonempty"),
+    (lambda: bj.construct(t5("A", "UDUD", "UUDD", 0, 2, 4)), "mark1=2 is not a rise from altitude 0 in p1"),
+    (lambda: bj.construct(t5("A", "UDUD", "UUDD", 0, 1, 3)), "mark2=3 is not a fall to altitude 0 in p2"),
+    (lambda: bj.construct(t5("A", "UDUD", "UUDD", 0, None, 4)), "mark1=None is not a rise from altitude 0 in p1"),
+    (lambda: bj.construct(t5("B", "UUDD", "UUDD", 1, 0, 1)), "mark1=0 is not at altitude 1 in p1"),
+    (lambda: bj.construct(t5("B", "UUDD", "UUDD", 1, 1, 5)), "mark2=5 is not at altitude 1 in p2"),
+    (lambda: bj.construct(t5("C", "LUDL", "LUDL", 0, 1, 3)), "mark1=1 is not a rise from altitude 0 in p1"),
+    (lambda: bj.construct(t5("C", "LUDL", "LUDL", 1, 2, 3)), "mark1=2 is not a rise from altitude 1 in p1"),
+    (lambda: bj.construct(t5("C", "LUDL", "LUDL", 0, 2, -1)), "mark2=-1 is not a fall to altitude 0 in p2"),
+    (lambda: bj.construct(t5("D", "LL", "LL", 0, 1, 1)), "mark1=1 is not an even-step level at altitude 0 in p1"),
+    (lambda: bj.construct(t5("D", "LL", "LL", 0, 2, 2)), "mark2=2 is not an odd-step level at altitude 0 in p2"),
+    (lambda: bj.invert("A", parse("UD", "dyck")), "path length must be 4k with k >= 1, got 2"),
+    (lambda: bj.invert("A", parse("UUUDDD", "dyck")), "path length must be 4k with k >= 1, got 6"),
+    (lambda: bj.invert("C", parse("", "altmotzkin")), "path length must be 4k with k >= 1, got 0"),
+    (lambda: bj.invert("B", parse("UUDD", "dyck")), "path length must be 4k+2 with k >= 1, got 4"),
+    (lambda: bj.invert("B", parse("UD", "dyck")), "path length must be 4k+2 with k >= 1, got 2"),
+    (lambda: bj.invert("D", parse("LLLLLL", "altmotzkin")), "path length must be 4k with k >= 1, got 6"),
+    (lambda: bj.invert("A", parse("UUDDUUDD", "dyck")),
+     "middle altitude 0 is not in the image of construction A: it must be positive and even"),
+    (lambda: bj.invert("C", parse("LUDL", "altmotzkin")),
+     "middle altitude 1 is not in the image of construction C: it must be positive and even"),
+    (lambda: bj.invert("D", parse("LLLLLLLL", "altmotzkin")),
+     "middle altitude 0 is not in the image of construction D: it must be odd"),
+]
+
+
+@pytest.mark.parametrize("call,message", _REFUSALS, ids=[m for _, m in _REFUSALS])
+def test_construct_and_invert_refusals_are_pinned(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_records_are_frozen_values():
+    t = t5("D", "LL", "LL", 0, 2, 1)
+    mid = bj.construct(t)
+    for record, field in ((t, "i"), (mid, "middle_altitude")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 3)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        assert copy.copy(record) == pickle.loads(pickle.dumps(record)) == record
+    assert hash(t) == hash(t5("D", "LL", "LL", 0, 2, 1))
+    assert hash(mid) == hash(bj.construct(t5("D", "LL", "LL", 0, 2, 1)))
+    kind = "kind=<PathKind.ALT_MOTZKIN: 'altmotzkin'>"
+    assert repr(t) == (f"FiveTuple(construction='D', p1=Path(steps=(0, 0), {kind}), "
+                       f"p2=Path(steps=(0, 0), {kind}), i=0, mark1=2, mark2=1)")
+    assert repr(mid) == f"MidPath(path=Path(steps=(0, 1, -1, 0), {kind}), middle_altitude=1)"
+
+
+@pytest.mark.parametrize("construction", "ABCD")
 def test_round_trips_exhaustive(construction):
     """invert(construct(t)) == t, construct(invert(P)) == P, injectivity,
     surjectivity, and the middle-altitude and rise-count laws."""
@@ -245,6 +325,16 @@ def test_five_tuple_json_round_trip():
         "mark2": 3,
     }
     assert bj.FiveTuple.from_json_dict(data) == t
+
+
+@pytest.mark.parametrize("field", ["p1", "p2"])
+@pytest.mark.parametrize("text", [" UD", "UD ", "\tUD", "UD\n"])
+def test_five_tuple_refuses_whitespace_around_a_path(field, text):
+    data = {"construction": "A", "p1": "UD", "p2": "UD", "i": 0, "mark1": 1, "mark2": 2, field: text}
+    with pytest.raises(ValueError) as info:
+        bj.FiveTuple.from_json_dict(data)
+    assert str(info.value) == (f"{field} must be a path string without surrounding whitespace, "
+                               f"got {text!r}")
 
 
 def test_midpath_outputs_validate_as_their_kind():

@@ -364,6 +364,11 @@ def test_map_input_names_the_fields_it_refuses(capsys):
          "field 'bogus' is unknown"),
         ('{"construction": "B", "p1": "UD", "p2": "UD", "i": 0, "mark1": 1, "mark2": 2}',
          "names construction 'B', but --construction is A"),
+        # --input is taken as given; only --path strips its argument
+        ('{"p1": " UD ", "p2": "UD", "i": 0, "mark1": 1, "mark2": 2}',
+         "p1 must be a path string without surrounding whitespace, got ' UD '"),
+        ('{"p1": "UD", "p2": "UD\\n", "i": 0, "mark1": 1, "mark2": 2}',
+         "p2 must be a path string without surrounding whitespace, got 'UD\\n'"),
     ]:
         code, out, err = run(capsys, "map", "--construction", "A", "--input", blob)
         assert (code, out) == (1, "")
@@ -687,7 +692,7 @@ def test_each_command_loads_only_what_it_runs(argv):
 
 
 # the modules a command adds to those of a bare interpreter, where the
-# listing and stats build no record that needs them
+# listing, stats, map and invert build no record that needs them
 _ADDED_SCRIPT = """
 import sys
 bare = set(sys.modules)
@@ -704,6 +709,8 @@ print(code, *sorted({"dataclasses", "inspect", "fractions", "decimal"} & (set(sy
     ["enumerate", "--kind", "dyck", "--k", "4", "--format", "csv"],
     ["stats", "--path", "LUDL", "--path", "LLLL", "--kind", "altmotzkin"],
     ["stats", "--path", "UUDD", "--kind", "dyck", "--format", "csv"],
+    ["map", "--construction", "B"],
+    ["invert", "--construction", "A", "--path", "UUUDDUDD"],
 ], ids=" ".join)
 def test_listing_and_stats_load_no_dataclasses_or_fractions(argv):
     proc = _pathforge(["-c", _ADDED_SCRIPT, *argv], subprocess.PIPE, module=False)
