@@ -19,13 +19,14 @@ Motzkin fall trades places with its nearest level step to the right,
 which becomes the rise; closing is the exact inverse.  Both directions
 read each half once, so ``construct`` and ``invert`` take time linear in
 the path length.  One table row per construction names its kind and its
-marks; it decides whether a given position may carry a mark from the step
-there and the altitude before it, and lists every such position for the
-enumeration.  The right path is
-mirrored (steps reversed, rises and falls swapped), put through the same
-surgery and mirrored back.  ``five_tuples`` and ``image_paths`` enumerate
-the domain and the characterized image of each construction; the tests
-use them to check every construction exhaustively at small k.
+marks, and one method of the row states the law of each mark: the step it
+must be, the altitude before it and the parity of its position.  Checking
+a given mark and listing every position that may carry one both read that
+law.  The right path is mirrored (steps reversed, rises and falls
+swapped), put through the same surgery and mirrored back.
+``five_tuples`` and ``image_paths`` enumerate the domain and the
+characterized image of each construction; the tests use them to check
+every construction exhaustively at small k.
 """
 
 from __future__ import annotations
@@ -143,28 +144,15 @@ def _matching_rise(steps, alts, fall_pos) -> int:
     raise RuntimeError(f"no matching rise for fall at step {fall_pos}")
 
 
-def _level_partner_right(steps, alts, fall_pos) -> int:
-    """Nearest level step at the fall's landing altitude strictly right of
-    it; the level-parity lemma puts it on an even step."""
-    landing = alts[fall_pos]
-    for q in range(fall_pos + 1, len(steps) + 1):
-        if steps[q - 1] == LEVEL and alts[q - 1] == landing:
-            if q % 2 != 0:
-                raise RuntimeError(f"level partner at step {q} is not on an even step")
-            return q
-    raise RuntimeError(f"no level partner right of fall at step {fall_pos}")
-
-
-def _level_partner_left(steps, alts, rise_pos) -> int:
-    """Nearest level step at the rise's starting altitude strictly left of
-    it; on an odd step by the parity lemma."""
-    altitude = alts[rise_pos - 1]
-    for q in range(rise_pos - 1, 0, -1):
+def _level_from(steps, alts, altitude, positions) -> int:
+    """The first of ``positions`` (1-based, in the order given) that holds a
+    level step from ``altitude``.  The level-parity lemma puts it on an even
+    step right of a fall and on an odd step left of a rise; validation of
+    the finished ``Path`` checks that."""
+    for q in positions:
         if steps[q - 1] == LEVEL and alts[q - 1] == altitude:
-            if q % 2 != 1:
-                raise RuntimeError(f"level partner at step {q} is not on an odd step")
             return q
-    raise RuntimeError(f"no level partner left of rise at step {rise_pos}")
+    raise RuntimeError(f"no level step from altitude {altitude} in steps {positions}")
 
 
 # ---------------------------------------------------------------------------
@@ -172,60 +160,50 @@ def _level_partner_left(steps, alts, rise_pos) -> int:
 
 class _Construction(NamedTuple):
     """What sets a construction apart: the kind of its paths, which decides
-    how a fall opens, and its marks: "rise" (a rise from i in p1 and a fall
-    to i in p2), "vertex" (vertices at i) or "level" (levels at i on an even
-    step in p1 and an odd step in p2); ``wording`` names them in errors."""
+    how a fall opens, and its marks, "rise", "vertex" or "level", whose law
+    ``_law`` states; ``wording`` names them in errors."""
 
     kind: PathKind
     marks: str
     wording: tuple[str, str]
 
-    @property
-    def middle_offset(self) -> int:
-        """The middle altitude is 2i plus this: 2 for a marked rise, 1 for a
-        new one."""
-        return 2 if self.marks == "rise" else 1
+    def _law(self, i: int, side: int) -> tuple[int | None, int, int | None]:
+        """The law of mark ``side`` (1 or 2) at altitude i: the step the mark
+        must be (None for a vertex mark), the altitude before it, and the
+        parity of its position (None for any): a rise from i or a fall from
+        i+1 (A, C), a vertex at i (B), or a level at i on an even step for
+        p1 and an odd step for p2 (D)."""
+        if self.marks == "vertex":
+            return None, i, None
+        if self.marks == "level":
+            return LEVEL, i, side - 1
+        return (RISE, i, None) if side == 1 else (FALL, i + 1, None)
 
     def candidates(self, path: Path, i: int, side: int) -> tuple[int, ...]:
-        """Positions in ``path`` that may carry mark ``side`` (1 or 2): a
-        rise from i or a fall from i+1 (A, C), a vertex at i (B), or a level
-        at i on an even step for p1 and an odd step for p2 (D)."""
-        alts = path.altitudes()
-        if self.marks == "vertex":
-            return tuple(v for v, a in enumerate(alts) if a == i)
-        steps = path.steps
-        if self.marks == "level":
-            # even steps in p1, odd steps in p2
-            step, start, positions = LEVEL, i, range(3 - side, len(steps) + 1, 2)
-        elif side == 1:
-            step, start, positions = RISE, i, range(1, len(steps) + 1)
-        else:
-            step, start, positions = FALL, i + 1, range(1, len(steps) + 1)
-        return tuple(q for q in positions if steps[q - 1] == step and alts[q - 1] == start)
+        """Positions in ``path`` that may carry mark ``side``, from one pass
+        over the altitudes."""
+        step, start, parity = self._law(i, side)
+        alts, steps = path.altitudes(), path.steps
+        first = 0 if step is None else 1  # vertices count from 0, steps from 1
+        positions = range(first, len(steps) + 1) if parity is None else range(2 - parity, len(steps) + 1, 2)
+        return tuple(q for q in positions
+                     if alts[q - first] == start and (step is None or steps[q - 1] == step))
 
     def admits(self, path: Path, i: int, side: int, mark: int) -> bool:
         """Whether ``mark`` is one of ``candidates(path, i, side)``, decided
-        from the step at it and the altitude before it (for B, the altitude
-        at the vertex), so a check costs one sum over the steps before the
+        from the step at it and the altitude before it (for a vertex, the
+        altitude at it), so a check costs one sum over the steps before the
         mark."""
+        step, start, parity = self._law(i, side)
         steps = path.steps
+        first = 0 if step is None else 1
         # range membership compares by equality, as the tuple of candidates
         # does, so a mark equal to no position (None, "1") is refused here
         # where an ordering test would raise TypeError
-        if self.marks == "vertex":
-            return mark in range(len(steps) + 1) and sum(steps[:mark]) == i
-        if mark not in range(1, len(steps) + 1):
-            return False
-        if self.marks == "level":
-            # even steps in p1, odd steps in p2
-            if mark % 2 != side - 1:
-                return False
-            step, start = LEVEL, i
-        elif side == 1:
-            step, start = RISE, i
-        else:
-            step, start = FALL, i + 1
-        return steps[mark - 1] == step and sum(steps[:mark - 1]) == start
+        return (mark in range(first, len(steps) + 1)
+                and (parity is None or mark % 2 == parity)
+                and (step is None or steps[mark - 1] == step)
+                and sum(steps[:mark - first]) == start)
 
     def mirror_mark(self, n: int, mark: int) -> int:
         """Where a mark of a path of length n lands when the path is
@@ -234,8 +212,9 @@ class _Construction(NamedTuple):
 
     def middle_index(self, mid: int) -> int | None:
         """The i of a doubled path with middle altitude ``mid``, or None
-        when mid follows no law of this construction."""
-        i, rest = divmod(mid - self.middle_offset, 2)
+        when mid follows no law of this construction: mid is 2i+2 for a
+        marked rise and 2i+1 for a new one."""
+        i, rest = divmod(mid - (2 if self.marks == "rise" else 1), 2)
         return i if rest == 0 and i >= 0 else None
 
 
@@ -265,7 +244,7 @@ def _open(kind, out, steps, alts, fall):
         out[fall - 1] = RISE
     else:
         out[fall - 1] = LEVEL
-        out[_level_partner_right(steps, alts, fall) - 1] = RISE
+        out[_level_from(steps, alts, alts[fall], range(fall + 1, len(steps) + 1)) - 1] = RISE
 
 
 def _close(kind, out, steps, alts, rise) -> int:
@@ -273,7 +252,7 @@ def _close(kind, out, steps, alts, rise) -> int:
     if kind is PathKind.DYCK:
         out[rise - 1] = FALL
         return rise
-    fall = _level_partner_left(steps, alts, rise)
+    fall = _level_from(steps, alts, alts[rise - 1], range(rise - 1, 0, -1))
     out[rise - 1] = LEVEL
     out[fall - 1] = FALL
     return fall

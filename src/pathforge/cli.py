@@ -11,7 +11,10 @@ identity to check, a --k-max above K_MAX_LIMIT with no --time-budget,
 an mc --k above MC_K_LIMIT, a verify --rhs-index for identities 1-3, a
 report --identities list with a repeat, and an enumerate --k whose path
 count has more digits than Python prints (JSON and --count-only; CSV
-prints no count).
+prints no count).  ``main`` alone maps errors to exit codes and prints
+the one ``error:`` line: a command refuses its arguments by raising
+``_UsageError`` (exit 2) and fails a computation by raising ValueError
+(exit 1); argparse refuses what it parses itself.
 """
 
 from __future__ import annotations
@@ -80,17 +83,19 @@ def _csv_cell(value):
     return value
 
 
-def _count_refused(k: int) -> bool:
-    """Say so on stderr, and return True, when catalan(k) has more digits
-    than Python converts to a string; found from lgamma, with no big-int
-    work."""
+class _UsageError(Exception):
+    """A refused command line; ``main`` prints it as one error line and
+    exits 2."""
+
+
+def _check_count_prints(k: int):
+    """Refuse a k whose catalan(k) has more digits than Python converts to
+    a string; found from lgamma, with no big-int work."""
     limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit (or before 3.10.7)
     log10 = (math.lgamma(2 * k + 1) - math.lgamma(k + 1) - math.lgamma(k + 2)) / math.log(10)
-    if not limit or log10 < limit:
-        return False
-    print(f"error: --k {k}: the path count has more than {limit} digits, more than Python "
-          "prints; --format csv lists the paths without it", file=sys.stderr)
-    return True
+    if limit and log10 >= limit:
+        raise _UsageError(f"--k {k}: the path count has more than {limit} digits, more than "
+                          "Python prints; --format csv lists the paths without it")
 
 
 # the bytes a listing hands stdout in one write: under python -u or
@@ -116,8 +121,7 @@ def _cmd_enumerate(args) -> int:
         # one path per line, no count
         _write_paths(out, _listing(kind, args.k), args.k, "", "\n")
         return 0
-    if _count_refused(args.k):
-        return 2
+    _check_count_prints(args.k)
     count = catalan(args.k)  # both kinds are counted by the Catalan numbers
     if args.count_only:
         print(count)
@@ -217,9 +221,8 @@ def _report_record(r) -> dict:
 def _emit_sweep(result, fmt: str, selected_rhs_index) -> int:
     # an empty report would read as a pass; a truncated sweep says so in its output
     if not result.reports and not result.truncated:
-        print("error: --k-max leaves nothing to check (identities 1-3 start at k=1, "
-              "4 and 5 at k=2)", file=sys.stderr)
-        return 2
+        raise _UsageError("--k-max leaves nothing to check (identities 1-3 start at k=1, "
+                          "4 and 5 at k=2)")
     records = [_report_record(r) for r in result.reports]
     if fmt == "csv":
         _emit_records(records, fmt, header=["id", "k", "rhs_index", "lhs", "rhs", "equal"])
@@ -235,13 +238,11 @@ def _emit_sweep(result, fmt: str, selected_rhs_index) -> int:
     return 0 if result.passes(selected_rhs_index) else 1
 
 
-def _k_max_refused(k_max: int) -> bool:
-    """Say so on stderr, and return True, when k_max is above K_MAX_LIMIT."""
-    if k_max <= K_MAX_LIMIT:
-        return False
-    print(f"error: --k-max {k_max} is above the limit of {K_MAX_LIMIT} for an exact sweep; "
-          "use report --time-budget to sweep further", file=sys.stderr)
-    return True
+def _check_k_max(k_max: int):
+    """Refuse a k_max above K_MAX_LIMIT."""
+    if k_max > K_MAX_LIMIT:
+        raise _UsageError(f"--k-max {k_max} is above the limit of {K_MAX_LIMIT} for an exact "
+                          "sweep; use report --time-budget to sweep further")
 
 
 def _cmd_verify(args) -> int:
@@ -249,10 +250,8 @@ def _cmd_verify(args) -> int:
 
     name = f"thm{args.identity}"
     if args.rhs_index not in (None, *_ROWS[name].variants):
-        print("error: --rhs-index applies to identities 4 and 5 only", file=sys.stderr)
-        return 2
-    if _k_max_refused(args.k_max):
-        return 2
+        raise _UsageError("--rhs-index applies to identities 4 and 5 only")
+    _check_k_max(args.k_max)
     return _emit_sweep(sweep([name], args.k_max), args.format, args.rhs_index)
 
 
@@ -291,15 +290,12 @@ def _cmd_walk(args) -> int:
 def _cmd_mc(args) -> int:
     # usage errors, found before numpy loads, so they read the same without it
     if args.ensemble == "wigner" and args.m is not None:
-        print("error: --m applies to the wishart ensemble only", file=sys.stderr)
-        return 2
+        raise _UsageError("--m applies to the wishart ensemble only")
     if args.ensemble == "wishart" and args.m is None:
-        print("error: --m is required for the wishart ensemble", file=sys.stderr)
-        return 2
+        raise _UsageError("--m is required for the wishart ensemble")
     if args.k > MC_K_LIMIT:
-        print(f"error: --k {args.k} is above the limit of {MC_K_LIMIT} for mc: the moment "
-              "target would pass the largest float", file=sys.stderr)
-        return 2
+        raise _UsageError(f"--k {args.k} is above the limit of {MC_K_LIMIT} for mc: the moment "
+                          "target would pass the largest float")
     try:
         import numpy as np  # numpy loads here, for mc alone
 
@@ -307,8 +303,7 @@ def _cmd_mc(args) -> int:
     except ModuleNotFoundError as exc:
         if exc.name != "numpy":
             raise
-        print(f"error: mc needs numpy ({exc})", file=sys.stderr)
-        return 1
+        raise ValueError(f"mc needs numpy ({exc})") from None
 
     # an overflow shows as a value that is not finite, refused below
     with np.errstate(all="ignore"):
@@ -323,9 +318,7 @@ def _cmd_mc(args) -> int:
     values = {"estimate": est.estimate, "stderr": est.stderr, "target": target}
     bad = [name for name, v in values.items() if not math.isfinite(v)]
     if bad:
-        print(f"error: not a finite float at --k {args.k}: {', '.join(bad)}; lower --k",
-              file=sys.stderr)
-        return 1
+        raise ValueError(f"not a finite float at --k {args.k}: {', '.join(bad)}; lower --k")
     record = {
         "ensemble": est.ensemble,
         "k": est.k,
@@ -342,8 +335,8 @@ def _cmd_mc(args) -> int:
 def _cmd_report(args) -> int:
     from .identities import sweep
 
-    if args.time_budget is None and _k_max_refused(args.k_max):
-        return 2
+    if args.time_budget is None:
+        _check_k_max(args.k_max)
     names = [f"thm{i}" for i in args.identities]
     result = sweep(names, args.k_max, time_budget=args.time_budget)
     return _emit_sweep(result, args.format, None)
@@ -399,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["json", "csv"], default="json")
 
     p = sub.add_parser("enumerate", help="list or count all paths of a given size")
-    p.add_argument("--kind", choices=["dyck", "altmotzkin"], required=True)
+    p.add_argument("--kind", choices=[kind.value for kind in PathKind], required=True)
     p.add_argument("--k", type=_int_at_least(0), required=True)
     p.add_argument("--count-only", action="store_true")
     add_format(p)
@@ -407,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="altitude statistics of given paths")
     p.add_argument("--path", action="append", required=True, help="path string; repeatable")
-    p.add_argument("--kind", choices=["dyck", "altmotzkin"], required=True)
+    p.add_argument("--kind", choices=[kind.value for kind in PathKind], required=True)
     add_format(p)
     p.set_defaults(func=_cmd_stats)
 
@@ -436,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     direction.add_argument("--to", action="store_true", help="path string to walk")
     direction.add_argument("--from", dest="from_walk", action="store_true", help="walk (comma-separated nodes) to path")
     p.add_argument("--path", required=True, help="path string with --to, node list with --from")
-    p.add_argument("--kind", choices=["dyck", "altmotzkin"], default=None)
+    p.add_argument("--kind", choices=[kind.value for kind in PathKind], default=None)
     add_format(p)
     p.set_defaults(func=_cmd_walk)
 
@@ -469,11 +462,12 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return code
-    except (ValueError, json.JSONDecodeError, KeyError) as exc:
+    except (_UsageError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, _UsageError) else 1
     except MemoryError as exc:
-        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
+        # an allocation may fail with no message
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except BrokenPipeError:
         # the reader of stdout has gone; what is still buffered goes to

@@ -97,9 +97,12 @@ class IdentityReport:
 
 
 def _verify(name, k, folds, rhs_index=None) -> IdentityReport:
-    # the named identity at size k, from folds indexed by size, or from one
-    # DP pass to k when none are given
+    # the named identity at size k in the right-hand variant rhs_index (None:
+    # the row's default), from folds indexed by size, or from one DP pass
+    # to k when none are given
     row = _ROWS[name]
+    if rhs_index is None:
+        rhs_index = row.variants[0]
     if k < row.k_min:
         raise ValueError(f"k must be at least {row.k_min}, got {k}")
     if rhs_index not in row.variants:
@@ -130,23 +133,26 @@ def verify_thm3(k: int, folds: Sequence[Fold] | None = None) -> IdentityReport:
     return _verify("thm3", k, folds)
 
 
-def verify_thm4(k: int, rhs_index: str = "k-1", folds: Sequence[Fold] | None = None) -> IdentityReport:
+def verify_thm4(k: int, rhs_index: str | None = None,
+                folds: Sequence[Fold] | None = None) -> IdentityReport:
     """Dyck identity with no known bijective proof: the total of
     R_i/2 * (2i+3-R_i) over paths of length 2k against the total of
-    C(V_i+1, 2) over paths one size down (rhs_index "k-1", the convention
-    matching the worked example) or the same size ("k").  ``folds[j]``,
-    when given, is the size-j fold for j = k-1 and k; by default one DP
-    pass to k computes both."""
+    C(V_i+1, 2) over paths one size down (rhs_index "k-1", the default
+    convention, matching the worked example) or the same size ("k").
+    ``folds[j]``, when given, is the size-j fold for j = k-1 and k; by
+    default one DP pass to k computes both."""
     return _verify("thm4", k, folds, rhs_index)
 
 
-def verify_thm5(k: int, rhs_index: str = "k", folds: Sequence[Fold] | None = None) -> IdentityReport:
+def verify_thm5(k: int, rhs_index: str | None = None,
+                folds: Sequence[Fold] | None = None) -> IdentityReport:
     """Rise-weighted alternating Motzkin identity with no known bijective
     proof: sum of gamma^r * (sum (i+1)R_i + gamma * sum i*L_i) against
     sum of gamma^r * (sum C(R_i,2) + gamma * sum C(L_i,2)), with the right
-    side over the same size ("k", matching the worked example) or one size
-    down ("k-1").  ``folds[j]``, when given, is the size-j fold for
-    j = k-1 and k; by default one DP pass to k computes both."""
+    side over the same size ("k", the default convention, matching the
+    worked example) or one size down ("k-1").  ``folds[j]``, when given,
+    is the size-j fold for j = k-1 and k; by default one DP pass to k
+    computes both."""
     return _verify("thm5", k, folds, rhs_index)
 
 

@@ -58,12 +58,10 @@ class Walk:
         return self.render()
 
 
-def path_to_walk(path: Path, start: int = 0) -> Walk:
-    """Closed walk visiting the path's altitudes, offset by start: a loop
-    for each level step, so loop-free for a Dyck path."""
-    if start < 0:
-        raise ValueError("start node must be nonnegative")
-    return Walk(tuple(a + start for a in path.altitudes()))
+def path_to_walk(path: Path) -> Walk:
+    """Closed walk from node 0 visiting the path's altitudes: a loop for
+    each level step, so loop-free for a Dyck path."""
+    return Walk(path.altitudes())
 
 
 def walk_to_path(walk: Walk, kind: PathKind | str) -> Path:

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pathforge import bijections
+from pathforge import bijections, cli
 from pathforge.cli import K_MAX_LIMIT, main
 from pathforge.numeric import catalan
 from pathforge.paths import enumerate_alt_motzkin, enumerate_dyck
@@ -338,6 +338,14 @@ def test_computation_errors_exit_1(capsys):
     code, _, err = run(capsys, "stats", "--path", "UDX", "--kind", "dyck")
     assert code == 1
     assert "invalid character" in err
+
+
+def test_an_allocation_failing_without_a_message_says_so(capsys, monkeypatch):
+    def fail(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_cmd_stats", fail)
+    assert run(capsys, "stats", "--path", "UD", "--kind", "dyck") == (1, "", "error: out of memory\n")
 
 
 @pytest.mark.parametrize("text", [

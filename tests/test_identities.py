@@ -163,6 +163,28 @@ def test_thm4_sides_are_powers_of_four():
         assert r.lhs == 4 ** (k - 1) == r.rhs, k
 
 
+def test_dyck_fold_lemmas():
+    # the Dyck pieces of identity 4 in closed form: with a(1) = 0 and
+    # a(k+1) = 4a(k) + C_k, the rise pairs of size k and the vertex pairs of
+    # size k-1 are a(k), sum (i+1)R_i is (2k-1)C_{k-1} + 2a(k), and the
+    # vertices of all paths of size k number C(2k+1, k)
+    folds = tuple(fold_upto(PathKind.DYCK, K_MAX_LIMIT))
+    a = 0
+    for k in range(1, K_MAX_LIMIT + 1):
+        f = folds[k]
+        assert f.rise_pairs == folds[k - 1].other_pairs == a, k
+        assert sum((i + 1) * r for i, r in enumerate(f.rises)) == (2 * k - 1) * catalan(k - 1) + 2 * a, k
+        assert sum(f.others) == math.comb(2 * k + 1, k), k
+        a = 4 * a + catalan(k)
+
+
+def test_default_variant_is_the_rows_first():
+    # without rhs_index a verifier reports the variant it resolved
+    assert verify_thm4(3).rhs_index == "k-1" == identities._ROWS["thm4"].variants[0]
+    assert verify_thm5(3).rhs_index == "k" == identities._ROWS["thm5"].variants[0]
+    assert verify_thm4(3) == verify_thm4(3, "k-1") and verify_thm5(3) == verify_thm5(3, "k")
+
+
 def test_thm5_sides_are_a_narayana_convolution():
     # sum_{j=2..k} g N_{j-1}(g) c_{k-j}, with c_n the x^n coefficient of
     # 1/((1 - x(1+g))^2 - 4 g x^2): c_n = 2(1+g) c_{n-1} - (1-g)^2 c_{n-2}

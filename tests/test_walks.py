@@ -41,11 +41,9 @@ def test_walk_to_alt_motzkin_rejects_parity_violation():
 def test_path_walk_map_offsets_and_inverts(kind):
     for k in range(5):
         for p in _ENUMERATE[kind](k):
-            walk = path_to_walk(p, start=2)
-            assert walk.nodes == tuple(a + 2 for a in p.altitudes())
+            walk = path_to_walk(p)
+            assert walk.nodes == p.altitudes()
             assert walk_to_path(walk, kind) == p
-    with pytest.raises(ValueError, match="nonnegative"):
-        path_to_walk(next(_ENUMERATE[kind](1)), start=-1)
 
 
 def test_walk_validation():
@@ -63,12 +61,6 @@ def test_walk_parse_render():
     assert w.render() == "0,1,2,1,0"
     with pytest.raises(ValueError, match="comma-separated"):
         Walk.parse("0;1;0")
-
-
-def test_walk_start_offset():
-    w = path_to_walk(parse("UUDD", "dyck"), start=3)
-    assert w.nodes == (3, 4, 5, 4, 3)
-    assert walk_to_path(w, "dyck").render() == "UUDD"
 
 
 @pytest.mark.parametrize("k", range(7))
