@@ -13,14 +13,15 @@ altitude: the closing falls of the chain of i rises that enclose the mark
 and, for a marked rise (A, C), the mark's own.  Any other mark becomes a
 new rise: D's marked level step, or a level step that B inserts after its
 marked vertex.  The inverse closes the rises at which the half, read
-leftwards from its end, first reaches each altitude above i.  The path
-kind decides how a fall opens: a Dyck fall flips, and an alternating
-Motzkin fall trades places with its nearest level step to the right,
-which becomes the rise; closing is the exact inverse.  Both directions
-read each half once, so ``construct`` and ``invert`` take time linear in
-the path length.  One table row per construction names its kind and its
-marks, and one method of the row states the law of each mark: the step it
-must be, the altitude before it and the parity of its position.  Checking
+leftwards from its end, first reaches each altitude above i, and the
+same scan stops at the rise from i, the mark.  The path kind decides
+how a fall opens: a Dyck fall flips, and an alternating Motzkin fall
+trades places with its nearest level step to the right, which becomes
+the rise; closing is the exact inverse.  Both directions read each half
+once, so ``construct`` and ``invert`` take time linear in the path
+length.  One table row per construction names its kind and its marks,
+and one method of the row states the law of each mark: the step it must
+be, the altitude before it and the parity of its position.  Checking
 a given mark and listing every position that may carry one both read that
 law.  The right path is mirrored (steps reversed, rises and falls
 swapped), put through the same surgery and mirrored back.
@@ -133,17 +134,6 @@ def _mirror(steps):
     return tuple(map(neg, reversed(steps)))
 
 
-def _matching_rise(steps, alts, fall_pos) -> int:
-    """The rise whose closing fall is ``fall_pos``."""
-    landing = alts[fall_pos]
-    for v in range(fall_pos - 1, -1, -1):
-        if alts[v] == landing:
-            if steps[v] != RISE:
-                raise RuntimeError(f"matching step at {v + 1} is not a rise")
-            return v + 1
-    raise RuntimeError(f"no matching rise for fall at step {fall_pos}")
-
-
 def _level_from(steps, alts, altitude, positions) -> int:
     """The first of ``positions`` (1-based, in the order given) that holds a
     level step from ``altitude``.  The level-parity lemma puts it on an even
@@ -247,15 +237,13 @@ def _open(kind, out, steps, alts, fall):
         out[_level_from(steps, alts, alts[fall], range(fall + 1, len(steps) + 1)) - 1] = RISE
 
 
-def _close(kind, out, steps, alts, rise) -> int:
-    """Undo ``_open`` on the rise it made; returns where the fall is now."""
+def _close(kind, out, steps, alts, rise):
+    """Undo ``_open`` on the rise it made."""
     if kind is PathKind.DYCK:
         out[rise - 1] = FALL
-        return rise
-    fall = _level_from(steps, alts, alts[rise - 1], range(rise - 1, 0, -1))
-    out[rise - 1] = LEVEL
-    out[fall - 1] = FALL
-    return fall
+    else:
+        out[rise - 1] = LEVEL
+        out[_level_from(steps, alts, alts[rise - 1], range(rise - 1, 0, -1)) - 1] = FALL
 
 
 def _left(c: _Construction, steps, mark):
@@ -283,32 +271,27 @@ def _left(c: _Construction, steps, mark):
 def _left_inv(c: _Construction, steps, i):
     """Inverse of ``_left``: read from the end leftwards, the step at which
     the half first reaches each altitude a is its rightmost rise from a.
-    Close those from one below the half's last altitude down to i+1, then
-    recover the mark: the rise that closes at the last of them (A, C), or
-    the rise found next, from altitude i, made level again or deleted for
-    B.  Each level partner that ``_close`` finds lies after the next rise
-    found, so the surgery is linear."""
+    Close those from one below the half's last altitude down to i+1; the
+    one from i, where the scan stops, is the mark: kept as a rise (A, C),
+    made level again (D) or deleted (B, whose mark is the vertex before
+    it).  Each level partner that ``_close`` finds lies after the next
+    rise found, so closing changes no step left of it, the mark included,
+    and the surgery is linear."""
     alts = altitudes(steps)
-    stop = i + 1 if c.marks == "rise" else i
-    rises = []
+    out = list(steps)
     low = alts[-1]
     for q in range(len(steps), 0, -1):
         if alts[q - 1] < low:
             low = alts[q - 1]
-            if low < stop:
+            if low == i:
                 break
-            rises.append(q)
-    new = None if c.marks == "rise" else rises.pop()
-    out = list(steps)
-    falls = [_close(c.kind, out, steps, alts, q) for q in rises]
-    if new is None:
-        p = tuple(out)
-        return p, _matching_rise(p, altitudes(p), falls[-1])
-    out[new - 1] = LEVEL
+            _close(c.kind, out, steps, alts, q)
     if c.marks == "vertex":
-        del out[new - 1]
-        return tuple(out), new - 1
-    return tuple(out), new
+        del out[q - 1]
+        q -= 1
+    elif c.marks == "level":
+        out[q - 1] = LEVEL
+    return tuple(out), q
 
 
 def construct(t: FiveTuple) -> MidPath:

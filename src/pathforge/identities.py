@@ -18,10 +18,19 @@ conventions exist for the size of the right-hand summation, so the
 verifier computes both variants and reports which matches; the defaults
 frozen here (Dyck paths one size down for identity 4, equal sizes for
 identity 5) are the ones under which the identities actually hold, pinned
-by the worked k=3 values 16 = 16 and 3g + 3g^2.  Checked against the DP,
-not proved: both sides of identity 4 equal 4^(k-1), and both sides of
-identity 5 equal sum_{j=2..k} g N_{j-1}(g) c_{k-j}, where c_n is the x^n
-coefficient of 1/((1 - x(1+g))^2 - 4 g x^2).
+by the worked k=3 values 16 = 16 and 3g + 3g^2.  Both are derived:
+first- and last-passage decompositions at each event give every row and
+pair total as a generating function.  With C the Catalan series and
+y = xC^2, the Dyck rows are R_i = C y^(i+1) and V_i = C^2 y^i; read in
+pairs of steps, an alternating Motzkin path is a Motzkin path, and with
+N = x(1+N)(1+gN) the Narayana series and q = gN^2 its rows are
+R_i = gN^2(1+N) q^i and L_i = N(1+N) q^i.  Both sides of identity 4 sum
+to x/(1 - 4x), so both are 4^(k-1).  Both sides of identity 5 sum to
+g x N / Delta, Delta = (1 - x(1+g))^2 - 4 g x^2, so both are
+sum_{j=2..k} g N_{j-1}(g) c_{k-j}, c_n the x^n coefficient of 1/Delta.
+The tests check the Dyck pieces, the alternating Motzkin rows and both
+sides against the DP.  The derivation is algebraic: the combinatorial
+proof the paper asks for is still open.
 """
 
 from __future__ import annotations

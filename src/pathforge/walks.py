@@ -2,9 +2,11 @@
 lattice paths.
 
 A walk visits nonnegative integer nodes, moving by -1, 0, or +1 at each
-time step and returning to its start.  Loop-free walks correspond to Dyck
-paths; walks whose right moves happen only at even time steps and left
-moves only at odd time steps correspond to alternating Motzkin paths.
+time step and returning to its start.  A path's walk starts at node 0,
+so ``walk_to_path`` refuses a walk from any other node.  Loop-free walks
+correspond to Dyck paths; walks whose right moves happen only at even
+time steps and left moves only at odd time steps correspond to
+alternating Motzkin paths.
 Under the correspondence, time spent at node i is the vertex count V_i,
 advances into node i+1 are the rises R_i, and loops at node i are the
 level steps there.  ``paths.stats`` of the path counts them: its vertex
@@ -65,7 +67,9 @@ def path_to_walk(path: Path) -> Walk:
 
 
 def walk_to_path(walk: Walk, kind: PathKind | str) -> Path:
-    """Inverse of path_to_walk: the walk's moves, validated as a path of the
-    given kind (so a walk with loops is no Dyck path)."""
+    """Inverse of path_to_walk: the moves of a walk from node 0, validated
+    as a path of the given kind (so a walk with loops is no Dyck path)."""
+    if walk.nodes[0] != 0:
+        raise ValueError(f"walk starts at node {walk.nodes[0]}, not at node 0")
     return Path(walk.moves(), PathKind(kind))
 

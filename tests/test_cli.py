@@ -218,6 +218,13 @@ def test_walk_invalid_path_is_reported(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("nodes", ("1,2,1", "1,0,1"))
+def test_walk_from_refuses_a_walk_not_from_node_0(capsys, nodes):
+    code, out, err = run(capsys, "walk", "--from", "--path", nodes)
+    assert (code, out) == (1, "")
+    assert err == "error: walk starts at node 1, not at node 0\n"
+
+
 def test_walk_lowercase_path_is_refused(capsys):
     # parse accepts the capitals U, D, L alone, whatever kind is guessed
     code, out, err = run(capsys, "walk", "--to", "--path", "ludl")

@@ -178,6 +178,27 @@ def test_dyck_fold_lemmas():
         a = 4 * a + catalan(k)
 
 
+def test_alt_motzkin_rows_in_closed_form():
+    # with N = x(1+N)(1+gN), rises[i] = [x^k] g^(i+1) N^(2i+2) (1+N) and
+    # others[i] = [x^k] g^i N^(2i+1) (1+N); Lagrange inversion with
+    # phi(t) = (1+t)(1+gt) gives, for s = r - e,
+    # [x^k g^r] g^e N^m (1+N) = (m C(k, k-m-s) + (m+1) C(k, k-1-m-s)) C(k, s) / k
+    def comb(n, r):
+        return math.comb(n, r) if r >= 0 else 0
+
+    def times_k(k, e, m):  # k [x^k] g^e N^m (1+N), so that no division hides a remainder
+        return GammaPoly((m * comb(k, k - m - s) + (m + 1) * comb(k, k - 1 - m - s)) * comb(k, s)
+                         for s in range(-e, k + 1 - e))
+
+    folds = tuple(fold_upto(PathKind.ALT_MOTZKIN, 40))
+    for k in range(1, 41):
+        f = folds[k]
+        assert len(f.rises) == len(f.others) == k, k
+        for i in range(k):
+            assert k * f.rises[i] == times_k(k, i + 1, 2 * i + 2), (k, i)
+            assert k * f.others[i] == times_k(k, i, 2 * i + 1), (k, i)
+
+
 def test_default_variant_is_the_rows_first():
     # without rhs_index a verifier reports the variant it resolved
     assert verify_thm4(3).rhs_index == "k-1" == identities._ROWS["thm4"].variants[0]
