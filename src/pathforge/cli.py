@@ -8,13 +8,14 @@ finite float, or when stdout is closed before all output is written), 2 on
 usage errors, including a number argument below its minimum, a negative
 or non-finite --time-budget, a verify or report whose --k-max leaves no
 identity to check, a --k-max above K_MAX_LIMIT with no --time-budget,
-an mc --k above MC_K_LIMIT, a verify --rhs-index for identities 1-3, a
-report --identities list with a repeat, and an enumerate --k whose path
-count has more digits than Python prints (JSON and --count-only; CSV
-prints no count).  ``main`` alone maps errors to exit codes and prints
-the one ``error:`` line: a command refuses its arguments by raising
-``_UsageError`` (exit 2) and fails a computation by raising ValueError
-(exit 1); argparse refuses what it parses itself.
+an mc --k above MC_K_LIMIT, an mc run estimated above _MC_SECONDS, a
+verify --rhs-index for identities 1-3, a report --identities list with a
+repeat, and an enumerate --k whose path count has more digits than
+Python prints (JSON and --count-only; CSV prints no count).  ``main``
+alone maps errors to exit codes and prints the one ``error:`` line: a
+command refuses its arguments by raising ``_UsageError`` (exit 2) and
+fails a computation by raising ValueError (exit 1); argparse refuses
+what it parses itself.
 """
 
 from __future__ import annotations
@@ -41,6 +42,15 @@ K_MAX_LIMIT = 100
 # bound also keeps the target's cost small for both ensembles: narayana_poly
 # (1039) takes about 0.05 s.  A value still not a finite float is an error.
 MC_K_LIMIT = 1039
+
+# an mc trial's cost in picoseconds on the machine above, numpy on OpenBLAS:
+# fixed (27 us measured at n = 2), per Gaussian draw (16 ns, the Wigner
+# mirror included) and per n**3 of a matrix product (0.011 ns for a panel
+# product, 0.0085 for a syrk).  The largest run is _MC_SECONDS estimated;
+# the acceptance cases come to 4.8 s (Wigner, measured 3.8 s) and 1.1 s
+# (Wishart, measured 1.3 s).
+_MC_TRIAL_PS, _MC_DRAW_PS, _MC_PRODUCT_PS = 30_000_000, 16_000, 11
+_MC_SECONDS = 60
 
 
 def _json_value(value):
@@ -287,6 +297,20 @@ def _cmd_walk(args) -> int:
     return 0
 
 
+def _mc_picoseconds(ensemble: str, k: int, n: int, m: int | None, trials: int) -> int:
+    """An mc run's estimated picoseconds, trials x one trial: n*n + n draws
+    (Wigner) or m*n and W = G G^T, one m*m*n product (Wishart), and for
+    k >= 3 about ceil(log2 k) products of n**3 (m**3 for Wishart) in
+    trace_power.  An int, so no n overflows it."""
+    if ensemble == "wigner":
+        side, draws, product = n, n * n + n, 0
+    else:
+        side, draws, product = m, m * n, m * m * n
+    if k >= 3:
+        product += (k - 1).bit_length() * side ** 3
+    return trials * (_MC_TRIAL_PS + _MC_DRAW_PS * draws + _MC_PRODUCT_PS * product)
+
+
 def _cmd_mc(args) -> int:
     # usage errors, found before numpy loads, so they read the same without it
     if args.ensemble == "wigner" and args.m is not None:
@@ -296,6 +320,9 @@ def _cmd_mc(args) -> int:
     if args.k > MC_K_LIMIT:
         raise _UsageError(f"--k {args.k} is above the limit of {MC_K_LIMIT} for mc: the moment "
                           "target would pass the largest float")
+    if _mc_picoseconds(args.ensemble, args.k, args.n, args.m, args.trials) > _MC_SECONDS * 10**12:
+        raise _UsageError(f"mc run estimated above the limit of {_MC_SECONDS} s (--trials x the "
+                          "cost of one trial at --n, --m and --k); lower --trials or the matrix size")
     try:
         import numpy as np  # numpy loads here, for mc alone
 
@@ -433,7 +460,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
     p.set_defaults(func=_cmd_walk)
 
-    p = sub.add_parser("mc", help="Monte Carlo moment estimate vs exact target")
+    p = sub.add_parser("mc", help="Monte Carlo moment estimate vs exact target",
+                       description=f"Monte Carlo moment estimate vs exact target; a run estimated "
+                       f"above {_MC_SECONDS} s on 2 vCPUs (--trials x one trial's cost) is refused")
     p.add_argument("--ensemble", choices=["wigner", "wishart"], required=True)
     p.add_argument("--k", type=_int_at_least(1), required=True)
     p.add_argument("--n", type=_int_at_least(2), required=True)

@@ -30,8 +30,7 @@ polynomial sums are int sums; each fold unpacks its values once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 from .numeric import GammaPoly
 from .paths import LEVEL, RISE, PathKind, fall_room, steps_at
@@ -44,8 +43,7 @@ HAVE_COMPILED = False
 Value = Union[int, GammaPoly]
 
 
-@dataclass(frozen=True)
-class Fold:
+class Fold(NamedTuple):
     """Statistics summed over all paths of one kind of length 2k.
 
     rises[i] totals the rises from altitude i (i < k).  others[i] totals

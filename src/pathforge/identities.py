@@ -36,9 +36,8 @@ proof the paper asks for is still open.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 from .fold import Fold, fold_upto
 from .numeric import GAMMA, GammaPoly, catalan, narayana_poly
@@ -47,8 +46,7 @@ from .paths import PathKind
 Value = Union[Fraction, GammaPoly]
 
 
-@dataclass(frozen=True)
-class _Identity:
+class _Identity(NamedTuple):
     """One identity: the path kind it folds, its first k, its right-hand
     variants, default first (None: one right side), and ``sides(f, g, k)
     -> (lhs, rhs)`` from the size-k fold f and the fold g the variant
@@ -86,8 +84,7 @@ _ROWS = {
 IDENTITIES = tuple(_ROWS)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """One verified equality: exact left and right values plus verdict."""
 
     identity: str
@@ -165,8 +162,7 @@ def verify_thm5(k: int, rhs_index: str | None = None,
     return _verify("thm5", k, folds, rhs_index)
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     """Reports for a range of sizes, with a truncation flag when a time
     budget ran out before the sweep finished."""
 

@@ -9,10 +9,9 @@ combinatorial values from ``numeric`` double as statistical targets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -21,8 +20,7 @@ from .numeric import catalan, narayana_poly
 Exact = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
-class MomentEstimate:
+class MomentEstimate(NamedTuple):
     """A seeded Monte Carlo estimate next to its exact limiting target."""
 
     ensemble: str

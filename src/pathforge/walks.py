@@ -19,28 +19,31 @@ and the total square-average time at a node in closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .paths import Path, PathKind
 
 
-@dataclass(frozen=True)
-class Walk:
+class Walk(NamedTuple("Walk", [("nodes", tuple[int, ...])])):
     """A closed walk on the halfline, stored as the visited node labels."""
 
-    nodes: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.nodes) < 1:
+    def __new__(cls, nodes: tuple[int, ...]):
+        if len(nodes) < 1:
             raise ValueError("a walk visits at least one node")
-        if self.nodes[0] != self.nodes[-1]:
-            raise ValueError(f"walk is not closed: starts at {self.nodes[0]}, ends at {self.nodes[-1]}")
-        for t, node in enumerate(self.nodes):
+        if nodes[0] != nodes[-1]:
+            raise ValueError(f"walk is not closed: starts at {nodes[0]}, ends at {nodes[-1]}")
+        for t, node in enumerate(nodes):
             if node < 0:
                 raise ValueError(f"negative node {node} at time {t}")
-        for t, (a, b) in enumerate(zip(self.nodes, self.nodes[1:]), start=1):
+        for t, (a, b) in enumerate(zip(nodes, nodes[1:]), start=1):
             if abs(b - a) > 1:
                 raise ValueError(f"move from {a} to {b} at time step {t} is not in -1/0/+1")
+        return super().__new__(cls, nodes)
+
+    # _replace builds through _make, which would skip the checks above
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     def moves(self) -> tuple[int, ...]:
         return tuple(b - a for a, b in zip(self.nodes, self.nodes[1:]))

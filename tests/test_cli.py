@@ -255,8 +255,9 @@ def test_mc_wigner_m_rejected(capsys):
 
 @pytest.mark.filterwarnings("error")  # a numpy overflow warning would reach stderr
 @pytest.mark.parametrize("argv,code,message", [
-    # an n too large to allocate: 800 TiB is beyond any 47-bit address space
-    (["--ensemble", "wigner", "--k", "2", "--n", "10000000", "--trials", "1"], 1, "Unable to allocate"),
+    # an n too large to allocate (800 TiB) is refused by the work bound first
+    (["--ensemble", "wigner", "--k", "2", "--n", "10000000", "--trials", "1"], 2,
+     "mc run estimated above the limit"),
     # C_520, the target of k = 1040, is above the largest float; the refusal
     # does no big-int work, however large k is
     (["--ensemble", "wigner", "--k", "1040", "--n", "2", "--trials", "2"], 2, "--k 1040 "),
@@ -285,6 +286,33 @@ def test_mc_k_above_the_limit_needs_no_numpy():
     out, err = proc.communicate(timeout=120)
     assert (proc.returncode, out) == (2, b"")
     assert err.decode().startswith("error: --k 1040 ") and len(err.decode().splitlines()) == 1
+
+
+def test_mc_above_the_work_bound_needs_no_numpy():
+    script = ("import sys; sys.modules['numpy'] = None; from pathforge.cli import main; "
+              "sys.exit(main(['mc', '--ensemble', 'wigner', '--k', '4', '--n', '100000', "
+              "'--trials', '20']))")
+    proc = _pathforge(["-c", script], subprocess.PIPE, module=False)
+    out, err = proc.communicate(timeout=120)
+    assert (proc.returncode, out) == (2, b"")
+    assert err.decode().startswith("error: mc run estimated above the limit of 60 s ")
+    assert len(err.decode().splitlines()) == 1
+
+
+def test_mc_work_bound_keeps_a_tenfold_margin():
+    # the acceptance cases, the largest runs of tests/test_moments.py and
+    # the largest k; the estimate alone runs, no trial
+    limit = cli._MC_SECONDS * 10**12
+    for case in [("wigner", 4, 2000, None, 20), ("wishart", 2, 2000, 1000, 20),
+                 ("wigner", 6, 1000, None, 20), ("wishart", 3, 1000, 1000, 20),
+                 ("wigner", 1039, 8, None, 20), ("wishart", 1039, 8, 8, 20)]:
+        assert 10 * cli._mc_picoseconds(*case) <= limit, case
+    # the cost grows with every argument, and a huge n neither overflows nor
+    # passes: the estimate is an int
+    assert cli._mc_picoseconds("wigner", 2, 2, None, 10**8) > limit
+    assert cli._mc_picoseconds("wigner", 3, 10**1000, None, 1) > limit
+    assert cli._mc_picoseconds("wishart", 4, 4000, 2000, 20) > cli._mc_picoseconds(
+        "wishart", 2, 4000, 2000, 20) > cli._mc_picoseconds("wishart", 2, 4000, 1000, 20)
 
 
 def test_report_sweep(capsys):
@@ -732,6 +760,26 @@ def test_listing_and_stats_load_no_dataclasses_or_fractions(argv):
     out, err = proc.communicate(timeout=120)
     assert proc.returncode == 0, err
     assert out.decode().split() == ["0"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--kind", "dyck", "--k", "4"],
+    ["stats", "--path", "UDUD", "--kind", "dyck"],
+    ["report", "--k-max", "6", "--format", "csv"],
+    ["verify", "--identity", "4", "--k-max", "6"],
+    ["map", "--construction", "B"],
+    ["invert", "--construction", "A", "--path", "UUUDDUDD"],
+    ["walk", "--to", "--path", "LUDL"],
+    ["mc", "--ensemble", "wigner", "--k", "2", "--n", "4", "--trials", "2"],
+], ids=" ".join)
+def test_no_command_loads_dataclasses(argv):
+    # every record is a named tuple or a __slots__ class; mc still loads
+    # inspect, through numpy
+    proc = _pathforge(["-c", _ADDED_SCRIPT, *argv], subprocess.PIPE, module=False)
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    code, *added = out.decode().split()
+    assert code == "0" and "dataclasses" not in added, added
 
 
 def test_mc_without_numpy_is_one_error_line():

@@ -199,6 +199,112 @@ def test_alt_motzkin_rows_in_closed_form():
             assert k * f.others[i] == times_k(k, i, 2 * i + 1), (k, i)
 
 
+# a series in x is a list whose item a is its x^a coefficient, a polynomial
+# in g as a list of ints, lowest power first; a polynomial in one or two
+# variables is a series whose top is above its degree
+
+
+def _times(top, *factors):
+    """The product of the series, cut above x^top."""
+    out = [[1]]
+    for b in factors:
+        nxt = [[] for _ in range(min(top, len(out) + len(b) - 2) + 1)]
+        for i, p in enumerate(out):
+            for j, r in enumerate(b[:top + 1 - i]):
+                acc = nxt[i + j]
+                acc.extend([0] * (len(p) + len(r) - 1 - len(acc)))
+                for e, c in enumerate(p):
+                    for f, d in enumerate(r):
+                        acc[e + f] += c * d
+        out = nxt
+    return out
+
+
+def _plus(*terms):
+    out = [[] for _ in range(max(map(len, terms)))]
+    for s in terms:
+        for a, p in enumerate(s):
+            out[a].extend([0] * (len(p) - len(out[a])))
+            for e, c in enumerate(p):
+                out[a][e] += c
+    return out
+
+
+def _trim(p):
+    # a polynomial or series with its top zero coefficients dropped, so that
+    # equal values compare equal
+    out = [list(c) for c in p]
+    for c in out:
+        while c and c[-1] == 0:
+            c.pop()
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+_ONE, _X, _G = [[1]], [[], [1]], [[0, 1]]
+
+
+def test_alt_motzkin_pair_totals_in_closed_form():
+    # with N = x(1+N)(1+gN) and q = gN^2, rise_pairs and other_pairs are the
+    # x^k coefficients of g^2 N^3 (1+N)^2 / ((1-q)(1-q^2)) and
+    # N^2 (1+N)(1+gNq) / ((1-q)(1-q^2))
+    top = 30
+    n = []
+    for cut in range(1, top + 1):  # each round fixes one more coefficient of N
+        n = _times(cut, _X, _plus(_ONE, n), _plus(_ONE, _times(cut, _G, n)))
+    q = _times(top, _G, n, n)
+
+    def geometric(s):  # 1/(1-s) for an s with no term below x^2
+        out = _ONE
+        for _ in range(top // 2):
+            out = _plus(_ONE, _times(top, s, out))
+        return out
+
+    over = _times(top, geometric(q), geometric(_times(top, q, q)))
+    one_n = _plus(_ONE, n)
+    rise_pairs = _times(top, _G, _G, n, n, n, one_n, one_n, over)
+    other_pairs = _times(top, n, n, one_n, _plus(_ONE, _times(top, _G, n, q)), over)
+    for f in fold_upto(PathKind.ALT_MOTZKIN, top):
+        if f.k:
+            assert _trim([f.rise_pairs.coeffs]) == _trim([rise_pairs[f.k]]), f.k
+            assert _trim([f.other_pairs.coeffs]) == _trim([other_pairs[f.k]]), f.k
+
+
+def test_identities_4_and_5_algebra():
+    # both sides of identities 4 and 5 as generating functions, checked as
+    # exact identities of polynomials once the denominators are cleared
+    top = 20  # above every degree below: nothing is cut
+
+    def times(*fractions):  # a fraction is a pair (numerator, denominator)
+        return tuple(_times(top, *parts) for parts in zip(*fractions))
+
+    def plus(f, g):
+        return _plus(_times(top, f[0], g[1]), _times(top, g[0], f[1])), _times(top, f[1], g[1])
+
+    def same(f, g):
+        return _trim(_times(top, f[0], g[1])) == _trim(_times(top, g[0], f[1]))
+
+    # in Z[C], C in the place of x: x = (C-1)/C^2 and B = C/(2-C), and both
+    # sides of identity 4 are (C-1)/(C-2)^2
+    one, minus_one, c = (_ONE, _ONE), ([[-1]], _ONE), (_X, _ONE)
+    x = ([[-1], [1]], [[], [], [1]])
+    b = ([[], [1]], [[2], [-1]])
+    xc = times(x, c)
+    sides = ([[-1], [1]], [[4], [-4], [1]])
+    assert same(times(xc, b, b, plus(one, times(minus_one, xc))), sides)
+    assert same(times(x, plus(times(c, b), times(xc, c, b, b))), sides)
+    assert not same(times(x, plus(times(c, b), times(x, c, b, b))), sides)  # x C B^2: wrong
+    # in Z[N, g], N in the place of x: both sides of identity 5 times
+    # (1-q)(1-q^2), q = gN^2
+    n, one_n = _X, [[1], [1]]
+    q = _times(top, _G, n, n)
+    lhs = _times(top, _G, n, n, one_n, _plus(_ONE, _times(top, _G, n)), _plus(_ONE, q))
+    rhs = _plus(_times(top, _G, _G, n, n, n, one_n, one_n),
+                _times(top, _G, n, n, one_n, _plus(_ONE, _times(top, _G, n, q))))
+    assert _trim(lhs) == _trim(rhs)
+
+
 def test_default_variant_is_the_rows_first():
     # without rhs_index a verifier reports the variant it resolved
     assert verify_thm4(3).rhs_index == "k-1" == identities._ROWS["thm4"].variants[0]

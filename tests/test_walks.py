@@ -53,6 +53,16 @@ def test_walk_validation():
         Walk((0, 2, 0))
 
 
+def test_walk_is_checked_however_it_is_built():
+    # a named tuple also builds through _make and _replace
+    w = Walk((0, 1, 0))
+    assert w == ((0, 1, 0),) and Walk(nodes=(0, 1, 0)) == w == Walk._make([(0, 1, 0)])
+    with pytest.raises(ValueError, match="not closed"):
+        w._replace(nodes=(0, 1))
+    with pytest.raises(ValueError, match="not in -1/0/\\+1"):
+        Walk._make([(0, 2, 0)])
+
+
 def test_walk_parse_render():
     w = Walk.parse("0,1,2,1,0")
     assert w.nodes == (0, 1, 2, 1, 0)
