@@ -21,10 +21,10 @@ the rise; closing is the exact inverse.  Both directions read each half
 once, so ``construct`` and ``invert`` take time linear in the path
 length.  One table row per construction names its kind and its marks,
 and one method of the row states the law of each mark: the step it must
-be, the altitude before it and the parity of its position.  Checking
-a given mark and listing every position that may carry one both read that
-law.  The right path is mirrored (steps reversed, rises and falls
-swapped), put through the same surgery and mirrored back.
+be, the altitude before it and the parity of its position.  One check
+of a given mark reads that law, and the positions that may carry a mark
+are those it accepts.  The right path is mirrored (steps reversed, rises
+and falls swapped), put through the same surgery and mirrored back.
 ``five_tuples`` and ``image_paths`` enumerate the domain and the
 characterized image of each construction; the tests use them to check
 every construction exhaustively at small k.
@@ -46,10 +46,6 @@ from .paths import (
     enumerate_dyck,
     parse,
 )
-
-
-# the fields of a five-tuple's JSON form
-_FIELDS = frozenset(("construction", "p1", "p2", "i", "mark1", "mark2"))
 
 
 class FiveTuple(NamedTuple):
@@ -115,6 +111,10 @@ class FiveTuple(NamedTuple):
         )
 
 
+# the fields of a five-tuple's JSON form
+_FIELDS = frozenset(FiveTuple._fields)
+
+
 class MidPath(NamedTuple):
     """A doubled path together with its middle altitude (the altitude at
     the vertex between the two halves)."""
@@ -170,26 +170,21 @@ class _Construction(NamedTuple):
         return (RISE, i, None) if side == 1 else (FALL, i + 1, None)
 
     def candidates(self, path: Path, i: int, side: int) -> tuple[int, ...]:
-        """Positions in ``path`` that may carry mark ``side``, from one pass
-        over the altitudes."""
-        step, start, parity = self._law(i, side)
-        alts, steps = path.altitudes(), path.steps
-        first = 0 if step is None else 1  # vertices count from 0, steps from 1
-        positions = range(first, len(steps) + 1) if parity is None else range(2 - parity, len(steps) + 1, 2)
-        return tuple(q for q in positions
-                     if alts[q - first] == start and (step is None or steps[q - 1] == step))
+        """The positions in ``path`` that ``admits`` accepts for mark
+        ``side`` at altitude i, in order."""
+        return tuple(q for q in range(len(path.steps) + 1) if self.admits(path, i, side, q))
 
     def admits(self, path: Path, i: int, side: int, mark: int) -> bool:
-        """Whether ``mark`` is one of ``candidates(path, i, side)``, decided
+        """Whether ``path`` may carry mark ``side`` at ``mark``, decided
         from the step at it and the altitude before it (for a vertex, the
         altitude at it), so a check costs one sum over the steps before the
         mark."""
         step, start, parity = self._law(i, side)
         steps = path.steps
-        first = 0 if step is None else 1
-        # range membership compares by equality, as the tuple of candidates
-        # does, so a mark equal to no position (None, "1") is refused here
-        # where an ordering test would raise TypeError
+        first = 0 if step is None else 1  # vertices count from 0, steps from 1
+        # range membership compares by equality, so a mark equal to no
+        # position (None, "1") is refused here where an ordering test would
+        # raise TypeError
         return (mark in range(first, len(steps) + 1)
                 and (parity is None or mark % 2 == parity)
                 and (step is None or steps[mark - 1] == step)
@@ -352,11 +347,13 @@ def five_tuples(construction: str, k: int) -> Iterator[FiveTuple]:
     """Yield every valid five-tuple for the construction at size k."""
     c = _construction(construction)
     pool = list(_paths(c, k))
-    for p1 in pool:
-        for p2 in pool:
+    # each path's marks on both sides at each altitude, found once
+    marks = [[(c.candidates(p, i, 1), c.candidates(p, i, 2)) for i in range(k + 1)] for p in pool]
+    for p1, marks1 in zip(pool, marks):
+        for p2, marks2 in zip(pool, marks):
             for i in range(k + 1):  # only B has marks at altitude k
-                for m1 in c.candidates(p1, i, 1):
-                    for m2 in c.candidates(p2, i, 2):
+                for m1 in marks1[i][0]:
+                    for m2 in marks2[i][1]:
                         yield FiveTuple(construction, p1, p2, i, m1, m2)
 
 

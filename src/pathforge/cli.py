@@ -8,8 +8,9 @@ finite float, or when stdout is closed before all output is written), 2 on
 usage errors, including a number argument below its minimum, a negative
 or non-finite --time-budget, a verify or report whose --k-max leaves no
 identity to check, a --k-max above K_MAX_LIMIT with no --time-budget,
-an mc --k above MC_K_LIMIT, an mc run estimated above _MC_SECONDS, a
-verify --rhs-index for identities 1-3, a report --identities list with a
+an mc --k above MC_K_LIMIT, an mc run estimated above _MC_SECONDS or
+one whose trial is estimated to hold more than _MC_BYTES, a verify
+--rhs-index for identities 1-3, a report --identities list with a
 repeat, and an enumerate --k whose path count has more digits than
 Python prints (JSON and --count-only; CSV prints no count).  ``main``
 alone maps errors to exit codes and prints the one ``error:`` line: a
@@ -51,6 +52,9 @@ MC_K_LIMIT = 1039
 # (Wishart, measured 1.3 s).
 _MC_TRIAL_PS, _MC_DRAW_PS, _MC_PRODUCT_PS = 30_000_000, 16_000, 11
 _MC_SECONDS = 60
+# the most bytes one mc trial's arrays may hold at once; the acceptance
+# cases come to 40 MB (Wigner, traced 35 MB) and 28 MB (Wishart, 24 MB)
+_MC_BYTES = 2 << 30
 
 
 def _json_value(value):
@@ -61,10 +65,6 @@ def _json_value(value):
     if isinstance(value, GammaPoly):
         return value.to_json()
     return value
-
-
-def _emit_json(obj):
-    print(json.dumps(obj, indent=2))
 
 
 def _emit_records(records: list[dict], fmt: str, header=None):
@@ -82,7 +82,7 @@ def _emit_records(records: list[dict], fmt: str, header=None):
         writer.writerows([_csv_cell(rec.get(h)) for h in header] for rec in records)
         sys.stdout.write(out.getvalue())
     else:
-        _emit_json(records[0] if len(records) == 1 else records)
+        print(json.dumps(records[0] if len(records) == 1 else records, indent=2))
 
 
 def _csv_cell(value):
@@ -138,7 +138,7 @@ def _cmd_enumerate(args) -> int:
         return 0
     rendered = _listing(kind, args.k)
     # paths are written as they are generated; the bytes are those of
-    # _emit_json on the whole object, whose "paths" list is never empty.
+    # _emit_records on the whole object, whose "paths" list is never empty.
     # A path is a string over U, D, L, so json.dumps only quotes it.
     head = json.dumps({"kind": kind.value, "k": args.k, "count": count}, indent=2)
     out.write(f'{head[:-2]},\n  "paths": [\n    "{next(rendered)}"')
@@ -244,7 +244,7 @@ def _emit_sweep(result, fmt: str, selected_rhs_index) -> int:
         obj = {"reports": records}
         if result.truncated:
             obj["truncated"] = True
-        _emit_json(obj)
+        _emit_records([obj], fmt)
     return 0 if result.passes(selected_rhs_index) else 1
 
 
@@ -274,26 +274,20 @@ def _cmd_walk(args) -> int:
         )
         path = parse(args.path, kind)
         walk = walks.path_to_walk(path)
-        if args.format == "csv":
-            print(walk.render())
-        else:
-            _emit_json({
-                "path": path.render(),
-                "kind": kind.value,
-                "nodes": list(walk.nodes),
-                "walk": walk.render(),
-            })
+        line = walk.render()
+        record = {"path": path.render(), "kind": kind.value, "nodes": list(walk.nodes), "walk": line}
     else:
         walk = walks.Walk.parse(args.path)
-        if args.kind:
-            kind = PathKind(args.kind)
-        else:
-            kind = PathKind.ALT_MOTZKIN if 0 in walk.moves() else PathKind.DYCK
+        kind = PathKind(args.kind) if args.kind else (
+            PathKind.ALT_MOTZKIN if 0 in walk.moves() else PathKind.DYCK
+        )
         path = walks.walk_to_path(walk, kind)
-        if args.format == "csv":
-            print(path.render())
-        else:
-            _emit_json({"walk": walk.render(), "kind": kind.value, "path": path.render()})
+        line = path.render()
+        record = {"walk": walk.render(), "kind": kind.value, "path": line}
+    if args.format == "csv":
+        print(line)
+    else:
+        _emit_records([record], args.format)
     return 0
 
 
@@ -311,6 +305,18 @@ def _mc_picoseconds(ensemble: str, k: int, n: int, m: int | None, trials: int) -
     return trials * (_MC_TRIAL_PS + _MC_DRAW_PS * draws + _MC_PRODUCT_PS * product)
 
 
+def _mc_bytes(ensemble: str, k: int, n: int, m: int | None) -> int:
+    """The bytes one mc trial's float64 arrays hold at once, read from
+    moments: the n*n matrix (Wigner) or the m*n draw G beside W = G G^T
+    (Wishart); up to three m*m or n*n powers beside it that trace_power
+    forms by squaring (none at k = 1, 2 and 4); and four blocks of 128
+    rows, the most that the Wigner mirror's temporaries or trace_power's
+    panels hold.  An int, so no n overflows it."""
+    side, held = (n, n * n) if ensemble == "wigner" else (m, m * n + m * m)
+    powers = 0 if k in (1, 2, 4) else 3
+    return 8 * (held + powers * side * side + 4 * 128 * side)
+
+
 def _cmd_mc(args) -> int:
     # usage errors, found before numpy loads, so they read the same without it
     if args.ensemble == "wigner" and args.m is not None:
@@ -323,6 +329,11 @@ def _cmd_mc(args) -> int:
     if _mc_picoseconds(args.ensemble, args.k, args.n, args.m, args.trials) > _MC_SECONDS * 10**12:
         raise _UsageError(f"mc run estimated above the limit of {_MC_SECONDS} s (--trials x the "
                           "cost of one trial at --n, --m and --k); lower --trials or the matrix size")
+    held = _mc_bytes(args.ensemble, args.k, args.n, args.m)
+    if held > _MC_BYTES:
+        raise _UsageError(f"mc run estimated to hold {held / 2**30:.1f} GiB at once, above the limit "
+                          f"of {_MC_BYTES >> 30} GiB (one trial's arrays at --n, --m and --k); lower "
+                          "the matrix size")
     try:
         import numpy as np  # numpy loads here, for mc alone
 
@@ -342,19 +353,10 @@ def _cmd_mc(args) -> int:
         target = float(est.target)
     except OverflowError:
         target = math.inf
-    values = {"estimate": est.estimate, "stderr": est.stderr, "target": target}
-    bad = [name for name, v in values.items() if not math.isfinite(v)]
+    record = est._replace(target=target)._asdict()
+    bad = [name for name, v in record.items() if type(v) is float and not math.isfinite(v)]
     if bad:
         raise ValueError(f"not a finite float at --k {args.k}: {', '.join(bad)}; lower --k")
-    record = {
-        "ensemble": est.ensemble,
-        "k": est.k,
-        "n": est.n,
-        "m": est.m,
-        "trials": est.trials,
-        "seed": est.seed,
-        **values,
-    }
     _emit_records([record], args.format)
     return 0
 
@@ -462,7 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mc", help="Monte Carlo moment estimate vs exact target",
                        description=f"Monte Carlo moment estimate vs exact target; a run estimated "
-                       f"above {_MC_SECONDS} s on 2 vCPUs (--trials x one trial's cost) is refused")
+                       f"above {_MC_SECONDS} s on 2 vCPUs (--trials x one trial's cost), or whose trial "
+                       f"is estimated to hold more than {_MC_BYTES >> 30} GiB of arrays, is refused")
     p.add_argument("--ensemble", choices=["wigner", "wishart"], required=True)
     p.add_argument("--k", type=_int_at_least(1), required=True)
     p.add_argument("--n", type=_int_at_least(2), required=True)

@@ -11,7 +11,7 @@ import pytest
 
 from pathforge import bijections as bj
 from pathforge.numeric import GAMMA, GammaPoly, catalan, narayana_poly
-from pathforge.paths import PathKind, enumerate_alt_motzkin, enumerate_dyck, parse
+from pathforge.paths import FALL, LEVEL, RISE, PathKind, enumerate_alt_motzkin, enumerate_dyck, parse
 
 # runtime permits k=5 for the Dyck constructions (a few seconds each)
 ROUND_TRIP_KS = {"A": (1, 2, 3, 4, 5), "B": (1, 2, 3, 4, 5), "C": (1, 2, 3, 4), "D": (1, 2, 3, 4)}
@@ -133,10 +133,28 @@ def test_invert_d_rejects_even_middle():
         bj.invert("D", parse("LLLL", "altmotzkin"))
 
 
+def _may_mark(c, path, i, side, q):
+    """Whether position q of path may carry mark side at altitude i, as the
+    FiveTuple docstring states the law, read from the altitudes: a vertex
+    at i (B), a rise from i or a fall to i (A, C), or a level at i on an
+    even step in p1 and an odd step in p2 (D)."""
+    alts, steps = path.altitudes(), path.steps
+    if c.marks == "vertex":
+        return alts[q] == i
+    if q == 0:
+        return False
+    if c.marks == "level":
+        return steps[q - 1] == LEVEL and alts[q - 1] == i and q % 2 == side - 1
+    if side == 1:
+        return steps[q - 1] == RISE and alts[q - 1] == i
+    return steps[q - 1] == FALL and alts[q] == i
+
+
 @pytest.mark.parametrize("construction", "ABCD")
 def test_admits_is_the_candidates_scan(construction):
     """The one-mark check that construct runs decides every mark, in range
-    or not, int or bool, as membership in the scan of all positions."""
+    or not, int or bool, as membership in a scan of all positions written
+    from the law as documented, and candidates lists that scan in order."""
     c = bj._CONSTRUCTIONS[construction]
     paths = enumerate_dyck if c.kind is PathKind.DYCK else enumerate_alt_motzkin
     for k in range(5):
@@ -144,7 +162,8 @@ def test_admits_is_the_candidates_scan(construction):
             n = len(path)
             for side in (1, 2):
                 for i in range(k + 1):
-                    found = c.candidates(path, i, side)
+                    found = tuple(q for q in range(n + 1) if _may_mark(c, path, i, side, q))
+                    assert c.candidates(path, i, side) == found, (path, side, i)
                     for mark in (*range(-1, n + 2), True, False, None, "1"):
                         assert c.admits(path, i, side, mark) is (mark in found), (path, side, i, mark)
 

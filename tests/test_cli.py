@@ -299,18 +299,35 @@ def test_mc_above_the_work_bound_needs_no_numpy():
     assert len(err.decode().splitlines()) == 1
 
 
+def test_mc_above_the_byte_bound_needs_no_numpy():
+    # inside the time bound (59.5 s estimated), but a 61,000-square matrix
+    # is about 28 GiB
+    script = ("import sys; sys.modules['numpy'] = None; from pathforge.cli import main; "
+              "sys.exit(main(['mc', '--ensemble', 'wigner', '--k', '2', '--n', '61000', "
+              "'--trials', '1']))")
+    proc = _pathforge(["-c", script], subprocess.PIPE, module=False)
+    out, err = proc.communicate(timeout=120)
+    assert (proc.returncode, out) == (2, b"")
+    assert err.decode().startswith("error: mc run estimated to hold 28.0 GiB at once, above the "
+                                   "limit of 2 GiB ")
+    assert len(err.decode().splitlines()) == 1
+
+
 def test_mc_work_bound_keeps_a_tenfold_margin():
     # the acceptance cases, the largest runs of tests/test_moments.py and
-    # the largest k; the estimate alone runs, no trial
+    # the largest k, inside the time and the byte bound; the estimates
+    # alone run, no trial
     limit = cli._MC_SECONDS * 10**12
     for case in [("wigner", 4, 2000, None, 20), ("wishart", 2, 2000, 1000, 20),
                  ("wigner", 6, 1000, None, 20), ("wishart", 3, 1000, 1000, 20),
                  ("wigner", 1039, 8, None, 20), ("wishart", 1039, 8, 8, 20)]:
         assert 10 * cli._mc_picoseconds(*case) <= limit, case
+        assert 10 * cli._mc_bytes(*case[:4]) <= cli._MC_BYTES, case
     # the cost grows with every argument, and a huge n neither overflows nor
     # passes: the estimate is an int
     assert cli._mc_picoseconds("wigner", 2, 2, None, 10**8) > limit
     assert cli._mc_picoseconds("wigner", 3, 10**1000, None, 1) > limit
+    assert cli._mc_bytes("wigner", 3, 10**1000, None) > cli._MC_BYTES
     assert cli._mc_picoseconds("wishart", 4, 4000, 2000, 20) > cli._mc_picoseconds(
         "wishart", 2, 4000, 2000, 20) > cli._mc_picoseconds("wishart", 2, 4000, 1000, 20)
 

@@ -2,12 +2,14 @@
 
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from math import sqrt
 
 import numpy as np
 import pytest
 
+from pathforge.cli import _mc_bytes
 from pathforge.moments import _wigner_matrix, trace_power, wigner_moment, wishart_moment
 
 
@@ -123,6 +125,20 @@ def test_trial_holds_one_matrix():
     assert traced_peak(lambda: wishart_moment(2, n, m, trials=3)) < 1.75 * m * n * 8
 
 
+@pytest.mark.parametrize("ensemble,k,n,m", [
+    *(("wigner", k, n, None) for k in (2, 4, 5, 6, 11) for n in (50, 600)),
+    *(("wishart", k, n, m) for k in (2, 3) for n, m in ((60, 40), (300, 200), (200, 300))),
+])
+def test_mc_byte_estimate_covers_one_trial(ensemble, k, n, m):
+    # the estimate that mc checks before numpy loads is at least what one
+    # trial holds at once, below one 128-row block (n = 50) and above it;
+    # k = 5 and 11 hold the most powers beside the matrix.  A first run,
+    # untraced, takes the allocations of numpy's lazy imports out of it
+    run = partial(wigner_moment, k, n) if m is None else partial(wishart_moment, k, n, m)
+    run(trials=1)
+    assert traced_peak(lambda: run(trials=1)) <= _mc_bytes(ensemble, k, n, m)
+
+
 @pytest.mark.parametrize("n", [2, 127, 128, 129, 300])
 def test_wigner_matrix_is_the_mirrored_draw(n):
     # the blocked in-place mirror gives the matrix of triu(z, 1) + its
@@ -227,3 +243,7 @@ def test_argument_validation():
         wigner_moment(2, 10, trials=0)
     with pytest.raises(ValueError):
         wishart_moment(2, 10, 1)
+    with pytest.raises(ValueError, match="^k must be positive, got 0$"):
+        wishart_moment(0, 10, 5)
+    with pytest.raises(ValueError, match="^trials must be positive, got 0$"):
+        wishart_moment(2, 10, 5, trials=0)

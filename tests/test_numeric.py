@@ -104,6 +104,8 @@ def test_poly_scalar_and_int_coercion():
     assert p - 1 == GAMMA
     assert GammaPoly([1]) + GAMMA == p
     assert p == p + 0
+    assert GammaPoly((2,)) == 2 and GammaPoly((2, 1)) != 2
+    assert 3 - GAMMA == GammaPoly([3, -1])
 
 
 def test_poly_immutable_and_hashable():
