@@ -9,14 +9,13 @@ usage errors, including a number argument below its minimum, a negative
 or non-finite --time-budget, a verify or report whose --k-max leaves no
 identity to check, a --k-max above K_MAX_LIMIT with no --time-budget,
 an mc --k above MC_K_LIMIT, an mc run estimated above _MC_SECONDS or
-one whose trial is estimated to hold more than _MC_BYTES, a verify
---rhs-index for identities 1-3, a report --identities list with a
-repeat, and an enumerate --k whose path count has more digits than
-Python prints (JSON and --count-only; CSV prints no count).  ``main``
-alone maps errors to exit codes and prints the one ``error:`` line: a
-command refuses its arguments by raising ``_UsageError`` (exit 2) and
-fails a computation by raising ValueError (exit 1); argparse refuses
-what it parses itself.
+one whose trial is estimated to hold more than _MC_BYTES, a report
+--identities list with a repeat, and an enumerate --k whose path count
+has more digits than Python prints (JSON and --count-only; CSV prints no
+count).  ``main`` alone maps errors to exit codes and prints the one
+``error:`` line: a command refuses its arguments by raising
+``_UsageError`` (exit 2) and fails a computation by raising ValueError
+(exit 1); argparse refuses what it parses itself.
 """
 
 from __future__ import annotations
@@ -228,7 +227,7 @@ def _report_record(r) -> dict:
     return record
 
 
-def _emit_sweep(result, fmt: str, selected_rhs_index) -> int:
+def _emit_sweep(result, fmt: str) -> int:
     # an empty report would read as a pass; a truncated sweep says so in its output
     if not result.reports and not result.truncated:
         raise _UsageError("--k-max leaves nothing to check (identities 1-3 start at k=1, "
@@ -245,7 +244,7 @@ def _emit_sweep(result, fmt: str, selected_rhs_index) -> int:
         if result.truncated:
             obj["truncated"] = True
         _emit_records([obj], fmt)
-    return 0 if result.passes(selected_rhs_index) else 1
+    return 0 if result.passes() else 1
 
 
 def _check_k_max(k_max: int):
@@ -256,13 +255,10 @@ def _check_k_max(k_max: int):
 
 
 def _cmd_verify(args) -> int:
-    from .identities import _ROWS, sweep
+    from .identities import sweep
 
-    name = f"thm{args.identity}"
-    if args.rhs_index not in (None, *_ROWS[name].variants):
-        raise _UsageError("--rhs-index applies to identities 4 and 5 only")
     _check_k_max(args.k_max)
-    return _emit_sweep(sweep([name], args.k_max), args.format, args.rhs_index)
+    return _emit_sweep(sweep([f"thm{args.identity}"], args.k_max), args.format)
 
 
 def _cmd_walk(args) -> int:
@@ -291,30 +287,25 @@ def _cmd_walk(args) -> int:
     return 0
 
 
-def _mc_picoseconds(ensemble: str, k: int, n: int, m: int | None, trials: int) -> int:
-    """An mc run's estimated picoseconds, trials x one trial: n*n + n draws
-    (Wigner) or m*n and W = G G^T, one m*m*n product (Wishart), and for
-    k >= 3 about ceil(log2 k) products of n**3 (m**3 for Wishart) in
-    trace_power.  An int, so no n overflows it."""
+def _mc_trial(ensemble: str, k: int, n: int, m: int | None) -> tuple[int, int]:
+    """One mc trial's estimated (picoseconds, bytes its float64 arrays hold
+    at once), read from moments.  A Wigner trial makes n*n + n draws and
+    holds the n*n matrix; a Wishart trial makes m*n draws, forms
+    W = G G^T by one m*m*n product and holds G beside W.  For k >= 3,
+    trace_power adds about ceil(log2 k) products of n**3 (m**3 for
+    Wishart) and holds up to three powers of that size beside it, formed
+    by squaring (none at k = 4).  Four blocks of 128 rows are the most
+    that the Wigner mirror's temporaries or trace_power's panels hold.
+    Ints, so no n overflows them."""
     if ensemble == "wigner":
-        side, draws, product = n, n * n + n, 0
+        side, draws, product, held = n, n * n + n, 0, n * n
     else:
-        side, draws, product = m, m * n, m * m * n
+        side, draws, product, held = m, m * n, m * m * n, m * n + m * m
     if k >= 3:
         product += (k - 1).bit_length() * side ** 3
-    return trials * (_MC_TRIAL_PS + _MC_DRAW_PS * draws + _MC_PRODUCT_PS * product)
-
-
-def _mc_bytes(ensemble: str, k: int, n: int, m: int | None) -> int:
-    """The bytes one mc trial's float64 arrays hold at once, read from
-    moments: the n*n matrix (Wigner) or the m*n draw G beside W = G G^T
-    (Wishart); up to three m*m or n*n powers beside it that trace_power
-    forms by squaring (none at k = 1, 2 and 4); and four blocks of 128
-    rows, the most that the Wigner mirror's temporaries or trace_power's
-    panels hold.  An int, so no n overflows it."""
-    side, held = (n, n * n) if ensemble == "wigner" else (m, m * n + m * m)
-    powers = 0 if k in (1, 2, 4) else 3
-    return 8 * (held + powers * side * side + 4 * 128 * side)
+        held += 0 if k == 4 else 3 * side * side
+    return (_MC_TRIAL_PS + _MC_DRAW_PS * draws + _MC_PRODUCT_PS * product,
+            8 * (held + 4 * 128 * side))
 
 
 def _cmd_mc(args) -> int:
@@ -326,10 +317,10 @@ def _cmd_mc(args) -> int:
     if args.k > MC_K_LIMIT:
         raise _UsageError(f"--k {args.k} is above the limit of {MC_K_LIMIT} for mc: the moment "
                           "target would pass the largest float")
-    if _mc_picoseconds(args.ensemble, args.k, args.n, args.m, args.trials) > _MC_SECONDS * 10**12:
+    picoseconds, held = _mc_trial(args.ensemble, args.k, args.n, args.m)
+    if args.trials * picoseconds > _MC_SECONDS * 10**12:
         raise _UsageError(f"mc run estimated above the limit of {_MC_SECONDS} s (--trials x the "
                           "cost of one trial at --n, --m and --k); lower --trials or the matrix size")
-    held = _mc_bytes(args.ensemble, args.k, args.n, args.m)
     if held > _MC_BYTES:
         raise _UsageError(f"mc run estimated to hold {held / 2**30:.1f} GiB at once, above the limit "
                           f"of {_MC_BYTES >> 30} GiB (one trial's arrays at --n, --m and --k); lower "
@@ -368,7 +359,7 @@ def _cmd_report(args) -> int:
         _check_k_max(args.k_max)
     names = [f"thm{i}" for i in args.identities]
     result = sweep(names, args.k_max, time_budget=args.time_budget)
-    return _emit_sweep(result, args.format, None)
+    return _emit_sweep(result, args.format)
 
 
 def _int_at_least(low: int):
@@ -448,8 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify one identity for k up to a bound")
     p.add_argument("--identity", type=int, choices=[1, 2, 3, 4, 5], required=True)
     p.add_argument("--k-max", type=int, required=True, help=f"at most {K_MAX_LIMIT}")
-    p.add_argument("--rhs-index", choices=["k", "k-1"], default=None,
-                   help="which right-hand variant gates the exit code (identities 4 and 5; both are always printed)")
     add_format(p)
     p.set_defaults(func=_cmd_verify)
 

@@ -9,7 +9,7 @@ folds a caller already has, indexed by size; without them it runs one DP
 pass to its own k.  ``sweep`` folds each path kind that its identities
 read once for all of them, every size up to k_max from a few DP passes,
 never one pass per identity or per size, and ``SweepResult.passes``
-decides which of its reports gate the verdict.
+gives its verdict from the default-convention reports.
 
 The first three compare squared expectation norms of altitude vectors with
 Catalan/Narayana ratios; they hold for every k and the verifier checks
@@ -169,12 +169,11 @@ class SweepResult(NamedTuple):
     reports: tuple[IdentityReport, ...]
     truncated: bool = False
 
-    def passes(self, rhs_index: str | None = None) -> bool:
-        """Every report that gates the verdict is an equality: of each
-        identity, the variant rhs_index selects (None, or a variant the
-        identity lacks: its default)."""
-        return all(r.equal for r in self.reports if r.rhs_index == rhs_index
-                   or (r.is_default_convention and rhs_index not in _ROWS[r.identity].variants))
+    def passes(self) -> bool:
+        """Every report in its row's default convention is an equality;
+        the other variant of identities 4 and 5 fails at every size
+        checked, so it informs and never gates."""
+        return all(r.equal for r in self.reports if r.is_default_convention)
 
 
 def _staged_folds(kind: PathKind, k_max: int):
@@ -199,12 +198,12 @@ def sweep(
     """Verify the named identities for every size up to k_max.
 
     Identities 4 and 5 are verified in both right-hand-side variants so
-    the mismatching one stays visible.  A fold kind is computed only if
-    one of the identities reads it, by the staged passes of
-    ``_staged_folds``, and every identity of that kind reads the same
-    folds.  A time budget (seconds) truncates the sweep between units of
-    work and between folds; the reports are then a prefix of the full
-    sweep's.
+    the mismatching one stays visible; ``SweepResult.passes`` reads the
+    default alone.  A fold kind is computed only if one of the
+    identities reads it, by the staged passes of ``_staged_folds``, and
+    every identity of that kind reads the same folds.  A time budget
+    (seconds) truncates the sweep between units of work and between
+    folds; the reports are then a prefix of the full sweep's.
     """
     for name in identities:
         if name not in IDENTITIES:

@@ -173,20 +173,15 @@ def test_verify_identity4_prints_both_variants(capsys):
     assert variants[(3, "k")]["equal"] is False
 
 
-def test_verify_identity4_exit_code_follows_selected_convention(capsys):
-    code, _, _ = run(capsys, "verify", "--identity", "4", "--k-max", "3", "--rhs-index", "k")
-    assert code == 1
-    code, _, _ = run(capsys, "verify", "--identity", "4", "--k-max", "3", "--rhs-index", "k-1")
-    assert code == 0
-
-
-@pytest.mark.parametrize("identity", ["1", "2", "3"])
-def test_verify_rhs_index_without_variants_is_a_usage_error(capsys, identity):
-    # identities 1-3 have one right-hand side; the option is refused, not ignored
-    code, out, err = run(capsys, "verify", "--identity", identity, "--k-max", "2",
-                         "--rhs-index", "k")
-    assert (code, out) == (2, "")
-    assert err == "error: --rhs-index applies to identities 4 and 5 only\n"
+@pytest.mark.parametrize("identity", ["1", "4", "5"])
+def test_verify_has_no_rhs_index(capsys, identity):
+    # the default convention alone gates the exit code; the other variant
+    # of identities 4 and 5 is printed, never selected
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--identity", identity, "--k-max", "2", "--rhs-index", "k"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
 
 
 def test_verify_identity3_polynomial_wire_format(capsys):
@@ -321,15 +316,27 @@ def test_mc_work_bound_keeps_a_tenfold_margin():
     for case in [("wigner", 4, 2000, None, 20), ("wishart", 2, 2000, 1000, 20),
                  ("wigner", 6, 1000, None, 20), ("wishart", 3, 1000, 1000, 20),
                  ("wigner", 1039, 8, None, 20), ("wishart", 1039, 8, 8, 20)]:
-        assert 10 * cli._mc_picoseconds(*case) <= limit, case
-        assert 10 * cli._mc_bytes(*case[:4]) <= cli._MC_BYTES, case
+        picoseconds, held = cli._mc_trial(*case[:4])
+        assert 10 * case[4] * picoseconds <= limit, case
+        assert 10 * held <= cli._MC_BYTES, case
     # the cost grows with every argument, and a huge n neither overflows nor
     # passes: the estimate is an int
-    assert cli._mc_picoseconds("wigner", 2, 2, None, 10**8) > limit
-    assert cli._mc_picoseconds("wigner", 3, 10**1000, None, 1) > limit
-    assert cli._mc_bytes("wigner", 3, 10**1000, None) > cli._MC_BYTES
-    assert cli._mc_picoseconds("wishart", 4, 4000, 2000, 20) > cli._mc_picoseconds(
-        "wishart", 2, 4000, 2000, 20) > cli._mc_picoseconds("wishart", 2, 4000, 1000, 20)
+    assert 10**8 * cli._mc_trial("wigner", 2, 2, None)[0] > limit
+    picoseconds, held = cli._mc_trial("wigner", 3, 10**1000, None)
+    assert picoseconds > limit and held > cli._MC_BYTES
+    assert cli._mc_trial("wishart", 4, 4000, 2000)[0] > cli._mc_trial(
+        "wishart", 2, 4000, 2000)[0] > cli._mc_trial("wishart", 2, 4000, 1000)[0]
+
+
+def test_mc_trial_estimate_is_pinned():
+    # (picoseconds, bytes) of one trial for k = 1..8: from k = 3 trace_power
+    # adds products, and holds three powers beside the matrix at every k but 4
+    assert [cli._mc_trial("wigner", k, 100, None) for k in range(1, 9)] == [
+        (191_600_000, 489_600), (191_600_000, 489_600), (213_600_000, 729_600),
+        (213_600_000, 489_600), *[(224_600_000, 729_600)] * 4]
+    assert [cli._mc_trial("wishart", k, 100, 50) for k in range(1, 9)] == [
+        (112_750_000, 264_800), (112_750_000, 264_800), (115_500_000, 324_800),
+        (115_500_000, 264_800), *[(116_875_000, 324_800)] * 4]
 
 
 def test_report_sweep(capsys):
@@ -886,7 +893,6 @@ _VERIFY_ARGV = _argv(
     "verify",
     _flag("--identity", st.integers(1, 5)),
     _flag("--k-max", st.integers(1, 6)),
-    _option("--rhs-index", st.sampled_from(["k", "k-1"])),
     _FORMAT,
 )
 

@@ -9,7 +9,7 @@ from math import sqrt
 import numpy as np
 import pytest
 
-from pathforge.cli import _mc_bytes
+from pathforge.cli import _mc_trial
 from pathforge.moments import _wigner_matrix, trace_power, wigner_moment, wishart_moment
 
 
@@ -136,7 +136,7 @@ def test_mc_byte_estimate_covers_one_trial(ensemble, k, n, m):
     # untraced, takes the allocations of numpy's lazy imports out of it
     run = partial(wigner_moment, k, n) if m is None else partial(wishart_moment, k, n, m)
     run(trials=1)
-    assert traced_peak(lambda: run(trials=1)) <= _mc_bytes(ensemble, k, n, m)
+    assert traced_peak(lambda: run(trials=1)) <= _mc_trial(ensemble, k, n, m)[1]
 
 
 @pytest.mark.parametrize("n", [2, 127, 128, 129, 300])
