@@ -2,20 +2,22 @@
 inverses, identity verification, walk translation, and Monte Carlo moments.
 
 Output goes to stdout as JSON by default or CSV with ``--format csv``.
-Exit codes: 0 on success, 1 when a verified identity fails (or on a
-computation error, an allocation that fails, an mc value that is not a
-finite float, or when stdout is closed before all output is written), 2 on
-usage errors, including a number argument below its minimum, a negative
-or non-finite --time-budget, a verify or report whose --k-max leaves no
-identity to check, a --k-max above K_MAX_LIMIT with no --time-budget,
-an mc --k above MC_K_LIMIT, an mc run estimated above _MC_SECONDS or
-one whose trial is estimated to hold more than _MC_BYTES, a report
---identities list with a repeat, and an enumerate --k whose path count
-has more digits than Python prints (JSON and --count-only; CSV prints no
-count).  ``main`` alone maps errors to exit codes and prints the one
-``error:`` line: a command refuses its arguments by raising
-``_UsageError`` (exit 2) and fails a computation by raising ValueError
-(exit 1); argparse refuses what it parses itself.
+``verify --identity N`` is ``report --identities N`` with no --time-budget,
+so K_MAX_LIMIT always bounds it; both run ``_cmd_report``.  Exit codes: 0
+on success, 1 when a verified identity fails (or on a computation error,
+an allocation that fails, an mc value that is not a finite float, or when
+stdout is closed before all output is written), 2 on usage errors,
+including a number argument below its minimum, a negative or non-finite
+--time-budget, a verify or report whose --k-max leaves no identity to
+check, a --k-max above K_MAX_LIMIT with no --time-budget, an mc --k above
+MC_K_LIMIT, an mc run estimated above _MC_SECONDS or one whose trial is
+estimated to hold more than _MC_BYTES, an identity list (report
+--identities or verify --identity) with a repeat, and an enumerate --k
+whose path count has more digits than Python prints (JSON and
+--count-only; CSV prints no count).  ``main`` alone maps errors to exit
+codes and prints the one ``error:`` line: a command refuses its arguments
+by raising ``_UsageError`` (exit 2) and fails a computation by raising
+ValueError (exit 1); argparse refuses what it parses itself.
 """
 
 from __future__ import annotations
@@ -247,20 +249,6 @@ def _emit_sweep(result, fmt: str) -> int:
     return 0 if result.passes() else 1
 
 
-def _check_k_max(k_max: int):
-    """Refuse a k_max above K_MAX_LIMIT."""
-    if k_max > K_MAX_LIMIT:
-        raise _UsageError(f"--k-max {k_max} is above the limit of {K_MAX_LIMIT} for an exact "
-                          "sweep; use report --time-budget to sweep further")
-
-
-def _cmd_verify(args) -> int:
-    from .identities import sweep
-
-    _check_k_max(args.k_max)
-    return _emit_sweep(sweep([f"thm{args.identity}"], args.k_max), args.format)
-
-
 def _cmd_walk(args) -> int:
     from . import walks
 
@@ -355,8 +343,9 @@ def _cmd_mc(args) -> int:
 def _cmd_report(args) -> int:
     from .identities import sweep
 
-    if args.time_budget is None:
-        _check_k_max(args.k_max)
+    if args.time_budget is None and args.k_max > K_MAX_LIMIT:
+        raise _UsageError(f"--k-max {args.k_max} is above the limit of {K_MAX_LIMIT} for an exact "
+                          "sweep; use report --time-budget to sweep further")
     names = [f"thm{i}" for i in args.identities]
     result = sweep(names, args.k_max, time_budget=args.time_budget)
     return _emit_sweep(result, args.format)
@@ -437,10 +426,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_invert)
 
     p = sub.add_parser("verify", help="verify one identity for k up to a bound")
-    p.add_argument("--identity", type=int, choices=[1, 2, 3, 4, 5], required=True)
+    p.add_argument("--identity", dest="identities", type=_identity_list, required=True,
+                   metavar="N", help="identity number, 1-5")
     p.add_argument("--k-max", type=int, required=True, help=f"at most {K_MAX_LIMIT}")
     add_format(p)
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(func=_cmd_report, time_budget=None)
 
     p = sub.add_parser("walk", help="translate between paths and halfline walks")
     direction = p.add_mutually_exclusive_group(required=True)

@@ -67,11 +67,10 @@ class GammaPoly:
         return bool(self.coeffs)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = GammaPoly((other,))
-        if not isinstance(other, GammaPoly):
+        q = self._coerce(other)
+        if q is None:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.coeffs == q.coeffs
 
     def __hash__(self):
         return hash(self.coeffs)

@@ -5,13 +5,26 @@ import copy
 import hashlib
 import json
 import pickle
+import random
 import time
+from collections import Counter, defaultdict
+from itertools import accumulate, combinations
 
 import pytest
 
 from pathforge import bijections as bj
 from pathforge.numeric import GAMMA, GammaPoly, catalan, narayana_poly
-from pathforge.paths import FALL, LEVEL, RISE, PathKind, enumerate_alt_motzkin, enumerate_dyck, parse
+from pathforge.paths import (
+    FALL,
+    LEVEL,
+    RISE,
+    Path,
+    PathKind,
+    altitudes,
+    enumerate_alt_motzkin,
+    enumerate_dyck,
+    parse,
+)
 
 # runtime permits k=5 for the Dyck constructions (a few seconds each)
 ROUND_TRIP_KS = {"A": (1, 2, 3, 4, 5), "B": (1, 2, 3, 4, 5), "C": (1, 2, 3, 4), "D": (1, 2, 3, 4)}
@@ -369,3 +382,79 @@ def test_middle_altitude_even_positions():
         assert bj.middle_altitude(p) % 2 == 0
     for p in enumerate_dyck(3):
         assert bj.middle_altitude(p) % 2 == 1
+
+
+# constructions A and B far beyond exhaustive reach: uniform Dyck paths of
+# size k drawn by the cycle lemma, with a seed fixed before the first run
+LARGE_K = 1000
+LARGE_SEED = 7321
+
+
+def _cycle_lemma(word):
+    """The Dyck path of a word of k rises and k+1 falls: rotated to start
+    just after the first minimum of its prefix sums, the word is a Dyck
+    path and one last fall.  Each Dyck path comes from 2k+1 words."""
+    sums = list(accumulate(word))
+    start = sums.index(min(sums)) + 1
+    return tuple(word[start:] + word[:start - 1])
+
+
+def _uniform_dyck(rng, k):
+    word = [RISE] * k + [FALL] * (k + 1)
+    rng.shuffle(word)
+    return _cycle_lemma(word)
+
+
+def test_cycle_lemma_sampler_is_exact_at_k3():
+    words = ([RISE if q in rises else FALL for q in range(7)] for rises in combinations(range(7), 3))
+    images = Counter(_cycle_lemma(word) for word in words)
+    assert sorted(images.values()) == [7] * 5
+    assert set(images) == {p.steps for p in enumerate_dyck(3)}
+
+
+def _large_marks(construction, steps):
+    """Per altitude i, the positions that may carry mark 1 and mark 2 of
+    construction A (a rise from i, a fall to i) or B (a vertex at i, both),
+    read from the altitudes."""
+    alts = altitudes(steps)
+    first, second = defaultdict(list), defaultdict(list)
+    if construction == "B":
+        for q, a in enumerate(alts):
+            first[a].append(q)
+        return first, first
+    for q, step in enumerate(steps, 1):
+        if step == RISE:
+            first[alts[q - 1]].append(q)
+        else:
+            second[alts[q]].append(q)
+    return first, second
+
+
+@pytest.mark.parametrize("construction", ["A", "B"])
+def test_large_k_tuples_round_trip(construction):
+    rng = random.Random(LARGE_SEED)
+    for _ in range(50):
+        p1, p2 = (Path(_uniform_dyck(rng, LARGE_K), PathKind.DYCK) for _ in range(2))
+        marks1, marks2 = _large_marks(construction, p1.steps)[0], _large_marks(construction, p2.steps)[1]
+        # (i, mark1, mark2) uniform among the valid triples of this pair
+        levels = [i for i in marks1 if i in marks2]
+        i = rng.choices(levels, [len(marks1[i]) * len(marks2[i]) for i in levels])[0]
+        t = bj.FiveTuple(construction, p1, p2, i, rng.choice(marks1[i]), rng.choice(marks2[i]))
+        out = bj.construct(t)
+        steps = out.path.steps
+        assert len(steps) == 4 * LARGE_K + (2 if construction == "B" else 0)
+        assert out.middle_altitude == sum(steps[:len(steps) // 2])
+        assert out.middle_altitude == 2 * i + (2 if construction == "A" else 1)
+        assert bj.invert(construction, out.path) == t
+
+
+@pytest.mark.parametrize("construction", ["A", "B"])
+def test_large_k_image_paths_round_trip(construction):
+    rng = random.Random(LARGE_SEED)
+    size = 2 * LARGE_K + (1 if construction == "B" else 0)
+    for _ in range(50):
+        steps = _uniform_dyck(rng, size)
+        while construction == "A" and sum(steps[:size]) == 0:
+            steps = _uniform_dyck(rng, size)  # A's image has a positive middle altitude
+        p = Path(steps, PathKind.DYCK)
+        assert bj.construct(bj.invert(construction, p)).path == p

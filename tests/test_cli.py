@@ -356,6 +356,25 @@ def test_report_repeated_identity_is_a_usage_error(capsys):
     assert "error: argument --identities: identity 1 is repeated" in err
 
 
+@pytest.mark.parametrize("identity", ["1", "2", "3", "4", "5"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("k_max", ["0", "3", str(K_MAX_LIMIT + 1)])
+def test_verify_is_report_of_one_identity(capsys, identity, fmt, k_max):
+    # the same sweep, refusals and exit code: nothing to check, a pass, and
+    # a k_max above the limit
+    tail = ("--k-max", k_max, "--format", fmt)
+    verified = run(capsys, "verify", "--identity", identity, *tail)
+    assert verified == run(capsys, "report", "--identities", identity, *tail)
+
+
+def test_verify_repeated_identity_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--identity", "1,1", "--k-max", "1"])
+    assert exc.value.code == 2
+    _, err = capsys.readouterr()
+    assert "error: argument --identity: identity 1 is repeated" in err
+
+
 def test_report_csv_header(capsys):
     code, out, _ = run(capsys, "report", "--k-max", "2", "--format", "csv")
     assert code == 0
