@@ -49,9 +49,7 @@ _EXPORTS = {
     **dict.fromkeys(
         ["FiveTuple", "MidPath", "construct", "five_tuples", "image_paths", "invert",
          "middle_altitude"], "bijections"),
-    **dict.fromkeys(
-        ["IdentityReport", "SweepResult", "sweep", "verify_thm1", "verify_thm2", "verify_thm3",
-         "verify_thm4", "verify_thm5"], "identities"),
+    **dict.fromkeys(["IdentityReport", "SweepResult", "sweep", "verify"], "identities"),
     **dict.fromkeys(["Walk", "path_to_walk", "walk_to_path"], "walks"),
 }
 _SUBMODULES = frozenset(_EXPORTS.values())

@@ -178,10 +178,12 @@ def _tuple_json(args):
         if first is None:
             raise ValueError(f"construction {args.construction} has no valid input at k=1; pass --input")
         data = first.to_json_dict()
-    elif args.input == "-":
-        data = json.loads(sys.stdin.read())
     else:
-        data = json.loads(args.input)
+        text = sys.stdin.read() if args.input == "-" else args.input
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise ValueError("--input is nested too deeply to parse") from None
     if isinstance(data, dict):
         named = data.setdefault("construction", args.construction)
         if named != args.construction:

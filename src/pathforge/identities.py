@@ -4,12 +4,13 @@ Each identity is one row of ``_ROWS``: the path kind whose folds it
 reads, its first size, its right-hand variants and the algebra that
 gives its two sides from the folds.  Every sum over paths comes from the
 transfer-matrix DP in ``fold``, which the tests cross-check against
-enumeration of every path for small k.  Each ``verify_thmN`` takes the
-folds a caller already has, indexed by size; without them it runs one DP
-pass to its own k.  ``sweep`` folds each path kind that its identities
-read once for all of them, every size up to k_max from a few DP passes,
-never one pass per identity or per size, and ``SweepResult.passes``
-gives its verdict from the default-convention reports.
+enumeration of every path for small k.  ``verify`` checks one identity
+at one size from the folds a caller already has, indexed by size;
+without them it runs one DP pass to its own k.  ``sweep`` folds each
+path kind that its identities read once for all of them, every size up
+to k_max from a few DP passes, never one pass per identity or per size,
+and ``SweepResult.passes`` gives its verdict from the default-convention
+reports.
 
 The first three compare squared expectation norms of altitude vectors with
 Catalan/Narayana ratios; they hold for every k and the verifier checks
@@ -102,11 +103,40 @@ class IdentityReport(NamedTuple):
         return self.rhs_index == _ROWS[self.identity].variants[0]
 
 
-def _verify(name, k, folds, rhs_index=None) -> IdentityReport:
-    # the named identity at size k in the right-hand variant rhs_index (None:
-    # the row's default), from folds indexed by size, or from one DP pass
-    # to k when none are given
-    row = _ROWS[name]
+def _row(name: str) -> _Identity:
+    """The row of a named identity; an unknown name is a ValueError."""
+    if name not in _ROWS:
+        raise ValueError(f"unknown identity {name!r}")
+    return _ROWS[name]
+
+
+def verify(name: str, k: int, rhs_index: str | None = None,
+           folds: Sequence[Fold] | None = None) -> IdentityReport:
+    """Verify the named identity at size k exactly.
+
+    ``rhs_index`` picks a right-hand variant of thm4 or thm5; None picks
+    the row's default, which the report records.  ``folds[j]``, when
+    given, is the size-j fold for j = k-1 and k; by default one DP pass
+    to k computes both.
+
+    thm1: the squared norm of the expected rise vector of Dyck paths
+      equals C_{2k}/C_k^2 - 1.
+    thm2: the squared norm of the expected vertex vector of Dyck paths
+      equals C_{2k+1}/C_k^2.
+    thm3: the rise-weighted analogue for alternating Motzkin paths,
+      compared as numerators cleared of the N_k(gamma)^2 denominator:
+      sum_i S_R[i]^2 + gamma * sum_i S_L[i]^2 = N_{2k} - N_k^2.
+    thm4: a Dyck identity with no known bijective proof: the total of
+      R_i/2 * (2i+3-R_i) over paths of length 2k against the total of
+      C(V_i+1, 2) over paths one size down ("k-1", the default, matching
+      the worked example) or the same size ("k").
+    thm5: a rise-weighted alternating Motzkin identity with no known
+      bijective proof: the sum of gamma^r * (sum (i+1)R_i + gamma *
+      sum i*L_i) against the sum of gamma^r * (sum C(R_i,2) + gamma *
+      sum C(L_i,2)), the right side over the same size ("k", the
+      default, matching the worked example) or one size down ("k-1").
+    """
+    row = _row(name)
     if rhs_index is None:
         rhs_index = row.variants[0]
     if k < row.k_min:
@@ -117,49 +147,6 @@ def _verify(name, k, folds, rhs_index=None) -> IdentityReport:
         folds = tuple(fold_upto(row.kind, k))
     lhs, rhs = row.sides(folds[k], folds[k - 1 if rhs_index == "k-1" else k], k)
     return IdentityReport(name, k, lhs, rhs, rhs_index=rhs_index)
-
-
-def verify_thm1(k: int, folds: Sequence[Fold] | None = None) -> IdentityReport:
-    """Squared norm of the expected rise vector of Dyck paths equals
-    C_{2k}/C_k^2 - 1.  ``folds[k]``, when given, is the size-k fold."""
-    return _verify("thm1", k, folds)
-
-
-def verify_thm2(k: int, folds: Sequence[Fold] | None = None) -> IdentityReport:
-    """Squared norm of the expected vertex vector of Dyck paths equals
-    C_{2k+1}/C_k^2.  ``folds[k]``, when given, is the size-k fold."""
-    return _verify("thm2", k, folds)
-
-
-def verify_thm3(k: int, folds: Sequence[Fold] | None = None) -> IdentityReport:
-    """Rise-weighted analogue for alternating Motzkin paths, compared as
-    numerators cleared of the N_k(gamma)^2 denominator:
-    sum_i S_R[i]^2 + gamma * sum_i S_L[i]^2 = N_{2k} - N_k^2.
-    ``folds[k]``, when given, is the size-k fold."""
-    return _verify("thm3", k, folds)
-
-
-def verify_thm4(k: int, rhs_index: str | None = None,
-                folds: Sequence[Fold] | None = None) -> IdentityReport:
-    """Dyck identity with no known bijective proof: the total of
-    R_i/2 * (2i+3-R_i) over paths of length 2k against the total of
-    C(V_i+1, 2) over paths one size down (rhs_index "k-1", the default
-    convention, matching the worked example) or the same size ("k").
-    ``folds[j]``, when given, is the size-j fold for j = k-1 and k; by
-    default one DP pass to k computes both."""
-    return _verify("thm4", k, folds, rhs_index)
-
-
-def verify_thm5(k: int, rhs_index: str | None = None,
-                folds: Sequence[Fold] | None = None) -> IdentityReport:
-    """Rise-weighted alternating Motzkin identity with no known bijective
-    proof: sum of gamma^r * (sum (i+1)R_i + gamma * sum i*L_i) against
-    sum of gamma^r * (sum C(R_i,2) + gamma * sum C(L_i,2)), with the right
-    side over the same size ("k", the default convention, matching the
-    worked example) or one size down ("k-1").  ``folds[j]``, when given,
-    is the size-j fold for j = k-1 and k; by default one DP pass to k
-    computes both."""
-    return _verify("thm5", k, folds, rhs_index)
 
 
 class SweepResult(NamedTuple):
@@ -190,11 +177,7 @@ def _staged_folds(kind: PathKind, k_max: int):
         yield from fold_upto(kind, -(-k_max >> j))
 
 
-def sweep(
-    identities: Sequence[str] = IDENTITIES,
-    k_max: int = 6,
-    time_budget: float | None = None,
-) -> SweepResult:
+def sweep(identities: Sequence[str], k_max: int, time_budget: float | None = None) -> SweepResult:
     """Verify the named identities for every size up to k_max.
 
     Identities 4 and 5 are verified in both right-hand-side variants so
@@ -205,9 +188,7 @@ def sweep(
     (seconds) truncates the sweep between units of work and between
     folds; the reports are then a prefix of the full sweep's.
     """
-    for name in identities:
-        if name not in IDENTITIES:
-            raise ValueError(f"unknown identity {name!r}")
+    rows = [_row(name) for name in identities]
     start = time.perf_counter()
 
     def out_of_time() -> bool:
@@ -216,10 +197,7 @@ def sweep(
     passes = {kind: _staged_folds(kind, k_max) for kind in PathKind}
     folds: dict[PathKind, list] = {kind: [] for kind in PathKind}
     reports: list[IdentityReport] = []
-    for name in identities:
-        row = _ROWS[name]
-        # looked up here, so a wrapper put on verify_thmN sees every call
-        verify = globals()[f"verify_{name}"]
+    for name, row in zip(identities, rows):
         have = folds[row.kind]
         for k in range(row.k_min, k_max + 1):
             while len(have) <= k and not out_of_time():
@@ -228,6 +206,5 @@ def sweep(
                     have.append(f)
             if out_of_time():
                 return SweepResult(tuple(reports), truncated=True)
-            reports.extend(verify(k, folds=have) if v is None else verify(k, v, have)
-                           for v in row.variants)
+            reports.extend(verify(name, k, v, have) for v in row.variants)
     return SweepResult(tuple(reports))

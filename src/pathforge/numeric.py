@@ -73,7 +73,10 @@ class GammaPoly:
         return self.coeffs == q.coeffs
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # a constant equals its int (the zero polynomial equals 0), so it
+        # hashes as that int
+        cs = self.coeffs
+        return hash(sum(cs)) if len(cs) < 2 else hash(cs)
 
     @staticmethod
     def _coerce(other) -> "GammaPoly | None":

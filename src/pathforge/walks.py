@@ -11,10 +11,10 @@ Under the correspondence, time spent at node i is the vertex count V_i,
 advances into node i+1 are the rises R_i, and loops at node i are the
 level steps there.  ``paths.stats`` of the path counts them: its vertex
 and rise rows, and twice its even-step level row (the level-parity
-lemma).  So identities 1 and 2 (``identities.verify_thm1`` and
-``verify_thm2``) restate for a uniform random closed loop-free walk of
-length 2k: they give the total square-average advances into higher nodes
-and the total square-average time at a node in closed form.
+lemma).  So identities 1 and 2 (``identities.verify("thm1", k)`` and
+``verify("thm2", k)``) restate for a uniform random closed loop-free
+walk of length 2k: they give the total square-average advances into
+higher nodes and the total square-average time at a node in closed form.
 """
 
 from __future__ import annotations

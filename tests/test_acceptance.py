@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 
 from pathforge import bijections as bj
-from pathforge.identities import sweep, verify_thm1, verify_thm2, verify_thm3, verify_thm4, verify_thm5
+from pathforge.identities import sweep, verify
 from pathforge.moments import wigner_moment, wishart_moment
 from pathforge.numeric import GammaPoly, catalan, narayana_poly
 from pathforge.paths import check_level_parity, enumerate_alt_motzkin, enumerate_dyck
@@ -27,7 +27,7 @@ def _report(name, budget, started, ok):
 
 def test_theorem1_k3_exact():
     started = time.perf_counter()
-    r = verify_thm1(3)
+    r = verify("thm1", 3)
     ok = (
         r.lhs == Fraction(107, 25)
         and r.rhs == Fraction(catalan(6), catalan(3) ** 2) - 1
@@ -38,14 +38,14 @@ def test_theorem1_k3_exact():
 
 def test_theorem2_k3_exact():
     started = time.perf_counter()
-    r = verify_thm2(3)
+    r = verify("thm2", 3)
     ok = r.lhs == Fraction(429, 25) == Fraction(catalan(7), catalan(3) ** 2) and r.equal
     _report("thm2-k3-429/25", 1.0, started, ok)
 
 
 def test_theorem3_k3_exact_polynomial():
     started = time.perf_counter()
-    r = verify_thm3(3)
+    r = verify("thm3", 3)
     expected = GammaPoly([0, 9, 39, 44, 14, 1])
     ok = (
         r.lhs == expected
@@ -64,23 +64,23 @@ def test_theorems_1_to_3_sweep_k1_to_6():
 
 def test_theorem4_k3_conventions():
     started = time.perf_counter()
-    good = verify_thm4(3, "k-1")
-    bad = verify_thm4(3, "k")
+    good = verify("thm4", 3, "k-1")
+    bad = verify("thm4", 3, "k")
     ok = good.lhs == 16 == good.rhs and good.equal and not bad.equal
     _report("thm4-k3-16=16-over-Dk-1", 1.0, started, ok)
 
 
 def test_theorem5_k3_conventions():
     started = time.perf_counter()
-    good = verify_thm5(3, "k")
-    bad = verify_thm5(3, "k-1")
+    good = verify("thm5", 3, "k")
+    bad = verify("thm5", 3, "k-1")
     ok = good.lhs == GammaPoly([0, 3, 3]) == good.rhs and good.equal and not bad.equal
     _report("thm5-k3-3g+3g2-over-AMk", 1.0, started, ok)
 
 
 def test_theorems_4_and_5_sweep_k2_to_6():
     started = time.perf_counter()
-    ok = all(verify_thm4(k, "k-1").equal and verify_thm5(k, "k").equal for k in range(2, 7))
+    ok = all(verify("thm4", k, "k-1").equal and verify("thm5", k, "k").equal for k in range(2, 7))
     _report("thm4-5-sweep-k2..6", 30.0, started, ok)
 
 

@@ -384,8 +384,9 @@ def test_middle_altitude_even_positions():
         assert bj.middle_altitude(p) % 2 == 1
 
 
-# constructions A and B far beyond exhaustive reach: uniform Dyck paths of
-# size k drawn by the cycle lemma, with a seed fixed before the first run
+# constructions A-D far beyond exhaustive reach: uniform Dyck paths of size
+# k drawn by the cycle lemma, and uniform alternating Motzkin paths read
+# from them in pairs of steps, with a seed fixed before the first run
 LARGE_K = 1000
 LARGE_SEED = 7321
 
@@ -412,9 +413,37 @@ def test_cycle_lemma_sampler_is_exact_at_k3():
     assert set(images) == {p.steps for p in enumerate_dyck(3)}
 
 
+# steps 2..2k-1 of a Dyck path of size k, read in pairs, are a Motzkin path
+# of k-1 steps with two kinds of flat step (UD and DU); each pair becomes a
+# pair of an alternating Motzkin path, between one level step and another
+_PAIR_STEPS = {(RISE, RISE): (RISE, LEVEL), (FALL, FALL): (LEVEL, FALL),
+               (RISE, FALL): (RISE, FALL), (FALL, RISE): (LEVEL, LEVEL)}
+
+
+def _pair_reading(steps):
+    """The alternating Motzkin path of the same size as the Dyck path."""
+    pairs = (_PAIR_STEPS[steps[q:q + 2]] for q in range(1, len(steps) - 1, 2))
+    return (LEVEL, *(step for pair in pairs for step in pair), LEVEL)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_pair_reading_is_a_bijection_onto_alt_motzkin_paths(k):
+    images = [_pair_reading(p.steps) for p in enumerate_dyck(k)]
+    assert len(set(images)) == len(images) == catalan(k)
+    assert set(images) == {p.steps for p in enumerate_alt_motzkin(k)}
+
+
+def _uniform_path(rng, construction, k):
+    """A uniform path of size k of the kind the construction takes."""
+    if construction in "AB":
+        return Path(_uniform_dyck(rng, k), PathKind.DYCK)
+    return Path(_pair_reading(_uniform_dyck(rng, k)), PathKind.ALT_MOTZKIN)
+
+
 def _large_marks(construction, steps):
     """Per altitude i, the positions that may carry mark 1 and mark 2 of
-    construction A (a rise from i, a fall to i) or B (a vertex at i, both),
+    construction A or C (a rise from i, a fall to i), B (a vertex at i,
+    both) or D (a level step at i, even for mark 1 and odd for mark 2),
     read from the altitudes."""
     alts = altitudes(steps)
     first, second = defaultdict(list), defaultdict(list)
@@ -423,18 +452,27 @@ def _large_marks(construction, steps):
             first[a].append(q)
         return first, first
     for q, step in enumerate(steps, 1):
-        if step == RISE:
+        if construction == "D":
+            if step == LEVEL:
+                (second if q % 2 else first)[alts[q]].append(q)
+        elif step == RISE:
             first[alts[q - 1]].append(q)
-        else:
+        elif step == FALL:
             second[alts[q]].append(q)
     return first, second
 
 
-@pytest.mark.parametrize("construction", ["A", "B"])
+def _image_rises(t):
+    """The rise count of the image of t under C (the rises of p1 and p2)
+    or D (one more: the marked levels become one new rise)."""
+    return t.p1.rise_count() + t.p2.rise_count() + (t.construction == "D")
+
+
+@pytest.mark.parametrize("construction", "ABCD")
 def test_large_k_tuples_round_trip(construction):
     rng = random.Random(LARGE_SEED)
     for _ in range(50):
-        p1, p2 = (Path(_uniform_dyck(rng, LARGE_K), PathKind.DYCK) for _ in range(2))
+        p1, p2 = (_uniform_path(rng, construction, LARGE_K) for _ in range(2))
         marks1, marks2 = _large_marks(construction, p1.steps)[0], _large_marks(construction, p2.steps)[1]
         # (i, mark1, mark2) uniform among the valid triples of this pair
         levels = [i for i in marks1 if i in marks2]
@@ -444,17 +482,23 @@ def test_large_k_tuples_round_trip(construction):
         steps = out.path.steps
         assert len(steps) == 4 * LARGE_K + (2 if construction == "B" else 0)
         assert out.middle_altitude == sum(steps[:len(steps) // 2])
-        assert out.middle_altitude == 2 * i + (2 if construction == "A" else 1)
+        assert out.middle_altitude == 2 * i + (2 if construction in "AC" else 1)
+        if construction in "CD":
+            assert out.path.rise_count() == _image_rises(t)
         assert bj.invert(construction, out.path) == t
 
 
-@pytest.mark.parametrize("construction", ["A", "B"])
+@pytest.mark.parametrize("construction", "ABCD")
 def test_large_k_image_paths_round_trip(construction):
     rng = random.Random(LARGE_SEED)
     size = 2 * LARGE_K + (1 if construction == "B" else 0)
+    parity = 0 if construction in "AC" else 1
     for _ in range(50):
-        steps = _uniform_dyck(rng, size)
-        while construction == "A" and sum(steps[:size]) == 0:
-            steps = _uniform_dyck(rng, size)  # A's image has a positive middle altitude
-        p = Path(steps, PathKind.DYCK)
-        assert bj.construct(bj.invert(construction, p)).path == p
+        p = _uniform_path(rng, construction, size)
+        # an image's middle altitude is positive and even (A, C) or odd (B, D)
+        while (mid := bj.middle_altitude(p)) == 0 or mid % 2 != parity:
+            p = _uniform_path(rng, construction, size)
+        t = bj.invert(construction, p)
+        if construction in "CD":
+            assert p.rise_count() == _image_rises(t)
+        assert bj.construct(t).path == p

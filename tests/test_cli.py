@@ -443,6 +443,17 @@ def test_map_rejects_malformed_input(capsys, text):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+def test_map_input_nested_too_deeply_is_one_error_line():
+    # json.loads gives up past the interpreter's recursion limit: an input
+    # error, not a traceback
+    depth = 100_000
+    proc = _pathforge(["map", "--construction", "A", "--input", "-"], subprocess.PIPE,
+                      stdin=subprocess.PIPE)
+    out, err = proc.communicate(("[" * depth + "]" * depth).encode(), timeout=60)
+    assert (proc.returncode, out) == (1, b"")
+    assert err.decode() == "error: --input is nested too deeply to parse\n"
+
+
 def test_map_input_names_the_fields_it_refuses(capsys):
     for blob, message in [
         ('{"p1": "UD", "i": 0, "mark1": 1, "mark2": 2}', "field 'p2' is missing"),
@@ -646,7 +657,7 @@ def test_fuzz_map_and_invert(case):
         assert json.loads(again)["path"] == text.strip()
 
 
-def _pathforge(argv, stdout, module=True):
+def _pathforge(argv, stdout, module=True, stdin=None):
     """Start ``python -m pathforge ARGV``, or ``python ARGV`` without module,
     with this checkout's src on the path."""
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -654,7 +665,7 @@ def _pathforge(argv, stdout, module=True):
     env.pop("PYTHONUNBUFFERED", None)  # stdout block-buffered, as a pipe has it by default
     prefix = ["-m", "pathforge"] if module else []
     return subprocess.Popen([sys.executable, *prefix, *argv], env=env,
-                            stdout=stdout, stderr=subprocess.PIPE)
+                            stdin=stdin, stdout=stdout, stderr=subprocess.PIPE)
 
 
 @pytest.mark.parametrize("argv", [

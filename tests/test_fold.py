@@ -5,7 +5,7 @@ import math
 import pytest
 
 from pathforge import fold
-from pathforge.identities import verify_thm1, verify_thm2, verify_thm3, verify_thm4, verify_thm5
+from pathforge.identities import verify
 from pathforge.numeric import GammaPoly
 from pathforge.paths import PathKind, enumerate_alt_motzkin, enumerate_dyck, stats
 
@@ -68,6 +68,7 @@ def test_identities_hold_beyond_enumeration():
     # Catalan(20) is about 6.6e9 paths of each kind: out of reach of the oracle
     k = 20
     for report in (
-        verify_thm1(k), verify_thm2(k), verify_thm3(k), verify_thm4(k), verify_thm5(k)
+        verify("thm1", k), verify("thm2", k), verify("thm3", k), verify("thm4", k),
+        verify("thm5", k),
     ):
         assert report.is_default_convention and report.equal, report.identity

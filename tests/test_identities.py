@@ -14,88 +14,84 @@ from pathforge.fold import fold_upto
 from pathforge.identities import (
     IDENTITIES,
     sweep,
-    verify_thm1,
-    verify_thm2,
-    verify_thm3,
-    verify_thm4,
-    verify_thm5,
+    verify,
 )
 from pathforge.numeric import GAMMA, GammaPoly, catalan, narayana_poly
 from pathforge.paths import PathKind, enumerate_alt_motzkin, enumerate_dyck, stats
 
 
 def test_thm1_worked_values():
-    assert verify_thm1(1).lhs == Fraction(1) == verify_thm1(1).rhs
-    r = verify_thm1(2)
+    assert verify("thm1", 1).lhs == Fraction(1) == verify("thm1", 1).rhs
+    r = verify("thm1", 2)
     assert r.lhs == Fraction(10, 4) == Fraction(14, 4) - 1
-    r = verify_thm1(3)
+    r = verify("thm1", 3)
     assert r.lhs == Fraction(107, 25)
     assert r.rhs == Fraction(catalan(6), catalan(3) ** 2) - 1
     assert r.equal
 
 
 def test_thm2_worked_values():
-    assert verify_thm2(1).lhs == Fraction(5) == verify_thm2(1).rhs
-    r = verify_thm2(3)
+    assert verify("thm2", 1).lhs == Fraction(5) == verify("thm2", 1).rhs
+    r = verify("thm2", 3)
     assert r.lhs == Fraction(429, 25) == Fraction(catalan(7), catalan(3) ** 2)
-    assert verify_thm2(4).equal
+    assert verify("thm2", 4).equal
 
 
 def test_thm3_worked_values():
-    assert verify_thm3(1).lhs == GAMMA == verify_thm3(1).rhs
-    r = verify_thm3(2)
+    assert verify("thm3", 1).lhs == GAMMA == verify("thm3", 1).rhs
+    r = verify("thm3", 2)
     assert r.equal
     assert r.rhs == GammaPoly([0, 4, 5, 1])
-    r = verify_thm3(3)
+    r = verify("thm3", 3)
     assert r.lhs == GammaPoly([0, 9, 39, 44, 14, 1])
     assert r.equal
 
 
 def test_thm4_k3_convention():
-    r = verify_thm4(3, "k-1")
+    r = verify("thm4", 3, "k-1")
     assert r.lhs == 16 == r.rhs
     assert r.equal and r.is_default_convention
-    r = verify_thm4(3, "k")
+    r = verify("thm4", 3, "k")
     assert not r.equal
     assert not r.is_default_convention
 
 
 def test_thm5_k3_convention():
-    r = verify_thm5(3, "k")
+    r = verify("thm5", 3, "k")
     assert r.lhs == GammaPoly([0, 3, 3]) == r.rhs
     assert r.equal and r.is_default_convention
-    r = verify_thm5(3, "k-1")
+    r = verify("thm5", 3, "k-1")
     assert r.rhs == GAMMA
     assert not r.equal
 
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_thm123_hold(k):
-    assert verify_thm1(k).equal
-    assert verify_thm2(k).equal
-    assert verify_thm3(k).equal
+    assert verify("thm1", k).equal
+    assert verify("thm2", k).equal
+    assert verify("thm3", k).equal
 
 
 @pytest.mark.parametrize("k", range(2, 7))
 def test_thm45_hold_under_default_conventions(k):
-    assert verify_thm4(k, "k-1").equal
-    assert verify_thm5(k, "k").equal
+    assert verify("thm4", k, "k-1").equal
+    assert verify("thm5", k, "k").equal
 
 
 @pytest.mark.parametrize("k", range(2, 7))
 def test_thm4_lhs_is_integral(k):
-    assert verify_thm4(k).lhs.denominator == 1
+    assert verify("thm4", k).lhs.denominator == 1
 
 
 def test_verify_preconditions():
-    for fn in (verify_thm1, verify_thm2, verify_thm3):
+    for name in ("thm1", "thm2", "thm3"):
         with pytest.raises(ValueError):
-            fn(0)
-    for fn in (verify_thm4, verify_thm5):
+            verify(name, 0)
+    for name in ("thm4", "thm5"):
         with pytest.raises(ValueError):
-            fn(1)
+            verify(name, 1)
         with pytest.raises(ValueError):
-            fn(3, "k-2")
+            verify(name, 3, "k-2")
 
 
 # --- independent oracles -------------------------------------------------
@@ -112,13 +108,13 @@ def pairwise_square_sum(vectors):
 @pytest.mark.parametrize("k", (1, 2, 3, 4))
 def test_thm1_lhs_against_naive_pairwise(k):
     vectors = [stats(p).rises_by_altitude for p in enumerate_dyck(k)]
-    assert verify_thm1(k).lhs == Fraction(pairwise_square_sum(vectors), catalan(k) ** 2)
+    assert verify("thm1", k).lhs == Fraction(pairwise_square_sum(vectors), catalan(k) ** 2)
 
 
 @pytest.mark.parametrize("k", (1, 2, 3, 4))
 def test_thm2_lhs_against_naive_pairwise(k):
     vectors = [stats(p).vertices_by_altitude for p in enumerate_dyck(k)]
-    assert verify_thm2(k).lhs == Fraction(pairwise_square_sum(vectors), catalan(k) ** 2)
+    assert verify("thm2", k).lhs == Fraction(pairwise_square_sum(vectors), catalan(k) ** 2)
 
 
 @pytest.mark.parametrize("k", (1, 2, 3))
@@ -135,7 +131,7 @@ def test_thm3_lhs_against_naive_pairwise(k):
             )
             term = GammaPoly([rr]) + GAMMA * GammaPoly([ll])
             total = total + GammaPoly([0] * (r1 + r2) + [1]) * term
-    assert verify_thm3(k).lhs == total
+    assert verify("thm3", k).lhs == total
 
 
 @pytest.mark.parametrize("k", (2, 3, 4))
@@ -146,12 +142,12 @@ def test_thm4_both_sides_against_direct_enumeration(k):
         lhs += sum(
             Fraction(x, 2) * (2 * i + 3 - x) for i, x in enumerate(st.rises_by_altitude)
         )
-    assert verify_thm4(k, "k-1").lhs == lhs
+    assert verify("thm4", k, "k-1").lhs == lhs
     rhs = 0
     for q in enumerate_dyck(k - 1):
         vv = stats(q).vertices_by_altitude
         rhs += sum((v + 1) * v // 2 for v in vv[:k])
-    assert verify_thm4(k, "k-1").rhs == rhs
+    assert verify("thm4", k, "k-1").rhs == rhs
 
 
 # --- closed forms of identities 4 and 5: checked against the DP, not proved
@@ -159,7 +155,7 @@ def test_thm4_both_sides_against_direct_enumeration(k):
 def test_thm4_sides_are_powers_of_four():
     folds = tuple(fold_upto(PathKind.DYCK, K_MAX_LIMIT))
     for k in range(2, K_MAX_LIMIT + 1):
-        r = verify_thm4(k, folds=folds)
+        r = verify("thm4", k, folds=folds)
         assert r.lhs == 4 ** (k - 1) == r.rhs, k
 
 
@@ -307,9 +303,10 @@ def test_identities_4_and_5_algebra():
 
 def test_default_variant_is_the_rows_first():
     # without rhs_index a verifier reports the variant it resolved
-    assert verify_thm4(3).rhs_index == "k-1" == identities._ROWS["thm4"].variants[0]
-    assert verify_thm5(3).rhs_index == "k" == identities._ROWS["thm5"].variants[0]
-    assert verify_thm4(3) == verify_thm4(3, "k-1") and verify_thm5(3) == verify_thm5(3, "k")
+    assert verify("thm4", 3).rhs_index == "k-1" == identities._ROWS["thm4"].variants[0]
+    assert verify("thm5", 3).rhs_index == "k" == identities._ROWS["thm5"].variants[0]
+    assert (verify("thm4", 3) == verify("thm4", 3, "k-1")
+            and verify("thm5", 3) == verify("thm5", 3, "k"))
 
 
 def test_thm5_sides_are_a_narayana_convolution():
@@ -322,7 +319,7 @@ def test_thm5_sides_are_a_narayana_convolution():
         c.append(GammaPoly([2, 2]) * c[-1] - GammaPoly([1, -2, 1]) * c[-2])
     for k in range(2, k_max + 1):
         closed = sum((GAMMA * narayana_poly(j - 1) * c[k - j] for j in range(2, k + 1)), GammaPoly())
-        r = verify_thm5(k, folds=folds)
+        r = verify("thm5", k, folds=folds)
         assert r.lhs == closed == r.rhs, k
 
 
@@ -331,14 +328,14 @@ def test_thm5_sides_are_a_narayana_convolution():
 @pytest.mark.parametrize("k", (1, 2, 3, 4))
 def test_thm1_counts_a_inputs_and_image(k):
     count = sum(1 for _ in bj.five_tuples("A", k))
-    assert verify_thm1(k).lhs == Fraction(count, catalan(k) ** 2)
+    assert verify("thm1", k).lhs == Fraction(count, catalan(k) ** 2)
     assert count == sum(1 for _ in bj.image_paths("A", k))
 
 
 @pytest.mark.parametrize("k", (1, 2, 3, 4))
 def test_thm2_counts_b_inputs_and_image(k):
     count = sum(1 for _ in bj.five_tuples("B", k))
-    assert verify_thm2(k).lhs == Fraction(count, catalan(k) ** 2)
+    assert verify("thm2", k).lhs == Fraction(count, catalan(k) ** 2)
     assert count == catalan(2 * k + 1)
 
 
@@ -350,7 +347,7 @@ def test_thm3_lhs_splits_into_cd_weights(k):
     d_weight = GammaPoly()
     for t in bj.five_tuples("D", k):
         d_weight = d_weight + GammaPoly([0] * (t.p1.rise_count() + t.p2.rise_count() + 1) + [1])
-    assert verify_thm3(k).lhs == c_weight + d_weight
+    assert verify("thm3", k).lhs == c_weight + d_weight
 
 
 # --- sweep ----------------------------------------------------------------
@@ -391,6 +388,14 @@ def test_sweep_rejects_unknown_identity():
         sweep(["thm9"], 3)
 
 
+def test_verify_rejects_unknown_identity():
+    # the same refusal as sweep's, from the same check
+    with pytest.raises(ValueError, match="unknown identity 'thm9'"):
+        verify("thm9", 3)
+    with pytest.raises(ValueError, match="unknown identity 'thm9'"):
+        sweep(["thm1", "thm9"], 3)
+
+
 def test_sweep_time_budget_truncates():
     result = sweep(IDENTITIES, 6, time_budget=0.0)
     assert result.truncated
@@ -401,15 +406,15 @@ def per_identity_reports(k_max):
     # each identity on its own, every fold computed apart, in sweep order
     reports = []
     for k in range(1, k_max + 1):
-        reports.append(verify_thm1(k))
+        reports.append(verify("thm1", k))
     for k in range(1, k_max + 1):
-        reports.append(verify_thm2(k))
+        reports.append(verify("thm2", k))
     for k in range(1, k_max + 1):
-        reports.append(verify_thm3(k))
+        reports.append(verify("thm3", k))
     for k in range(2, k_max + 1):
-        reports += [verify_thm4(k, "k-1"), verify_thm4(k, "k")]
+        reports += [verify("thm4", k, "k-1"), verify("thm4", k, "k")]
     for k in range(2, k_max + 1):
-        reports += [verify_thm5(k, "k"), verify_thm5(k, "k-1")]
+        reports += [verify("thm5", k, "k"), verify("thm5", k, "k-1")]
     return reports
 
 
@@ -447,8 +452,8 @@ def test_sweep_folds_each_kind_in_logarithmically_many_passes(monkeypatch, names
 
 def test_thm4_and_thm5_read_both_sizes_from_one_pass(monkeypatch):
     calls = count_fold_calls(monkeypatch)
-    assert verify_thm4(5, "k-1").equal
-    assert verify_thm5(5, "k-1").rhs == verify_thm5(4).rhs
+    assert verify("thm4", 5, "k-1").equal
+    assert verify("thm5", 5, "k-1").rhs == verify("thm5", 4).rhs
     assert calls == {PathKind.DYCK: 1, PathKind.ALT_MOTZKIN: 2}
 
 

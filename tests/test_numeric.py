@@ -115,6 +115,16 @@ def test_poly_immutable_and_hashable():
     assert hash(p) == hash(GammaPoly([1, 2, 0]))
 
 
+def test_poly_hashes_as_the_int_it_equals():
+    # equal values hash alike, so a constant and its int are one set member
+    # and one dict key; the zero polynomial is 0
+    assert len({GammaPoly((2,)), 2}) == 1 and len({GammaPoly(), 0}) == 1
+    assert {2: "x"}.get(GammaPoly((2,))) == "x" and {GammaPoly(): "z"}[0] == "z"
+    assert {GammaPoly([-1]): "m"}[-1] == "m"
+    # a non-constant polynomial still hashes by its coefficients
+    assert hash(GammaPoly([2, 1])) == hash((2, 1)) and len({GammaPoly([2, 1]), 2}) == 2
+
+
 def test_poly_json_round_trip():
     p = GammaPoly([0, 9, 39, 44, 14, 1])
     wire = p.to_json()

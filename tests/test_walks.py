@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from pathforge.identities import verify_thm1, verify_thm2
+from pathforge.identities import verify
 from pathforge.paths import PathKind, enumerate_alt_motzkin, enumerate_dyck, parse
 from pathforge.walks import Walk, path_to_walk, walk_to_path
 
@@ -83,12 +83,12 @@ def test_round_trips_exhaustive(k):
 def test_walk_identities_k3():
     # identities 1 and 2 over closed loop-free walks of length 6: square-average
     # advances into higher nodes, and square-average time at a node
-    advances, time = verify_thm1(3), verify_thm2(3)
+    advances, time = verify("thm1", 3), verify("thm2", 3)
     assert advances.lhs == Fraction(107, 25) == advances.rhs
     assert time.lhs == Fraction(429, 25) == time.rhs
     assert advances.equal and time.equal
 
 
 def test_walk_identities_k1():
-    assert verify_thm1(1).lhs == 1
-    assert verify_thm2(1).lhs == 5
+    assert verify("thm1", 1).lhs == 1
+    assert verify("thm2", 1).lhs == 5
