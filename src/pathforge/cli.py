@@ -284,7 +284,7 @@ def _mc_trial(ensemble: str, k: int, n: int, m: int | None) -> tuple[int, int]:
     W = G G^T by one m*m*n product and holds G beside W.  For k >= 3,
     trace_power adds about ceil(log2 k) products of n**3 (m**3 for
     Wishart) and holds up to three powers of that size beside it, formed
-    by squaring (none at k = 4).  Four blocks of 128 rows are the most
+    by squaring (none at k = 3 or 4).  Four blocks of 128 rows are the most
     that the Wigner mirror's temporaries or trace_power's panels hold.
     Ints, so no n overflows them."""
     if ensemble == "wigner":
@@ -293,7 +293,7 @@ def _mc_trial(ensemble: str, k: int, n: int, m: int | None) -> tuple[int, int]:
         side, draws, product, held = m, m * n, m * m * n, m * n + m * m
     if k >= 3:
         product += (k - 1).bit_length() * side ** 3
-        held += 0 if k == 4 else 3 * side * side
+        held += 0 if k <= 4 else 3 * side * side
     return (_MC_TRIAL_PS + _MC_DRAW_PS * draws + _MC_PRODUCT_PS * product,
             8 * (held + 4 * 128 * side))
 

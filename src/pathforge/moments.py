@@ -46,16 +46,18 @@ def trace_power(matrix: np.ndarray, k: int) -> float:
     both Monte Carlo ensembles are) takes a faster path.  Its powers are
     symmetric, so they are built by squarings ``p @ p.T``, which numpy
     hands to BLAS syrk at half the flops of a general product, with one
-    extra ``@ A`` for each odd exponent.  For even k, tr(A^k) is the
-    squared Frobenius norm of A^h, and A^h is never formed: it is X Y^T
-    with X = A^ceil(h/2) and Y = A^floor(h/2), and its upper triangle is
-    summed one row panel of 128 rows at a time.  At k = 4 nothing beside
-    the matrix is held but that 128-by-n panel; k = 4 costs n^3 flops
-    and k = 6 and 8 cost 2 n^3.  For odd k the trace sum reads
-    A^h and A^h @ A in the same order (``np.vdot``).  The symmetry test
-    runs in the same panels.  Any other matrix, one ulp off symmetric
-    included, takes the general path.  Complex input is refused: the
-    result is a real float, and ``np.vdot`` would conjugate.
+    extra ``@ A`` for each odd exponent.  Then tr(A^k) is the inner
+    product of A^ceil(k/2) and A^floor(k/2), and A^ceil(k/2) is never
+    formed: it is X Y^T, with X = A^ceil(h/2) and Y = A^floor(h/2) for
+    even k = 2h (the other factor is X Y^T again), and X = A^h and Y = A
+    for odd k = 2h + 1.  One kernel sums the product over the upper
+    triangle of X Y^T, one row panel of 128 rows at a time.  At k = 3
+    and 4 nothing beside the matrix is held but that 128-by-n panel, at
+    n^3 flops; k = 5, 6 and 8 cost 2 n^3.  The symmetry test runs in the
+    same panels.  Any other matrix, one ulp off symmetric included, takes
+    the general path.  Integer and bool input is taken as float64, so it
+    neither wraps nor multiplies logically.  Complex input is refused:
+    the result is a real float, and ``np.vdot`` would conjugate.
     """
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -64,18 +66,20 @@ def trace_power(matrix: np.ndarray, k: int) -> float:
         raise ValueError(f"expected a real matrix, got dtype {matrix.dtype}")
     if k < 1:
         raise ValueError(f"power must be positive, got {k}")
+    if matrix.dtype.kind in "biu":
+        matrix = matrix.astype(np.float64)  # else int64 wraps and bool is logical
     if k == 1:
         return float(matrix.trace())
     if k >= 3 and _is_symmetric(matrix):
         h = k // 2
-        if k % 2 == 0:
-            y = _symmetric_power(matrix, h // 2)
-            # y @ matrix.T is y @ matrix for a symmetric matrix; at k = 6, where
-            # y is the matrix itself, numpy runs it as syrk
-            x = y if h % 2 == 0 else y @ matrix.T
-            return _product_square_norm(x, y)
-        half = _symmetric_power(matrix, h)
-        return float(np.vdot(half, half @ matrix))
+        if k % 2:
+            half = _symmetric_power(matrix, h)
+            return _upper_inner(half, matrix, half)
+        y = _symmetric_power(matrix, h // 2)
+        # y @ matrix.T is y @ matrix for a symmetric matrix; at k = 6, where
+        # y is the matrix itself, numpy runs it as syrk
+        x = y if h % 2 == 0 else y @ matrix.T
+        return _upper_inner(x, y)
     half = np.linalg.matrix_power(matrix, k // 2)
     rest = half if k % 2 == 0 else half @ matrix
     return float(np.einsum("ij,ji->", half, rest))
@@ -93,17 +97,17 @@ def _is_symmetric(matrix: np.ndarray) -> bool:
     )
 
 
-def _product_square_norm(x: np.ndarray, y: np.ndarray) -> float:
-    # squared Frobenius norm of the symmetric product x @ y.T, summed over its
-    # upper triangle: panel P = (x @ y.T)[i:j, i:] counts its diagonal block
-    # once and the rest, which mirrors the part left of the block, twice
+def _upper_inner(x: np.ndarray, y: np.ndarray, w: np.ndarray | None = None) -> float:
+    # <x @ y.T, w> for symmetric x @ y.T and w (None: x @ y.T), summed over the
+    # upper triangle: panel P = (x @ y.T)[i:j, i:] against w's counts its
+    # diagonal block once and the rest, which mirrors the part left of it, twice
     total = 0.0
     for i in range(0, x.shape[0], _BLOCK):
         j = min(i + _BLOCK, x.shape[0])
         panel = x[i:j] @ y[i:].T
-        block = panel[:, : j - i]
-        total += 2 * np.vdot(panel, panel) - np.vdot(block, block)
-        del panel, block  # else the next panel is formed beside this one
+        v = panel if w is None else w[i:j, i:]
+        total += 2 * np.vdot(v, panel) - np.vdot(v[:, : j - i], panel[:, : j - i])
+        del panel, v  # else the next panel is formed beside this one
     return float(total)
 
 
@@ -163,8 +167,8 @@ def wigner_moment(k: int, n: int, trials: int = 20, seed: int = 0) -> MomentEsti
     upper triangle of one n-by-n draw, and goes straight into
     ``trace_power``, so it is freed before the next trial draws.  Being
     exactly symmetric, it takes the symmetric path for k >= 3: a trial
-    holds one n-by-n array and a 128-row panel at k = 4, and k = 6 costs
-    2 n^3 flops.
+    holds one n-by-n array and a 128-row panel at k = 3 and 4, and k = 6
+    costs 2 n^3 flops.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
@@ -196,7 +200,7 @@ def wishart_moment(k: int, n: int, m: int, trials: int = 20, seed: int = 0) -> M
     G is dropped once W is formed and W once its trace is taken, so a
     trial holds at most G and W, and ``trace_power`` sees only W, which is
     exactly symmetric: for k >= 3 it takes the symmetric path, one m-by-m
-    array and a 128-row panel at k = 4.
+    array and a 128-row panel at k = 3 and 4.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")

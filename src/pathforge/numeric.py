@@ -63,6 +63,13 @@ class GammaPoly:
     def __setattr__(self, name, value):
         raise AttributeError("GammaPoly is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("GammaPoly is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__: __setattr__ refuses their default
+        return GammaPoly, (self.coeffs,)
+
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 

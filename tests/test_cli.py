@@ -330,12 +330,12 @@ def test_mc_work_bound_keeps_a_tenfold_margin():
 
 def test_mc_trial_estimate_is_pinned():
     # (picoseconds, bytes) of one trial for k = 1..8: from k = 3 trace_power
-    # adds products, and holds three powers beside the matrix at every k but 4
+    # adds products, and holds three powers beside the matrix from k = 5
     assert [cli._mc_trial("wigner", k, 100, None) for k in range(1, 9)] == [
-        (191_600_000, 489_600), (191_600_000, 489_600), (213_600_000, 729_600),
+        (191_600_000, 489_600), (191_600_000, 489_600), (213_600_000, 489_600),
         (213_600_000, 489_600), *[(224_600_000, 729_600)] * 4]
     assert [cli._mc_trial("wishart", k, 100, 50) for k in range(1, 9)] == [
-        (112_750_000, 264_800), (112_750_000, 264_800), (115_500_000, 324_800),
+        (112_750_000, 264_800), (112_750_000, 264_800), (115_500_000, 264_800),
         (115_500_000, 264_800), *[(116_875_000, 324_800)] * 4]
 
 

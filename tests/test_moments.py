@@ -50,6 +50,15 @@ def test_trace_power_rejects_bad_input():
             trace_power(np.diag([1j, 1j]), k)
 
 
+def test_trace_power_takes_integer_and_bool_input_as_float():
+    # an int64 product would wrap and a bool one is logical; for A = c J,
+    # J the 2-by-2 all-ones matrix, tr(A^4) = c^4 tr(J^4) = 16 c^4 exactly
+    big = np.full((2, 2), 2**20, dtype=np.int64)
+    assert trace_power(big, 4) == 16 * 2**80
+    assert trace_power(np.eye(2, dtype=bool), 3) == 2.0
+    assert trace_power(np.eye(3, dtype=np.uint8), 2) == 3.0
+
+
 @pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (2, 5), (3, 5), (3, 6)])
 def test_trace_power_matches_index_walk_expansion(n, k):
     rng = np.random.default_rng(7)
@@ -80,10 +89,11 @@ def test_trace_power_one_ulp_off_symmetric_takes_general_path(k):
 
 
 @pytest.mark.parametrize("n", [127, 128, 129, 300])
-@pytest.mark.parametrize("k", [4, 6, 8, 10])
+@pytest.mark.parametrize("k", [3, 4, 5, 6, 7, 8, 10])
 def test_trace_power_symmetric_across_panels(n, k):
     # one panel short of, exactly at and past a 128-row panel, and a partial
-    # last panel; k = 6 and 10 take the odd-h product y @ A
+    # last panel; k = 6 and 10 take the odd-h product y @ A, and odd k
+    # sums A^h @ A against A^h
     z = np.random.default_rng(n).standard_normal((n, n))
     matrix = (z + z.T) / sqrt(n)
     assert np.array_equal(matrix, matrix.T)
@@ -120,13 +130,14 @@ def test_trial_holds_one_matrix():
     # m-by-m (Wishart) array held in a trial, or a matrix kept while the next
     # trial draws, lifts the peak past these bounds
     n = 1200
-    assert traced_peak(lambda: wigner_moment(4, n, trials=3)) < 1.6 * n * n * 8
+    for k in (3, 4):
+        assert traced_peak(lambda: wigner_moment(k, n, trials=3)) < 1.6 * n * n * 8
     m = 600
     assert traced_peak(lambda: wishart_moment(2, n, m, trials=3)) < 1.75 * m * n * 8
 
 
 @pytest.mark.parametrize("ensemble,k,n,m", [
-    *(("wigner", k, n, None) for k in (2, 4, 5, 6, 11) for n in (50, 600)),
+    *(("wigner", k, n, None) for k in (2, 3, 4, 5, 6, 11) for n in (50, 600)),
     *(("wishart", k, n, m) for k in (2, 3) for n, m in ((60, 40), (300, 200), (200, 300))),
 ])
 def test_mc_byte_estimate_covers_one_trial(ensemble, k, n, m):

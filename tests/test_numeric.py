@@ -1,12 +1,17 @@
 """Catalan/Narayana values and exact polynomial arithmetic."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pathforge.fold import fold_upto
+from pathforge.identities import verify
 from pathforge.numeric import GAMMA, GammaPoly, catalan, narayana, narayana_poly
+from pathforge.paths import PathKind
 
 
 def segner_catalan(k_max):
@@ -112,7 +117,20 @@ def test_poly_immutable_and_hashable():
     p = GammaPoly([1, 2])
     with pytest.raises(AttributeError):
         p.coeffs = (3,)
+    with pytest.raises(AttributeError):
+        del p.coeffs
+    assert p.coeffs == (1, 2)
     assert hash(p) == hash(GammaPoly([1, 2, 0]))
+
+
+def test_poly_copies_and_pickles():
+    # copy and pickle rebuild through __init__, so a GammaPoly and the
+    # records that hold one (an alternating Motzkin fold, a thm3 report)
+    # round trip
+    fold = list(fold_upto(PathKind.ALT_MOTZKIN, 3))[3]
+    for value in (GammaPoly([0, 9, 39]), GammaPoly(), fold, verify("thm3", 3)):
+        assert copy.copy(value) == copy.deepcopy(value) == value
+        assert pickle.loads(pickle.dumps(value)) == value
 
 
 def test_poly_hashes_as_the_int_it_equals():
