@@ -59,13 +59,8 @@ _MC_BYTES = 2 << 30
 
 
 def _json_value(value):
-    from fractions import Fraction  # loaded by the identities a report writes
-
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, GammaPoly):
-        return value.to_json()
-    return value
+    # every side of a report is a Fraction or a GammaPoly
+    return value.to_json() if isinstance(value, GammaPoly) else str(value)
 
 
 def _emit_records(records: list[dict], fmt: str, header=None):
@@ -254,19 +249,19 @@ def _emit_sweep(result, fmt: str) -> int:
 def _cmd_walk(args) -> int:
     from . import walks
 
+    def kind_for(level: bool) -> PathKind:
+        # without --kind, a level step (a loop in the walk) means alternating Motzkin
+        return PathKind(args.kind or (PathKind.ALT_MOTZKIN if level else PathKind.DYCK))
+
     if args.to:
-        kind = PathKind(args.kind) if args.kind else (
-            PathKind.ALT_MOTZKIN if "L" in args.path else PathKind.DYCK
-        )
+        kind = kind_for("L" in args.path)
         path = parse(args.path, kind)
         walk = walks.path_to_walk(path)
         line = walk.render()
         record = {"path": path.render(), "kind": kind.value, "nodes": list(walk.nodes), "walk": line}
     else:
-        walk = walks.Walk.parse(args.path)
-        kind = PathKind(args.kind) if args.kind else (
-            PathKind.ALT_MOTZKIN if 0 in walk.moves() else PathKind.DYCK
-        )
+        walk = walks.Walk.parse(args.path)  # refuses a malformed walk before any kind
+        kind = kind_for(0 in walk.moves())
         path = walks.walk_to_path(walk, kind)
         line = path.render()
         record = {"walk": walk.render(), "kind": kind.value, "path": line}

@@ -87,18 +87,19 @@ def fold_upto(kind: PathKind, k_max: int) -> Iterator[Fold]:
     # a state: [prefix count, rise pairs, other pairs, rises from altitude
     # 0..k_max, others at altitude 0..k_max]
     rise, other = 3, 3 + k_max + 1
+    if shift:
+        mask = (1 << shift) - 1
+
+        def value(x):
+            # up to the packed int's own degree, so no coefficient is a trailing zero
+            return GammaPoly([(x >> r) & mask for r in range(0, x.bit_length(), shift)])
+    else:
+        value = int
 
     def snapshot(k):
         # the altitude-0 state, its rows cut to the altitudes a path of
         # length 2k reaches: a vertex may sit at k, a step starts below it
         v = states[0]
-        if shift:
-            mask = (1 << shift) - 1
-
-            def value(x):
-                return GammaPoly([(x >> (r * shift)) & mask for r in range(max(k, 1))])
-        else:
-            value = int
         top = k if levels else k + 1
         return Fold(k, value(v[0]), tuple(map(value, v[rise:rise + k])),
                     tuple(map(value, v[other:other + top])), value(v[1]), value(v[2]))

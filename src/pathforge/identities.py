@@ -116,8 +116,9 @@ def verify(name: str, k: int, rhs_index: str | None = None,
 
     ``rhs_index`` picks a right-hand variant of thm4 or thm5; None picks
     the row's default, which the report records.  ``folds[j]``, when
-    given, is the size-j fold for j = k-1 and k; by default one DP pass
-    to k computes both.
+    given, is the size-j fold for j = k-1 and k, and one that is not the
+    size-j fold of the row's kind is a ValueError; by default one DP
+    pass to k computes both.
 
     thm1: the squared norm of the expected rise vector of Dyck paths
       equals C_{2k}/C_k^2 - 1.
@@ -145,7 +146,13 @@ def verify(name: str, k: int, rhs_index: str | None = None,
         raise ValueError(f"rhs_index must be one of {row.variants}, got {rhs_index!r}")
     if folds is None:
         folds = tuple(fold_upto(row.kind, k))
-    lhs, rhs = row.sides(folds[k], folds[k - 1 if rhs_index == "k-1" else k], k)
+    g = k - 1 if rhs_index == "k-1" else k
+    # Dyck values are ints, alternating Motzkin values GammaPolys
+    count_type = int if row.kind is PathKind.DYCK else GammaPoly
+    for j in (g, k):
+        if j >= len(folds) or folds[j].k != j or type(folds[j].count) is not count_type:
+            raise ValueError(f"folds[{j}] is not the size-{j} fold of {row.kind.value} paths")
+    lhs, rhs = row.sides(folds[k], folds[g], k)
     return IdentityReport(name, k, lhs, rhs, rhs_index=rhs_index)
 
 

@@ -240,27 +240,29 @@ class AltitudeStats(NamedTuple):
     rise_count: int
 
 
-def stats(path: Path) -> AltitudeStats:
-    """Compute the rise, vertex, and even-level altitude vectors of a path."""
+def _walk(path: Path) -> tuple[tuple[int, ...], ...]:
+    """One walk of a path, counting per altitude its rises from i (length
+    k), its vertices at i (length k+1) and its level steps at i on even
+    and on odd steps (length k each)."""
     k = path.k
-    rises = [0] * k
-    verts = [0] * (k + 1)
-    levels = [0] * k
+    rises, verts, levels = [0] * k, [0] * (k + 1), ([0] * k, [0] * k)
     alt = 0
     verts[0] = 1
     for pos, s in enumerate(path.steps, start=1):
         if s == RISE:
             rises[alt] += 1
-        elif s == LEVEL and pos % 2 == 0:
-            levels[alt] += 1
+        elif s == LEVEL:
+            levels[pos % 2][alt] += 1
         alt += s
         verts[alt] += 1
-    return AltitudeStats(
-        rises_by_altitude=tuple(rises),
-        vertices_by_altitude=tuple(verts),
-        even_levels_by_altitude=tuple(levels) if path.kind is PathKind.ALT_MOTZKIN else None,
-        rise_count=sum(rises),
-    )
+    return tuple(rises), tuple(verts), tuple(levels[0]), tuple(levels[1])
+
+
+def stats(path: Path) -> AltitudeStats:
+    """Compute the rise, vertex, and even-level altitude vectors of a path."""
+    rises, verts, even, _ = _walk(path)
+    return AltitudeStats(rises, verts, even if path.kind is PathKind.ALT_MOTZKIN else None,
+                         sum(rises))
 
 
 class LevelParityReport(NamedTuple):
@@ -280,20 +282,10 @@ class LevelParityReport(NamedTuple):
 
 
 def check_level_parity(path: Path) -> LevelParityReport:
-    """Check that level steps pair up evenly at every altitude."""
+    """Check that level steps pair up evenly at every altitude: as many
+    on even steps as on odd ones."""
     if path.kind is not PathKind.ALT_MOTZKIN:
         raise ValueError("level parity applies to alternating Motzkin paths")
-    k = path.k
-    total = [0] * k
-    even = [0] * k
-    alt = 0
-    for pos, s in enumerate(path.steps, start=1):
-        if s == LEVEL:
-            total[alt] += 1
-            if pos % 2 == 0:
-                even[alt] += 1
-        alt += s
-    violations = tuple(
-        i for i in range(k) if total[i] % 2 != 0 or 2 * even[i] != total[i]
-    )
-    return LevelParityReport(tuple(zip(total, even)), violations)
+    _, _, even, odd = _walk(path)
+    return LevelParityReport(tuple((e + o, e) for e, o in zip(even, odd)),
+                             tuple(i for i, (e, o) in enumerate(zip(even, odd)) if e != o))

@@ -92,6 +92,13 @@ def test_verify_preconditions():
             verify(name, 1)
         with pytest.raises(ValueError):
             verify(name, 3, "k-2")
+    # given folds must be the size-j folds of the row's kind, each folds[j]
+    d = tuple(fold_upto(PathKind.DYCK, 6))
+    for name, k, folds in (("thm1", 3, d[1:]),  # sizes shifted by one
+                           ("thm3", 3, d),      # Dyck folds for an alternating Motzkin row
+                           ("thm1", 8, d)):     # too few folds
+        with pytest.raises(ValueError, match=f"folds\\[{k}\\] is not the size-{k} fold"):
+            verify(name, k, folds=folds)
 
 
 # --- independent oracles -------------------------------------------------

@@ -256,6 +256,8 @@ def test_level_parity_lemma_exhaustive(k):
         for total, even in rep.counts:
             assert total % 2 == 0
             assert 2 * even == total
+        # stats and the parity check read the same walk
+        assert stats(p).even_levels_by_altitude == tuple(even for _, even in rep.counts)
 
 
 def test_level_parity_requires_alt_motzkin():
