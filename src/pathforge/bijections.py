@@ -88,9 +88,7 @@ class FiveTuple(NamedTuple):
             problems += [f"{name!r} is unknown" for name in data if name not in _FIELDS]
             raise ValueError("five-tuple field " + ", ".join(problems))
         construction = data["construction"]
-        if not isinstance(construction, str) or construction not in _CONSTRUCTIONS:
-            raise ValueError(f"unknown construction {construction!r}")
-        kind = _CONSTRUCTIONS[construction].kind
+        kind = _construction(construction).kind
         for name in ("p1", "p2"):
             text = data[name]
             if not isinstance(text, str):
@@ -213,7 +211,7 @@ _CONSTRUCTIONS = {
 
 
 def _construction(name: str) -> _Construction:
-    if name not in _CONSTRUCTIONS:
+    if not isinstance(name, str) or name not in _CONSTRUCTIONS:
         raise ValueError(f"unknown construction {name!r}")
     return _CONSTRUCTIONS[name]
 

@@ -2,22 +2,26 @@
 inverses, identity verification, walk translation, and Monte Carlo moments.
 
 Output goes to stdout as JSON by default or CSV with ``--format csv``.
+``walk`` and ``invert`` take the path kind from their input (``_kind_of``):
+a level step, or a loop in a walk, means alternating Motzkin.  Every
+integer argument is ASCII -?[0-9]+ (``numeric._parse_int``).
 ``verify --identity N`` is ``report --identities N`` with no --time-budget,
 so K_MAX_LIMIT always bounds it; both run ``_cmd_report``.  Exit codes: 0
 on success, 1 when a verified identity fails (or on a computation error,
 an allocation that fails, an mc value that is not a finite float, or when
 stdout is closed before all output is written), 2 on usage errors,
-including a number argument below its minimum, a negative or non-finite
---time-budget, a verify or report whose --k-max leaves no identity to
-check, a --k-max above K_MAX_LIMIT with no --time-budget, an mc --k above
-MC_K_LIMIT, an mc run estimated above _MC_SECONDS or one whose trial is
-estimated to hold more than _MC_BYTES, an identity list (report
---identities or verify --identity) with a repeat, and an enumerate --k
-whose path count has more digits than Python prints (JSON and
---count-only; CSV prints no count).  ``main`` alone maps errors to exit
-codes and prints the one ``error:`` line: a command refuses its arguments
-by raising ``_UsageError`` (exit 2) and fails a computation by raising
-ValueError (exit 1); argparse refuses what it parses itself.
+including an integer argument in another spelling or below its minimum,
+a negative or non-finite --time-budget, a verify or report whose --k-max
+leaves no identity to check, a --k-max above K_MAX_LIMIT with no
+--time-budget, an mc --k above MC_K_LIMIT, an mc run estimated above
+_MC_SECONDS or one whose trial is estimated to hold more than _MC_BYTES,
+an identity list (report --identities or verify --identity) with a
+repeat, and an enumerate --k whose path count has more digits than
+Python prints (JSON and --count-only; CSV prints no count).  ``main``
+alone maps errors to exit codes and prints the one ``error:`` line: a
+command refuses its arguments by raising ``_UsageError`` (exit 2) and
+fails a computation by raising ValueError (exit 1); argparse refuses what
+it parses itself.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import sys
 from itertools import islice
 
 # every command needs these; each command imports the rest of what it runs
-from .numeric import GammaPoly, catalan
+from .numeric import GammaPoly, _parse_int, catalan
 from .paths import PathKind, _listing, parse, stats
 
 # the largest --k-max a sweep runs without a --time-budget: an all-identity
@@ -59,7 +63,7 @@ _MC_BYTES = 2 << 30
 
 
 def _json_value(value):
-    # every side of a report is a Fraction or a GammaPoly
+    # every side of a report is an int, a Fraction or a GammaPoly
     return value.to_json() if isinstance(value, GammaPoly) else str(value)
 
 
@@ -82,11 +86,8 @@ def _emit_records(records: list[dict], fmt: str, header=None):
 
 
 def _csv_cell(value):
-    if isinstance(value, (list, tuple)):
-        return " ".join(str(v) for v in value)
-    if value is None:
-        return ""
-    return value
+    # csv writes None as an empty cell
+    return " ".join(map(str, value)) if isinstance(value, (list, tuple)) else value
 
 
 class _UsageError(Exception):
@@ -202,12 +203,17 @@ def _cmd_map(args) -> int:
     return 0
 
 
+def _kind_of(level: bool) -> PathKind:
+    """The kind a path or walk states: a level step (a loop in a walk)
+    means alternating Motzkin, none Dyck."""
+    return PathKind.ALT_MOTZKIN if level else PathKind.DYCK
+
+
 def _cmd_invert(args) -> int:
     from . import bijections
 
-    kind = bijections._CONSTRUCTIONS[args.construction].kind
-    path = parse(args.path, kind)
-    t = bijections.invert(args.construction, path)
+    # the path states its kind; invert refuses one its construction does not take
+    t = bijections.invert(args.construction, parse(args.path, _kind_of("L" in args.path)))
     _emit_records([t.to_json_dict()], args.format)
     return 0
 
@@ -249,19 +255,15 @@ def _emit_sweep(result, fmt: str) -> int:
 def _cmd_walk(args) -> int:
     from . import walks
 
-    def kind_for(level: bool) -> PathKind:
-        # without --kind, a level step (a loop in the walk) means alternating Motzkin
-        return PathKind(args.kind or (PathKind.ALT_MOTZKIN if level else PathKind.DYCK))
-
     if args.to:
-        kind = kind_for("L" in args.path)
+        kind = _kind_of("L" in args.path)
         path = parse(args.path, kind)
         walk = walks.path_to_walk(path)
         line = walk.render()
         record = {"path": path.render(), "kind": kind.value, "nodes": list(walk.nodes), "walk": line}
     else:
         walk = walks.Walk.parse(args.path)  # refuses a malformed walk before any kind
-        kind = kind_for(0 in walk.moves())
+        kind = _kind_of(0 in walk.moves())
         path = walks.walk_to_path(walk, kind)
         line = path.render()
         record = {"walk": walk.render(), "kind": kind.value, "path": line}
@@ -344,18 +346,24 @@ def _cmd_report(args) -> int:
         raise _UsageError(f"--k-max {args.k_max} is above the limit of {K_MAX_LIMIT} for an exact "
                           "sweep; use report --time-budget to sweep further")
     names = [f"thm{i}" for i in args.identities]
-    result = sweep(names, args.k_max, time_budget=args.time_budget)
+    # sweep refuses a negative size; it checks nothing, as 0 does
+    result = sweep(names, max(args.k_max, 0), time_budget=args.time_budget)
     return _emit_sweep(result, args.format)
+
+
+def _integer(text: str) -> int:
+    """An argparse type for an integer written as ASCII -?[0-9]+."""
+    try:
+        return _parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
 
 
 def _int_at_least(low: int):
     """An argparse type for integers no smaller than low."""
 
     def parse_int(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        value = _integer(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
@@ -376,7 +384,7 @@ def _seconds(text: str) -> float:
 
 def _identity_list(text: str) -> list[int]:
     try:
-        values = [int(part) for part in text.split(",")]
+        values = [_parse_int(part) for part in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated identity numbers, got {text!r}")
     for j, v in enumerate(values):
@@ -425,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify one identity for k up to a bound")
     p.add_argument("--identity", dest="identities", type=_identity_list, required=True,
                    metavar="N", help="identity number, 1-5")
-    p.add_argument("--k-max", type=int, required=True, help=f"at most {K_MAX_LIMIT}")
+    p.add_argument("--k-max", type=_integer, required=True, help=f"at most {K_MAX_LIMIT}")
     add_format(p)
     p.set_defaults(func=_cmd_report, time_budget=None)
 
@@ -434,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     direction.add_argument("--to", action="store_true", help="path string to walk")
     direction.add_argument("--from", dest="from_walk", action="store_true", help="walk (comma-separated nodes) to path")
     p.add_argument("--path", required=True, help="path string with --to, node list with --from")
-    p.add_argument("--kind", choices=[kind.value for kind in PathKind], default=None)
     add_format(p)
     p.set_defaults(func=_cmd_walk)
 
@@ -454,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="sweep several identities and tabulate verdicts")
     p.add_argument("--identities", type=_identity_list, default=[1, 2, 3, 4, 5],
                    help="comma-separated identity numbers (default all)")
-    p.add_argument("--k-max", type=int, required=True,
+    p.add_argument("--k-max", type=_integer, required=True,
                    help=f"at most {K_MAX_LIMIT} unless --time-budget is given")
     p.add_argument("--time-budget", type=_seconds, default=None, help="seconds; truncates the sweep")
     add_format(p)

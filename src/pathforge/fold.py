@@ -70,16 +70,28 @@ def _alt_motzkin_width(k_max: int) -> int:
     return 2 * k_max + 2 * (2 * k_max + 1).bit_length()
 
 
+def _check_size(k) -> None:
+    """Refuse a size that is not an int (a bool included) or is negative."""
+    if type(k) is not int:
+        raise ValueError(f"k must be an int, got {k!r}")
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
+
+
 def fold_upto(kind: PathKind, k_max: int) -> Iterator[Fold]:
     """Yield the fold of every size k = 0..k_max of the kind, in order,
     from one DP pass to length 2*k_max, each step s (1-based) one of
     ``paths.steps_at(kind, s)``; each size's fold is yielded as soon as
     the pass has reached step 2k.  A state is kept only while the falls
     the law still allows can bring it back to 0 by step 2*k_max, which
-    keeps every path that returns by an earlier even step.
+    keeps every path that returns by an earlier even step.  Raises at the
+    call, not at the first item, on a k_max that is no size.
     """
-    if k_max < 0:
-        raise ValueError(f"k must be nonnegative, got {k_max}")
+    _check_size(k_max)
+    return _one_pass(kind, k_max)
+
+
+def _one_pass(kind: PathKind, k_max: int) -> Iterator[Fold]:
     n = 2 * k_max
     room = fall_room(kind, n)
     levels = LEVEL in steps_at(kind, 2)

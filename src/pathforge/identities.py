@@ -40,11 +40,11 @@ import time
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence, Union
 
-from .fold import Fold, fold_upto
+from .fold import Fold, _check_size, fold_upto
 from .numeric import GAMMA, GammaPoly, catalan, narayana_poly
 from .paths import PathKind
 
-Value = Union[Fraction, GammaPoly]
+Value = Union[int, Fraction, GammaPoly]
 
 
 class _Identity(NamedTuple):
@@ -72,10 +72,10 @@ _ROWS = {
         narayana_poly(2 * k) - narayana_poly(k) * narayana_poly(k))),
     "thm4": _Identity(PathKind.DYCK, 2, ("k-1", "k"), lambda f, g, k: (
         # R(2i+3-R)/2 = (i+1)R - C(R, 2), and C(V+1, 2) = V + C(V, 2)
-        Fraction(sum((i + 1) * r for i, r in enumerate(f.rises)) - f.rise_pairs),
+        sum((i + 1) * r for i, r in enumerate(f.rises)) - f.rise_pairs,
         # the "k" variant sums below altitude k: that drops V_k but no pair,
         # as a path of size k has at most one vertex at k
-        Fraction(sum(g.others[:k]) + g.other_pairs))),
+        sum(g.others[:k]) + g.other_pairs)),
     "thm5": _Identity(PathKind.ALT_MOTZKIN, 2, ("k", "k-1"), lambda f, g, k: (
         sum((i + 1) * r for i, r in enumerate(f.rises))
         + GAMMA * sum(i * x for i, x in enumerate(f.others)),
@@ -112,7 +112,8 @@ def _row(name: str) -> _Identity:
 
 def verify(name: str, k: int, rhs_index: str | None = None,
            folds: Sequence[Fold] | None = None) -> IdentityReport:
-    """Verify the named identity at size k exactly.
+    """Verify the named identity at size k exactly; a k that is not an int
+    (a bool included) or is below the row's first size is a ValueError.
 
     ``rhs_index`` picks a right-hand variant of thm4 or thm5; None picks
     the row's default, which the report records.  ``folds[j]``, when
@@ -140,6 +141,7 @@ def verify(name: str, k: int, rhs_index: str | None = None,
     row = _row(name)
     if rhs_index is None:
         rhs_index = row.variants[0]
+    _check_size(k)
     if k < row.k_min:
         raise ValueError(f"k must be at least {row.k_min}, got {k}")
     if rhs_index not in row.variants:
@@ -185,7 +187,8 @@ def _staged_folds(kind: PathKind, k_max: int):
 
 
 def sweep(identities: Sequence[str], k_max: int, time_budget: float | None = None) -> SweepResult:
-    """Verify the named identities for every size up to k_max.
+    """Verify the named identities for every size up to k_max, an int
+    (not a bool) and not negative, else a ValueError.
 
     Identities 4 and 5 are verified in both right-hand-side variants so
     the mismatching one stays visible; ``SweepResult.passes`` reads the
@@ -196,6 +199,7 @@ def sweep(identities: Sequence[str], k_max: int, time_budget: float | None = Non
     folds; the reports are then a prefix of the full sweep's.
     """
     rows = [_row(name) for name in identities]
+    _check_size(k_max)
     start = time.perf_counter()
 
     def out_of_time() -> bool:

@@ -16,6 +16,16 @@ if TYPE_CHECKING:  # a name for the annotations: enumerate and stats load no fra
 Scalar = Union[int, "Fraction"]
 
 
+def _parse_int(text: str) -> int:
+    """The int an ASCII -?[0-9]+ spells, the one integer grammar of the
+    command line and of a walk; int() would also take a +, an underscore,
+    spaces and non-ASCII digits.  Anything else is int()'s ValueError."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
 def catalan(k: int) -> int:
     """k-th Catalan number, binom(2k, k) / (k + 1)."""
     if k < 0:

@@ -136,10 +136,6 @@ class Path:
     def __len__(self) -> int:
         return len(self.steps)
 
-    def altitudes(self) -> tuple[int, ...]:
-        """Altitude at each of the len+1 vertices."""
-        return altitudes(self.steps)
-
     def render(self) -> str:
         return "".join(map(_CHARS.__getitem__, self.steps))
 

@@ -6,7 +6,11 @@ time step and returning to its start.  A path's walk starts at node 0,
 so ``walk_to_path`` refuses a walk from any other node.  Loop-free walks
 correspond to Dyck paths; walks whose right moves happen only at even
 time steps and left moves only at odd time steps correspond to
-alternating Motzkin paths.
+alternating Motzkin paths.  So a walk states its kind, as ``pathforge
+walk`` reads it: one with a loop can only be alternating Motzkin.
+``walk_to_path`` still takes the kind, since the walk at node 0 alone is
+the empty path of either kind.  ``Walk.parse`` reads each node as ASCII
+-?[0-9]+ alone.
 Under the correspondence, time spent at node i is the vertex count V_i,
 advances into node i+1 are the rises R_i, and loops at node i are the
 level steps there.  ``paths.stats`` of the path counts them: its vertex
@@ -21,7 +25,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .paths import Path, PathKind
+from .numeric import _parse_int
+from .paths import Path, PathKind, altitudes
 
 
 class Walk(NamedTuple("Walk", [("nodes", tuple[int, ...])])):
@@ -53,8 +58,9 @@ class Walk(NamedTuple("Walk", [("nodes", tuple[int, ...])])):
 
     @classmethod
     def parse(cls, text: str) -> "Walk":
+        """A walk from its nodes, each ASCII -?[0-9]+, joined by commas."""
         try:
-            nodes = tuple(int(part) for part in text.strip().split(","))
+            nodes = tuple(_parse_int(part) for part in text.strip().split(","))
         except ValueError as exc:
             raise ValueError(f"walk must be comma-separated integers: {exc}") from None
         return cls(nodes)
@@ -66,7 +72,7 @@ class Walk(NamedTuple("Walk", [("nodes", tuple[int, ...])])):
 def path_to_walk(path: Path) -> Walk:
     """Closed walk from node 0 visiting the path's altitudes: a loop for
     each level step, so loop-free for a Dyck path."""
-    return Walk(path.altitudes())
+    return Walk(altitudes(path.steps))
 
 
 def walk_to_path(walk: Walk, kind: PathKind | str) -> Path:

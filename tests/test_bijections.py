@@ -151,7 +151,7 @@ def _may_mark(c, path, i, side, q):
     FiveTuple docstring states the law, read from the altitudes: a vertex
     at i (B), a rise from i or a fall to i (A, C), or a level at i on an
     even step in p1 and an odd step in p2 (D)."""
-    alts, steps = path.altitudes(), path.steps
+    alts, steps = altitudes(path.steps), path.steps
     if c.marks == "vertex":
         return alts[q] == i
     if q == 0:
@@ -186,6 +186,7 @@ _REFUSALS = [
     (lambda: bj.construct(bj.FiveTuple("Z", parse("UD", "dyck"), parse("UD", "dyck"), 0, 1, 2)),
      "unknown construction 'Z'"),
     (lambda: bj.invert("Z", parse("UUDD", "dyck")), "unknown construction 'Z'"),
+    (lambda: bj.invert(["A"], parse("UUDD", "dyck")), "unknown construction ['A']"),
     (lambda: bj.construct(bj.FiveTuple("A", parse("UD", "dyck"), parse("LL", "altmotzkin"), 0, 1, 2)),
      "construction A needs dyck paths"),
     (lambda: bj.construct(bj.FiveTuple("D", parse("UD", "dyck"), parse("LL", "altmotzkin"), 0, 2, 1)),

@@ -2,8 +2,10 @@
 
 import contextlib
 import csv
+import functools
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -17,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from pathforge import bijections, cli
 from pathforge.cli import K_MAX_LIMIT, main
 from pathforge.numeric import catalan
-from pathforge.paths import enumerate_alt_motzkin, enumerate_dyck
+from pathforge.paths import enumerate_alt_motzkin, enumerate_dyck, parse
 
 
 def run(capsys, *argv):
@@ -202,9 +204,13 @@ def test_walk_to_and_from(capsys):
 
 
 def test_walk_kind_override(capsys):
-    code, out, _ = run(capsys, "walk", "--to", "--path", "UDUD", "--kind", "dyck")
-    assert code == 0
-    assert json.loads(out)["nodes"] == [0, 1, 0, 1, 0]
+    # a path or a walk states its kind, so walk takes no --kind
+    for argv in (("--to", "--path", "UDUD"), ("--from", "--path", "0,1,0,1,0")):
+        with pytest.raises(SystemExit) as exc:
+            main(["walk", *argv, "--kind", "dyck"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
 
 
 def test_walk_invalid_path_is_reported(capsys):
@@ -225,6 +231,62 @@ def test_walk_lowercase_path_is_refused(capsys):
     code, out, err = run(capsys, "walk", "--to", "--path", "ludl")
     assert (code, out) == (1, "")
     assert err == "error: invalid character 'l' at position 1\n"
+
+
+def test_walk_and_invert_take_the_kind_from_the_path(monkeypatch):
+    # every U/D/L string of up to 6 steps: walk --to runs exactly when the
+    # string parses as the kind it states, and invert prints what
+    # bijections.invert gives on the string parsed as the construction's
+    # kind, or exits 1 with nothing on stdout.  One parser serves all 5,465
+    # runs: building it is most of a run's time.
+    monkeypatch.setattr(cli, "build_parser", functools.lru_cache(cli.build_parser))
+    for n in range(7):
+        for text in map("".join, itertools.product("UDL", repeat=n)):
+            try:
+                parses = parse(text, cli._kind_of("L" in text)) is not None
+            except ValueError:
+                parses = False
+            assert (run_any("walk", "--to", "--path", text)[0] == 0) is parses, text
+            for c in "ABCD":
+                code, out, _ = run_any("invert", "--construction", c, "--path", text)
+                try:
+                    t = bijections.invert(c, parse(text, bijections._construction(c).kind))
+                except ValueError:
+                    assert (code, out) == (1, ""), (c, text)
+                else:
+                    assert (code, out) == (0, json.dumps(t.to_json_dict(), indent=2) + "\n"), (c, text)
+
+
+def test_invert_refuses_a_path_of_another_kind(capsys):
+    # LUDLLL is an alternating Motzkin path, which construction A does not take
+    code, out, err = run(capsys, "invert", "--construction", "A", "--path", "LUDLLL")
+    assert (code, out, err) == (1, "", "error: construction A inverts dyck paths\n")
+
+
+# spellings of 1 that int() takes: a sign, spaces, an underscore, and
+# Arabic-Indic and fullwidth digits
+@pytest.mark.parametrize("one", ["+1", " 1", "1 ", "0_1", "\u0661", "\uff11"])
+def test_integers_are_ascii_digits_alone(one):
+    for argv in (["enumerate", "--kind", "dyck", "--k", one, "--count-only"],
+                 ["report", "--k-max", one],
+                 ["report", "--identities", one, "--k-max", "1"],
+                 ["verify", "--identity", one, "--k-max", "1"]):
+        code, out, err = run_any(*argv)
+        assert (code, out) == (2, ""), argv
+        assert "Traceback" not in err and f"got {one!r}" in err, err
+    code, out, err = run_any("walk", "--from", "--path", f"0,{one},0")
+    assert (code, out) == (1, "")
+    assert err == f"error: walk must be comma-separated integers: invalid literal for int() " \
+                  f"with base 10: {one!r}\n"
+
+
+def test_k_max_reads_as_an_integer(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--k-max", "x"])
+    assert exc.value.code == 2
+    assert "error: argument --k-max: expected an integer, got 'x'" in capsys.readouterr().err
+    # a negative --k-max still checks nothing, as 0 does
+    assert run(capsys, "report", "--k-max", "-1")[:2] == run(capsys, "report", "--k-max", "0")[:2]
 
 
 def test_mc_json_schema_and_determinism(capsys):

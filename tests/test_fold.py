@@ -52,6 +52,14 @@ def test_negative_k_rejected():
             list(fold.fold_upto(kind, -1))
 
 
+@pytest.mark.parametrize("k_max", [-1, True, 2.0, "2"])
+def test_fold_upto_refuses_a_size_at_the_call(k_max):
+    # at the call, as paths._listing does, not at the first fold
+    for kind in PathKind:
+        with pytest.raises(ValueError, match="^k must be "):
+            fold.fold_upto(kind, k_max)
+
+
 @pytest.mark.parametrize("k_max", [12, 20])
 @pytest.mark.parametrize("kind", PathKind, ids=lambda kind: kind.value)
 def test_one_pass_yields_each_size_as_a_pass_to_that_size(kind, k_max):

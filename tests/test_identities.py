@@ -83,6 +83,21 @@ def test_thm4_lhs_is_integral(k):
     assert verify("thm4", k).lhs.denominator == 1
 
 
+def test_thm4_sides_are_the_folds_ints():
+    for k in range(2, 8):
+        for variant in ("k-1", "k"):
+            r = verify("thm4", k, variant)
+            assert type(r.lhs) is int and type(r.rhs) is int, (k, variant)
+
+
+@pytest.mark.parametrize("k", [True, 2.0, -1])
+def test_verify_and_sweep_refuse_a_size_that_is_not_one(k):
+    with pytest.raises(ValueError, match="^k must be "):
+        verify("thm1", k)
+    with pytest.raises(ValueError, match="^k must be "):
+        sweep(["thm1"], k)
+
+
 def test_verify_preconditions():
     for name in ("thm1", "thm2", "thm3"):
         with pytest.raises(ValueError):

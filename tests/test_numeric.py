@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from pathforge.fold import fold_upto
 from pathforge.identities import verify
-from pathforge.numeric import GAMMA, GammaPoly, catalan, narayana, narayana_poly
+from pathforge.numeric import GAMMA, GammaPoly, _parse_int, catalan, narayana, narayana_poly
 from pathforge.paths import PathKind
 
 
@@ -37,6 +37,15 @@ def test_catalan_against_segner_recurrence():
 def test_catalan_rejects_negative():
     with pytest.raises(ValueError):
         catalan(-1)
+
+
+def test_parse_int_takes_ascii_digits_alone():
+    for text, value in (("0", 0), ("-0", 0), ("17", 17), ("-17", -17), ("007", 7)):
+        assert _parse_int(text) == value
+    # int() takes all but the last three of these
+    for text in ("+1", " 1", "1 ", "1_0", "\u0661", "\uff11", "", "-", "1.0"):
+        with pytest.raises(ValueError, match="^invalid literal for int\\(\\) with base 10: "):
+            _parse_int(text)
 
 
 def test_narayana_known_values():

@@ -20,6 +20,7 @@ from pathforge.paths import (
     Path,
     PathKind,
     _listing,
+    altitudes,
     check_level_parity,
     enumerate_alt_motzkin,
     enumerate_dyck,
@@ -38,7 +39,7 @@ def test_parse_sawtooth():
 
 def test_parse_altitude_profile():
     p = parse("UUDDUD", "dyck")
-    assert p.altitudes() == (0, 1, 2, 1, 0, 1, 0)
+    assert altitudes(p.steps) == (0, 1, 2, 1, 0, 1, 0)
 
 
 def test_parse_alternating_motzkin():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from pathforge.identities import verify
-from pathforge.paths import PathKind, enumerate_alt_motzkin, enumerate_dyck, parse
+from pathforge.paths import PathKind, altitudes, enumerate_alt_motzkin, enumerate_dyck, parse
 from pathforge.walks import Walk, path_to_walk, walk_to_path
 
 _ENUMERATE = {PathKind.DYCK: enumerate_dyck, PathKind.ALT_MOTZKIN: enumerate_alt_motzkin}
@@ -76,7 +76,7 @@ def test_round_trips_exhaustive(k):
     for kind, enumerate_paths in _ENUMERATE.items():
         for p in enumerate_paths(k):
             walk = path_to_walk(p)
-            assert walk.nodes == p.altitudes()
+            assert walk.nodes == altitudes(p.steps)
             assert walk_to_path(walk, kind) == p
 
 
