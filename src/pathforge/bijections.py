@@ -35,6 +35,7 @@ from __future__ import annotations
 from operator import neg
 from typing import Iterator, NamedTuple
 
+from .numeric import _check_size
 from .paths import (
     FALL,
     LEVEL,
@@ -342,26 +343,24 @@ def invert(construction: str, path: Path) -> FiveTuple:
 # domain and image enumeration (exhaustive; the tests' oracle)
 
 def five_tuples(construction: str, k: int) -> Iterator[FiveTuple]:
-    """Yield every valid five-tuple for the construction at size k."""
+    """Yield every valid five-tuple for the construction at size k, its paths found at the call."""
     c = _construction(construction)
     pool = list(_paths(c, k))
     # each path's marks on both sides at each altitude, found once
     marks = [[(c.candidates(p, i, 1), c.candidates(p, i, 2)) for i in range(k + 1)] for p in pool]
-    for p1, marks1 in zip(pool, marks):
-        for p2, marks2 in zip(pool, marks):
-            for i in range(k + 1):  # only B has marks at altitude k
-                for m1 in marks1[i][0]:
-                    for m2 in marks2[i][1]:
-                        yield FiveTuple(construction, p1, p2, i, m1, m2)
+    return (FiveTuple(construction, p1, p2, i, m1, m2)
+            for p1, marks1 in zip(pool, marks) for p2, marks2 in zip(pool, marks)
+            for i in range(k + 1)  # only B has marks at altitude k
+            for m1 in marks1[i][0] for m2 in marks2[i][1])
 
 
 def image_paths(construction: str, k: int) -> Iterator[Path]:
     """Yield the characterized image of the construction at size k: doubled
     paths whose middle altitude follows the construction's law."""
     c = _construction(construction)
-    for p in _paths(c, 2 * k + 1 if c.marks == "vertex" else 2 * k):
-        if c.middle_index(middle_altitude(p)) is not None:
-            yield p
+    _check_size(k)
+    return (p for p in _paths(c, 2 * k + 1 if c.marks == "vertex" else 2 * k)
+            if c.middle_index(middle_altitude(p)) is not None)
 
 
 def _paths(c: _Construction, k: int) -> Iterator[Path]:

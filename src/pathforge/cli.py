@@ -2,9 +2,10 @@
 inverses, identity verification, walk translation, and Monte Carlo moments.
 
 Output goes to stdout as JSON by default or CSV with ``--format csv``.
-``walk`` and ``invert`` take the path kind from their input (``_kind_of``):
-a level step, or a loop in a walk, means alternating Motzkin.  Every
-integer argument is ASCII -?[0-9]+ (``numeric._parse_int``).
+Every command that takes a path reads its kind from it (``_kind_of``), so
+``stats``, ``walk`` and ``invert`` have no --kind: a level step, or a loop
+in a walk, means alternating Motzkin.  Every integer argument is ASCII
+-?[0-9]+ (``numeric._parse_int``).
 ``verify --identity N`` is ``report --identities N`` with no --time-budget,
 so K_MAX_LIMIT always bounds it; both run ``_cmd_report``.  Exit codes: 0
 on success, 1 when a verified identity fails (or on a computation error,
@@ -144,11 +145,17 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-def _stats_record(text: str, kind: PathKind) -> dict:
-    path = parse(text, kind)
+def _kind_of(level: bool) -> PathKind:
+    """The kind a path or walk states: a level step (a loop in a walk)
+    means alternating Motzkin, none Dyck."""
+    return PathKind.ALT_MOTZKIN if level else PathKind.DYCK
+
+
+def _stats_record(text: str) -> dict:
+    path = parse(text, _kind_of("L" in text))
     st = stats(path)
     return {
-        "kind": kind.value,
+        "kind": path.kind.value,
         "k": path.k,
         "path": path.render(),
         "R": list(st.rises_by_altitude),
@@ -159,8 +166,7 @@ def _stats_record(text: str, kind: PathKind) -> dict:
 
 
 def _cmd_stats(args) -> int:
-    kind = PathKind(args.kind)
-    _emit_records([_stats_record(text, kind) for text in args.path], args.format)
+    _emit_records([_stats_record(text) for text in args.path], args.format)
     return 0
 
 
@@ -201,12 +207,6 @@ def _cmd_map(args) -> int:
     }
     _emit_records([record], args.format)
     return 0
-
-
-def _kind_of(level: bool) -> PathKind:
-    """The kind a path or walk states: a level step (a loop in a walk)
-    means alternating Motzkin, none Dyck."""
-    return PathKind.ALT_MOTZKIN if level else PathKind.DYCK
 
 
 def _cmd_invert(args) -> int:
@@ -414,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="altitude statistics of given paths")
     p.add_argument("--path", action="append", required=True, help="path string; repeatable")
-    p.add_argument("--kind", choices=[kind.value for kind in PathKind], required=True)
     add_format(p)
     p.set_defaults(func=_cmd_stats)
 

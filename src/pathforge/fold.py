@@ -32,8 +32,8 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple, Union
 
-from .numeric import GammaPoly
-from .paths import LEVEL, RISE, PathKind, fall_room, steps_at
+from .numeric import GammaPoly, _check_size
+from .paths import LEVEL, RISE, PathKind, _check_kind, fall_room, steps_at
 
 # One implementation; the names stay because benchmark runs record them and
 # refuse to compare runs whose backend differs.
@@ -70,14 +70,6 @@ def _alt_motzkin_width(k_max: int) -> int:
     return 2 * k_max + 2 * (2 * k_max + 1).bit_length()
 
 
-def _check_size(k) -> None:
-    """Refuse a size that is not an int (a bool included) or is negative."""
-    if type(k) is not int:
-        raise ValueError(f"k must be an int, got {k!r}")
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-
-
 def fold_upto(kind: PathKind, k_max: int) -> Iterator[Fold]:
     """Yield the fold of every size k = 0..k_max of the kind, in order,
     from one DP pass to length 2*k_max, each step s (1-based) one of
@@ -85,8 +77,9 @@ def fold_upto(kind: PathKind, k_max: int) -> Iterator[Fold]:
     the pass has reached step 2k.  A state is kept only while the falls
     the law still allows can bring it back to 0 by step 2*k_max, which
     keeps every path that returns by an earlier even step.  Raises at the
-    call, not at the first item, on a k_max that is no size.
+    call, not at the first item, on a kind or a k_max it cannot take.
     """
+    _check_kind(kind)
     _check_size(k_max)
     return _one_pass(kind, k_max)
 

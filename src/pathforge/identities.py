@@ -40,8 +40,8 @@ import time
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence, Union
 
-from .fold import Fold, _check_size, fold_upto
-from .numeric import GAMMA, GammaPoly, catalan, narayana_poly
+from .fold import Fold, fold_upto
+from .numeric import GAMMA, GammaPoly, _check_size, catalan, narayana_poly
 from .paths import PathKind
 
 Value = Union[int, Fraction, GammaPoly]
@@ -141,9 +141,7 @@ def verify(name: str, k: int, rhs_index: str | None = None,
     row = _row(name)
     if rhs_index is None:
         rhs_index = row.variants[0]
-    _check_size(k)
-    if k < row.k_min:
-        raise ValueError(f"k must be at least {row.k_min}, got {k}")
+    _check_size(k, row.k_min)
     if rhs_index not in row.variants:
         raise ValueError(f"rhs_index must be one of {row.variants}, got {rhs_index!r}")
     if folds is None:

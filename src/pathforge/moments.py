@@ -15,7 +15,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .numeric import catalan, narayana_poly
+from .numeric import _check_size, catalan, narayana_poly
 
 Exact = Union[int, Fraction]
 
@@ -64,8 +64,7 @@ def trace_power(matrix: np.ndarray, k: int) -> float:
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
     if np.iscomplexobj(matrix):
         raise ValueError(f"expected a real matrix, got dtype {matrix.dtype}")
-    if k < 1:
-        raise ValueError(f"power must be positive, got {k}")
+    _check_size(k, 1, "power")
     if matrix.dtype.kind in "biu":
         matrix = matrix.astype(np.float64)  # else int64 wraps and bool is logical
     if k == 1:
@@ -170,12 +169,10 @@ def wigner_moment(k: int, n: int, trials: int = 20, seed: int = 0) -> MomentEsti
     holds one n-by-n array and a 128-row panel at k = 3 and 4, and k = 6
     costs 2 n^3 flops.
     """
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if n < 2:
-        raise ValueError(f"n must be at least 2, got {n}")
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
+    _check_size(k, 1)
+    _check_size(n, 2, "n")
+    _check_size(trials, 1, "trials")
+    _check_size(seed, 0, "seed")
     target = catalan(k // 2) if k % 2 == 0 else 0
     return _estimate("wigner", k, n, None, trials, seed, lambda rng: _wigner_matrix(rng, n), n,
                      target)
@@ -202,12 +199,11 @@ def wishart_moment(k: int, n: int, m: int, trials: int = 20, seed: int = 0) -> M
     exactly symmetric: for k >= 3 it takes the symmetric path, one m-by-m
     array and a 128-row panel at k = 3 and 4.
     """
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if n < 2 or m < 2:
-        raise ValueError(f"matrix dimensions must be at least 2, got n={n}, m={m}")
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
+    _check_size(k, 1)
+    _check_size(n, 2, "n")
+    _check_size(m, 2, "m")
+    _check_size(trials, 1, "trials")
+    _check_size(seed, 0, "seed")
     target = narayana_poly(k).evaluate(Fraction(m, n))
     return _estimate("wishart", k, n, m, trials, seed, lambda rng: _wishart_matrix(rng, m, n), m,
                      target)

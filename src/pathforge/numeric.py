@@ -26,10 +26,19 @@ def _parse_int(text: str) -> int:
     return int(text)
 
 
+def _check_size(value, low: int = 0, name: str = "k") -> None:
+    """The one size rule, for every entry that takes a size, count or seed:
+    refuse a value that is not an int (a bool included) or is below low."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < low:
+        bound = {0: "nonnegative", 1: "positive"}.get(low, f"at least {low}")
+        raise ValueError(f"{name} must be {bound}, got {value}")
+
+
 def catalan(k: int) -> int:
     """k-th Catalan number, binom(2k, k) / (k + 1)."""
-    if k < 0:
-        raise ValueError(f"catalan: k must be nonnegative, got {k}")
+    _check_size(k)
     return math.comb(2 * k, k) // (k + 1)
 
 
@@ -39,9 +48,9 @@ def narayana(k: int, r: int) -> int:
     Counts alternating Motzkin paths of length 2k with exactly r rises;
     defined for k >= 1 and 0 <= r <= k - 1.
     """
-    if k < 1:
-        raise ValueError(f"narayana: k must be positive, got {k}")
-    if not 0 <= r <= k - 1:
+    _check_size(k, 1)
+    _check_size(r, 0, "r")
+    if r > k - 1:
         raise ValueError(f"narayana: r must be in [0, {k - 1}], got {r}")
     return math.comb(k, r) * math.comb(k - 1, r) // (r + 1)
 
@@ -49,9 +58,10 @@ def narayana(k: int, r: int) -> int:
 def narayana_poly(k: int) -> "GammaPoly":
     """Generating polynomial of the Narayana numbers N_{k,0..k-1}.
 
-    Evaluates to catalan(k) at gamma = 1.
+    Evaluates to catalan(k) at gamma = 1, so it is 1 at k = 0: the empty path.
     """
-    return GammaPoly(narayana(k, r) for r in range(k))
+    _check_size(k)
+    return GammaPoly(narayana(k, r) for r in range(k)) if k else GammaPoly((1,))
 
 
 class GammaPoly:

@@ -24,6 +24,8 @@ import enum
 from itertools import accumulate
 from typing import Iterator, NamedTuple
 
+from .numeric import _check_size
+
 RISE, LEVEL, FALL = 1, 0, -1
 
 _CHARS = "LUD"  # indexed by step: 0, 1, -1
@@ -51,6 +53,12 @@ _LAW = {
     PathKind.DYCK: ((RISE, FALL), (RISE, FALL)),
     PathKind.ALT_MOTZKIN: ((LEVEL, RISE), (LEVEL, FALL)),
 }
+
+
+def _check_kind(kind) -> None:
+    """Refuse a kind that is not a PathKind member, before the law is read."""
+    if not isinstance(kind, PathKind):
+        raise ValueError(f"kind must be a PathKind, got {kind!r}")
 
 
 def steps_at(kind: PathKind, pos: int) -> tuple[int, ...]:
@@ -87,8 +95,7 @@ class Path:
         n = len(steps)
         if n % 2 != 0:
             raise ValueError(f"path length must be even, got {n}")
-        if not isinstance(kind, PathKind):
-            raise ValueError(f"kind must be a PathKind, got {kind!r}")
+        _check_kind(kind)
         law = _LAW[kind]
         alt = 0
         for pos, s in enumerate(steps, start=1):
@@ -172,9 +179,8 @@ def _listing(kind: PathKind, k: int) -> Iterator[str]:
     2k - d steps are walked depth first on an explicit stack, and each
     prefix is joined to every tail at its altitude, so a path costs one
     string concatenation.  Raises at the call, not at the first item, on a
-    negative k."""
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
+    k that is no size."""
+    _check_size(k)
     n = 2 * k
     d = min((k + 1) // 2, _TAIL_STEPS)
     p = n - d

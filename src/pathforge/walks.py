@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .numeric import _parse_int
+from .numeric import _check_size, _parse_int
 from .paths import Path, PathKind, altitudes
 
 
@@ -40,8 +40,7 @@ class Walk(NamedTuple("Walk", [("nodes", tuple[int, ...])])):
         if nodes[0] != nodes[-1]:
             raise ValueError(f"walk is not closed: starts at {nodes[0]}, ends at {nodes[-1]}")
         for t, node in enumerate(nodes):
-            if node < 0:
-                raise ValueError(f"negative node {node} at time {t}")
+            _check_size(node, 0, f"node at time {t}")
         for t, (a, b) in enumerate(zip(nodes, nodes[1:]), start=1):
             if abs(b - a) > 1:
                 raise ValueError(f"move from {a} to {b} at time step {t} is not in -1/0/+1")

@@ -78,7 +78,7 @@ def test_enumerate_csv_one_path_per_line(capsys):
 
 
 def test_stats_json_schema(capsys):
-    code, out, _ = run(capsys, "stats", "--path", "LUDL", "--kind", "altmotzkin")
+    code, out, _ = run(capsys, "stats", "--path", "LUDL")
     assert code == 0
     data = json.loads(out)
     assert data == {
@@ -93,7 +93,7 @@ def test_stats_json_schema(capsys):
 
 
 def test_stats_csv(capsys):
-    code, out, _ = run(capsys, "stats", "--path", "UDUDUD", "--kind", "dyck", "--format", "csv")
+    code, out, _ = run(capsys, "stats", "--path", "UDUDUD", "--format", "csv")
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "kind,k,path,R,V,L,r"
@@ -102,7 +102,7 @@ def test_stats_csv(capsys):
 
 def test_stats_multiple_paths(capsys):
     code, out, _ = run(
-        capsys, "stats", "--path", "UUDD", "--path", "UDUD", "--kind", "dyck"
+        capsys, "stats", "--path", "UUDD", "--path", "UDUD"
     )
     assert code == 0
     data = json.loads(out)
@@ -234,10 +234,10 @@ def test_walk_lowercase_path_is_refused(capsys):
 
 
 def test_walk_and_invert_take_the_kind_from_the_path(monkeypatch):
-    # every U/D/L string of up to 6 steps: walk --to runs exactly when the
-    # string parses as the kind it states, and invert prints what
+    # every U/D/L string of up to 6 steps: stats and walk --to run exactly
+    # when the string parses as the kind it states, and invert prints what
     # bijections.invert gives on the string parsed as the construction's
-    # kind, or exits 1 with nothing on stdout.  One parser serves all 5,465
+    # kind, or exits 1 with nothing on stdout.  One parser serves all 6,558
     # runs: building it is most of a run's time.
     monkeypatch.setattr(cli, "build_parser", functools.lru_cache(cli.build_parser))
     for n in range(7):
@@ -247,6 +247,7 @@ def test_walk_and_invert_take_the_kind_from_the_path(monkeypatch):
             except ValueError:
                 parses = False
             assert (run_any("walk", "--to", "--path", text)[0] == 0) is parses, text
+            assert (run_any("stats", "--path", text)[0] == 0) is parses, text
             for c in "ABCD":
                 code, out, _ = run_any("invert", "--construction", c, "--path", text)
                 try:
@@ -255,6 +256,10 @@ def test_walk_and_invert_take_the_kind_from_the_path(monkeypatch):
                     assert (code, out) == (1, ""), (c, text)
                 else:
                     assert (code, out) == (0, json.dumps(t.to_json_dict(), indent=2) + "\n"), (c, text)
+    # stats has no --kind to repeat or refuse what the path states
+    code, out, err = run_any("stats", "--path", "UD", "--kind", "dyck")
+    assert (code, out) == (2, "") and "Traceback" not in err
+    assert err.splitlines()[-1].endswith("error: unrecognized arguments: --kind dyck"), err
 
 
 def test_invert_refuses_a_path_of_another_kind(capsys):
@@ -475,7 +480,7 @@ def test_usage_errors_exit_2():
 
 
 def test_computation_errors_exit_1(capsys):
-    code, _, err = run(capsys, "stats", "--path", "UDX", "--kind", "dyck")
+    code, _, err = run(capsys, "stats", "--path", "UDX")
     assert code == 1
     assert "invalid character" in err
 
@@ -485,7 +490,7 @@ def test_an_allocation_failing_without_a_message_says_so(capsys, monkeypatch):
         raise MemoryError
 
     monkeypatch.setattr(cli, "_cmd_stats", fail)
-    assert run(capsys, "stats", "--path", "UD", "--kind", "dyck") == (1, "", "error: out of memory\n")
+    assert run(capsys, "stats", "--path", "UD") == (1, "", "error: out of memory\n")
 
 
 @pytest.mark.parametrize("text", [
@@ -783,7 +788,7 @@ _IMPORT_GRAPH_SCRIPT = """
 import contextlib, io, sys
 from pathforge.cli import main
 for argv in [
-    ["stats", "--path", "UDUD", "--kind", "dyck"],
+    ["stats", "--path", "UDUD"],
     ["map", "--construction", "B"],
     ["invert", "--construction", "A", "--path", "UUUDDUDD"],
     ["walk", "--to", "--path", "LUDL"],
@@ -835,7 +840,7 @@ _LOADS = {
 @pytest.mark.parametrize("argv", [
     ["enumerate", "--kind", "altmotzkin", "--k", "4"],
     ["enumerate", "--kind", "dyck", "--k", "4", "--format", "csv"],
-    ["stats", "--path", "UDUD", "--kind", "dyck"],
+    ["stats", "--path", "UDUD"],
     ["report", "--k-max", "6", "--format", "csv"],
     ["verify", "--identity", "4", "--k-max", "6"],
     ["map", "--construction", "B"],
@@ -866,8 +871,8 @@ print(code, *sorted({"dataclasses", "inspect", "fractions", "decimal"} & (set(sy
 @pytest.mark.parametrize("argv", [
     ["enumerate", "--kind", "altmotzkin", "--k", "4"],
     ["enumerate", "--kind", "dyck", "--k", "4", "--format", "csv"],
-    ["stats", "--path", "LUDL", "--path", "LLLL", "--kind", "altmotzkin"],
-    ["stats", "--path", "UUDD", "--kind", "dyck", "--format", "csv"],
+    ["stats", "--path", "LUDL", "--path", "LLLL"],
+    ["stats", "--path", "UUDD", "--format", "csv"],
     ["map", "--construction", "B"],
     ["invert", "--construction", "A", "--path", "UUUDDUDD"],
 ], ids=" ".join)
@@ -880,7 +885,7 @@ def test_listing_and_stats_load_no_dataclasses_or_fractions(argv):
 
 @pytest.mark.parametrize("argv", [
     ["enumerate", "--kind", "dyck", "--k", "4"],
-    ["stats", "--path", "UDUD", "--kind", "dyck"],
+    ["stats", "--path", "UDUD"],
     ["report", "--k-max", "6", "--format", "csv"],
     ["verify", "--identity", "4", "--k-max", "6"],
     ["map", "--construction", "B"],
@@ -1025,7 +1030,6 @@ _STATS_ARGV = _argv(
     "stats",
     st.lists(_PATH_TEXT, min_size=1, max_size=3).map(
         lambda paths: tuple(a for p in paths for a in ("--path", p))),
-    _flag("--kind", st.sampled_from(["dyck", "altmotzkin"])),
     _FORMAT,
 )
 _NODES = st.lists(st.integers(-1, 3), max_size=9).map(lambda nodes: ",".join(map(str, nodes)))
@@ -1033,7 +1037,6 @@ _WALK_ARGV = _argv(
     "walk",
     st.one_of(_PATH_TEXT.map(lambda p: ("--to", "--path", p)),
               st.one_of(_NODES, _JUNK).map(lambda w: ("--from", "--path", w))),
-    _option("--kind", st.sampled_from(["dyck", "altmotzkin"])),
     _FORMAT,
 )
 

@@ -60,6 +60,12 @@ def test_fold_upto_refuses_a_size_at_the_call(k_max):
             fold.fold_upto(kind, k_max)
 
 
+def test_fold_upto_refuses_a_kind_at_the_call():
+    # with Path's refusal, not a KeyError at the first fold
+    with pytest.raises(ValueError, match="^kind must be a PathKind, got 'dyck'$"):
+        fold.fold_upto("dyck", 3)
+
+
 @pytest.mark.parametrize("k_max", [12, 20])
 @pytest.mark.parametrize("kind", PathKind, ids=lambda kind: kind.value)
 def test_one_pass_yields_each_size_as_a_pass_to_that_size(kind, k_max):

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pathforge.bijections import five_tuples, image_paths
 from pathforge.fold import fold_upto
-from pathforge.identities import verify
+from pathforge.identities import sweep, verify
 from pathforge.numeric import GAMMA, GammaPoly, _parse_int, catalan, narayana, narayana_poly
-from pathforge.paths import PathKind
+from pathforge.paths import PathKind, _listing, enumerate_alt_motzkin, enumerate_dyck
 
 
 def segner_catalan(k_max):
@@ -61,6 +62,63 @@ def test_narayana_rejects_bad_arguments():
         narayana(3, 3)
     with pytest.raises(ValueError):
         narayana(3, -1)
+
+
+def _moments():
+    # numpy loads for the moments entries alone
+    from pathforge import moments
+
+    return moments
+
+
+# every entry that takes a size, count or seed, called with a value in that
+# place, and the least value it takes there
+_SIZE_ENTRIES = {
+    "catalan": (catalan, 0),
+    "narayana k": (lambda v: narayana(v, 0), 1),
+    "narayana r": (lambda v: narayana(3, v), 0),
+    "narayana_poly": (narayana_poly, 0),
+    "_listing": (lambda v: _listing(PathKind.DYCK, v), 0),
+    "enumerate_dyck": (enumerate_dyck, 0),
+    "enumerate_alt_motzkin": (enumerate_alt_motzkin, 0),
+    **{f"five_tuples {c}": (lambda v, c=c: five_tuples(c, v), 0) for c in "ABCD"},
+    **{f"image_paths {c}": (lambda v, c=c: image_paths(c, v), 0) for c in "ABCD"},
+    "fold_upto": (lambda v: fold_upto(PathKind.ALT_MOTZKIN, v), 0),
+    "sweep": (lambda v: sweep(["thm1", "thm5"], v), 0),
+    "verify thm1": (lambda v: verify("thm1", v), 1),
+    "verify thm4": (lambda v: verify("thm4", v), 2),
+    "trace_power": (lambda v: _moments().trace_power([[1.0, 0.0], [0.0, 1.0]], v), 1),
+    "wigner_moment k": (lambda v: _moments().wigner_moment(v, 10), 1),
+    "wigner_moment n": (lambda v: _moments().wigner_moment(2, v), 2),
+    "wigner_moment trials": (lambda v: _moments().wigner_moment(2, 10, trials=v), 1),
+    "wigner_moment seed": (lambda v: _moments().wigner_moment(2, 10, seed=v), 0),
+    "wishart_moment k": (lambda v: _moments().wishart_moment(v, 10, 5), 1),
+    "wishart_moment n": (lambda v: _moments().wishart_moment(2, v, 5), 2),
+    "wishart_moment m": (lambda v: _moments().wishart_moment(2, 10, v), 2),
+    "wishart_moment trials": (lambda v: _moments().wishart_moment(2, 10, 5, trials=v), 1),
+    "wishart_moment seed": (lambda v: _moments().wishart_moment(2, 10, 5, seed=v), 0),
+}
+
+
+@pytest.mark.parametrize("value", [True, 2.0, "below"])
+@pytest.mark.parametrize("entry", _SIZE_ENTRIES)
+def test_every_size_entry_refuses_what_is_no_size(entry, value):
+    # at the call: an entry that returns an iterator is never advanced here
+    call, low = _SIZE_ENTRIES[entry]
+    if value == "below":
+        value = low - 1
+        bound = {0: "nonnegative", 1: "positive"}.get(low, f"at least {low}")
+        message = f" must be {bound}, got {value}$"
+    else:
+        message = f" must be an int, got {value!r}$"
+    with pytest.raises(ValueError, match=message):
+        call(value)
+
+
+def test_narayana_poly_is_the_folds_count():
+    # the rise-weighted count of alternating Motzkin paths, 1 for the empty path
+    counts = [f.count for f in fold_upto(PathKind.ALT_MOTZKIN, 12)]
+    assert [narayana_poly(k) for k in range(13)] == counts
 
 
 @pytest.mark.parametrize("k", range(1, 21))

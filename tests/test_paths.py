@@ -189,8 +189,7 @@ def test_alt_motzkin_weight_is_narayana_poly(k):
     weight = [0] * max(k, 1)
     for p in enumerate_alt_motzkin(k):
         weight[p.rise_count()] += 1
-    expected = narayana_poly(k) if k >= 1 else GammaPoly([1])
-    assert GammaPoly(weight) == expected
+    assert GammaPoly(weight) == narayana_poly(k)
 
 
 def test_stats_worked_examples():

@@ -47,10 +47,16 @@ def test_walk_to_path_refuses_a_walk_not_from_node_0():
 def test_walk_validation():
     with pytest.raises(ValueError, match="not closed"):
         Walk((0, 1))
-    with pytest.raises(ValueError, match="negative node"):
+    with pytest.raises(ValueError, match="node at time 1 must be nonnegative"):
         Walk((0, -1, 0))
     with pytest.raises(ValueError, match="not in -1/0/\\+1"):
         Walk((0, 2, 0))
+
+
+@pytest.mark.parametrize("node", [True, 0.5])
+def test_walk_refuses_a_node_that_is_no_int(node):
+    with pytest.raises(ValueError, match=f"^node at time 1 must be an int, got {node!r}$"):
+        Walk((0, node, 0))
 
 
 def test_walk_is_checked_however_it_is_built():
