@@ -5,12 +5,11 @@ reads, its first size, its right-hand variants and the algebra that
 gives its two sides from the folds.  Every sum over paths comes from the
 transfer-matrix DP in ``fold``, which the tests cross-check against
 enumeration of every path for small k.  ``verify`` checks one identity
-at one size from the folds a caller already has, indexed by size;
-without them it runs one DP pass to its own k.  ``sweep`` folds each
-path kind that its identities read once for all of them, every size up
-to k_max from a few DP passes, never one pass per identity or per size,
-and ``SweepResult.passes`` gives its verdict from the default-convention
-reports.
+at one size from one DP pass to its k.  ``sweep`` folds each path kind
+that its identities read once for all of them, every size up to k_max
+from a few DP passes, never one pass per identity or per size, and
+``SweepResult.passes`` gives its verdict from the default-convention
+reports.  Both read the sides through ``_report``.
 
 The first three compare squared expectation norms of altitude vectors with
 Catalan/Narayana ratios; they hold for every k and the verifier checks
@@ -110,16 +109,22 @@ def _row(name: str) -> _Identity:
     return _ROWS[name]
 
 
-def verify(name: str, k: int, rhs_index: str | None = None,
-           folds: Sequence[Fold] | None = None) -> IdentityReport:
-    """Verify the named identity at size k exactly; a k that is not an int
-    (a bool included) or is below the row's first size is a ValueError.
+def _report(name: str, row: _Identity, k: int, rhs_index: str | None,
+            folds: Sequence[Fold]) -> IdentityReport:
+    """The named identity at size k in one right-hand variant, from the
+    row's folds indexed by size (folds[j] of size j, up to k)."""
+    g = k - 1 if rhs_index == "k-1" else k
+    lhs, rhs = row.sides(folds[k], folds[g], k)
+    return IdentityReport(name, k, lhs, rhs, rhs_index=rhs_index)
+
+
+def verify(name: str, k: int, rhs_index: str | None = None) -> IdentityReport:
+    """Verify the named identity at size k exactly, from one DP pass to k;
+    a k that is not an int (a bool included) or is below the row's first
+    size is a ValueError.
 
     ``rhs_index`` picks a right-hand variant of thm4 or thm5; None picks
-    the row's default, which the report records.  ``folds[j]``, when
-    given, is the size-j fold for j = k-1 and k, and one that is not the
-    size-j fold of the row's kind is a ValueError; by default one DP
-    pass to k computes both.
+    the row's default, which the report records.
 
     thm1: the squared norm of the expected rise vector of Dyck paths
       equals C_{2k}/C_k^2 - 1.
@@ -144,16 +149,7 @@ def verify(name: str, k: int, rhs_index: str | None = None,
     _check_size(k, row.k_min)
     if rhs_index not in row.variants:
         raise ValueError(f"rhs_index must be one of {row.variants}, got {rhs_index!r}")
-    if folds is None:
-        folds = tuple(fold_upto(row.kind, k))
-    g = k - 1 if rhs_index == "k-1" else k
-    # Dyck values are ints, alternating Motzkin values GammaPolys
-    count_type = int if row.kind is PathKind.DYCK else GammaPoly
-    for j in (g, k):
-        if j >= len(folds) or folds[j].k != j or type(folds[j].count) is not count_type:
-            raise ValueError(f"folds[{j}] is not the size-{j} fold of {row.kind.value} paths")
-    lhs, rhs = row.sides(folds[k], folds[g], k)
-    return IdentityReport(name, k, lhs, rhs, rhs_index=rhs_index)
+    return _report(name, row, k, rhs_index, tuple(fold_upto(row.kind, k)))
 
 
 class SweepResult(NamedTuple):
@@ -215,5 +211,5 @@ def sweep(identities: Sequence[str], k_max: int, time_budget: float | None = Non
                     have.append(f)
             if out_of_time():
                 return SweepResult(tuple(reports), truncated=True)
-            reports.extend(verify(name, k, v, have) for v in row.variants)
+            reports.extend(_report(name, row, k, v, have) for v in row.variants)
     return SweepResult(tuple(reports))

@@ -15,7 +15,9 @@ The one enumerator lists rendered strings: it walks the prefixes of a
 path depth first and joins each to every precomputed tail that closes it,
 so a listing (``pathforge enumerate``) writes strings without building
 ``Path`` objects.  ``enumerate_dyck``/``enumerate_alt_motzkin`` parse the
-same strings into validated paths, in the same order.
+same strings into validated paths, in the same order.  A kind is a
+``PathKind`` member: ``Path`` refuses anything else through
+``_check_kind``, for ``parse`` and for every caller.
 """
 
 from __future__ import annotations
@@ -153,10 +155,8 @@ class Path:
         return self.steps.count(RISE)
 
 
-def parse(text: str, kind: PathKind | str) -> Path:
+def parse(text: str, kind: PathKind) -> Path:
     """Parse a path string over the alphabet U/D/L; round-trips with render."""
-    if kind.__class__ is not PathKind:
-        kind = PathKind(kind)
     text = text.strip()
     steps = list(map(_CHAR_TO_STEP.get, text))
     if None in steps:

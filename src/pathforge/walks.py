@@ -8,9 +8,9 @@ correspond to Dyck paths; walks whose right moves happen only at even
 time steps and left moves only at odd time steps correspond to
 alternating Motzkin paths.  So a walk states its kind, as ``pathforge
 walk`` reads it: one with a loop can only be alternating Motzkin.
-``walk_to_path`` still takes the kind, since the walk at node 0 alone is
-the empty path of either kind.  ``Walk.parse`` reads each node as ASCII
--?[0-9]+ alone.
+``walk_to_path`` still takes the kind, a ``PathKind`` member, since the
+walk at node 0 alone is the empty path of either kind.  ``Walk.parse``
+reads each node as ASCII -?[0-9]+ alone.
 Under the correspondence, time spent at node i is the vertex count V_i,
 advances into node i+1 are the rises R_i, and loops at node i are the
 level steps there.  ``paths.stats`` of the path counts them: its vertex
@@ -34,7 +34,8 @@ class Walk(NamedTuple("Walk", [("nodes", tuple[int, ...])])):
 
     __slots__ = ()
 
-    def __new__(cls, nodes: tuple[int, ...]):
+    def __new__(cls, nodes):
+        nodes = tuple(nodes)
         if len(nodes) < 1:
             raise ValueError("a walk visits at least one node")
         if nodes[0] != nodes[-1]:
@@ -74,10 +75,10 @@ def path_to_walk(path: Path) -> Walk:
     return Walk(altitudes(path.steps))
 
 
-def walk_to_path(walk: Walk, kind: PathKind | str) -> Path:
+def walk_to_path(walk: Walk, kind: PathKind) -> Path:
     """Inverse of path_to_walk: the moves of a walk from node 0, validated
     as a path of the given kind (so a walk with loops is no Dyck path)."""
     if walk.nodes[0] != 0:
         raise ValueError(f"walk starts at node {walk.nodes[0]}, not at node 0")
-    return Path(walk.moves(), PathKind(kind))
+    return Path(walk.moves(), kind)
 

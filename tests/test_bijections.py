@@ -31,7 +31,7 @@ ROUND_TRIP_KS = {"A": (1, 2, 3, 4, 5), "B": (1, 2, 3, 4, 5), "C": (1, 2, 3, 4), 
 
 
 def t5(construction, p1, p2, i, m1, m2):
-    kind = "dyck" if construction in "AB" else "altmotzkin"
+    kind = PathKind.DYCK if construction in "AB" else PathKind.ALT_MOTZKIN
     return bj.FiveTuple(construction, parse(p1, kind), parse(p2, kind), i, m1, m2)
 
 
@@ -42,7 +42,7 @@ def test_construct_a_worked_example():
 
 
 def test_invert_a_worked_example():
-    t = bj.invert("A", parse("UUUDDUDD", "dyck"))
+    t = bj.invert("A", parse("UUUDDUDD", PathKind.DYCK))
     assert t == t5("A", "UDUD", "UUDD", 0, 1, 4)
 
 
@@ -58,7 +58,7 @@ def test_a_input_count_k2():
 
 def test_invert_a_rejects_zero_middle():
     with pytest.raises(ValueError, match="middle altitude 0"):
-        bj.invert("A", parse("UUDDUUDD", "dyck"))
+        bj.invert("A", parse("UUDDUUDD", PathKind.DYCK))
 
 
 def test_construct_b_worked_example():
@@ -116,7 +116,7 @@ def test_d_weight_identity_k1():
     ],
 )
 def test_construct_rejects_bad_marks(construction, p, fragment):
-    kind = "dyck" if construction == "A" else "altmotzkin"
+    kind = PathKind.DYCK if construction == "A" else PathKind.ALT_MOTZKIN
     t = bj.FiveTuple(construction, parse(p, kind), parse(p, kind), 0, 2 if construction == "A" else 1, 2)
     with pytest.raises(ValueError, match=fragment):
         bj.construct(t)
@@ -136,14 +136,14 @@ def test_construct_d_rejects_parity_violations():
 
 def test_invert_c_rejects_odd_or_zero_middle():
     with pytest.raises(ValueError, match="positive and even"):
-        bj.invert("C", parse("LUDLLUDL", "altmotzkin"))  # middle altitude 0
+        bj.invert("C", parse("LUDLLUDL", PathKind.ALT_MOTZKIN))  # middle altitude 0
     with pytest.raises(ValueError, match="positive and even"):
-        bj.invert("C", parse("LUDL", "altmotzkin"))  # middle altitude 1
+        bj.invert("C", parse("LUDL", PathKind.ALT_MOTZKIN))  # middle altitude 1
 
 
 def test_invert_d_rejects_even_middle():
     with pytest.raises(ValueError, match="must be odd"):
-        bj.invert("D", parse("LLLL", "altmotzkin"))
+        bj.invert("D", parse("LLLL", PathKind.ALT_MOTZKIN))
 
 
 def _may_mark(c, path, i, side, q):
@@ -183,16 +183,16 @@ def test_admits_is_the_candidates_scan(construction):
 
 # every refusal of construct and invert, word for word
 _REFUSALS = [
-    (lambda: bj.construct(bj.FiveTuple("Z", parse("UD", "dyck"), parse("UD", "dyck"), 0, 1, 2)),
+    (lambda: bj.construct(bj.FiveTuple("Z", parse("UD", PathKind.DYCK), parse("UD", PathKind.DYCK), 0, 1, 2)),
      "unknown construction 'Z'"),
-    (lambda: bj.invert("Z", parse("UUDD", "dyck")), "unknown construction 'Z'"),
-    (lambda: bj.invert(["A"], parse("UUDD", "dyck")), "unknown construction ['A']"),
-    (lambda: bj.construct(bj.FiveTuple("A", parse("UD", "dyck"), parse("LL", "altmotzkin"), 0, 1, 2)),
+    (lambda: bj.invert("Z", parse("UUDD", PathKind.DYCK)), "unknown construction 'Z'"),
+    (lambda: bj.invert(["A"], parse("UUDD", PathKind.DYCK)), "unknown construction ['A']"),
+    (lambda: bj.construct(bj.FiveTuple("A", parse("UD", PathKind.DYCK), parse("LL", PathKind.ALT_MOTZKIN), 0, 1, 2)),
      "construction A needs dyck paths"),
-    (lambda: bj.construct(bj.FiveTuple("D", parse("UD", "dyck"), parse("LL", "altmotzkin"), 0, 2, 1)),
+    (lambda: bj.construct(bj.FiveTuple("D", parse("UD", PathKind.DYCK), parse("LL", PathKind.ALT_MOTZKIN), 0, 2, 1)),
      "construction D needs altmotzkin paths"),
-    (lambda: bj.invert("C", parse("UUUDDUDD", "dyck")), "construction C inverts altmotzkin paths"),
-    (lambda: bj.invert("B", parse("LUDL", "altmotzkin")), "construction B inverts dyck paths"),
+    (lambda: bj.invert("C", parse("UUUDDUDD", PathKind.DYCK)), "construction C inverts altmotzkin paths"),
+    (lambda: bj.invert("B", parse("LUDL", PathKind.ALT_MOTZKIN)), "construction B inverts dyck paths"),
     (lambda: bj.construct(t5("A", "UD", "UUDD", 0, 1, 4)), "p1 and p2 must have the same length"),
     (lambda: bj.construct(t5("B", "", "", 0, 0, 0)), "paths must be nonempty"),
     (lambda: bj.construct(t5("A", "UDUD", "UUDD", 0, 2, 4)), "mark1=2 is not a rise from altitude 0 in p1"),
@@ -205,17 +205,17 @@ _REFUSALS = [
     (lambda: bj.construct(t5("C", "LUDL", "LUDL", 0, 2, -1)), "mark2=-1 is not a fall to altitude 0 in p2"),
     (lambda: bj.construct(t5("D", "LL", "LL", 0, 1, 1)), "mark1=1 is not an even-step level at altitude 0 in p1"),
     (lambda: bj.construct(t5("D", "LL", "LL", 0, 2, 2)), "mark2=2 is not an odd-step level at altitude 0 in p2"),
-    (lambda: bj.invert("A", parse("UD", "dyck")), "path length must be 4k with k >= 1, got 2"),
-    (lambda: bj.invert("A", parse("UUUDDD", "dyck")), "path length must be 4k with k >= 1, got 6"),
-    (lambda: bj.invert("C", parse("", "altmotzkin")), "path length must be 4k with k >= 1, got 0"),
-    (lambda: bj.invert("B", parse("UUDD", "dyck")), "path length must be 4k+2 with k >= 1, got 4"),
-    (lambda: bj.invert("B", parse("UD", "dyck")), "path length must be 4k+2 with k >= 1, got 2"),
-    (lambda: bj.invert("D", parse("LLLLLL", "altmotzkin")), "path length must be 4k with k >= 1, got 6"),
-    (lambda: bj.invert("A", parse("UUDDUUDD", "dyck")),
+    (lambda: bj.invert("A", parse("UD", PathKind.DYCK)), "path length must be 4k with k >= 1, got 2"),
+    (lambda: bj.invert("A", parse("UUUDDD", PathKind.DYCK)), "path length must be 4k with k >= 1, got 6"),
+    (lambda: bj.invert("C", parse("", PathKind.ALT_MOTZKIN)), "path length must be 4k with k >= 1, got 0"),
+    (lambda: bj.invert("B", parse("UUDD", PathKind.DYCK)), "path length must be 4k+2 with k >= 1, got 4"),
+    (lambda: bj.invert("B", parse("UD", PathKind.DYCK)), "path length must be 4k+2 with k >= 1, got 2"),
+    (lambda: bj.invert("D", parse("LLLLLL", PathKind.ALT_MOTZKIN)), "path length must be 4k with k >= 1, got 6"),
+    (lambda: bj.invert("A", parse("UUDDUUDD", PathKind.DYCK)),
      "middle altitude 0 is not in the image of construction A: it must be positive and even"),
-    (lambda: bj.invert("C", parse("LUDL", "altmotzkin")),
+    (lambda: bj.invert("C", parse("LUDL", PathKind.ALT_MOTZKIN)),
      "middle altitude 1 is not in the image of construction C: it must be positive and even"),
-    (lambda: bj.invert("D", parse("LLLLLLLL", "altmotzkin")),
+    (lambda: bj.invert("D", parse("LLLLLLLL", PathKind.ALT_MOTZKIN)),
      "middle altitude 0 is not in the image of construction D: it must be odd"),
 ]
 
@@ -285,7 +285,7 @@ def test_construct_and_invert_take_linear_time(construction):
     """A tall path goes through invert and back in well under 2 s; a
     surgery that rescans the half for each step it opens takes tens of
     seconds here."""
-    kind = "dyck" if construction in "AB" else "altmotzkin"
+    kind = PathKind.DYCK if construction in "AB" else PathKind.ALT_MOTZKIN
     path = parse(_TALL_PATHS[construction], kind)
     start = time.perf_counter()
     assert bj.construct(bj.invert(construction, path)).path == path

@@ -953,10 +953,18 @@ def _option(flag, values):
     return st.one_of(st.just(()), _flag(flag, values))
 
 
+# the flags that take no value; every other flag takes the word after it
+_BARE_FLAGS = ("--count-only", "--to", "--from")
+
+
 def _argv(command, *parts):
     def spoil(args):
         argv, i, word = args
-        i = 1 + i % (len(argv) - 1)
+        # replace a flag's value, never a flag: a command line that lost a
+        # flag mostly meets argparse's missing-argument refusal
+        values = [j for j in range(2, len(argv))
+                  if argv[j - 1].startswith("--") and argv[j - 1] not in _BARE_FLAGS]
+        i = values[i % len(values)]
         return (*argv[:i], word, *argv[i + 1:])
 
     argvs = st.tuples(*parts).map(lambda ps: (command, *(a for p in ps for a in p)))

@@ -107,13 +107,6 @@ def test_verify_preconditions():
             verify(name, 1)
         with pytest.raises(ValueError):
             verify(name, 3, "k-2")
-    # given folds must be the size-j folds of the row's kind, each folds[j]
-    d = tuple(fold_upto(PathKind.DYCK, 6))
-    for name, k, folds in (("thm1", 3, d[1:]),  # sizes shifted by one
-                           ("thm3", 3, d),      # Dyck folds for an alternating Motzkin row
-                           ("thm1", 8, d)):     # too few folds
-        with pytest.raises(ValueError, match=f"folds\\[{k}\\] is not the size-{k} fold"):
-            verify(name, k, folds=folds)
 
 
 # --- independent oracles -------------------------------------------------
@@ -175,10 +168,10 @@ def test_thm4_both_sides_against_direct_enumeration(k):
 # --- closed forms of identities 4 and 5: checked against the DP, not proved
 
 def test_thm4_sides_are_powers_of_four():
-    folds = tuple(fold_upto(PathKind.DYCK, K_MAX_LIMIT))
-    for k in range(2, K_MAX_LIMIT + 1):
-        r = verify("thm4", k, folds=folds)
-        assert r.lhs == 4 ** (k - 1) == r.rhs, k
+    reports = [r for r in sweep(["thm4"], K_MAX_LIMIT).reports if r.is_default_convention]
+    assert [r.k for r in reports] == list(range(2, K_MAX_LIMIT + 1))
+    for r in reports:
+        assert r.lhs == 4 ** (r.k - 1) == r.rhs, r.k
 
 
 def test_dyck_fold_lemmas():
@@ -335,13 +328,14 @@ def test_thm5_sides_are_a_narayana_convolution():
     # sum_{j=2..k} g N_{j-1}(g) c_{k-j}, with c_n the x^n coefficient of
     # 1/((1 - x(1+g))^2 - 4 g x^2): c_n = 2(1+g) c_{n-1} - (1-g)^2 c_{n-2}
     k_max = 40
-    folds = tuple(fold_upto(PathKind.ALT_MOTZKIN, k_max))
+    reports = [r for r in sweep(["thm5"], k_max).reports if r.is_default_convention]
+    assert [r.k for r in reports] == list(range(2, k_max + 1))
     c = [GammaPoly([1]), GammaPoly([2, 2])]
     while len(c) < k_max - 1:
         c.append(GammaPoly([2, 2]) * c[-1] - GammaPoly([1, -2, 1]) * c[-2])
-    for k in range(2, k_max + 1):
+    for r in reports:
+        k = r.k
         closed = sum((GAMMA * narayana_poly(j - 1) * c[k - j] for j in range(2, k + 1)), GammaPoly())
-        r = verify("thm5", k, folds=folds)
         assert r.lhs == closed == r.rhs, k
 
 

@@ -148,6 +148,7 @@ def test_poly_canonical_form():
     assert GammaPoly([0, 0]).coeffs == ()
     assert not GammaPoly()
     assert GammaPoly([0, 1])
+    assert repr(GammaPoly([1, 2, 0, 0])) == "GammaPoly([1, 2])" and repr(GammaPoly()) == "GammaPoly([])"
 
 
 def test_poly_multiplication_schoolbook():
@@ -178,6 +179,11 @@ def test_poly_scalar_and_int_coercion():
     assert p == p + 0
     assert GammaPoly((2,)) == 2 and GammaPoly((2, 1)) != 2
     assert 3 - GAMMA == GammaPoly([3, -1])
+    # an operand that is neither is refused, not coerced
+    for op in (lambda: p + "x", lambda: p - "x", lambda: "x" - p, lambda: p * "x"):
+        with pytest.raises(TypeError):
+            op()
+    assert (p == "x") is False
 
 
 def test_poly_immutable_and_hashable():

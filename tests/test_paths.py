@@ -31,19 +31,19 @@ from pathforge.paths import (
 
 
 def test_parse_sawtooth():
-    p = parse("UDUDUD", "dyck")
+    p = parse("UDUDUD", PathKind.DYCK)
     assert p.k == 3
     assert p.kind is PathKind.DYCK
     assert p.steps == (RISE, FALL) * 3
 
 
 def test_parse_altitude_profile():
-    p = parse("UUDDUD", "dyck")
+    p = parse("UUDDUD", PathKind.DYCK)
     assert altitudes(p.steps) == (0, 1, 2, 1, 0, 1, 0)
 
 
 def test_parse_alternating_motzkin():
-    p = parse("LUDL", "altmotzkin")
+    p = parse("LUDL", PathKind.ALT_MOTZKIN)
     assert p.k == 2
     assert p.rise_count() == 1
 
@@ -64,7 +64,7 @@ def test_parse_alternating_motzkin():
 )
 def test_parse_rejects_invalid(text, kind, fragment):
     with pytest.raises(ValueError, match=fragment):
-        parse(text, kind)
+        parse(text, PathKind(kind))
 
 
 def test_fall_on_even_step_rejected():
@@ -93,9 +93,9 @@ def test_path_accepts_exactly_the_enumerated_sequences():
 def test_parse_render_round_trip_enumerated():
     for k in range(7):
         for p in enumerate_dyck(k):
-            assert parse(p.render(), "dyck") == p
+            assert parse(p.render(), PathKind.DYCK) == p
         for p in enumerate_alt_motzkin(k):
-            assert parse(p.render(), "altmotzkin") == p
+            assert parse(p.render(), PathKind.ALT_MOTZKIN) == p
 
 
 @pytest.mark.parametrize("k", range(11))
@@ -193,17 +193,17 @@ def test_alt_motzkin_weight_is_narayana_poly(k):
 
 
 def test_stats_worked_examples():
-    st = stats(parse("UDUDUD", "dyck"))
+    st = stats(parse("UDUDUD", PathKind.DYCK))
     assert st.rises_by_altitude == (3, 0, 0)
     assert st.vertices_by_altitude == (4, 3, 0, 0)
     assert st.even_levels_by_altitude is None
     assert st.rise_count == 3
 
-    st = stats(parse("UUUDDD", "dyck"))
+    st = stats(parse("UUUDDD", PathKind.DYCK))
     assert st.rises_by_altitude == (1, 1, 1)
     assert st.vertices_by_altitude == (2, 2, 2, 1)
 
-    st = stats(parse("LLLLLL", "altmotzkin"))
+    st = stats(parse("LLLLLL", PathKind.ALT_MOTZKIN))
     assert st.rises_by_altitude == (0, 0, 0)
     assert st.even_levels_by_altitude == (3, 0, 0)
     assert st.rise_count == 0
@@ -239,11 +239,11 @@ def test_stats_sum_invariants(k):
 
 
 def test_level_parity_examples():
-    rep = check_level_parity(parse("LL", "altmotzkin"))
+    rep = check_level_parity(parse("LL", PathKind.ALT_MOTZKIN))
     assert rep.counts == ((2, 1),)
     assert rep.ok
 
-    rep = check_level_parity(parse("LUDL", "altmotzkin"))
+    rep = check_level_parity(parse("LUDL", PathKind.ALT_MOTZKIN))
     assert rep.counts == ((2, 1), (0, 0))
     assert rep.ok
 
@@ -262,7 +262,7 @@ def test_level_parity_lemma_exhaustive(k):
 
 def test_level_parity_requires_alt_motzkin():
     with pytest.raises(ValueError):
-        check_level_parity(parse("UD", "dyck"))
+        check_level_parity(parse("UD", PathKind.DYCK))
 
 
 def test_expectation_vectors_dyck_k3():
@@ -289,20 +289,21 @@ def test_expectation_vectors_alt_motzkin_k3():
 
 
 def test_path_equality_and_hash():
-    a = parse("UUDD", "dyck")
+    a = parse("UUDD", PathKind.DYCK)
     b = Path((RISE, RISE, FALL, FALL), PathKind.DYCK)
     assert a == b
     assert hash(a) == hash(b)
-    assert a != parse("UDUD", "dyck")
+    assert a != parse("UDUD", PathKind.DYCK)
 
 
 def test_path_is_a_frozen_value():
-    p = parse("LUDL", "altmotzkin")
+    p = parse("LUDL", PathKind.ALT_MOTZKIN)
     with pytest.raises(AttributeError):
         p.steps = (0, 0)
     with pytest.raises(AttributeError):
         del p.kind
     assert repr(p) == "Path(steps=(0, 1, -1, 0), kind=<PathKind.ALT_MOTZKIN: 'altmotzkin'>)"
+    assert str(p) == "LUDL"
     assert copy.copy(p) == pickle.loads(pickle.dumps(p)) == p
     assert p != p.steps
 
@@ -324,7 +325,14 @@ def test_path_rejects_kind_that_is_not_a_path_kind(kind):
         Path((1, -1), kind)
 
 
+def test_parse_takes_a_path_kind_alone():
+    # the kind goes to Path, which gives the one refusal that fold_upto shares
+    for kind in ("dyck", "bogus", None):
+        with pytest.raises(ValueError, match=f"^kind must be a PathKind, got {kind!r}$"):
+            parse("UD", kind)
+
+
 def test_steps_are_plain_ints():
-    paths = [parse("UUDD", "dyck"), parse("LUDL", "altmotzkin"), *enumerate_dyck(4), *enumerate_alt_motzkin(4)]
+    paths = [parse("UUDD", PathKind.DYCK), parse("LUDL", PathKind.ALT_MOTZKIN), *enumerate_dyck(4), *enumerate_alt_motzkin(4)]
     for p in paths:
         assert all(type(s) is int for s in p.steps), p.render()

@@ -12,36 +12,37 @@ _ENUMERATE = {PathKind.DYCK: enumerate_dyck, PathKind.ALT_MOTZKIN: enumerate_alt
 
 
 def test_dyck_to_walk_examples():
-    assert path_to_walk(parse("UD", "dyck")).nodes == (0, 1, 0)
-    assert path_to_walk(parse("UUDDUD", "dyck")).nodes == (0, 1, 2, 1, 0, 1, 0)
+    assert path_to_walk(parse("UD", PathKind.DYCK)).nodes == (0, 1, 0)
+    assert path_to_walk(parse("UUDDUD", PathKind.DYCK)).nodes == (0, 1, 2, 1, 0, 1, 0)
 
 
 def test_walk_to_dyck_example():
-    assert walk_to_path(Walk((0, 1, 0, 1, 0)), "dyck").render() == "UDUD"
+    assert walk_to_path(Walk((0, 1, 0, 1, 0)), PathKind.DYCK).render() == "UDUD"
 
 
 def test_walk_to_dyck_rejects_loops():
     with pytest.raises(ValueError, match="level step on odd step 1, which dyck paths forbid"):
-        walk_to_path(Walk((0, 0, 1, 0, 0)), "dyck")
+        walk_to_path(Walk((0, 0, 1, 0, 0)), PathKind.DYCK)
 
 
 def test_alt_motzkin_walk_examples():
-    assert path_to_walk(parse("LL", "altmotzkin")).nodes == (0, 0, 0)
-    assert path_to_walk(parse("LUDL", "altmotzkin")).nodes == (0, 0, 1, 0, 0)
-    assert walk_to_path(Walk((0, 0, 1, 0, 0)), "altmotzkin").render() == "LUDL"
+    assert path_to_walk(parse("LL", PathKind.ALT_MOTZKIN)).nodes == (0, 0, 0)
+    assert path_to_walk(parse("LUDL", PathKind.ALT_MOTZKIN)).nodes == (0, 0, 1, 0, 0)
+    assert walk_to_path(Walk((0, 0, 1, 0, 0)), PathKind.ALT_MOTZKIN).render() == "LUDL"
+    assert str(path_to_walk(parse("LUDL", PathKind.ALT_MOTZKIN))) == "0,0,1,0,0"
 
 
 def test_walk_to_alt_motzkin_rejects_parity_violation():
     # right move at odd time step 1
     with pytest.raises(ValueError, match="rise on odd step"):
-        walk_to_path(Walk((0, 1, 0, 0, 0)), "altmotzkin")
+        walk_to_path(Walk((0, 1, 0, 0, 0)), PathKind.ALT_MOTZKIN)
 
 
 def test_walk_to_path_refuses_a_walk_not_from_node_0():
     # path_to_walk starts every walk at node 0, so no other walk is an image
     for nodes in ((1, 2, 1), (1, 0, 1)):
         with pytest.raises(ValueError, match="walk starts at node 1, not at node 0"):
-            walk_to_path(Walk(nodes), "dyck")
+            walk_to_path(Walk(nodes), PathKind.DYCK)
 
 
 def test_walk_validation():
@@ -51,6 +52,23 @@ def test_walk_validation():
         Walk((0, -1, 0))
     with pytest.raises(ValueError, match="not in -1/0/\\+1"):
         Walk((0, 2, 0))
+
+
+def test_walk_keeps_its_nodes_as_a_tuple():
+    nodes = [0, 1, 0]
+    from_list, from_generator = Walk(nodes), Walk(n for n in (0, 1, 0))
+    nodes.append(7)
+    for built in (from_list, from_generator):
+        assert built == Walk((0, 1, 0)) and hash(built) == hash(Walk((0, 1, 0)))
+    assert from_list.render() == "0,1,0"
+    with pytest.raises(ValueError, match="^a walk visits at least one node$"):
+        Walk(())
+
+
+def test_walk_to_path_takes_a_path_kind_alone():
+    # the kind goes to Path, which gives the one refusal that fold_upto shares
+    with pytest.raises(ValueError, match="^kind must be a PathKind, got 'dyck'$"):
+        walk_to_path(Walk((0, 1, 0)), "dyck")
 
 
 @pytest.mark.parametrize("node", [True, 0.5])
