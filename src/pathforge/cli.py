@@ -51,15 +51,19 @@ K_MAX_LIMIT = 100
 MC_K_LIMIT = 1039
 
 # an mc trial's cost in picoseconds on the machine above, numpy on OpenBLAS:
-# fixed (27 us measured at n = 2), per Gaussian draw (16 ns, the Wigner
-# mirror included) and per n**3 of a matrix product (0.011 ns for a panel
-# product, 0.0085 for a syrk).  The largest run is _MC_SECONDS estimated;
-# the acceptance cases come to 4.8 s (Wigner, measured 3.8 s) and 1.1 s
-# (Wishart, measured 1.3 s).
-_MC_TRIAL_PS, _MC_DRAW_PS, _MC_PRODUCT_PS = 30_000_000, 16_000, 11
+# fixed (150 us, measured on a Wishart trial at m = n = 2; a Wigner one at
+# n = 2 takes about 40 us), per Gaussian draw (24 ns, the Wigner mirror of
+# its entry included), per n**3 of a matrix product (0.011 ns for a panel
+# product, 0.0085 for a syrk), per chi draw (60 ns), per unit of k in the
+# Wishart walk (8 us for its numpy calls, two a band step) and per cell of
+# p*k**2 it sweeps (3 ns).  The largest run is _MC_SECONDS estimated; the
+# acceptance cases come to 4.5 s (Wigner, measured 3.2 s) and 6.0 ms
+# (Wishart, measured 5 ms).
+_MC_TRIAL_PS, _MC_DRAW_PS, _MC_PRODUCT_PS = 150_000_000, 24_000, 11
+_MC_CHI_PS, _MC_STEP_PS, _MC_CELL_PS = 60_000, 8_000_000, 3_000
 _MC_SECONDS = 60
 # the most bytes one mc trial's arrays may hold at once; the acceptance
-# cases come to 40 MB (Wigner, traced 35 MB) and 28 MB (Wishart, 24 MB)
+# cases come to 40 MB (Wigner, traced 34 MB) and 1.1 MB (Wishart, 0.12 MB)
 _MC_BYTES = 2 << 30
 
 
@@ -276,23 +280,26 @@ def _cmd_walk(args) -> int:
 
 def _mc_trial(ensemble: str, k: int, n: int, m: int | None) -> tuple[int, int]:
     """One mc trial's estimated (picoseconds, bytes its float64 arrays hold
-    at once), read from moments.  A Wigner trial makes n*n + n draws and
-    holds the n*n matrix; a Wishart trial makes m*n draws, forms
-    W = G G^T by one m*m*n product and holds G beside W.  For k >= 3,
-    trace_power adds about ceil(log2 k) products of n**3 (m**3 for
-    Wishart) and holds up to three powers of that size beside it, formed
-    by squaring (none at k = 3 or 4).  Four blocks of 128 rows are the most
-    that the Wigner mirror's temporaries or trace_power's panels hold.
-    Ints, so no n overflows them."""
+    at once), read from moments.  A Wigner trial makes n*(n+1)/2 draws and
+    holds the n*n matrix; for k >= 3, trace_power adds about ceil(log2 k)
+    products of n**3 and holds up to three powers of that size beside it,
+    formed by squaring (none at k = 3 or 4), and four blocks of 128 rows
+    are the most that the mirror's temporaries or trace_power's panels
+    hold.  A Wishart trial, p = min(m, n), makes 2*p chi draws, walks
+    about p*k**2 / 2 band cells (priced as p*k**2) and holds a few p-long
+    arrays beside four blocks of at most 2**15 band cells (k + 2 when a
+    row is wider).  Ints, so no n overflows them."""
     if ensemble == "wigner":
-        side, draws, product, held = n, n * n + n, 0, n * n
+        picoseconds = _MC_DRAW_PS * (n * (n + 1) // 2)
+        held = n * n + 4 * 128 * n
+        if k >= 3:
+            picoseconds += _MC_PRODUCT_PS * (k - 1).bit_length() * n ** 3
+            held += 0 if k <= 4 else 3 * n * n
     else:
-        side, draws, product, held = m, m * n, m * m * n, m * n + m * m
-    if k >= 3:
-        product += (k - 1).bit_length() * side ** 3
-        held += 0 if k <= 4 else 3 * side * side
-    return (_MC_TRIAL_PS + _MC_DRAW_PS * draws + _MC_PRODUCT_PS * product,
-            8 * (held + 4 * 128 * side))
+        p = min(m, n)
+        picoseconds = _MC_CHI_PS * 2 * p + _MC_STEP_PS * k + _MC_CELL_PS * p * k * k
+        held = 6 * p + 4 * max(1 << 15, k + 2)
+    return _MC_TRIAL_PS + picoseconds, 8 * held
 
 
 def _cmd_mc(args) -> int:
@@ -445,9 +452,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_walk)
 
     p = sub.add_parser("mc", help="Monte Carlo moment estimate vs exact target",
-                       description=f"Monte Carlo moment estimate vs exact target; a run estimated "
-                       f"above {_MC_SECONDS} s on 2 vCPUs (--trials x one trial's cost), or whose trial "
-                       f"is estimated to hold more than {_MC_BYTES >> 30} GiB of arrays, is refused")
+                       description=f"Monte Carlo moment estimate vs exact target.  A wigner trial "
+                       "draws a symmetric n x n matrix; a wishart trial draws a tridiagonal matrix "
+                       "of min(m, n) rows whose trace powers have the law of G G^T's, so its cost grows "
+                       "with min(m, n) and k^2, not with m x n.  "
+                       f"A run estimated above {_MC_SECONDS} s on 2 vCPUs (--trials x one trial's "
+                       f"cost), or whose trial is estimated to hold more than {_MC_BYTES >> 30} GiB of "
+                       "arrays, is refused")
     p.add_argument("--ensemble", choices=["wigner", "wishart"], required=True)
     p.add_argument("--k", type=_int_at_least(1), required=True)
     p.add_argument("--n", type=_int_at_least(2), required=True)

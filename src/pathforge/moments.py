@@ -5,15 +5,22 @@ Wishart matrices with aspect ratio gamma = m/n have moments converging to
 the Narayana polynomial at gamma.  Estimates are averages of normalized
 traces of matrix powers over independent seeded trials, so the exact
 combinatorial values from ``numeric`` double as statistical targets.
+
+A trial draws only what its law reads: a Wigner trial the n(n+1)/2
+entries on and above the diagonal, and a Wishart trial the 2p - 1 chi
+variables of the beta = 1 Laguerre tridiagonal model, p = min(m, n),
+whose trace power is a sum over half-line walks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+import sys
 from math import sqrt
 from typing import NamedTuple, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .numeric import _check_size, catalan, narayana_poly
 
@@ -43,7 +50,7 @@ def trace_power(matrix: np.ndarray, k: int) -> float:
     n-by-n products of forming A^k (k=2: none, k=4: one, k=6: two).
 
     For k >= 3 an exactly symmetric A (``A == A.T`` entry for entry, as
-    both Monte Carlo ensembles are) takes a faster path.  Its powers are
+    the Wigner trial matrix is) takes a faster path.  Its powers are
     symmetric, so they are built by squarings ``p @ p.T``, which numpy
     hands to BLAS syrk at half the flops of a general product, with one
     extra ``@ A`` for each odd exponent.  Then tr(A^k) is the inner
@@ -125,10 +132,10 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
 
 
-def _estimate(ensemble, k, n, m, trials, seed, draw, size, target) -> MomentEstimate:
-    # tr(A^k)/size over one A = draw(rng) per (seed, trial) substream, each
-    # going straight into trace_power, so it is freed before the next draws
-    values = np.array([trace_power(draw(_trial_rng(seed, t)), k) / size for t in range(trials)])
+def _estimate(ensemble, k, n, m, trials, seed, trace, size, target) -> MomentEstimate:
+    # tr(A^k)/size, one trace(rng) per (seed, trial) substream; a trial's
+    # arrays are freed before the next one draws
+    values = np.array([trace(_trial_rng(seed, t)) / size for t in range(trials)])
     stderr = float(values.std(ddof=1) / sqrt(trials)) if trials > 1 else 0.0
     return MomentEstimate(ensemble, k, n, m, trials, seed, float(values.mean()), stderr, target)
 
@@ -136,21 +143,23 @@ def _estimate(ensemble, k, n, m, trials, seed, draw, size, target) -> MomentEsti
 def _wigner_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
     """One scaled Wigner trial matrix, exactly symmetric.
 
-    The draws and their order fix the substream: an n-by-n block, whose
-    strict upper triangle is kept and mirrored into the lower one in
-    place, then the n diagonal entries.  Column block [i, j) takes its
-    rows below the block from the transposed rows i..j-1 right of it; the
-    two regions share no memory, so numpy copies without the n-by-n
-    buffer that ``a += a.T`` needs, and the diagonal block is rebuilt from
-    its own upper triangle.
+    The draws and their order fix the substream: row i's entries on and
+    right of the diagonal, a[i, i:], for i = 0..n-1, drawn straight into
+    the n-by-n array, n(n+1)/2 normals in all.  Then the upper triangle
+    is mirrored into the lower one in place: column block [i, j) takes
+    its rows below the block from the transposed rows i..j-1 right of it;
+    the two regions share no memory, so numpy copies without the n-by-n
+    buffer that ``a += a.T`` needs, and the diagonal block takes its
+    strict lower triangle from its own upper one.
     """
-    a = rng.standard_normal((n, n))
+    a = np.empty((n, n))
+    for i in range(n):
+        rng.standard_normal(out=a[i, i:])
     for i in range(0, n, _BLOCK):
         j = min(i + _BLOCK, n)
         a[j:, i:j] = a[i:j, j:].T
-        upper = np.triu(a[i:j, i:j], 1)
-        a[i:j, i:j] = upper + upper.T
-    np.fill_diagonal(a, rng.standard_normal(n))
+        block = a[i:j, i:j]
+        np.copyto(block, np.triu(block, 1).T, where=np.tri(j - i, k=-1, dtype=bool))
     a /= sqrt(n)
     return a
 
@@ -162,8 +171,8 @@ def wigner_moment(k: int, n: int, trials: int = 20, seed: int = 0) -> MomentEsti
     mirrored below), scaled by 1/sqrt(n); each trial contributes
     tr(A^k)/n.  The limit is C_{k/2} for even k and 0 for odd k.
 
-    Each trial matrix is built in place, mirrored block by block from the
-    upper triangle of one n-by-n draw, and goes straight into
+    Each trial matrix is drawn row by row on and above its diagonal and
+    mirrored in place, block by block, and goes straight into
     ``trace_power``, so it is freed before the next trial draws.  Being
     exactly symmetric, it takes the symmetric path for k >= 3: a trial
     holds one n-by-n array and a 128-row panel at k = 3 and 4, and k = 6
@@ -174,17 +183,76 @@ def wigner_moment(k: int, n: int, trials: int = 20, seed: int = 0) -> MomentEsti
     _check_size(trials, 1, "trials")
     _check_size(seed, 0, "seed")
     target = catalan(k // 2) if k % 2 == 0 else 0
-    return _estimate("wigner", k, n, None, trials, seed, lambda rng: _wigner_matrix(rng, n), n,
-                     target)
+    return _estimate("wigner", k, n, None, trials, seed,
+                     lambda rng: trace_power(_wigner_matrix(rng, n), k), n, target)
 
 
-def _wishart_matrix(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
-    """One Wishart trial matrix G G^T / n for an m-by-n Gaussian G; the
-    product is syrk, so it is exactly symmetric, and is divided in place."""
-    g = rng.standard_normal((m, n))
-    w = g @ g.T
-    w /= n
-    return w
+def _laguerre_tridiagonal(rng: np.random.Generator, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonal and off-diagonal of one Wishart trial's T = B B^T / n.
+
+    B is the p-by-p lower bidiagonal matrix of the beta = 1 Laguerre model
+    (Dumitriu and Edelman, J. Math. Phys. 43, 2002), p = min(m, n) and
+    q = max(m, n): x_i ~ chi_{q-i} on the diagonal, i = 0..p-1, drawn
+    first, then y_i ~ chi_{p-1-i} below it, i = 0..p-2, one ``chisquare``
+    call each.  G G^T for an m-by-n Gaussian G has the eigenvalues of
+    B B^T when m <= n, and shares its nonzero ones with G^T G when m > n,
+    so tr((G G^T / n)^k) and tr(T^k) have one law.  T is tridiagonal, with
+    diagonal (x_i^2 + y_{i-1}^2)/n and off-diagonal x_i y_i / n.
+    """
+    p, q = min(m, n), max(m, n)
+    x2 = rng.chisquare(q - np.arange(p, dtype=float)) / n  # float: q may pass int64
+    y2 = rng.chisquare(np.arange(p - 1, 0, -1)) / n
+    off = np.sqrt(x2[:-1] * y2)
+    x2[1:] += y2
+    return x2, off
+
+
+_BAND_CELLS = 1 << 15  # band cells per block of rows in a Wishart walk, 256 KiB
+
+
+def _walk_trace(diagonal: np.ndarray, off: np.ndarray, k: int) -> float:
+    """tr(T^k) for the symmetric tridiagonal T with this diagonal and
+    off-diagonal: the sum, over closed walks of length k on 0..p-1 (the
+    half-line walk), of the products of the entries they step along.
+
+    Row i of T^t is held in band form, band[w + s, i] = (T^t)[i, i + s],
+    with w = min(ceil(k/2), p - 1): T^t reaches no further than t off the
+    diagonal, nor past p - 1.  Each step right-multiplies by T, a few
+    elementwise products along the band's rows, and T^0 is the identity.
+    Then tr(T^k) = <T^ceil(k/2), T^floor(k/2)>, as both are symmetric.
+    Row i of T^t is e_i^T T^t, which needs no other row, so the rows are
+    taken in blocks of about ``_BAND_CELLS`` band cells: a trial holds a
+    few blocks beside its p-long arrays, whatever p is.
+    """
+    p = len(diagonal)
+    w = min((k + 1) // 2, p - 1)
+    # d_band[c, i] = T[j, j] and e_band[c, i] = T[j, j + 1] for j = i + c - w,
+    # 0 where j is off the matrix: windows over zero-padded copies
+    d_pad = np.zeros(p + 2 * w)
+    d_pad[w:w + p] = diagonal
+    e_pad = np.zeros(p + 2 * w - 1)
+    e_pad[w:w + p - 1] = off
+    d_band = sliding_window_view(d_pad, p)
+    e_band = sliding_window_view(e_pad, p)
+    rows = max(1, _BAND_CELLS // (2 * w + 1))
+    total = 0.0
+    for i in range(0, p, rows):
+        d, e = d_band[:, i:i + rows], e_band[:, i:i + rows]
+        band = np.zeros(d.shape)
+        band[w] = 1.0
+        for _ in range(k // 2):
+            band = _band_step(band, d, e)
+        total += np.vdot(band, band if k % 2 == 0 else _band_step(band, d, e))
+    return float(total)
+
+
+def _band_step(band: np.ndarray, d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    # (T^t T)[i, j] = (T^t)[i, j] T[j, j] + (T^t)[i, j - 1] T[j - 1, j]
+    #               + (T^t)[i, j + 1] T[j + 1, j]
+    out = band * d
+    out[1:] += band[:-1] * e
+    out[:-1] += band[1:] * e
+    return out
 
 
 def wishart_moment(k: int, n: int, m: int, trials: int = 20, seed: int = 0) -> MomentEstimate:
@@ -194,16 +262,21 @@ def wishart_moment(k: int, n: int, m: int, trials: int = 20, seed: int = 0) -> M
     The limit as m/n -> gamma is the Narayana polynomial at gamma; the
     normalization makes the k=1 target exactly 1.
 
-    G is dropped once W is formed and W once its trace is taken, so a
-    trial holds at most G and W, and ``trace_power`` sees only W, which is
-    exactly symmetric: for k >= 3 it takes the symmetric path, one m-by-m
-    array and a 128-row panel at k = 3 and 4.
+    A trial draws no G: tr(W^k) has the law of tr(T^k) for the tridiagonal
+    T of the beta = 1 Laguerre model, with p = min(m, n) rows, so it costs
+    2p chi draws and about p k^2 / 2 band cells, and holds a few p-long
+    arrays and a few blocks of band cells, at any m and n.  T is scaled
+    by 1/n before its powers are taken, so a large k overflows to a value
+    that is not finite, never to an ``OverflowError``; m and n must be
+    floats too, as the chi degrees and the scale are.
     """
     _check_size(k, 1)
     _check_size(n, 2, "n")
     _check_size(m, 2, "m")
     _check_size(trials, 1, "trials")
     _check_size(seed, 0, "seed")
+    if max(m, n) > sys.float_info.max:
+        raise ValueError("m and n must be at most the largest float, about 1.8e308")
     target = narayana_poly(k).evaluate(Fraction(m, n))
-    return _estimate("wishart", k, n, m, trials, seed, lambda rng: _wishart_matrix(rng, m, n), m,
-                     target)
+    return _estimate("wishart", k, n, m, trials, seed,
+                     lambda rng: _walk_trace(*_laguerre_tridiagonal(rng, m, n), k), m, target)

@@ -331,6 +331,10 @@ def test_mc_wigner_m_rejected(capsys):
      "stderr"),
     (["--ensemble", "wishart", "--k", "200", "--n", "2", "--m", "100", "--trials", "1"], 1,
      "target"),
+    # a Wishart trial's cost grows with min(m, n) alone, so an n past the
+    # float range passes the work bound and is refused by wishart_moment
+    (["--ensemble", "wishart", "--k", "2", "--n", "1" + "0" * 400, "--m", "2"], 1,
+     "m and n must be at most the largest float"),
 ])
 def test_mc_out_of_range_is_one_error_line(capsys, argv, code, message):
     start = time.perf_counter()
@@ -362,7 +366,7 @@ def test_mc_above_the_work_bound_needs_no_numpy():
 
 
 def test_mc_above_the_byte_bound_needs_no_numpy():
-    # inside the time bound (59.5 s estimated), but a 61,000-square matrix
+    # inside the time bound (44.7 s estimated), but a 61,000-square matrix
     # is about 28 GiB
     script = ("import sys; sys.modules['numpy'] = None; from pathforge.cli import main; "
               "sys.exit(main(['mc', '--ensemble', 'wigner', '--k', '2', '--n', '61000', "
@@ -382,6 +386,7 @@ def test_mc_work_bound_keeps_a_tenfold_margin():
     limit = cli._MC_SECONDS * 10**12
     for case in [("wigner", 4, 2000, None, 20), ("wishart", 2, 2000, 1000, 20),
                  ("wigner", 6, 1000, None, 20), ("wishart", 3, 1000, 1000, 20),
+                 ("wishart", 4, 200000, 100000, 20),
                  ("wigner", 1039, 8, None, 20), ("wishart", 1039, 8, 8, 20)]:
         picoseconds, held = cli._mc_trial(*case[:4])
         assert 10 * case[4] * picoseconds <= limit, case
@@ -397,13 +402,28 @@ def test_mc_work_bound_keeps_a_tenfold_margin():
 
 def test_mc_trial_estimate_is_pinned():
     # (picoseconds, bytes) of one trial for k = 1..8: from k = 3 trace_power
-    # adds products, and holds three powers beside the matrix from k = 5
+    # adds products, and holds three powers beside the matrix from k = 5;
+    # the Wishart walk grows with k and k**2, and its bytes with neither
     assert [cli._mc_trial("wigner", k, 100, None) for k in range(1, 9)] == [
-        (191_600_000, 489_600), (191_600_000, 489_600), (213_600_000, 489_600),
-        (213_600_000, 489_600), *[(224_600_000, 729_600)] * 4]
+        (271_200_000, 489_600), (271_200_000, 489_600), (293_200_000, 489_600),
+        (293_200_000, 489_600), *[(304_200_000, 729_600)] * 4]
     assert [cli._mc_trial("wishart", k, 100, 50) for k in range(1, 9)] == [
-        (112_750_000, 264_800), (112_750_000, 264_800), (115_500_000, 264_800),
-        (115_500_000, 264_800), *[(116_875_000, 324_800)] * 4]
+        (164_150_000, 1_050_976), (172_600_000, 1_050_976), (181_350_000, 1_050_976),
+        (190_400_000, 1_050_976), (199_750_000, 1_050_976), (209_400_000, 1_050_976),
+        (219_350_000, 1_050_976), (229_600_000, 1_050_976)]
+
+
+def test_mc_wishart_runs_at_any_matrix_size(capsys):
+    # a trial draws the 2p - 1 chi variables of the tridiagonal model, not
+    # the m-by-n G, so this run is inside both bounds (it was estimated at
+    # 886,000 s when a trial drew G and took powers of G G^T) and near its
+    # target
+    code, out, err = run(capsys, "mc", "--ensemble", "wishart", "--k", "4", "--n", "200000",
+                         "--m", "100000", "--trials", "20")
+    assert (code, err) == (0, "")
+    rec = json.loads(out)
+    assert rec["target"] == 5.625  # N_4(1/2) = 1 + 6/2 + 6/4 + 1/8
+    assert abs(rec["estimate"] - rec["target"]) <= 4 * rec["stderr"]
 
 
 def test_report_sweep(capsys):

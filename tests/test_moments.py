@@ -9,8 +9,10 @@ from math import sqrt
 import numpy as np
 import pytest
 
+from pathforge import moments
 from pathforge.cli import _mc_trial
-from pathforge.moments import _wigner_matrix, trace_power, wigner_moment, wishart_moment
+from pathforge.moments import (_laguerre_tridiagonal, _walk_trace, _wigner_matrix, trace_power,
+                                wigner_moment, wishart_moment)
 
 
 def index_walk_trace(matrix, k):
@@ -139,11 +141,13 @@ def test_trial_holds_one_matrix():
 @pytest.mark.parametrize("ensemble,k,n,m", [
     *(("wigner", k, n, None) for k in (2, 3, 4, 5, 6, 11) for n in (50, 600)),
     *(("wishart", k, n, m) for k in (2, 3) for n, m in ((60, 40), (300, 200), (200, 300))),
+    *(("wishart", k, n, m) for k, n, m in ((8, 60000, 40000), (41, 60000, 40000), (201, 300, 500))),
 ])
 def test_mc_byte_estimate_covers_one_trial(ensemble, k, n, m):
     # the estimate that mc checks before numpy loads is at least what one
     # trial holds at once, below one 128-row block (n = 50) and above it;
-    # k = 5 and 11 hold the most powers beside the matrix.  A first run,
+    # k = 5 and 11 hold the most powers beside the matrix, and a Wishart
+    # walk at p = 40,000 takes its rows in many blocks.  A first run,
     # untraced, takes the allocations of numpy's lazy imports out of it
     run = partial(wigner_moment, k, n) if m is None else partial(wishart_moment, k, n, m)
     run(trials=1)
@@ -152,16 +156,56 @@ def test_mc_byte_estimate_covers_one_trial(ensemble, k, n, m):
 
 @pytest.mark.parametrize("n", [2, 127, 128, 129, 300])
 def test_wigner_matrix_is_the_mirrored_draw(n):
-    # the blocked in-place mirror gives the matrix of triu(z, 1) + its
-    # transpose, for one block, exact blocks and a partial last block
+    # the row-wise draw is one stream of n(n+1)/2 normals laid over the
+    # upper triangle, row by row, and the blocked in-place mirror gives
+    # its symmetric matrix, for one block, exact blocks and a partial last block
     got = _wigner_matrix(np.random.default_rng(n), n)
-    rng = np.random.default_rng(n)
-    upper = np.triu(rng.standard_normal((n, n)), 1)
-    expected = upper + upper.T
-    np.fill_diagonal(expected, rng.standard_normal(n))
+    upper = np.zeros((n, n))
+    upper[np.triu_indices(n)] = np.random.default_rng(n).standard_normal(n * (n + 1) // 2)
+    expected = upper + np.triu(upper, 1).T
     expected /= sqrt(n)
     assert np.array_equal(got, expected)
     assert np.array_equal(got, got.T)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 130])
+@pytest.mark.parametrize("extra", [3, 0, -3])
+@pytest.mark.parametrize("cells", [None, 16])
+def test_wishart_walk_trace_is_the_bidiagonal_trace(monkeypatch, p, extra, cells):
+    # the walk over T = B B^T / n against the dense power of B B^T, for B
+    # the bidiagonal of this substream's chi draws: m < n, m = n and m > n
+    # (p = min(m, n) rows, scaled by the n given), k = 1..8, a band wider
+    # than p (p = 2 and 3), and rows taken in one block or in many
+    if cells is not None:
+        monkeypatch.setattr(moments, "_BAND_CELLS", cells)
+    m, n = (p, p + extra) if extra >= 0 else (p - extra, p)
+    q = max(m, n)
+    rng = np.random.default_rng(p)
+    x = np.sqrt(rng.chisquare(np.arange(q, q - p, -1)))
+    y = np.sqrt(rng.chisquare(np.arange(p - 1, 0, -1)))
+    b = np.diag(x) + np.diag(y, -1)
+    t = _laguerre_tridiagonal(np.random.default_rng(p), m, n)
+    for k in range(1, 9):
+        expected = np.trace(np.linalg.matrix_power(b @ b.T, k)) / n**k
+        assert _walk_trace(*t, k) == pytest.approx(expected, rel=1e-10), k
+
+
+@pytest.mark.parametrize("m,n", [(3, 5), (4, 4), (5, 3)])
+def test_wishart_low_moments_match_their_exact_finite_means(m, n):
+    # E[tr(W^2)]/m and E[tr(W^3)]/m for W = G G^T / n, exact at every m and n
+    exact = {2: Fraction(m + n + 1, n),
+             3: Fraction(m * m + n * n + 3 * m * n + 3 * m + 3 * n + 4, n * n)}
+    for k, mean in exact.items():
+        est = wishart_moment(k, n, m, trials=2000, seed=1)
+        assert abs(est.estimate - mean) <= 4 * est.stderr, (k, est)
+
+
+def test_wishart_trial_holds_no_dense_matrix():
+    # a trial holds p-long arrays and blocks of band cells: far below the
+    # m-by-m W (32 MB here) or the m-by-n G it stands for
+    m, n = 2000, 4000
+    wishart_moment(4, n, m, trials=1)
+    assert traced_peak(lambda: wishart_moment(4, n, m, trials=3)) < m * m * 8 / 16
 
 
 def test_wigner_seeded_determinism():
@@ -182,11 +226,11 @@ def test_substreams_are_pinned():
     # fixed values of these seeded runs: a change to the draws, their order or
     # the substream seeding moves them, which comparing two runs cannot catch
     a = wigner_moment(4, 50, trials=4, seed=11)
-    assert a.estimate == pytest.approx(2.096931253598832, rel=1e-12)
-    assert a.stderr == pytest.approx(0.047575598066145565, rel=1e-12)
+    assert a.estimate == pytest.approx(2.11810695028198, rel=1e-12)
+    assert a.stderr == pytest.approx(0.09252394691411149, rel=1e-12)
     b = wishart_moment(2, 60, 30, trials=4, seed=5)
-    assert b.estimate == pytest.approx(1.464046877430441, rel=1e-12)
-    assert b.stderr == pytest.approx(0.04469371815780204, rel=1e-12)
+    assert b.estimate == pytest.approx(1.6693703168462115, rel=1e-12)
+    assert b.stderr == pytest.approx(0.06431434477417038, rel=1e-12)
 
 
 def test_wigner_targets():
@@ -258,3 +302,8 @@ def test_argument_validation():
         wishart_moment(0, 10, 5)
     with pytest.raises(ValueError, match="^trials must be positive, got 0$"):
         wishart_moment(2, 10, 5, trials=0)
+    # the chi degrees and the scale are floats: an n past them is refused,
+    # one past int64 is taken
+    with pytest.raises(ValueError, match="^m and n must be at most the largest float"):
+        wishart_moment(2, 10**400, 2)
+    assert wishart_moment(2, 10**32, 2, trials=2).estimate == pytest.approx(1.0)
