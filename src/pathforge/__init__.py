@@ -45,7 +45,7 @@ _EXPORTS = {
     **dict.fromkeys(
         ["AltitudeStats", "Path", "PathKind", "check_level_parity", "enumerate_alt_motzkin",
          "enumerate_dyck", "parse", "stats"], "paths"),
-    **dict.fromkeys(["BACKEND_NAME", "Fold", "HAVE_COMPILED", "fold_upto"], "fold"),
+    **dict.fromkeys(["Fold", "fold_upto"], "fold"),
     **dict.fromkeys(
         ["FiveTuple", "MidPath", "construct", "five_tuples", "image_paths", "invert",
          "middle_altitude"], "bijections"),

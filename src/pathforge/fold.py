@@ -35,11 +35,6 @@ from typing import Iterator, NamedTuple, Union
 from .numeric import GammaPoly, _check_size
 from .paths import LEVEL, RISE, PathKind, _check_kind, fall_room, steps_at
 
-# One implementation; the names stay because benchmark runs record them and
-# refuse to compare runs whose backend differs.
-BACKEND_NAME = "pure"
-HAVE_COMPILED = False
-
 Value = Union[int, GammaPoly]
 
 

@@ -17,14 +17,12 @@ from __future__ import annotations
 from fractions import Fraction
 import sys
 from math import sqrt
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .numeric import _check_size, catalan, narayana_poly
-
-Exact = Union[int, Fraction]
+from .numeric import Scalar, _check_size, catalan, narayana_poly
 
 
 class MomentEstimate(NamedTuple):
@@ -38,7 +36,7 @@ class MomentEstimate(NamedTuple):
     seed: int
     estimate: float
     stderr: float
-    target: Exact
+    target: Scalar
 
 
 def trace_power(matrix: np.ndarray, k: int) -> float:

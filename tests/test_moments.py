@@ -128,14 +128,12 @@ def traced_peak(run):
 
 
 def test_trial_holds_one_matrix():
-    # numpy reports its buffers to tracemalloc; a second n-by-n (Wigner) or
-    # m-by-m (Wishart) array held in a trial, or a matrix kept while the next
-    # trial draws, lifts the peak past these bounds
+    # numpy reports its buffers to tracemalloc; a second n-by-n array held in
+    # a trial, or a matrix kept while the next trial draws, lifts the peak
+    # past this bound
     n = 1200
     for k in (3, 4):
         assert traced_peak(lambda: wigner_moment(k, n, trials=3)) < 1.6 * n * n * 8
-    m = 600
-    assert traced_peak(lambda: wishart_moment(2, n, m, trials=3)) < 1.75 * m * n * 8
 
 
 @pytest.mark.parametrize("ensemble,k,n,m", [

@@ -33,6 +33,17 @@ def test_submodules_and_version_resolve():
     assert pathforge.__version__ == "0.1.0"
 
 
+def test_public_names_are_pinned():
+    # a public name is added or dropped on purpose, here and in __all__
+    assert sorted(pathforge.__all__) == [
+        "AltitudeStats", "FiveTuple", "Fold", "GAMMA", "GammaPoly", "IdentityReport", "MidPath",
+        "Path", "PathKind", "SweepResult", "Walk", "catalan", "check_level_parity", "construct",
+        "enumerate_alt_motzkin", "enumerate_dyck", "five_tuples", "fold_upto", "image_paths",
+        "invert", "middle_altitude", "narayana", "narayana_poly", "parse", "path_to_walk", "stats",
+        "sweep", "verify", "walk_to_path",
+    ]
+
+
 def test_dir_lists_every_export():
     assert set(pathforge.__all__) | set(_SUBMODULES) <= set(dir(pathforge))
 
@@ -41,5 +52,9 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'frobnicate'"):
         pathforge.frobnicate
     assert not hasattr(pathforge, "expectation_vectors")
+    # the one fold names no backend, on the package or on its module
+    for gone in ("BACKEND_NAME", "HAVE_COMPILED"):
+        assert not hasattr(pathforge, gone)
+        assert not hasattr(pathforge.fold, gone)
     with pytest.raises(ImportError):
         from pathforge import walk_identity_summary  # noqa: F401
