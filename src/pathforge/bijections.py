@@ -217,6 +217,11 @@ def _construction(name: str) -> _Construction:
     return _CONSTRUCTIONS[name]
 
 
+def _construction_of(path: Path) -> str:
+    """The construction whose image ``path`` can lie in: A or C at an even middle, B or D at an odd."""
+    return ("AB" if path.kind is PathKind.DYCK else "CD")[middle_altitude(path) % 2]
+
+
 # ---------------------------------------------------------------------------
 # the one left-half surgery
 

@@ -2,10 +2,11 @@
 inverses, identity verification, walk translation, and Monte Carlo moments.
 
 Output goes to stdout as JSON by default or CSV with ``--format csv``.
-Every command that takes a path reads its kind from it (``_kind_of``), so
-``stats``, ``walk`` and ``invert`` have no --kind: a level step, or a loop
-in a walk, means alternating Motzkin.  Every integer argument is ASCII
--?[0-9]+ (``numeric._parse_int``).
+Each command reads what its input states: a level step, or a loop in a
+walk, means alternating Motzkin (``_kind_of``), an ASCII digit in ``walk
+--path`` a walk, and a doubled path's kind and middle altitude the one
+construction ``invert`` undoes (``bijections._construction_of``).  Every
+integer argument is ASCII -?[0-9]+ (``numeric._parse_int``).
 ``verify --identity N`` is ``report --identities N`` with no --time-budget,
 so K_MAX_LIMIT always bounds it; both run ``_cmd_report``.  Exit codes: 0
 on success, 1 when a verified identity fails (or on a computation error,
@@ -18,7 +19,8 @@ leaves no identity to check, a --k-max above K_MAX_LIMIT with no
 _MC_SECONDS or one whose trial is estimated to hold more than _MC_BYTES,
 an identity list (report --identities or verify --identity) with a
 repeat, and an enumerate --k whose path count has more digits than
-Python prints (JSON and --count-only; CSV prints no count).  ``main``
+Python prints (JSON and --count-only; CSV prints no count) or whose CSV
+paths are longer than Python can index.  ``main``
 alone maps errors to exit codes and prints the one ``error:`` line: a
 command refuses its arguments by raising ``_UsageError`` (exit 2) and
 fails a computation by raising ValueError (exit 1); argparse refuses what
@@ -102,10 +104,12 @@ class _UsageError(Exception):
 
 def _check_count_prints(k: int):
     """Refuse a k whose catalan(k) has more digits than Python converts to
-    a string; found from lgamma, with no big-int work."""
+    a string; found from lgamma, with no big-int work.  log10 catalan(k)
+    passes k/2 from k = 25 on, and a limit is at least 640, so a k above
+    twice the limit is refused before lgamma, which may not hold it."""
     limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit (or before 3.10.7)
-    log10 = (math.lgamma(2 * k + 1) - math.lgamma(k + 1) - math.lgamma(k + 2)) / math.log(10)
-    if limit and log10 >= limit:
+    if limit and (k > 2 * limit or (math.lgamma(2 * k + 1) - math.lgamma(k + 1)
+                                    - math.lgamma(k + 2)) / math.log(10) >= limit):
         raise _UsageError(f"--k {k}: the path count has more than {limit} digits, more than "
                           "Python prints; --format csv lists the paths without it")
 
@@ -130,6 +134,8 @@ def _cmd_enumerate(args) -> int:
     kind = PathKind(args.kind)
     out = sys.stdout
     if args.format == "csv" and not args.count_only:
+        if 2 * args.k > sys.maxsize:
+            raise _UsageError(f"--k {args.k}: a path of 2k steps is longer than Python can index")
         # one path per line, no count
         _write_paths(out, _listing(kind, args.k), args.k, "", "\n")
         return 0
@@ -216,8 +222,8 @@ def _cmd_map(args) -> int:
 def _cmd_invert(args) -> int:
     from . import bijections
 
-    # the path states its kind; invert refuses one its construction does not take
-    t = bijections.invert(args.construction, parse(args.path, _kind_of("L" in args.path)))
+    path = parse(args.path, _kind_of("L" in args.path))
+    t = bijections.invert(bijections._construction_of(path), path)
     _emit_records([t.to_json_dict()], args.format)
     return 0
 
@@ -259,18 +265,16 @@ def _emit_sweep(result, fmt: str) -> int:
 def _cmd_walk(args) -> int:
     from . import walks
 
-    if args.to:
-        kind = _kind_of("L" in args.path)
-        path = parse(args.path, kind)
+    if any(digit in args.path for digit in "0123456789"):
+        walk = walks.Walk.parse(args.path)  # refuses a malformed walk before any kind
+        path = walks.walk_to_path(walk, _kind_of(0 in walk.moves()))
+        line = path.render()
+        record = {"walk": walk.render(), "kind": path.kind.value, "path": line}
+    else:
+        path = parse(args.path, _kind_of("L" in args.path))
         walk = walks.path_to_walk(path)
         line = walk.render()
-        record = {"path": path.render(), "kind": kind.value, "nodes": list(walk.nodes), "walk": line}
-    else:
-        walk = walks.Walk.parse(args.path)  # refuses a malformed walk before any kind
-        kind = _kind_of(0 in walk.moves())
-        path = walks.walk_to_path(walk, kind)
-        line = path.render()
-        record = {"walk": walk.render(), "kind": kind.value, "path": line}
+        record = {"path": path.render(), "kind": path.kind.value, "nodes": list(walk.nodes), "walk": line}
     if args.format == "csv":
         print(line)
     else:
@@ -430,9 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
     p.set_defaults(func=_cmd_map)
 
-    p = sub.add_parser("invert", help="invert a construction on a doubled path")
-    p.add_argument("--construction", choices=["A", "B", "C", "D"], required=True)
-    p.add_argument("--path", required=True)
+    p = sub.add_parser("invert", help="invert the construction that made a doubled path")
+    p.add_argument("--path", required=True, help="doubled path; its kind and middle altitude name A-D")
     add_format(p)
     p.set_defaults(func=_cmd_invert)
 
@@ -443,11 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
     p.set_defaults(func=_cmd_report, time_budget=None)
 
-    p = sub.add_parser("walk", help="translate between paths and halfline walks")
-    direction = p.add_mutually_exclusive_group(required=True)
-    direction.add_argument("--to", action="store_true", help="path string to walk")
-    direction.add_argument("--from", dest="from_walk", action="store_true", help="walk (comma-separated nodes) to path")
-    p.add_argument("--path", required=True, help="path string with --to, node list with --from")
+    p = sub.add_parser("walk", help="translate a path to its halfline walk, or a walk to its path")
+    p.add_argument("--path", required=True, help="path string, or walk as comma-separated nodes")
     add_format(p)
     p.set_defaults(func=_cmd_walk)
 
@@ -487,7 +487,7 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return code
-    except (_UsageError, ValueError, KeyError) as exc:
+    except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, _UsageError) else 1
     except MemoryError as exc:

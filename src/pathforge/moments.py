@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 import sys
-from math import sqrt
+from math import frexp, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -134,8 +134,14 @@ def _estimate(ensemble, k, n, m, trials, seed, trace, size, target) -> MomentEst
     # tr(A^k)/size, one trace(rng) per (seed, trial) substream; a trial's
     # arrays are freed before the next one draws
     values = np.array([trace(_trial_rng(seed, t)) / size for t in range(trials)])
-    stderr = float(values.std(ddof=1) / sqrt(trials)) if trials > 1 else 0.0
-    return MomentEstimate(ensemble, k, n, m, trials, seed, float(values.mean()), stderr, target)
+    # the statistics are taken on values / 2**e, e the exponent of the
+    # largest |value|, and scaled back: a power of two changes no bit, and
+    # squared deviations and sums of values near the largest float stay finite
+    e = frexp(np.abs(values).max())[1]
+    values = np.ldexp(values, -e)
+    stderr = float(np.ldexp(values.std(ddof=1) / sqrt(trials), e)) if trials > 1 else 0.0
+    return MomentEstimate(ensemble, k, n, m, trials, seed, float(np.ldexp(values.mean(), e)),
+                          stderr, target)
 
 
 def _wigner_matrix(rng: np.random.Generator, n: int) -> np.ndarray:

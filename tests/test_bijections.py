@@ -1,6 +1,7 @@
 """The four constructions: worked examples, exhaustive round trips, image
 characterizations, and the weight bookkeeping behind the identities."""
 
+import contextlib
 import copy
 import hashlib
 import json
@@ -267,6 +268,22 @@ def test_round_trips_exhaustive(construction):
         assert outputs == image, f"{construction} k={k}: image mismatch"
         for path in image:
             assert bj.construct(bj.invert(construction, path)).path == path
+
+
+def test_a_path_names_the_one_construction_that_inverts_it():
+    # every path of both kinds with k <= 7: at most one construction inverts
+    # it, and that one is the construction its kind and middle altitude name
+    inverted = Counter()
+    for k in range(8):
+        for path in (*enumerate_dyck(k), *enumerate_alt_motzkin(k)):
+            names = []
+            for construction in "ABCD":
+                with contextlib.suppress(ValueError):
+                    bj.invert(construction, path)
+                    names.append(construction)
+            assert names in ([], [bj._construction_of(path)]), path
+            inverted[len(names)] += 1
+    assert inverted == {1: 712, 0: 540}
 
 
 # one tall path per construction at m = 8192 (32,768 to 65,536 steps),

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pathforge import bijections, cli
+from pathforge import bijections, cli, walks
 from pathforge.cli import K_MAX_LIMIT, main
 from pathforge.numeric import catalan
 from pathforge.paths import enumerate_alt_motzkin, enumerate_dyck, parse
@@ -53,8 +53,24 @@ def test_enumerate_count_too_long_to_print_is_refused(capsys, extra):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("k", [10**306, 10**400, 2**62], ids=["10**306", "10**400", "2**62"])
+@pytest.mark.parametrize("extra,message", [
+    (["--count-only"], "the path count has more than 4300 digits"),
+    ([], "the path count has more than 4300 digits"),
+    (["--format", "csv"], "a path of 2k steps is longer than Python can index"),
+], ids=["count-only", "json", "csv"])
+def test_enumerate_refuses_a_k_past_a_float_or_an_index(capsys, k, extra, message):
+    # lgamma takes no k past about 1e305 and no float holds 10**400; a CSV
+    # listing's 2k steps pass sys.maxsize at 2**62
+    code, out, err = run(capsys, "enumerate", "--kind", "dyck", "--k", str(k), *extra)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: --k {k}: {message}"), err
+    assert len(err.splitlines()) == 1
+
+
 def test_enumerate_csv_streams_at_any_k():
-    # CSV has no count, so no size refuses it: the first path comes at once
+    # CSV has no count, so no size Python can index refuses it: the first
+    # path comes at once
     proc = _pathforge(["enumerate", "--kind", "dyck", "--k", "20000", "--format", "csv"],
                       subprocess.PIPE)
     first = proc.stdout.readline()
@@ -139,7 +155,7 @@ def test_map_construction_c_needs_input(capsys):
 def test_map_invert_round_trip(capsys):
     code, out, _ = run(capsys, "map", "--construction", "D")
     data = json.loads(out)
-    code, out, _ = run(capsys, "invert", "--construction", "D", "--path", data["path"])
+    code, out, _ = run(capsys, "invert", "--path", data["path"])
     assert code == 0
     back = json.loads(out)
     assert back == {
@@ -194,18 +210,18 @@ def test_verify_identity3_polynomial_wire_format(capsys):
 
 
 def test_walk_to_and_from(capsys):
-    code, out, _ = run(capsys, "walk", "--to", "--path", "LUDL")
+    code, out, _ = run(capsys, "walk", "--path", "LUDL")
     assert code == 0
     data = json.loads(out)
     assert data == {"path": "LUDL", "kind": "altmotzkin", "nodes": [0, 0, 1, 0, 0], "walk": "0,0,1,0,0"}
-    code, out, _ = run(capsys, "walk", "--from", "--path", "0,0,1,0,0")
+    code, out, _ = run(capsys, "walk", "--path", "0,0,1,0,0")
     assert code == 0
     assert json.loads(out)["path"] == "LUDL"
 
 
 def test_walk_kind_override(capsys):
     # a path or a walk states its kind, so walk takes no --kind
-    for argv in (("--to", "--path", "UDUD"), ("--from", "--path", "0,1,0,1,0")):
+    for argv in (("--path", "UDUD"), ("--path", "0,1,0,1,0")):
         with pytest.raises(SystemExit) as exc:
             main(["walk", *argv, "--kind", "dyck"])
         assert exc.value.code == 2
@@ -214,31 +230,32 @@ def test_walk_kind_override(capsys):
 
 
 def test_walk_invalid_path_is_reported(capsys):
-    code, _, err = run(capsys, "walk", "--to", "--path", "UU")
+    code, _, err = run(capsys, "walk", "--path", "UU")
     assert code == 1
     assert "error" in err
 
 
 @pytest.mark.parametrize("nodes", ("1,2,1", "1,0,1"))
 def test_walk_from_refuses_a_walk_not_from_node_0(capsys, nodes):
-    code, out, err = run(capsys, "walk", "--from", "--path", nodes)
+    code, out, err = run(capsys, "walk", "--path", nodes)
     assert (code, out) == (1, "")
     assert err == "error: walk starts at node 1, not at node 0\n"
 
 
 def test_walk_lowercase_path_is_refused(capsys):
     # parse accepts the capitals U, D, L alone, whatever kind is guessed
-    code, out, err = run(capsys, "walk", "--to", "--path", "ludl")
+    code, out, err = run(capsys, "walk", "--path", "ludl")
     assert (code, out) == (1, "")
     assert err == "error: invalid character 'l' at position 1\n"
 
 
 def test_walk_and_invert_take_the_kind_from_the_path(monkeypatch):
-    # every U/D/L string of up to 6 steps: stats and walk --to run exactly
-    # when the string parses as the kind it states, and invert prints what
-    # bijections.invert gives on the string parsed as the construction's
-    # kind, or exits 1 with nothing on stdout.  One parser serves all 6,558
-    # runs: building it is most of a run's time.
+    # every U/D/L string of up to 6 steps: stats and walk run exactly when
+    # the string parses as the kind it states, and invert prints what
+    # bijections.invert gives under the one construction that takes the
+    # string parsed as its kind, or exits 1 with nothing on stdout when none
+    # does.  One parser serves all 3,279 runs: building it is most of a
+    # run's time.
     monkeypatch.setattr(cli, "build_parser", functools.lru_cache(cli.build_parser))
     for n in range(7):
         for text in map("".join, itertools.product("UDL", repeat=n)):
@@ -246,16 +263,18 @@ def test_walk_and_invert_take_the_kind_from_the_path(monkeypatch):
                 parses = parse(text, cli._kind_of("L" in text)) is not None
             except ValueError:
                 parses = False
-            assert (run_any("walk", "--to", "--path", text)[0] == 0) is parses, text
+            assert (run_any("walk", "--path", text)[0] == 0) is parses, text
             assert (run_any("stats", "--path", text)[0] == 0) is parses, text
+            inverses = []
             for c in "ABCD":
-                code, out, _ = run_any("invert", "--construction", c, "--path", text)
-                try:
-                    t = bijections.invert(c, parse(text, bijections._construction(c).kind))
-                except ValueError:
-                    assert (code, out) == (1, ""), (c, text)
-                else:
-                    assert (code, out) == (0, json.dumps(t.to_json_dict(), indent=2) + "\n"), (c, text)
+                with contextlib.suppress(ValueError):
+                    inverses.append(bijections.invert(c, parse(text, bijections._construction(c).kind)))
+            assert len(inverses) <= 1, text
+            code, out, _ = run_any("invert", "--path", text)
+            if inverses:
+                assert (code, out) == (0, json.dumps(inverses[0].to_json_dict(), indent=2) + "\n"), text
+            else:
+                assert (code, out) == (1, ""), text
     # stats has no --kind to repeat or refuse what the path states
     code, out, err = run_any("stats", "--path", "UD", "--kind", "dyck")
     assert (code, out) == (2, "") and "Traceback" not in err
@@ -263,9 +282,52 @@ def test_walk_and_invert_take_the_kind_from_the_path(monkeypatch):
 
 
 def test_invert_refuses_a_path_of_another_kind(capsys):
-    # LUDLLL is an alternating Motzkin path, which construction A does not take
-    code, out, err = run(capsys, "invert", "--construction", "A", "--path", "LUDLLL")
-    assert (code, out, err) == (1, "", "error: construction A inverts dyck paths\n")
+    # LUDLLL is an alternating Motzkin path: invert tries it under C, of its
+    # kind and even middle altitude, never under a Dyck construction, and C
+    # refuses its length
+    code, out, err = run(capsys, "invert", "--path", "LUDLLL")
+    assert (code, out, err) == (1, "", "error: path length must be 4k with k >= 1, got 6\n")
+
+
+def test_walk_reads_a_digit_as_a_walk(monkeypatch):
+    # every U/D/L string of up to 8 steps is read as a path and every node
+    # list of up to 6 nodes in -1..3 as a walk: walk prints what
+    # path_to_walk or walk_to_path gives, or exits 1 with their error
+    # (--path=X, since argparse reads a lone -1,0,-1 as an option)
+    monkeypatch.setattr(cli, "build_parser", functools.lru_cache(cli.build_parser))
+    texts = ["".join(t) for n in range(9) for t in itertools.product("UDL", repeat=n)]
+    texts += [",".join(map(str, t)) for n in range(1, 7) for t in itertools.product(range(-1, 4), repeat=n)]
+    for text in texts:
+        try:
+            if any(c.isdigit() for c in text):
+                walk = walks.Walk.parse(text)
+                path = walks.walk_to_path(walk, cli._kind_of(0 in walk.moves()))
+                line = path.render()
+                record = {"walk": walk.render(), "kind": path.kind.value, "path": line}
+            else:
+                path = parse(text, cli._kind_of("L" in text))
+                walk = walks.path_to_walk(path)
+                line = walk.render()
+                record = {"path": path.render(), "kind": path.kind.value, "nodes": list(walk.nodes),
+                          "walk": line}
+        except ValueError as exc:
+            expected = (1, "", f"error: {exc}\n")
+            assert run_any("walk", f"--path={text}") == expected, text
+            assert run_any("walk", f"--path={text}", "--format", "csv") == expected, text
+        else:
+            assert run_any("walk", f"--path={text}") == (0, json.dumps(record, indent=2) + "\n", ""), text
+            assert run_any("walk", f"--path={text}", "--format", "csv") == (0, line + "\n", ""), text
+
+
+def test_invert_undoes_map_at_every_tuple(monkeypatch):
+    # every five-tuple of A-D at k <= 3: invert reads the construction from
+    # the path that map prints and gives the tuple back
+    monkeypatch.setattr(cli, "build_parser", functools.lru_cache(cli.build_parser))
+    for construction, data in _VALID_TUPLES:
+        code, out, _ = run_any("map", "--construction", construction, "--input", json.dumps(data))
+        assert code == 0
+        code, out, _ = run_any("invert", "--path", json.loads(out)["path"])
+        assert (code, json.loads(out)) == (0, data), data
 
 
 # spellings of 1 that int() takes: a sign, spaces, an underscore, and
@@ -279,7 +341,7 @@ def test_integers_are_ascii_digits_alone(one):
         code, out, err = run_any(*argv)
         assert (code, out) == (2, ""), argv
         assert "Traceback" not in err and f"got {one!r}" in err, err
-    code, out, err = run_any("walk", "--from", "--path", f"0,{one},0")
+    code, out, err = run_any("walk", "--path", f"0,{one},0")
     assert (code, out) == (1, "")
     assert err == f"error: walk must be comma-separated integers: invalid literal for int() " \
                   f"with base 10: {one!r}\n"
@@ -325,9 +387,10 @@ def test_mc_wigner_m_rejected(capsys):
     (["--ensemble", "wigner", "--k", "1040", "--n", "2", "--trials", "2"], 2, "--k 1040 "),
     (["--ensemble", "wishart", "--k", "1040", "--n", "2", "--m", "2"], 2, "--k 1040 "),
     (["--ensemble", "wigner", "--k", "1000000", "--n", "2"], 2, "--k 1000000 "),
-    # below the limit, an estimate, stderr or target that overflows
-    (["--ensemble", "wigner", "--k", "600", "--n", "4", "--trials", "2"], 1, "stderr"),
-    (["--ensemble", "wigner", "--k", "600", "--n", "4", "--trials", "2", "--format", "csv"], 1,
+    # below the limit, an estimate, stderr or target that overflows: at
+    # k = 1000 a trial's trace passes the largest float
+    (["--ensemble", "wigner", "--k", "1000", "--n", "4", "--trials", "2"], 1, "stderr"),
+    (["--ensemble", "wigner", "--k", "1000", "--n", "4", "--trials", "2", "--format", "csv"], 1,
      "stderr"),
     (["--ensemble", "wishart", "--k", "200", "--n", "2", "--m", "100", "--trials", "1"], 1,
      "target"),
@@ -343,6 +406,15 @@ def test_mc_out_of_range_is_one_error_line(capsys, argv, code, message):
     # nothing reaches stdout, so no Infinity, inf or NaN either
     assert (got, out) == (code, "")
     assert err.count("\n") == 1 and err.startswith("error: ") and message in err, err
+
+
+def test_mc_statistics_of_finite_values_are_finite(capsys):
+    # the squared deviations of these trials pass the largest float, and
+    # their stderr does not
+    code, out, err = run(capsys, "mc", "--ensemble", "wigner", "--k", "600", "--n", "50",
+                         "--trials", "3", "--seed", "1")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["stderr"] == pytest.approx(8.6314e178, rel=1e-4)
 
 
 def test_mc_k_above_the_limit_needs_no_numpy():
@@ -513,6 +585,17 @@ def test_an_allocation_failing_without_a_message_says_so(capsys, monkeypatch):
     assert run(capsys, "stats", "--path", "UD") == (1, "", "error: out of memory\n")
 
 
+def test_a_key_error_in_a_command_escapes_main(monkeypatch):
+    # no command raises KeyError on bad input, so one is a defect: main
+    # gives no exit code for it, and its traceback shows where it was raised
+    def fail(args):
+        raise KeyError("name")
+
+    monkeypatch.setattr(cli, "_cmd_stats", fail)
+    with pytest.raises(KeyError):
+        main(["stats", "--path", "UD"])
+
+
 @pytest.mark.parametrize("text", [
     '[1,2]',
     '{"p1": 5, "p2": "UD", "i": 0, "mark1": 1, "mark2": 2}',
@@ -680,9 +763,7 @@ def test_listing_writes_blocks_to_an_unbuffered_stdout(monkeypatch, command):
 _VALID_TUPLES = [(t.construction, t.to_json_dict()) for c in "ABCD" for k in (1, 2, 3)
                  for t in bijections.five_tuples(c, k)]
 _SMALL_PATHS = [p.render() for k in range(4) for p in (*enumerate_dyck(k), *enumerate_alt_motzkin(k))]
-_DYCK_DOUBLED = [p.render() for k in range(1, 5) for p in enumerate_dyck(k)]
-_AM_DOUBLED = [p.render() for k in range(1, 5) for p in enumerate_alt_motzkin(k)]
-_DOUBLED_PATHS = {"A": _DYCK_DOUBLED, "B": _DYCK_DOUBLED, "C": _AM_DOUBLED, "D": _AM_DOUBLED}
+_DOUBLED_PATHS = [p.render() for k in range(1, 5) for p in (*enumerate_dyck(k), *enumerate_alt_motzkin(k))]
 _PATH_TEXT = st.one_of(st.sampled_from(_SMALL_PATHS), st.text(alphabet="UDLX", max_size=8))
 _WRONG_TYPE = st.one_of(st.none(), st.booleans(), st.floats(allow_nan=False), st.text(max_size=3),
                         st.lists(st.integers(-1, 8), max_size=2))
@@ -704,8 +785,7 @@ _MAP_INPUT = st.one_of(
     st.tuples(st.sampled_from("ABCD"), _ANY_TUPLE.map(json.dumps)),
     st.tuples(st.sampled_from("ABCD"), st.text(max_size=10)),
 )
-_INVERT_INPUT = st.sampled_from("ABCD").flatmap(lambda c: st.tuples(
-    st.just(c), st.one_of(st.sampled_from(_DOUBLED_PATHS[c]), st.text(max_size=12))))
+_INVERT_INPUT = st.one_of(st.sampled_from(_DOUBLED_PATHS), st.text(max_size=12))
 
 
 def run_any(*argv):
@@ -721,11 +801,11 @@ def run_any(*argv):
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
-@given(st.one_of(_MAP_INPUT.map(lambda x: ("map", *x)), _INVERT_INPUT.map(lambda x: ("invert", *x))))
+@given(st.one_of(_MAP_INPUT.map(lambda x: ("map", *x)), _INVERT_INPUT.map(lambda x: ("invert", None, x))))
 def test_fuzz_map_and_invert(case):
     command, construction, text = case
-    flag = "--input" if command == "map" else "--path"
-    code, out, err = run_any(command, "--construction", construction, flag, text)
+    argv = ("--construction", construction, "--input") if command == "map" else ("--path",)
+    code, out, err = run_any(command, *argv, text)
     assert code in (0, 1, 2)
     if code == 1:
         assert out == ""
@@ -735,11 +815,11 @@ def test_fuzz_map_and_invert(case):
         return
     record = json.loads(out)
     if command == "map":
-        back_code, back, _ = run_any("invert", "--construction", construction, "--path", record["path"])
+        back_code, back, _ = run_any("invert", "--path", record["path"])
         assert back_code == 0
         assert json.loads(back) == {**json.loads(text), "construction": construction}
     else:
-        again_code, again, _ = run_any("map", "--construction", construction, "--input", out)
+        again_code, again, _ = run_any("map", "--construction", record["construction"], "--input", out)
         assert again_code == 0
         assert json.loads(again)["path"] == text.strip()
 
@@ -810,8 +890,8 @@ from pathforge.cli import main
 for argv in [
     ["stats", "--path", "UDUD"],
     ["map", "--construction", "B"],
-    ["invert", "--construction", "A", "--path", "UUUDDUDD"],
-    ["walk", "--to", "--path", "LUDL"],
+    ["invert", "--path", "UUUDDUDD"],
+    ["walk", "--path", "LUDL"],
     ["verify", "--identity", "4", "--k-max", "6"],
     ["report", "--k-max", "6", "--format", "csv"],
     ["enumerate", "--kind", "altmotzkin", "--k", "4"],
@@ -864,8 +944,8 @@ _LOADS = {
     ["report", "--k-max", "6", "--format", "csv"],
     ["verify", "--identity", "4", "--k-max", "6"],
     ["map", "--construction", "B"],
-    ["invert", "--construction", "A", "--path", "UUUDDUDD"],
-    ["walk", "--to", "--path", "LUDL"],
+    ["invert", "--path", "UUUDDUDD"],
+    ["walk", "--path", "LUDL"],
     ["mc", "--ensemble", "wigner", "--k", "2", "--n", "4", "--trials", "2"],
 ], ids=" ".join)
 def test_each_command_loads_only_what_it_runs(argv):
@@ -894,7 +974,7 @@ print(code, *sorted({"dataclasses", "inspect", "fractions", "decimal"} & (set(sy
     ["stats", "--path", "LUDL", "--path", "LLLL"],
     ["stats", "--path", "UUDD", "--format", "csv"],
     ["map", "--construction", "B"],
-    ["invert", "--construction", "A", "--path", "UUUDDUDD"],
+    ["invert", "--path", "UUUDDUDD"],
 ], ids=" ".join)
 def test_listing_and_stats_load_no_dataclasses_or_fractions(argv):
     proc = _pathforge(["-c", _ADDED_SCRIPT, *argv], subprocess.PIPE, module=False)
@@ -909,8 +989,8 @@ def test_listing_and_stats_load_no_dataclasses_or_fractions(argv):
     ["report", "--k-max", "6", "--format", "csv"],
     ["verify", "--identity", "4", "--k-max", "6"],
     ["map", "--construction", "B"],
-    ["invert", "--construction", "A", "--path", "UUUDDUDD"],
-    ["walk", "--to", "--path", "LUDL"],
+    ["invert", "--path", "UUUDDUDD"],
+    ["walk", "--path", "LUDL"],
     ["mc", "--ensemble", "wigner", "--k", "2", "--n", "4", "--trials", "2"],
 ], ids=" ".join)
 def test_no_command_loads_dataclasses(argv):
@@ -974,7 +1054,7 @@ def _option(flag, values):
 
 
 # the flags that take no value; every other flag takes the word after it
-_BARE_FLAGS = ("--count-only", "--to", "--from")
+_BARE_FLAGS = ("--count-only",)
 
 
 def _argv(command, *parts):
@@ -1063,8 +1143,7 @@ _STATS_ARGV = _argv(
 _NODES = st.lists(st.integers(-1, 3), max_size=9).map(lambda nodes: ",".join(map(str, nodes)))
 _WALK_ARGV = _argv(
     "walk",
-    st.one_of(_PATH_TEXT.map(lambda p: ("--to", "--path", p)),
-              st.one_of(_NODES, _JUNK).map(lambda w: ("--from", "--path", w))),
+    st.one_of(_PATH_TEXT, _NODES, _JUNK).map(lambda text: ("--path", text)),
     _FORMAT,
 )
 

@@ -287,6 +287,37 @@ def test_stderr_from_per_trial_variance():
     assert single.stderr == 0.0
 
 
+def _estimate_of(values):
+    # moments._estimate over the given per-trial values
+    trials = iter(values)
+    return moments._estimate("wigner", 2, 2, None, len(values), 0, lambda rng: next(trials), 1, 2)
+
+
+def test_statistics_stay_finite_near_the_largest_float():
+    # squared deviations pass the largest float from values of about
+    # 1.3e154, and a sum of values near it overflows the mean
+    est = wigner_moment(600, 50, trials=3, seed=1)
+    assert est.stderr == pytest.approx(8.6314e178, rel=1e-4)
+    for values in ([1e200, 3e200, 2e200], [1.7e308, 1.6e308, 1.5e308], [-1e300, 1e300, 5e299]):
+        exact = [Fraction(v) for v in values]
+        mean = sum(exact) / len(exact)
+        variance = sum((v - mean) ** 2 for v in exact) / (len(exact) - 1)
+        est = _estimate_of(values)
+        assert est.estimate == pytest.approx(float(mean), rel=1e-15)
+        assert est.stderr == pytest.approx(sqrt(float(variance / len(exact) / 4**1000)) * 2.0**1000,
+                                           rel=1e-15)
+
+
+def test_statistics_keep_their_bits_on_ordinary_values():
+    # the scaling by a power of two changes no bit of numpy's statistics
+    rng = np.random.default_rng(5)
+    for _ in range(500):
+        values = rng.standard_normal(20) * 10.0 ** int(rng.integers(-100, 100))
+        est = _estimate_of(list(values))
+        assert est.estimate == values.mean()
+        assert est.stderr == values.std(ddof=1) / sqrt(20)
+
+
 def test_argument_validation():
     with pytest.raises(ValueError):
         wigner_moment(0, 10)
