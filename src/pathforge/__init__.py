@@ -28,8 +28,8 @@ walks
 moments
     Wigner/Wishart Monte Carlo moment estimates.  The only module that
     needs numpy, so the package does not export it: its names
-    (``MomentEstimate``, ``trace_power``, ``wigner_moment``,
-    ``wishart_moment``) are imported from ``pathforge.moments``.
+    (``MomentEstimate``, ``wigner_moment``, ``wishart_moment``) are
+    imported from ``pathforge.moments``.
 cli
     The ``pathforge`` command-line tool.
 """

@@ -33,6 +33,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from itertools import islice
 
@@ -110,8 +111,10 @@ def _check_count_prints(k: int):
     limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit (or before 3.10.7)
     if limit and (k > 2 * limit or (math.lgamma(2 * k + 1) - math.lgamma(k + 1)
                                     - math.lgamma(k + 2)) / math.log(10) >= limit):
+        # the CSV listing is refused too once its paths are longer than Python indexes
+        hint = "; --format csv lists the paths without it" if 2 * k <= sys.maxsize else ""
         raise _UsageError(f"--k {k}: the path count has more than {limit} digits, more than "
-                          "Python prints; --format csv lists the paths without it")
+                          f"Python prints{hint}")
 
 
 # the bytes a listing hands stdout in one write: under python -u or
@@ -285,10 +288,10 @@ def _cmd_walk(args) -> int:
 def _mc_trial(ensemble: str, k: int, n: int, m: int | None) -> tuple[int, int]:
     """One mc trial's estimated (picoseconds, bytes its float64 arrays hold
     at once), read from moments.  A Wigner trial makes n*(n+1)/2 draws and
-    holds the n*n matrix; for k >= 3, trace_power adds about ceil(log2 k)
+    holds the n*n matrix; for k >= 3, _wigner_trace adds about ceil(log2 k)
     products of n**3 and holds up to three powers of that size beside it,
     formed by squaring (none at k = 3 or 4), and four blocks of 128 rows
-    are the most that the mirror's temporaries or trace_power's panels
+    are the most that the mirror's temporaries or the trace's panels
     hold.  A Wishart trial, p = min(m, n), makes 2*p chi draws, walks
     about p*k**2 / 2 band cells (priced as p*k**2) and holds a few p-long
     arrays beside four blocks of at most 2**15 band cells (k + 2 when a
@@ -447,6 +450,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_report, time_budget=None)
 
     p = sub.add_parser("walk", help="translate a path to its halfline walk, or a walk to its path")
+    # argparse takes "-1" for a value but "-1,0,-1" for an option; here any
+    # "-" and digit is a value, so a walk from below 0 meets its own refusal
+    p._negative_number_matcher = re.compile(r"-\d")
     p.add_argument("--path", required=True, help="path string, or walk as comma-separated nodes")
     add_format(p)
     p.set_defaults(func=_cmd_walk)

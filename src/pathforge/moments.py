@@ -39,66 +39,37 @@ class MomentEstimate(NamedTuple):
     target: Scalar
 
 
-def trace_power(matrix: np.ndarray, k: int) -> float:
-    """Trace of the k-th power of a square matrix.
+def _wigner_trace(a: np.ndarray, k: int) -> float:
+    """tr(A^k) for a Wigner trial matrix A, which is exactly symmetric.
 
-    Uses tr(A^k) = sum_ij (A^h)_ij (A^(k-h))_ji with h = k // 2, which holds
-    for any square A: only A^h and, for odd k, A^h @ A are formed, and the
-    trace of their product is one elementwise sum.  That is about half the
-    n-by-n products of forming A^k (k=2: none, k=4: one, k=6: two).
-
-    For k >= 3 an exactly symmetric A (``A == A.T`` entry for entry, as
-    the Wigner trial matrix is) takes a faster path.  Its powers are
-    symmetric, so they are built by squarings ``p @ p.T``, which numpy
-    hands to BLAS syrk at half the flops of a general product, with one
-    extra ``@ A`` for each odd exponent.  Then tr(A^k) is the inner
-    product of A^ceil(k/2) and A^floor(k/2), and A^ceil(k/2) is never
-    formed: it is X Y^T, with X = A^ceil(h/2) and Y = A^floor(h/2) for
-    even k = 2h (the other factor is X Y^T again), and X = A^h and Y = A
-    for odd k = 2h + 1.  One kernel sums the product over the upper
-    triangle of X Y^T, one row panel of 128 rows at a time.  At k = 3
-    and 4 nothing beside the matrix is held but that 128-by-n panel, at
-    n^3 flops; k = 5, 6 and 8 cost 2 n^3.  The symmetry test runs in the
-    same panels.  Any other matrix, one ulp off symmetric included, takes
-    the general path.  Integer and bool input is taken as float64, so it
-    neither wraps nor multiplies logically.  Complex input is refused:
-    the result is a real float, and ``np.vdot`` would conjugate.
+    k = 1 is the trace and k = 2 the sum of A times A^T entry by entry.
+    For k >= 3 the powers of A are symmetric, so they are built by squarings
+    ``p @ p.T``, which numpy hands to BLAS syrk at half the flops of a
+    general product, with one extra ``@ A`` for each odd exponent.  Then
+    tr(A^k) is the inner product of A^ceil(k/2) and A^floor(k/2), and
+    A^ceil(k/2) is never formed: it is X Y^T, with X = A^ceil(h/2) and
+    Y = A^floor(h/2) for even k = 2h (the other factor is X Y^T again),
+    and X = A^h and Y = A for odd k = 2h + 1.  One kernel sums the product
+    over the upper triangle of X Y^T, one row panel of 128 rows at a time.
+    At k = 3 and 4 nothing beside the matrix is held but that 128-by-n
+    panel, at n^3 flops; k = 5, 6 and 8 cost 2 n^3.
     """
-    matrix = np.asarray(matrix)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
-    if np.iscomplexobj(matrix):
-        raise ValueError(f"expected a real matrix, got dtype {matrix.dtype}")
-    _check_size(k, 1, "power")
-    if matrix.dtype.kind in "biu":
-        matrix = matrix.astype(np.float64)  # else int64 wraps and bool is logical
     if k == 1:
-        return float(matrix.trace())
-    if k >= 3 and _is_symmetric(matrix):
-        h = k // 2
-        if k % 2:
-            half = _symmetric_power(matrix, h)
-            return _upper_inner(half, matrix, half)
-        y = _symmetric_power(matrix, h // 2)
-        # y @ matrix.T is y @ matrix for a symmetric matrix; at k = 6, where
-        # y is the matrix itself, numpy runs it as syrk
-        x = y if h % 2 == 0 else y @ matrix.T
-        return _upper_inner(x, y)
-    half = np.linalg.matrix_power(matrix, k // 2)
-    rest = half if k % 2 == 0 else half @ matrix
-    return float(np.einsum("ij,ji->", half, rest))
+        return float(a.trace())
+    if k == 2:
+        return float(np.einsum("ij,ji->", a, a))
+    h = k // 2
+    if k % 2:
+        half = _symmetric_power(a, h)
+        return _upper_inner(half, a, half)
+    y = _symmetric_power(a, h // 2)
+    # y @ a.T is y @ a for a symmetric a; at k = 6, where y is a itself,
+    # numpy runs it as syrk
+    x = y if h % 2 == 0 else y @ a.T
+    return _upper_inner(x, y)
 
 
-_BLOCK = 128  # rows or columns per block: the Wigner mirror, symmetry test and trace panels
-
-
-def _is_symmetric(matrix: np.ndarray) -> bool:
-    # row panel [i, i+B) right of the diagonal against column panel [i, i+B)
-    # below it, so the bool temporary is one panel, not n-by-n
-    return all(
-        np.array_equal(matrix[i:i + _BLOCK, i:], matrix[i:, i:i + _BLOCK].T)
-        for i in range(0, matrix.shape[0], _BLOCK)
-    )
+_BLOCK = 128  # rows or columns per block: the Wigner mirror and the trace panels
 
 
 def _upper_inner(x: np.ndarray, y: np.ndarray, w: np.ndarray | None = None) -> float:
@@ -177,10 +148,9 @@ def wigner_moment(k: int, n: int, trials: int = 20, seed: int = 0) -> MomentEsti
 
     Each trial matrix is drawn row by row on and above its diagonal and
     mirrored in place, block by block, and goes straight into
-    ``trace_power``, so it is freed before the next trial draws.  Being
-    exactly symmetric, it takes the symmetric path for k >= 3: a trial
-    holds one n-by-n array and a 128-row panel at k = 3 and 4, and k = 6
-    costs 2 n^3 flops.
+    ``_wigner_trace``, so it is freed before the next trial draws: a
+    trial holds one n-by-n array and a 128-row panel at k = 3 and 4, and
+    k = 6 costs 2 n^3 flops.
     """
     _check_size(k, 1)
     _check_size(n, 2, "n")
@@ -188,7 +158,7 @@ def wigner_moment(k: int, n: int, trials: int = 20, seed: int = 0) -> MomentEsti
     _check_size(seed, 0, "seed")
     target = catalan(k // 2) if k % 2 == 0 else 0
     return _estimate("wigner", k, n, None, trials, seed,
-                     lambda rng: trace_power(_wigner_matrix(rng, n), k), n, target)
+                     lambda rng: _wigner_trace(_wigner_matrix(rng, n), k), n, target)
 
 
 def _laguerre_tridiagonal(rng: np.random.Generator, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -44,12 +44,14 @@ def test_enumerate_count_only(capsys, kind, k, count):
 @pytest.mark.parametrize("extra", [[], ["--count-only"]])
 def test_enumerate_count_too_long_to_print_is_refused(capsys, extra):
     # Catalan(7153) has 4301 digits, one more than Python prints by default;
-    # the refusal comes before the count is computed
+    # the refusal comes before the count is computed, and points to the CSV
+    # listing, which takes this k
     start = time.perf_counter()
     code, out, err = run(capsys, "enumerate", "--kind", "dyck", "--k", "7153", *extra)
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "")
     assert err.startswith("error: --k 7153: the path count has more than 4300 digits"), err
+    assert err.endswith("; --format csv lists the paths without it\n"), err
     assert len(err.splitlines()) == 1
 
 
@@ -61,10 +63,11 @@ def test_enumerate_count_too_long_to_print_is_refused(capsys, extra):
 ], ids=["count-only", "json", "csv"])
 def test_enumerate_refuses_a_k_past_a_float_or_an_index(capsys, k, extra, message):
     # lgamma takes no k past about 1e305 and no float holds 10**400; a CSV
-    # listing's 2k steps pass sys.maxsize at 2**62
+    # listing's 2k steps pass sys.maxsize at 2**62, so no refusal points to it
     code, out, err = run(capsys, "enumerate", "--kind", "dyck", "--k", str(k), *extra)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: --k {k}: {message}"), err
+    assert "--format csv" not in err, err
     assert len(err.splitlines()) == 1
 
 
@@ -292,8 +295,8 @@ def test_invert_refuses_a_path_of_another_kind(capsys):
 def test_walk_reads_a_digit_as_a_walk(monkeypatch):
     # every U/D/L string of up to 8 steps is read as a path and every node
     # list of up to 6 nodes in -1..3 as a walk: walk prints what
-    # path_to_walk or walk_to_path gives, or exits 1 with their error
-    # (--path=X, since argparse reads a lone -1,0,-1 as an option)
+    # path_to_walk or walk_to_path gives, or exits 1 with their error, in
+    # both spellings of the option (--path X for JSON, --path=X for CSV)
     monkeypatch.setattr(cli, "build_parser", functools.lru_cache(cli.build_parser))
     texts = ["".join(t) for n in range(9) for t in itertools.product("UDL", repeat=n)]
     texts += [",".join(map(str, t)) for n in range(1, 7) for t in itertools.product(range(-1, 4), repeat=n)]
@@ -312,11 +315,24 @@ def test_walk_reads_a_digit_as_a_walk(monkeypatch):
                           "walk": line}
         except ValueError as exc:
             expected = (1, "", f"error: {exc}\n")
-            assert run_any("walk", f"--path={text}") == expected, text
+            assert run_any("walk", "--path", text) == expected, text
             assert run_any("walk", f"--path={text}", "--format", "csv") == expected, text
         else:
-            assert run_any("walk", f"--path={text}") == (0, json.dumps(record, indent=2) + "\n", ""), text
+            assert run_any("walk", "--path", text) == (0, json.dumps(record, indent=2) + "\n", ""), text
             assert run_any("walk", f"--path={text}", "--format", "csv") == (0, line + "\n", ""), text
+
+
+def test_walk_takes_a_node_list_that_starts_below_zero():
+    # argparse takes a value that starts with "-" and a digit as walk's
+    # --path, so the walk itself refuses its first node, as with --path=;
+    # one that starts with "-" and no digit is still read as an option
+    expected = (1, "", "error: node at time 0 must be nonnegative, got -1\n")
+    assert run_any("walk", "--path", "-1,0,-1") == expected
+    assert run_any("walk", "--path=-1,0,-1") == expected
+    for command in ("walk", "stats", "invert"):
+        code, out, err = run_any(command, "--path", "-UD")
+        assert (code, out) == (2, "") and "Traceback" not in err
+        assert err.splitlines()[-1].endswith("error: argument --path: expected one argument"), err
 
 
 def test_invert_undoes_map_at_every_tuple(monkeypatch):
@@ -473,7 +489,7 @@ def test_mc_work_bound_keeps_a_tenfold_margin():
 
 
 def test_mc_trial_estimate_is_pinned():
-    # (picoseconds, bytes) of one trial for k = 1..8: from k = 3 trace_power
+    # (picoseconds, bytes) of one trial for k = 1..8: from k = 3 _wigner_trace
     # adds products, and holds three powers beside the matrix from k = 5;
     # the Wishart walk grows with k and k**2, and its bytes with neither
     assert [cli._mc_trial("wigner", k, 100, None) for k in range(1, 9)] == [

@@ -87,7 +87,6 @@ _SIZE_ENTRIES = {
     "sweep": (lambda v: sweep(["thm1", "thm5"], v), 0),
     "verify thm1": (lambda v: verify("thm1", v), 1),
     "verify thm4": (lambda v: verify("thm4", v), 2),
-    "trace_power": (lambda v: _moments().trace_power([[1.0, 0.0], [0.0, 1.0]], v), 1),
     "wigner_moment k": (lambda v: _moments().wigner_moment(v, 10), 1),
     "wigner_moment n": (lambda v: _moments().wigner_moment(2, v), 2),
     "wigner_moment trials": (lambda v: _moments().wigner_moment(2, 10, trials=v), 1),
