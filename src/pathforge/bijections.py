@@ -68,14 +68,7 @@ class FiveTuple(NamedTuple):
     mark2: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "construction": self.construction,
-            "p1": self.p1.render(),
-            "p2": self.p2.render(),
-            "i": self.i,
-            "mark1": self.mark1,
-            "mark2": self.mark2,
-        }
+        return {**self._asdict(), "p1": self.p1.render(), "p2": self.p2.render()}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FiveTuple":

@@ -4,9 +4,11 @@ inverses, identity verification, walk translation, and Monte Carlo moments.
 Output goes to stdout as JSON by default or CSV with ``--format csv``.
 Each command reads what its input states: a level step, or a loop in a
 walk, means alternating Motzkin (``_kind_of``), an ASCII digit in ``walk
---path`` a walk, and a doubled path's kind and middle altitude the one
-construction ``invert`` undoes (``bijections._construction_of``).  Every
-integer argument is ASCII -?[0-9]+ (``numeric._parse_int``).
+--path`` a walk, a doubled path's kind and middle altitude the one
+construction ``invert`` undoes (``bijections._construction_of``), and a
+five-tuple's "construction" field the one ``map`` applies, so ``invert
+--path P | map --input -`` prints P.  Every integer argument is ASCII
+-?[0-9]+ (``numeric._parse_int``).
 ``verify --identity N`` is ``report --identities N`` with no --time-budget,
 so K_MAX_LIMIT always bounds it; both run ``_cmd_report``.  Exit codes: 0
 on success, 1 when a verified identity fails (or on a computation error,
@@ -42,8 +44,8 @@ from .numeric import GammaPoly, _parse_int, catalan
 from .paths import PathKind, _listing, parse, stats
 
 # the largest --k-max a sweep runs without a --time-budget: an all-identity
-# report takes about 3.6 s to K=100 and 22 s to K=150 (2-vCPU Intel Xeon
-# VM, Python 3.11.7)
+# report takes about 2.9 s to K=100 and 14 s to K=150 end to end (medians
+# of 3 runs, 2-vCPU Intel Xeon VM, Python 3.11.7)
 K_MAX_LIMIT = 100
 
 # the largest mc --k: the Wigner target of an even k is C_{k/2}, and C_520
@@ -183,34 +185,32 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _tuple_json(args):
-    """The five-tuple's JSON value: --input, stdin, or the construction's
-    first five-tuple at k=1."""
-    if args.input is None:
-        from . import bijections
-
-        first = next(bijections.five_tuples(args.construction, 1), None)
-        if first is None:
-            raise ValueError(f"construction {args.construction} has no valid input at k=1; pass --input")
-        data = first.to_json_dict()
-    else:
-        text = sys.stdin.read() if args.input == "-" else args.input
-        try:
-            data = json.loads(text)
-        except RecursionError:
-            raise ValueError("--input is nested too deeply to parse") from None
-    if isinstance(data, dict):
-        named = data.setdefault("construction", args.construction)
-        if named != args.construction:
-            raise ValueError(f"--input names construction {named!r}, but --construction is "
-                             f"{args.construction}")
+def _fields_once(pairs):
+    """A JSON object as a dict, refusing a field it names twice, whose
+    last value json.loads would keep."""
+    data = {}
+    for name, value in pairs:
+        if name in data:
+            raise ValueError(f"--input names field {name!r} twice")
+        data[name] = value
     return data
+
+
+def _tuple_json(text: str):
+    """The JSON value of --input, or of stdin for -."""
+    text = sys.stdin.read() if text == "-" else text
+    try:
+        return json.loads(text, object_pairs_hook=_fields_once)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"--input is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ValueError("--input is nested too deeply to parse") from None
 
 
 def _cmd_map(args) -> int:
     from . import bijections
 
-    t = bijections.FiveTuple.from_json_dict(_tuple_json(args))
+    t = bijections.FiveTuple.from_json_dict(_tuple_json(args.input))
     mp = bijections.construct(t)
     record = {
         "construction": t.construction,
@@ -432,8 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("map", help="apply a construction to a five-tuple")
-    p.add_argument("--construction", choices=["A", "B", "C", "D"], required=True)
-    p.add_argument("--input", help="five-tuple JSON, or - for stdin; defaults to the minimal k=1 tuple")
+    p.add_argument("--input", required=True,
+                   help='five-tuple JSON, or - for stdin; its "construction" field names A-D')
     add_format(p)
     p.set_defaults(func=_cmd_map)
 

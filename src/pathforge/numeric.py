@@ -19,10 +19,11 @@ Scalar = Union[int, "Fraction"]
 def _parse_int(text: str) -> int:
     """The int an ASCII -?[0-9]+ spells, the one integer grammar of the
     command line and of a walk; int() would also take a +, an underscore,
-    spaces and non-ASCII digits.  Anything else is int()'s ValueError."""
+    spaces and non-ASCII digits.  Anything else is a ValueError that names
+    the text and the rule."""
     digits = text[1:] if text.startswith("-") else text
     if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+        raise ValueError(f"{text!r} is not an integer written as ASCII -?[0-9]+")
     return int(text)
 
 

@@ -28,6 +28,10 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+# construction B's first five-tuple at k = 1
+_TUPLE_B = '{"construction":"B","p1":"UD","p2":"UD","i":0,"mark1":0,"mark2":0}'
+
+
 @pytest.mark.parametrize("kind,k,count", [
     ("dyck", 3, 5),
     ("dyck", 6, 132),
@@ -128,17 +132,9 @@ def test_stats_multiple_paths(capsys):
     assert [d["path"] for d in data] == ["UUDD", "UDUD"]
 
 
-def test_map_default_tuple_b(capsys):
-    code, out, _ = run(capsys, "map", "--construction", "B")
-    assert code == 0
-    data = json.loads(out)
-    assert data["path"] == "UUDDUD"
-    assert data["middle_altitude"] == 1
-
-
 def test_map_explicit_input(capsys):
-    blob = json.dumps({"p1": "UDUD", "p2": "UUDD", "i": 0, "mark1": 1, "mark2": 4})
-    code, out, _ = run(capsys, "map", "--construction", "A", "--input", blob)
+    blob = json.dumps({"construction": "A", "p1": "UDUD", "p2": "UUDD", "i": 0, "mark1": 1, "mark2": 4})
+    code, out, _ = run(capsys, "map", "--input", blob)
     assert code == 0
     data = json.loads(out)
     assert data == {
@@ -149,14 +145,20 @@ def test_map_explicit_input(capsys):
     }
 
 
-def test_map_construction_c_needs_input(capsys):
-    code, _, err = run(capsys, "map", "--construction", "C")
-    assert code == 1
-    assert "no valid input" in err
+@pytest.mark.parametrize("argv", [
+    ["map"],
+    ["map", "--construction", "A", "--input", _TUPLE_B],
+    ["map", "--construction", "B", "--input", _TUPLE_B],
+])
+def test_map_takes_its_construction_from_input_alone(argv):
+    # --input is required, and the five-tuple names its construction
+    code, out, err = run_any(*argv)
+    assert (code, out) == (2, "") and "Traceback" not in err
 
 
 def test_map_invert_round_trip(capsys):
-    code, out, _ = run(capsys, "map", "--construction", "D")
+    tuple_d = {"construction": "D", "p1": "LL", "p2": "LL", "i": 0, "mark1": 2, "mark2": 1}
+    code, out, _ = run(capsys, "map", "--input", json.dumps(tuple_d))
     data = json.loads(out)
     code, out, _ = run(capsys, "invert", "--path", data["path"])
     assert code == 0
@@ -337,13 +339,33 @@ def test_walk_takes_a_node_list_that_starts_below_zero():
 
 def test_invert_undoes_map_at_every_tuple(monkeypatch):
     # every five-tuple of A-D at k <= 3: invert reads the construction from
-    # the path that map prints and gives the tuple back
+    # the path that map prints and gives the tuple back, which map reads as
+    # invert prints it
     monkeypatch.setattr(cli, "build_parser", functools.lru_cache(cli.build_parser))
-    for construction, data in _VALID_TUPLES:
-        code, out, _ = run_any("map", "--construction", construction, "--input", json.dumps(data))
+    for data in _VALID_TUPLES:
+        code, mapped, _ = run_any("map", "--input", json.dumps(data))
         assert code == 0
-        code, out, _ = run_any("invert", "--path", json.loads(out)["path"])
+        code, out, _ = run_any("invert", "--path", json.loads(mapped)["path"])
         assert (code, json.loads(out)) == (0, data), data
+        assert run_any("map", "--input", out) == (0, mapped, ""), data
+
+
+def test_map_reads_what_invert_prints(monkeypatch):
+    # invert --path P | map --input - prints P's record, for every doubled
+    # path of k <= 4 that inverts
+    monkeypatch.setattr(cli, "build_parser", functools.lru_cache(cli.build_parser))
+    inverted = 0
+    for text in _DOUBLED_PATHS:
+        code, out, _ = run_any("invert", "--path", text)
+        if code:
+            continue
+        monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+        code, mapped, err = run_any("map", "--input", "-")
+        assert (code, err) == (0, ""), text
+        record = json.loads(mapped)
+        assert (record["construction"], record["path"]) == (json.loads(out)["construction"], text)
+        inverted += 1
+    assert inverted == 27  # of the 44
 
 
 # spellings of 1 that int() takes: a sign, spaces, an underscore, and
@@ -359,8 +381,9 @@ def test_integers_are_ascii_digits_alone(one):
         assert "Traceback" not in err and f"got {one!r}" in err, err
     code, out, err = run_any("walk", "--path", f"0,{one},0")
     assert (code, out) == (1, "")
-    assert err == f"error: walk must be comma-separated integers: invalid literal for int() " \
-                  f"with base 10: {one!r}\n"
+    # the node as given and the rule that refuses it, not int()'s words
+    assert err == f"error: walk must be comma-separated integers: {one!r} is not an integer " \
+                  f"written as ASCII -?[0-9]+\n"
 
 
 def test_k_max_reads_as_an_integer(capsys):
@@ -614,16 +637,17 @@ def test_a_key_error_in_a_command_escapes_main(monkeypatch):
 
 @pytest.mark.parametrize("text", [
     '[1,2]',
-    '{"p1": 5, "p2": "UD", "i": 0, "mark1": 1, "mark2": 2}',
-    '{"p1": "UD", "p2": "UD", "i": 0, "mark1": 1.7, "mark2": 2}',
-    '{"p1": "UD", "p2": "UD", "i": true, "mark1": 1, "mark2": 2}',
-    # no field is overridden, ignored or read as a bare KeyError
+    '{"p1": 5, "p2": "UD", "i": 0, "mark1": 1, "mark2": 2, "construction": "A"}',
+    '{"p1": "UD", "p2": "UD", "i": 0, "mark1": 1.7, "mark2": 2, "construction": "A"}',
+    '{"p1": "UD", "p2": "UD", "i": true, "mark1": 1, "mark2": 2, "construction": "A"}',
+    # B marks vertices, and vertex 1 of UD is at altitude 1, not i
     '{"construction": "B", "p1": "UD", "p2": "UD", "i": 0, "mark1": 1, "mark2": 2}',
-    '{"p1": "UD", "p2": "UD", "i": 0, "mark1": 1, "mark2": 2, "bogus": 7}',
+    # no field is ignored or read as a bare KeyError
+    '{"p1": "UD", "p2": "UD", "i": 0, "mark1": 1, "mark2": 2, "bogus": 7, "construction": "A"}',
     '{"p1": "UD", "i": 0, "mark1": 1, "mark2": 2}',
 ])
 def test_map_rejects_malformed_input(capsys, text):
-    code, out, err = run(capsys, "map", "--construction", "A", "--input", text)
+    code, out, err = run(capsys, "map", "--input", text)
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
@@ -633,27 +657,35 @@ def test_map_input_nested_too_deeply_is_one_error_line():
     # json.loads gives up past the interpreter's recursion limit: an input
     # error, not a traceback
     depth = 100_000
-    proc = _pathforge(["map", "--construction", "A", "--input", "-"], subprocess.PIPE,
-                      stdin=subprocess.PIPE)
-    out, err = proc.communicate(("[" * depth + "]" * depth).encode(), timeout=60)
+    proc = _pathforge(["map", "--input", "-"], subprocess.PIPE, stdin=subprocess.PIPE)
+    text = '{"construction": "A", "p1": ' + "[" * depth + "]" * depth + "}"
+    out, err = proc.communicate(text.encode(), timeout=60)
     assert (proc.returncode, out) == (1, b"")
     assert err.decode() == "error: --input is nested too deeply to parse\n"
 
 
 def test_map_input_names_the_fields_it_refuses(capsys):
     for blob, message in [
-        ('{"p1": "UD", "i": 0, "mark1": 1, "mark2": 2}', "field 'p2' is missing"),
-        ('{"p1": "UD", "p2": "UD", "i": 0, "mark1": 1, "mark2": 2, "bogus": 7}',
+        ('{"construction": "A", "p1": "UD", "i": 0, "mark1": 1, "mark2": 2}', "field 'p2' is missing"),
+        ('{"p1": "UD", "p2": "UD", "i": 0, "mark1": 1, "mark2": 2}', "field 'construction' is missing"),
+        ('{"construction": "A", "p1": "UD", "p2": "UD", "i": 0, "mark1": 1, "mark2": 2, "bogus": 7}',
          "field 'bogus' is unknown"),
-        ('{"construction": "B", "p1": "UD", "p2": "UD", "i": 0, "mark1": 1, "mark2": 2}',
-         "names construction 'B', but --construction is A"),
         # --input is taken as given; only --path strips its argument
-        ('{"p1": " UD ", "p2": "UD", "i": 0, "mark1": 1, "mark2": 2}',
+        ('{"construction": "A", "p1": " UD ", "p2": "UD", "i": 0, "mark1": 1, "mark2": 2}',
          "p1 must be a path string without surrounding whitespace, got ' UD '"),
-        ('{"p1": "UD", "p2": "UD\\n", "i": 0, "mark1": 1, "mark2": 2}',
+        ('{"construction": "A", "p1": "UD", "p2": "UD\\n", "i": 0, "mark1": 1, "mark2": 2}',
          "p2 must be a path string without surrounding whitespace, got 'UD\\n'"),
+        # a field named twice is refused, where json.loads alone keeps the last and runs
+        ('{"construction": "A", "p1": "UD", "p2": "UUDD", "i": 0, "mark1": 1, "mark2": 4, "p1": "UDUD"}',
+         "error: --input names field 'p1' twice"),
+        ('{"construction": "A", "construction": "A", "p1": "UDUD", "p2": "UUDD", "i": 0, "mark1": 1, '
+         '"mark2": 4}', "error: --input names field 'construction' twice"),
+        # and text that is not JSON is refused as --input
+        ("", "error: --input is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+        ('{"construction": "A",}', "error: --input is not valid JSON: Expecting property name "
+         "enclosed in double quotes: line 1 column 22 (char 21)"),
     ]:
-        code, out, err = run(capsys, "map", "--construction", "A", "--input", blob)
+        code, out, err = run(capsys, "map", "--input", blob)
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.endswith(f"{message}\n"), err
 
@@ -776,30 +808,29 @@ def test_listing_writes_blocks_to_an_unbuffered_stdout(monkeypatch, command):
 # generated input for the fuzz below: valid five-tuples, the same with one
 # field moved by a little, doubled paths, and arbitrary text, missing keys
 # and wrong types
-_VALID_TUPLES = [(t.construction, t.to_json_dict()) for c in "ABCD" for k in (1, 2, 3)
+_VALID_TUPLES = [t.to_json_dict() for c in "ABCD" for k in (1, 2, 3)
                  for t in bijections.five_tuples(c, k)]
 _SMALL_PATHS = [p.render() for k in range(4) for p in (*enumerate_dyck(k), *enumerate_alt_motzkin(k))]
 _DOUBLED_PATHS = [p.render() for k in range(1, 5) for p in (*enumerate_dyck(k), *enumerate_alt_motzkin(k))]
 _PATH_TEXT = st.one_of(st.sampled_from(_SMALL_PATHS), st.text(alphabet="UDLX", max_size=8))
 _WRONG_TYPE = st.one_of(st.none(), st.booleans(), st.floats(allow_nan=False), st.text(max_size=3),
                         st.lists(st.integers(-1, 8), max_size=2))
-_FIELDS = {"p1": _PATH_TEXT, "p2": _PATH_TEXT, "i": st.integers(-1, 3),
-           "mark1": st.integers(-1, 8), "mark2": st.integers(-1, 8)}
+_FIELDS = {"construction": st.sampled_from("ABCDE"), "p1": _PATH_TEXT, "p2": _PATH_TEXT,
+           "i": st.integers(-1, 3), "mark1": st.integers(-1, 8), "mark2": st.integers(-1, 8)}
 _ANY_TUPLE = st.fixed_dictionaries({}, optional={name: st.one_of(values, _WRONG_TYPE)
                                                  for name, values in _FIELDS.items()})
 
 
-def _moved(ct, field, delta):
-    construction, data = ct
-    return construction, json.dumps({**data, field: data[field] + delta})
+def _moved(data, field, delta):
+    return json.dumps({**data, field: data[field] + delta})
 
 
 _MAP_INPUT = st.one_of(
-    st.sampled_from(_VALID_TUPLES).map(lambda ct: (ct[0], json.dumps(ct[1]))),
+    st.sampled_from(_VALID_TUPLES).map(json.dumps),
     st.builds(_moved, st.sampled_from(_VALID_TUPLES), st.sampled_from(["i", "mark1", "mark2"]),
               st.integers(-2, 2)),
-    st.tuples(st.sampled_from("ABCD"), _ANY_TUPLE.map(json.dumps)),
-    st.tuples(st.sampled_from("ABCD"), st.text(max_size=10)),
+    _ANY_TUPLE.map(json.dumps),
+    st.text(max_size=10),
 )
 _INVERT_INPUT = st.one_of(st.sampled_from(_DOUBLED_PATHS), st.text(max_size=12))
 
@@ -817,11 +848,11 @@ def run_any(*argv):
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
-@given(st.one_of(_MAP_INPUT.map(lambda x: ("map", *x)), _INVERT_INPUT.map(lambda x: ("invert", None, x))))
+@given(st.one_of(_MAP_INPUT.map(lambda x: ("map", "--input", x)),
+                 _INVERT_INPUT.map(lambda x: ("invert", "--path", x))))
 def test_fuzz_map_and_invert(case):
-    command, construction, text = case
-    argv = ("--construction", construction, "--input") if command == "map" else ("--path",)
-    code, out, err = run_any(command, *argv, text)
+    command, _, text = case
+    code, out, err = run_any(*case)
     assert code in (0, 1, 2)
     if code == 1:
         assert out == ""
@@ -833,9 +864,9 @@ def test_fuzz_map_and_invert(case):
     if command == "map":
         back_code, back, _ = run_any("invert", "--path", record["path"])
         assert back_code == 0
-        assert json.loads(back) == {**json.loads(text), "construction": construction}
+        assert json.loads(back) == json.loads(text)
     else:
-        again_code, again, _ = run_any("map", "--construction", record["construction"], "--input", out)
+        again_code, again, _ = run_any("map", "--input", out)
         assert again_code == 0
         assert json.loads(again)["path"] == text.strip()
 
@@ -905,7 +936,7 @@ import contextlib, io, sys
 from pathforge.cli import main
 for argv in [
     ["stats", "--path", "UDUD"],
-    ["map", "--construction", "B"],
+    ["map", "--input", '{"construction":"B","p1":"UD","p2":"UD","i":0,"mark1":0,"mark2":0}'],
     ["invert", "--path", "UUUDDUDD"],
     ["walk", "--path", "LUDL"],
     ["verify", "--identity", "4", "--k-max", "6"],
@@ -959,7 +990,7 @@ _LOADS = {
     ["stats", "--path", "UDUD"],
     ["report", "--k-max", "6", "--format", "csv"],
     ["verify", "--identity", "4", "--k-max", "6"],
-    ["map", "--construction", "B"],
+    pytest.param(["map", "--input", _TUPLE_B], id="map --input _TUPLE_B"),
     ["invert", "--path", "UUUDDUDD"],
     ["walk", "--path", "LUDL"],
     ["mc", "--ensemble", "wigner", "--k", "2", "--n", "4", "--trials", "2"],
@@ -989,7 +1020,7 @@ print(code, *sorted({"dataclasses", "inspect", "fractions", "decimal"} & (set(sy
     ["enumerate", "--kind", "dyck", "--k", "4", "--format", "csv"],
     ["stats", "--path", "LUDL", "--path", "LLLL"],
     ["stats", "--path", "UUDD", "--format", "csv"],
-    ["map", "--construction", "B"],
+    pytest.param(["map", "--input", _TUPLE_B], id="map --input _TUPLE_B"),
     ["invert", "--path", "UUUDDUDD"],
 ], ids=" ".join)
 def test_listing_and_stats_load_no_dataclasses_or_fractions(argv):
@@ -1004,7 +1035,7 @@ def test_listing_and_stats_load_no_dataclasses_or_fractions(argv):
     ["stats", "--path", "UDUD"],
     ["report", "--k-max", "6", "--format", "csv"],
     ["verify", "--identity", "4", "--k-max", "6"],
-    ["map", "--construction", "B"],
+    pytest.param(["map", "--input", _TUPLE_B], id="map --input _TUPLE_B"),
     ["invert", "--path", "UUUDDUDD"],
     ["walk", "--path", "LUDL"],
     ["mc", "--ensemble", "wigner", "--k", "2", "--n", "4", "--trials", "2"],

@@ -45,8 +45,9 @@ def test_parse_int_takes_ascii_digits_alone():
         assert _parse_int(text) == value
     # int() takes all but the last three of these
     for text in ("+1", " 1", "1 ", "1_0", "\u0661", "\uff11", "", "-", "1.0"):
-        with pytest.raises(ValueError, match="^invalid literal for int\\(\\) with base 10: "):
+        with pytest.raises(ValueError) as exc:
             _parse_int(text)
+        assert str(exc.value) == f"{text!r} is not an integer written as ASCII -?[0-9]+"
 
 
 def test_narayana_known_values():
