@@ -6,25 +6,28 @@ length 4k with positive even middle altitude; B uses vertex marks and lands
 on all Dyck paths of length 4k+2; C and D are the alternating Motzkin
 versions, steering to even and odd middle altitudes respectively.
 
-The four are variants of one bijection, written once as ``_left`` and its
-inverse ``_left_inv``, each one scan of a running minimum.  The left-half
-surgery opens into rises the falls after the mark that reach a new lowest
-altitude: the closing falls of the chain of i rises that enclose the mark
-and, for a marked rise (A, C), the mark's own.  Any other mark becomes a
-new rise: D's marked level step, or a level step that B inserts after its
-marked vertex.  The inverse closes the rises at which the half, read
-leftwards from its end, first reaches each altitude above i, and the
-same scan stops at the rise from i, the mark.  The path kind decides
-how a fall opens: a Dyck fall flips, and an alternating Motzkin fall
-trades places with its nearest level step to the right, which becomes
-the rise; closing is the exact inverse.  Both directions read each half
-once, so ``construct`` and ``invert`` take time linear in the path
-length.  One table row per construction names its kind and its marks,
-and one method of the row states the law of each mark: the step it must
-be, the altitude before it and the parity of its position.  One check
-of a given mark reads that law, and the positions that may carry a mark
-are those it accepts.  The right path is mirrored (steps reversed, rises
-and falls swapped), put through the same surgery and mirrored back.
+The four are variants of one bijection, written as two scans of a running
+minimum that read each half in place: ``_open_lows`` reads rightwards and
+opens into rises the falls that reach a new lowest altitude, and
+``_close_lows`` reads leftwards and closes into falls the rises from
+which one is reached.  ``construct`` opens the falls after p1's mark that
+reach a new low: the closing falls of the chain of i rises that enclose
+the mark and, for a marked rise (A, C), the mark's own.  It closes the
+rises before p2's mark that reach one, read leftwards: the same surgery
+seen from the path's end, so the right half needs no mirrored copy.  Any
+other mark becomes a new rise in p1 and a new fall in p2: D's marked
+level step, or a level step that B inserts after its marked vertex.
+``invert`` reads outwards from the middle vertex, closing leftwards and
+opening rightwards at each new low above i; both scans stop at altitude
+i, on the marks.  The path kind decides how a fall opens: a Dyck fall
+flips, and an alternating Motzkin fall trades places with its nearest
+level step to the right, which becomes the rise; closing is the exact
+inverse.  Each half is read once, so ``construct`` and ``invert`` take
+time linear in the path length.  One table row per construction names
+its kind and its marks, and one method of the row states the law of each
+mark: the step it must be, the altitude before it and the parity of its
+position.  One check of a given mark reads that law, and the positions
+that may carry a mark are those it accepts.
 ``five_tuples`` and ``image_paths`` enumerate the domain and the
 characterized image of each construction; the tests use them to check
 every construction exhaustively at small k.
@@ -32,7 +35,6 @@ every construction exhaustively at small k.
 
 from __future__ import annotations
 
-from operator import neg
 from typing import Iterator, NamedTuple
 
 from .numeric import _check_size
@@ -122,10 +124,6 @@ def middle_altitude(path: Path) -> int:
 # ---------------------------------------------------------------------------
 # step helpers (steps are Path.steps tuples, positions 1-based)
 
-def _mirror(steps):
-    return tuple(map(neg, reversed(steps)))
-
-
 def _level_from(steps, alts, altitude, positions) -> int:
     """The first of ``positions`` (1-based, in the order given) that holds a
     level step from ``altitude``.  The level-parity lemma puts it on an even
@@ -182,11 +180,6 @@ class _Construction(NamedTuple):
                 and (step is None or steps[mark - 1] == step)
                 and sum(steps[:mark - first]) == start)
 
-    def mirror_mark(self, n: int, mark: int) -> int:
-        """Where a mark of a path of length n lands when the path is
-        mirrored: a vertex at n - mark, a step at n + 1 - mark."""
-        return n - mark if self.marks == "vertex" else n + 1 - mark
-
     def middle_index(self, mid: int) -> int | None:
         """The i of a doubled path with middle altitude ``mid``, or None
         when mid follows no law of this construction: mid is 2i+2 for a
@@ -216,7 +209,7 @@ def _construction_of(path: Path) -> str:
 
 
 # ---------------------------------------------------------------------------
-# the one left-half surgery
+# the one surgery: two running-minimum scans
 
 def _open(kind, out, steps, alts, fall):
     """Turn a closing fall into a rise in ``out``.  A Dyck fall flips; an
@@ -238,58 +231,41 @@ def _close(kind, out, steps, alts, rise):
         out[_level_from(steps, alts, alts[rise - 1], range(rise - 1, 0, -1)) - 1] = FALL
 
 
-def _left(c: _Construction, steps, mark):
-    """Open the falls after the mark that reach a new lowest altitude: the
-    closing falls of the chain of i rises that enclose the mark and, for a
-    marked rise (A, C), the mark's own fall, so that the half ends at 2i+2.
-    Any other mark becomes a new rise and the half ends at 2i+1: D's marked
-    level step, or for B a level step inserted after the marked vertex.
-    Each level partner that ``_open`` finds lies before the next new low,
-    so the scans for them cover disjoint ranges and the surgery is linear."""
-    if c.marks == "vertex":
-        steps, mark = steps[:mark] + (LEVEL,) + steps[mark:], mark + 1
-    alts = altitudes(steps)
-    out = list(steps)
-    if c.marks != "rise":
-        out[mark - 1] = RISE
-    low = alts[mark]
-    for q in range(mark + 1, len(steps) + 1):
+def _open_lows(kind, out, steps, alts, positions, low, stop):
+    """Read ``positions`` rightwards from altitude ``low`` and open each
+    fall that reaches a new low, until one reaches altitude ``stop``: its
+    position is returned, and it stays a fall.  Each level partner that
+    ``_open`` finds lies before the next new low, so the partner scans
+    cover disjoint ranges and the scan is linear."""
+    for q in positions:
         if alts[q] < low:
             low = alts[q]
-            _open(c.kind, out, steps, alts, q)
-    return tuple(out)
+            if low == stop:
+                return q
+            _open(kind, out, steps, alts, q)
+    return None
 
 
-def _left_inv(c: _Construction, steps, i):
-    """Inverse of ``_left``: read from the end leftwards, the step at which
-    the half first reaches each altitude a is its rightmost rise from a.
-    Close those from one below the half's last altitude down to i+1; the
-    one from i, where the scan stops, is the mark: kept as a rise (A, C),
-    made level again (D) or deleted (B, whose mark is the vertex before
-    it).  Each level partner that ``_close`` finds lies after the next
-    rise found, so closing changes no step left of it, the mark included,
-    and the surgery is linear."""
-    alts = altitudes(steps)
-    out = list(steps)
-    low = alts[-1]
-    for q in range(len(steps), 0, -1):
+def _close_lows(kind, out, steps, alts, positions, low, stop):
+    """``_open_lows`` read leftwards: close each rise from which the
+    altitude, read from ``low``, reaches a new low, until one reaches
+    ``stop``; ``_close`` finds each level partner before the next new
+    low."""
+    for q in positions:
         if alts[q - 1] < low:
             low = alts[q - 1]
-            if low == i:
-                break
-            _close(c.kind, out, steps, alts, q)
-    if c.marks == "vertex":
-        del out[q - 1]
-        q -= 1
-    elif c.marks == "level":
-        out[q - 1] = LEVEL
-    return tuple(out), q
+            if low == stop:
+                return q
+            _close(kind, out, steps, alts, q)
+    return None
 
 
 def construct(t: FiveTuple) -> MidPath:
-    """Apply the construction named by the five-tuple: run the left-half
-    surgery on p1 and, mirrored, on p2, and concatenate.  The result has
-    middle altitude 2i+2 (A, C) or 2i+1 (B, D)."""
+    """Apply the construction named by the five-tuple and concatenate the
+    halves.  The left half opens the falls after its mark that reach a new
+    low, the right half closes the rises before its mark that reach one,
+    read leftwards, and a mark of B or D becomes a rise in p1 and a fall
+    in p2.  The result has middle altitude 2i+2 (A, C) or 2i+1 (B, D)."""
     c = _construction(t.construction)
     if t.p1.kind is not c.kind or t.p2.kind is not c.kind:
         raise ValueError(f"construction {t.construction} needs {c.kind.value} paths")
@@ -302,39 +278,59 @@ def construct(t: FiveTuple) -> MidPath:
         if not c.admits(path, t.i, side, mark):
             raise ValueError(f"mark{side}={mark} is not {c.wording[side - 1].format(i=t.i)} "
                              f"in p{side}")
-    s1 = _left(c, t.p1.steps, t.mark1)
-    s2 = _mirror(_left(c, _mirror(t.p2.steps), c.mirror_mark(n, t.mark2)))
-    path = Path(s1 + s2, c.kind)
+    s1, s2, m1, m2 = t.p1.steps, t.p2.steps, t.mark1, t.mark2
+    if c.marks == "vertex":  # B marks a level step inserted after each marked vertex
+        s1, s2, m1, m2 = s1[:m1] + (LEVEL,) + s1[m1:], s2[:m2] + (LEVEL,) + s2[m2:], m1 + 1, m2 + 1
+    half = len(s1)
+    m2 += half
+    # p1 closes at 0, so these are the altitudes of each half on its own
+    steps = s1 + s2
+    alts = altitudes(steps)
+    out = list(steps)
+    if c.marks != "rise":
+        out[m1 - 1], out[m2 - 1] = RISE, FALL
+    # no altitude is -1, so both scans run to the end of their half
+    _open_lows(c.kind, out, steps, alts, range(m1 + 1, half + 1), alts[m1], -1)
+    _close_lows(c.kind, out, steps, alts, range(m2 - 1, half, -1), alts[m2 - 1], -1)
+    path = Path(out, c.kind)
     return MidPath(path, middle_altitude(path))
 
 
 def invert(construction: str, path: Path) -> FiveTuple:
     """Recover the unique five-tuple that the named construction maps to
-    ``path``."""
+    ``path``.  Read outwards from the middle vertex, the step at which each
+    half first reaches each altitude below the middle is its rise from that
+    altitude (left) or fall to it (right).  Those above i close (left) or
+    open (right), and the ones at i, where the scans stop, are the marks:
+    kept (A, C), made level again (D) or deleted (B, whose marks are the
+    vertices before them).  Each level partner lies before the next one
+    found, so the surgery changes no step beyond the marks."""
     c = _construction(construction)
     if path.kind is not c.kind:
         raise ValueError(f"construction {construction} inverts {c.kind.value} paths")
     extra = 2 if c.marks == "vertex" else 0  # B inserts one step in each half
-    n = len(path.steps)
+    steps = path.steps
+    n = len(steps)
     if n % 4 != extra or n <= extra:
         raise ValueError(f"path length must be 4k{'+2' if extra else ''} with k >= 1, got {n}")
-    mid = middle_altitude(path)
+    half = n // 2
+    alts = altitudes(steps)
+    mid = alts[half]
     i = c.middle_index(mid)
     if i is None:
         law = "positive and even" if c.marks == "rise" else "odd"
         raise ValueError(f"middle altitude {mid} is not in the image of construction "
                          f"{construction}: it must be {law}")
-    half = n // 2
-    s1, mark1 = _left_inv(c, path.steps[:half], i)
-    s2, mark2 = _left_inv(c, _mirror(path.steps[half:]), i)
-    return FiveTuple(
-        construction,
-        Path(s1, c.kind),
-        Path(_mirror(s2), c.kind),
-        i,
-        mark1,
-        c.mirror_mark(len(s2), mark2),
-    )
+    out = list(steps)
+    m1 = _close_lows(c.kind, out, steps, alts, range(half, 0, -1), mid, i)
+    m2 = _open_lows(c.kind, out, steps, alts, range(half + 1, n + 1), mid, i)
+    if c.marks == "level":
+        out[m1 - 1] = out[m2 - 1] = LEVEL
+    elif c.marks == "vertex":  # B's marks are the vertices before the steps it deletes
+        del out[m2 - 1], out[m1 - 1]
+        half, m1, m2 = half - 1, m1 - 1, m2 - 2
+    return FiveTuple(construction, Path(out[:half], c.kind), Path(out[half:], c.kind),
+                     i, m1, m2 - half)
 
 
 # ---------------------------------------------------------------------------

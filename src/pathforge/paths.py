@@ -78,6 +78,15 @@ def fall_room(kind: PathKind, n: int) -> list[int]:
     return room
 
 
+def _refuse_step(kind: PathKind, pos: int, s) -> None:
+    """Raise for step ``s`` at 1-based ``pos``, which the kind's law or the
+    step type refuses."""
+    if type(s) is not int or not -1 <= s <= 1:
+        raise ValueError(f"step {pos} is {s!r}, not one of 1, 0, -1")
+    parity = "odd" if pos % 2 else "even"
+    raise ValueError(f"{_NAMES[s]} on {parity} step {pos}, which {kind.value} paths forbid")
+
+
 class Path:
     """A validated Dyck or alternating Motzkin path.
 
@@ -98,20 +107,24 @@ class Path:
         if n % 2 != 0:
             raise ValueError(f"path length must be even, got {n}")
         _check_kind(kind)
-        law = _LAW[kind]
+        even, odd = _LAW[kind]
         alt = 0
-        for pos, s in enumerate(steps, start=1):
+        # two steps a turn, odd then even: each step's law and type, then
+        # the altitude after it
+        for pos in range(1, n, 2):
+            s = steps[pos - 1]
             # True and 1.0 pass the law's test (they equal 1), not the type's
-            if s not in law[pos % 2] or type(s) is not int:
-                if type(s) is not int or not -1 <= s <= 1:
-                    raise ValueError(f"step {pos} is {s!r}, not one of 1, 0, -1")
-                parity = "odd" if pos % 2 else "even"
-                raise ValueError(
-                    f"{_NAMES[s]} on {parity} step {pos}, which {kind.value} paths forbid"
-                )
+            if s not in odd or type(s) is not int:
+                _refuse_step(kind, pos, s)
             alt += s
             if alt < 0:
                 raise ValueError(f"altitude drops below zero after step {pos}")
+            s = steps[pos]
+            if s not in even or type(s) is not int:
+                _refuse_step(kind, pos + 1, s)
+            alt += s
+            if alt < 0:
+                raise ValueError(f"altitude drops below zero after step {pos + 1}")
         if alt != 0:
             raise ValueError(f"path ends at altitude {alt}, expected 0")
         object.__setattr__(self, "steps", steps)
@@ -158,7 +171,7 @@ class Path:
 def parse(text: str, kind: PathKind) -> Path:
     """Parse a path string over the alphabet U/D/L; round-trips with render."""
     text = text.strip()
-    steps = list(map(_CHAR_TO_STEP.get, text))
+    steps = tuple(map(_CHAR_TO_STEP.get, text))
     if None in steps:
         pos = steps.index(None)
         raise ValueError(f"invalid character {text[pos]!r} at position {pos + 1}")

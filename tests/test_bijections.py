@@ -245,10 +245,34 @@ def test_records_are_frozen_values():
     assert repr(mid) == f"MidPath(path=Path(steps=(0, 1, -1, 0), {kind}), middle_altitude=1)"
 
 
+def mirror(steps):
+    """The steps read from the end: reversed, rises and falls swapped."""
+    return tuple(-s for s in reversed(steps))
+
+
+def swapped(t):
+    """t*: t with its halves swapped and mirrored, each mark where its
+    mirror puts it (a vertex m at n-m, a step m at n+1-m)."""
+    n = len(t.p1)
+    at = n if t.construction == "B" else n + 1
+    return bj.FiveTuple(t.construction, Path(mirror(t.p2.steps), t.p2.kind),
+                        Path(mirror(t.p1.steps), t.p1.kind), t.i, at - t.mark2, at - t.mark1)
+
+
+def assert_mirror_dual(t, path):
+    """construct(t*) is the mirror of construct(t) == path, and invert of
+    the mirror is invert(path)*: the right half's surgery is the left
+    half's read from the other end."""
+    dual, back = swapped(t), Path(mirror(path.steps), path.kind)
+    assert bj.construct(dual).path == back
+    assert bj.invert(t.construction, back) == dual
+
+
 @pytest.mark.parametrize("construction", "ABCD")
 def test_round_trips_exhaustive(construction):
     """invert(construct(t)) == t, construct(invert(P)) == P, injectivity,
-    surjectivity, and the middle-altitude and rise-count laws."""
+    surjectivity, the middle-altitude and rise-count laws, and the mirror
+    duality of the two halves."""
     for k in ROUND_TRIP_KS[construction]:
         outputs = set()
         n_tuples = 0
@@ -262,6 +286,7 @@ def test_round_trips_exhaustive(construction):
             elif construction == "D":
                 assert out.path.rise_count() == t.p1.rise_count() + t.p2.rise_count() + 1
             assert bj.invert(construction, out.path) == t
+            assert_mirror_dual(t, out.path)
             outputs.add(out.path)
         assert len(outputs) == n_tuples, f"{construction} k={k}: not injective"
         image = set(bj.image_paths(construction, k))
@@ -299,13 +324,15 @@ _TALL_PATHS = {
 
 @pytest.mark.parametrize("construction", "ABCD")
 def test_construct_and_invert_take_linear_time(construction):
-    """A tall path goes through invert and back in well under 2 s; a
-    surgery that rescans the half for each step it opens takes tens of
-    seconds here."""
+    """A tall path goes through invert and back, and its mirror dual too,
+    in well under 2 s; a surgery that rescans the half for each step it
+    opens takes tens of seconds here."""
     kind = PathKind.DYCK if construction in "AB" else PathKind.ALT_MOTZKIN
     path = parse(_TALL_PATHS[construction], kind)
     start = time.perf_counter()
-    assert bj.construct(bj.invert(construction, path)).path == path
+    t = bj.invert(construction, path)
+    assert bj.construct(t).path == path
+    assert_mirror_dual(t, path)
     assert time.perf_counter() - start < 2.0
 
 

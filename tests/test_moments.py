@@ -27,11 +27,11 @@ def index_walk_trace(matrix, k):
     return total
 
 
-def test_trace_power_identity():
+def test_wigner_trace_identity():
     assert _wigner_trace(np.eye(3), 5) == pytest.approx(3.0)
 
 
-def test_trace_power_diagonal():
+def test_wigner_trace_diagonal():
     assert _wigner_trace(np.diag([1.0, 2.0]), 2) == pytest.approx(5.0)
 
 

@@ -90,6 +90,41 @@ def test_path_accepts_exactly_the_enumerated_sequences():
                 assert valid == (steps in listed), (kind, steps)
 
 
+def _one_step_a_turn(steps, kind):
+    """The refusal that Path gives steps of a kind, or None if it accepts
+    them, read one step a turn: the length, then each step's law and type
+    and the altitude after it, then the closing altitude."""
+    if len(steps) % 2:
+        return f"path length must be even, got {len(steps)}"
+    alt = 0
+    for pos, s in enumerate(steps, start=1):
+        if s not in steps_at(kind, pos) or type(s) is not int:
+            if type(s) is not int or not -1 <= s <= 1:
+                return f"step {pos} is {s!r}, not one of 1, 0, -1"
+            name = {RISE: "rise", LEVEL: "level step", FALL: "fall"}[s]
+            return f"{name} on {'odd' if pos % 2 else 'even'} step {pos}, which {kind.value} paths forbid"
+        alt += s
+        if alt < 0:
+            return f"altitude drops below zero after step {pos}"
+    return f"path ends at altitude {alt}, expected 0" if alt else None
+
+
+@pytest.mark.parametrize("kind", PathKind)
+def test_path_refusals_are_the_first_failing_step_word_for_word(kind):
+    # every sequence of up to 8 steps, and of up to 4 over values that are
+    # not steps, gets the acceptance or the ValueError text of the first
+    # failure read one step a turn, whichever step of a pair it is on
+    sequences = [steps for n in range(9) for steps in product((RISE, LEVEL, FALL), repeat=n)]
+    sequences += [steps for n in range(5) for steps in product((1, 0, -1, 2, True, 1.0, "U"), repeat=n)]
+    for steps in sequences:
+        try:
+            Path(steps, kind)
+            refusal = None
+        except ValueError as exc:
+            refusal = str(exc)
+        assert refusal == _one_step_a_turn(steps, kind), (kind, steps)
+
+
 def test_parse_render_round_trip_enumerated():
     for k in range(7):
         for p in enumerate_dyck(k):
