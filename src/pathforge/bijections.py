@@ -86,12 +86,8 @@ class FiveTuple(NamedTuple):
         construction = data["construction"]
         kind = _construction(construction).kind
         for name in ("p1", "p2"):
-            text = data[name]
-            if not isinstance(text, str):
-                raise ValueError(f"{name} must be a path string, got {text!r}")
-            if text != text.strip():
-                raise ValueError(f"{name} must be a path string without surrounding "
-                                 f"whitespace, got {text!r}")
+            if not isinstance(data[name], str):
+                raise ValueError(f"{name} must be a path string, got {data[name]!r}")
         for name in ("i", "mark1", "mark2"):
             if type(data[name]) is not int:
                 raise ValueError(f"{name} must be an integer, got {data[name]!r}")

@@ -8,18 +8,16 @@ walk, means alternating Motzkin (``_kind_of``), an ASCII digit in ``walk
 construction ``invert`` undoes (``bijections._construction_of``), and a
 five-tuple's "construction" field the one ``map`` applies, so ``invert
 --path P | map --input -`` prints P.  Every integer argument is ASCII
--?[0-9]+ (``numeric._parse_int``).
-``verify --identity N`` is ``report --identities N`` with no --time-budget,
-so K_MAX_LIMIT always bounds it; both run ``_cmd_report``.  Exit codes: 0
-on success, 1 when a verified identity fails (or on a computation error,
-an allocation that fails, an mc value that is not a finite float, or when
-stdout is closed before all output is written), 2 on usage errors,
-including an integer argument in another spelling or below its minimum,
-a negative or non-finite --time-budget, a verify or report whose --k-max
-leaves no identity to check, a --k-max above K_MAX_LIMIT with no
---time-budget, an mc --k above MC_K_LIMIT, an mc run estimated above
-_MC_SECONDS or one whose trial is estimated to hold more than _MC_BYTES,
-an identity list (report --identities or verify --identity) with a
+-?[0-9]+ (``numeric._parse_int``), and a path or walk is read as
+written, with no whitespace stripped.  Exit codes: 0 on success, 1 when
+a verified identity fails (or on a computation error, an allocation that
+fails, an mc value that is not a finite float, or when stdout is closed
+before all output is written), 2 on usage errors, including an integer
+argument in another spelling or below its minimum, a negative or
+non-finite --time-budget, a report whose --k-max leaves no identity to
+check, a --k-max above K_MAX_LIMIT with no --time-budget, an mc --k above
+MC_K_LIMIT, an mc run estimated above _MC_SECONDS or one whose trial is
+estimated to hold more than _MC_BYTES, a report --identities list with a
 repeat, and an enumerate --k whose path count has more digits than
 Python prints (JSON and --count-only; CSV prints no count) or whose CSV
 paths are longer than Python can index.  ``main``
@@ -441,13 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--path", required=True, help="doubled path; its kind and middle altitude name A-D")
     add_format(p)
     p.set_defaults(func=_cmd_invert)
-
-    p = sub.add_parser("verify", help="verify one identity for k up to a bound")
-    p.add_argument("--identity", dest="identities", type=_identity_list, required=True,
-                   metavar="N", help="identity number, 1-5")
-    p.add_argument("--k-max", type=_integer, required=True, help=f"at most {K_MAX_LIMIT}")
-    add_format(p)
-    p.set_defaults(func=_cmd_report, time_budget=None)
 
     p = sub.add_parser("walk", help="translate a path to its halfline walk, or a walk to its path")
     # argparse takes "-1" for a value but "-1,0,-1" for an option; here any

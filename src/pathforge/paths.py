@@ -169,8 +169,8 @@ class Path:
 
 
 def parse(text: str, kind: PathKind) -> Path:
-    """Parse a path string over the alphabet U/D/L; round-trips with render."""
-    text = text.strip()
+    """Parse a path string over the alphabet U/D/L as written; round-trips
+    with render."""
     steps = tuple(map(_CHAR_TO_STEP.get, text))
     if None in steps:
         pos = steps.index(None)

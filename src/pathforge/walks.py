@@ -60,7 +60,7 @@ class Walk(NamedTuple("Walk", [("nodes", tuple[int, ...])])):
     def parse(cls, text: str) -> "Walk":
         """A walk from its nodes, each ASCII -?[0-9]+, joined by commas."""
         try:
-            nodes = tuple(_parse_int(part) for part in text.strip().split(","))
+            nodes = tuple(_parse_int(part) for part in text.split(","))
         except ValueError as exc:
             raise ValueError(f"walk must be comma-separated integers: {exc}") from None
         return cls(nodes)

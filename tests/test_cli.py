@@ -16,8 +16,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pathforge import bijections, cli, walks
+from pathforge import bijections, cli, identities, walks
 from pathforge.cli import K_MAX_LIMIT, main
+from pathforge.identities import verify
 from pathforge.numeric import catalan
 from pathforge.paths import enumerate_alt_motzkin, enumerate_dyck, parse
 
@@ -174,7 +175,7 @@ def test_map_invert_round_trip(capsys):
 
 
 def test_verify_identity1_contains_worked_value(capsys):
-    code, out, _ = run(capsys, "verify", "--identity", "1", "--k-max", "3")
+    code, out, _ = run(capsys, "report", "--identities", "1", "--k-max", "3")
     assert code == 0
     data = json.loads(out)
     assert data["reports"][-1] == {
@@ -187,7 +188,7 @@ def test_verify_identity1_contains_worked_value(capsys):
 
 
 def test_verify_identity4_prints_both_variants(capsys):
-    code, out, _ = run(capsys, "verify", "--identity", "4", "--k-max", "3")
+    code, out, _ = run(capsys, "report", "--identities", "4", "--k-max", "3")
     assert code == 0
     data = json.loads(out)
     variants = {(r["k"], r["rhs_index"]): r for r in data["reports"]}
@@ -201,14 +202,14 @@ def test_verify_has_no_rhs_index(capsys, identity):
     # the default convention alone gates the exit code; the other variant
     # of identities 4 and 5 is printed, never selected
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "--identity", identity, "--k-max", "2", "--rhs-index", "k"])
+        main(["report", "--identities", identity, "--k-max", "2", "--rhs-index", "k"])
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == "" and "Traceback" not in err
 
 
 def test_verify_identity3_polynomial_wire_format(capsys):
-    code, out, _ = run(capsys, "verify", "--identity", "3", "--k-max", "3")
+    code, out, _ = run(capsys, "report", "--identities", "3", "--k-max", "3")
     assert code == 0
     data = json.loads(out)
     assert data["reports"][-1]["lhs"] == ["0", "9", "39", "44", "14", "1"]
@@ -245,6 +246,18 @@ def test_walk_from_refuses_a_walk_not_from_node_0(capsys, nodes):
     code, out, err = run(capsys, "walk", "--path", nodes)
     assert (code, out) == (1, "")
     assert err == "error: walk starts at node 1, not at node 0\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(["stats", "--path", " UD"], "invalid character ' ' at position 1", id="stats"),
+    pytest.param(["invert", "--path", "UUUDDUDD "], "invalid character ' ' at position 9", id="invert"),
+    pytest.param(["walk", "--path", " UD"], "invalid character ' ' at position 1", id="walk path"),
+    pytest.param(["walk", "--path", " 0,1,0"], "walk must be comma-separated integers: ' 0' is not an "
+                 "integer written as ASCII -?[0-9]+", id="walk nodes"),
+])
+def test_a_path_or_walk_is_read_as_written(capsys, argv, message):
+    # no command strips its argument: whitespace is refused like any other character
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
 def test_walk_lowercase_path_is_refused(capsys):
@@ -374,8 +387,7 @@ def test_map_reads_what_invert_prints(monkeypatch):
 def test_integers_are_ascii_digits_alone(one):
     for argv in (["enumerate", "--kind", "dyck", "--k", one, "--count-only"],
                  ["report", "--k-max", one],
-                 ["report", "--identities", one, "--k-max", "1"],
-                 ["verify", "--identity", one, "--k-max", "1"]):
+                 ["report", "--identities", one, "--k-max", "1"]):
         code, out, err = run_any(*argv)
         assert (code, out) == (2, ""), argv
         assert "Traceback" not in err and f"got {one!r}" in err, err
@@ -558,19 +570,23 @@ def test_report_repeated_identity_is_a_usage_error(capsys):
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("k_max", ["0", "3", str(K_MAX_LIMIT + 1)])
 def test_verify_is_report_of_one_identity(capsys, identity, fmt, k_max):
-    # the same sweep, refusals and exit code: nothing to check, a pass, and
-    # a k_max above the limit
-    tail = ("--k-max", k_max, "--format", fmt)
-    verified = run(capsys, "verify", "--identity", identity, *tail)
-    assert verified == run(capsys, "report", "--identities", identity, *tail)
-
-
-def test_verify_repeated_identity_is_a_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--identity", "1,1", "--k-max", "1"])
-    assert exc.value.code == 2
-    _, err = capsys.readouterr()
-    assert "error: argument --identity: identity 1 is repeated" in err
+    # report --identities N prints identities.verify's report of thmN at
+    # each size from its first to --k-max, in every variant, and refuses a
+    # --k-max that leaves nothing to check or is above the limit
+    code, out, err = run(capsys, "report", "--identities", identity, "--k-max", k_max, "--format", fmt)
+    if k_max != "3":
+        assert (code, out) == (2, "") and err.startswith("error: --k-max ") and err.count("\n") == 1
+        return
+    name = f"thm{identity}"
+    row = identities._row(name)
+    records = [cli._report_record(verify(name, k, v)) for k in range(row.k_min, 4) for v in row.variants]
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        assert json.loads(out) == {"reports": records}
+    else:
+        header = ["id", "k", "rhs_index", "lhs", "rhs", "equal"]
+        cells = [["" if r.get(h) is None else str(cli._csv_cell(r[h])) for h in header] for r in records]
+        assert list(csv.reader(io.StringIO(out))) == [header, *cells]
 
 
 def test_report_csv_header(capsys):
@@ -581,8 +597,18 @@ def test_report_csv_header(capsys):
 
 @pytest.mark.parametrize("identity", [1, 2, 3, 4, 5])
 def test_verify_kmax6_exits_zero_under_defaults(capsys, identity):
-    code, _, _ = run(capsys, "verify", "--identity", str(identity), "--k-max", "6")
+    code, _, _ = run(capsys, "report", "--identities", str(identity), "--k-max", "6")
     assert code == 0
+
+
+def test_verify_command_is_retired(capsys):
+    # report --identities N is the one command line that checks identities
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--identity", "1", "--k-max", "3"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: pathforge ") and "Traceback" not in err
+    assert "error: argument command: invalid choice: 'verify'" in err
 
 
 def test_usage_errors_exit_2():
@@ -590,7 +616,7 @@ def test_usage_errors_exit_2():
         main(["enumerate", "--kind", "hexagon", "--k", "3"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "--identity", "9", "--k-max", "3"])
+        main(["report", "--identities", "9", "--k-max", "3"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["enumerate", "--kind", "dyck", "--k", "3", "--frobnicate"])
@@ -670,11 +696,11 @@ def test_map_input_names_the_fields_it_refuses(capsys):
         ('{"p1": "UD", "p2": "UD", "i": 0, "mark1": 1, "mark2": 2}', "field 'construction' is missing"),
         ('{"construction": "A", "p1": "UD", "p2": "UD", "i": 0, "mark1": 1, "mark2": 2, "bogus": 7}',
          "field 'bogus' is unknown"),
-        # --input is taken as given; only --path strips its argument
+        # a path is read as written, as --path reads it: whitespace is refused
         ('{"construction": "A", "p1": " UD ", "p2": "UD", "i": 0, "mark1": 1, "mark2": 2}',
-         "p1 must be a path string without surrounding whitespace, got ' UD '"),
+         "error: invalid character ' ' at position 1"),
         ('{"construction": "A", "p1": "UD", "p2": "UD\\n", "i": 0, "mark1": 1, "mark2": 2}',
-         "p2 must be a path string without surrounding whitespace, got 'UD\\n'"),
+         "error: invalid character '\\n' at position 3"),
         # a field named twice is refused, where json.loads alone keeps the last and runs
         ('{"construction": "A", "p1": "UD", "p2": "UUDD", "i": 0, "mark1": 1, "mark2": 4, "p1": "UDUD"}',
          "error: --input names field 'p1' twice"),
@@ -691,7 +717,7 @@ def test_map_input_names_the_fields_it_refuses(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["verify", "--identity", "4", "--k-max", "1"],
+    ["report", "--identities", "4", "--k-max", "1"],
     ["report", "--identities", "4,5", "--k-max", "1"],
     ["report", "--k-max", "0"],
 ])
@@ -703,8 +729,8 @@ def test_checking_nothing_is_a_usage_error(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["verify", "--identity", "1", "--k-max", str(K_MAX_LIMIT + 1)],
-    ["verify", "--identity", "1", "--k-max", "1000000"],
+    ["report", "--identities", "1", "--k-max", str(K_MAX_LIMIT + 1)],
+    ["report", "--identities", "1", "--k-max", "1000000"],
     ["report", "--k-max", str(K_MAX_LIMIT + 1)],
 ])
 def test_k_max_above_the_limit_is_a_usage_error(capsys, argv):
@@ -715,7 +741,7 @@ def test_k_max_above_the_limit_is_a_usage_error(capsys, argv):
 
 
 def test_k_max_at_the_limit_runs(capsys):
-    code, out, err = run(capsys, "verify", "--identity", "1", "--k-max", str(K_MAX_LIMIT))
+    code, out, err = run(capsys, "report", "--identities", "1", "--k-max", str(K_MAX_LIMIT))
     assert (code, err) == (0, "")
     assert [r["k"] for r in json.loads(out)["reports"]] == list(range(1, K_MAX_LIMIT + 1))
     # under a time budget the limit does not apply
@@ -756,11 +782,11 @@ _PINNED_OUTPUTS = {
     "enumerate --kind altmotzkin --k 1": "d8b9b6c594249b59ceb8a12aac46824986f682d2ae39e67a12380644980c5dec",
     "report --k-max 30": "fd0857789ed21eef3c7fe34ee87e24b91c3dcc9bed35a60880ade8edcca6a552",
     "report --k-max 30 --format csv": "cb168fcf51f6390904a89429a5ae376758e8435757a536d5ab5a48e1a643426f",
-    "verify --identity 1 --k-max 30": "9e3d2f575fcf1222fabcbef9b8fb08d34220db0fad97f390dd424355752b7ce9",
-    "verify --identity 2 --k-max 30": "f4d1f9e8352f790909624d91cd4e53c2cbf2356d6b2031159f3a92d547e76dcc",
-    "verify --identity 3 --k-max 30": "a6136df57024d03fb8c3b2f1c9dd7e7ba43f0f6c9dabadedcdbfd5e0b8087671",
-    "verify --identity 4 --k-max 30": "e2217adf46675ed9fc6766abe8c3f3303af241038d02aefaf889877dfbd9bff9",
-    "verify --identity 5 --k-max 30": "42fc402bb55cbf4a85bc983dcd6d76e0c05719e48cdf43d63685759d83134f7a",
+    "report --identities 1 --k-max 30": "9e3d2f575fcf1222fabcbef9b8fb08d34220db0fad97f390dd424355752b7ce9",
+    "report --identities 2 --k-max 30": "f4d1f9e8352f790909624d91cd4e53c2cbf2356d6b2031159f3a92d547e76dcc",
+    "report --identities 3 --k-max 30": "a6136df57024d03fb8c3b2f1c9dd7e7ba43f0f6c9dabadedcdbfd5e0b8087671",
+    "report --identities 4 --k-max 30": "e2217adf46675ed9fc6766abe8c3f3303af241038d02aefaf889877dfbd9bff9",
+    "report --identities 5 --k-max 30": "42fc402bb55cbf4a85bc983dcd6d76e0c05719e48cdf43d63685759d83134f7a",
 }
 
 
@@ -868,7 +894,7 @@ def test_fuzz_map_and_invert(case):
     else:
         again_code, again, _ = run_any("map", "--input", out)
         assert again_code == 0
-        assert json.loads(again)["path"] == text.strip()
+        assert json.loads(again)["path"] == text
 
 
 def _pathforge(argv, stdout, module=True, stdin=None):
@@ -939,7 +965,6 @@ for argv in [
     ["map", "--input", '{"construction":"B","p1":"UD","p2":"UD","i":0,"mark1":0,"mark2":0}'],
     ["invert", "--path", "UUUDDUDD"],
     ["walk", "--path", "LUDL"],
-    ["verify", "--identity", "4", "--k-max", "6"],
     ["report", "--k-max", "6", "--format", "csv"],
     ["enumerate", "--kind", "altmotzkin", "--k", "4"],
 ]:
@@ -957,13 +982,13 @@ def test_only_mc_imports_numpy():
     out, err = proc.communicate(timeout=120)
     assert proc.returncode == 0, err
     assert out.decode().splitlines() == [
-        "stats 0 False", "map 0 False", "invert 0 False", "walk 0 False", "verify 0 False",
-        "report 0 False", "enumerate 0 False", "mc 0 True",
+        "stats 0 False", "map 0 False", "invert 0 False", "walk 0 False", "report 0 False",
+        "enumerate 0 False", "mc 0 True",
     ]
 
 
 # the pathforge modules each command loads, in a fresh interpreter: a
-# command imports what it runs, so the fold loads for report and verify alone
+# command imports what it runs, so the fold loads for report alone
 _MODULES_SCRIPT = """
 import contextlib, io, sys
 from pathforge.cli import main
@@ -976,7 +1001,6 @@ _LOADS = {
     "enumerate": _BASE,
     "stats": _BASE,
     "report": _BASE + ["pathforge.fold", "pathforge.identities"],
-    "verify": _BASE + ["pathforge.fold", "pathforge.identities"],
     "map": _BASE + ["pathforge.bijections"],
     "invert": _BASE + ["pathforge.bijections"],
     "walk": _BASE + ["pathforge.walks"],
@@ -989,7 +1013,7 @@ _LOADS = {
     ["enumerate", "--kind", "dyck", "--k", "4", "--format", "csv"],
     ["stats", "--path", "UDUD"],
     ["report", "--k-max", "6", "--format", "csv"],
-    ["verify", "--identity", "4", "--k-max", "6"],
+    ["report", "--identities", "4", "--k-max", "6"],
     pytest.param(["map", "--input", _TUPLE_B], id="map --input _TUPLE_B"),
     ["invert", "--path", "UUUDDUDD"],
     ["walk", "--path", "LUDL"],
@@ -1034,7 +1058,7 @@ def test_listing_and_stats_load_no_dataclasses_or_fractions(argv):
     ["enumerate", "--kind", "dyck", "--k", "4"],
     ["stats", "--path", "UDUD"],
     ["report", "--k-max", "6", "--format", "csv"],
-    ["verify", "--identity", "4", "--k-max", "6"],
+    ["report", "--identities", "4", "--k-max", "6"],
     pytest.param(["map", "--input", _TUPLE_B], id="map --input _TUPLE_B"),
     ["invert", "--path", "UUUDDUDD"],
     ["walk", "--path", "LUDL"],
@@ -1076,7 +1100,7 @@ def test_stdout_closed_before_a_short_output_exits_1_quietly():
     # the final flush
     read_end, write_end = os.pipe()
     os.close(read_end)
-    proc = _pathforge(["verify", "--identity", "1", "--k-max", "3"], write_end)
+    proc = _pathforge(["report", "--identities", "1", "--k-max", "3"], write_end)
     os.close(write_end)
     err = proc.stderr.read().decode()
     proc.stderr.close()
@@ -1084,7 +1108,7 @@ def test_stdout_closed_before_a_short_output_exits_1_quietly():
     assert err == ""
 
 
-# the fuzz below drives mc, report and verify at tiny sizes, as generated or
+# the fuzz below drives mc and report at tiny sizes, as generated or
 # with one word of the command line replaced by an out-of-range number or by
 # junk; junk has no decimal digit, so it never parses as a number that asks
 # for unbounded work
@@ -1141,16 +1165,10 @@ _REPORT_ARGV = _argv(
     _option("--time-budget", st.one_of(st.floats(0, 30), st.just("1e-6"))),
     _FORMAT,
 )
-_VERIFY_ARGV = _argv(
-    "verify",
-    _flag("--identity", st.integers(1, 5)),
-    _flag("--k-max", st.integers(1, 6)),
-    _FORMAT,
-)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
-@given(st.one_of(_MC_ARGV, _REPORT_ARGV, _VERIFY_ARGV))
+@given(st.one_of(_MC_ARGV, _REPORT_ARGV))
 def test_fuzz_mc_report_and_verify(argv):
     code, out, err = run_any(*argv)
     assert code in (0, 1, 2)
@@ -1161,7 +1179,7 @@ def test_fuzz_mc_report_and_verify(argv):
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), err
         return
-    # exit 0, or exit 1 from a verify or report that printed a failed verdict
+    # exit 0, or exit 1 from a report that printed a failed verdict
     assert code == 0 or argv[0] != "mc"
     if "csv" in argv:
         rows = list(csv.reader(io.StringIO(out)))
