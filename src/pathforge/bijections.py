@@ -6,28 +6,28 @@ length 4k with positive even middle altitude; B uses vertex marks and lands
 on all Dyck paths of length 4k+2; C and D are the alternating Motzkin
 versions, steering to even and odd middle altitudes respectively.
 
-The four are variants of one bijection, written as two scans of a running
-minimum that read each half in place: ``_open_lows`` reads rightwards and
-opens into rises the falls that reach a new lowest altitude, and
-``_close_lows`` reads leftwards and closes into falls the rises from
-which one is reached.  ``construct`` opens the falls after p1's mark that
-reach a new low: the closing falls of the chain of i rises that enclose
-the mark and, for a marked rise (A, C), the mark's own.  It closes the
-rises before p2's mark that reach one, read leftwards: the same surgery
-seen from the path's end, so the right half needs no mirrored copy.  Any
-other mark becomes a new rise in p1 and a new fall in p2: D's marked
-level step, or a level step that B inserts after its marked vertex.
-``invert`` reads outwards from the middle vertex, closing leftwards and
-opening rightwards at each new low above i; both scans stop at altitude
-i, on the marks.  The path kind decides how a fall opens: a Dyck fall
-flips, and an alternating Motzkin fall trades places with its nearest
-level step to the right, which becomes the rise; closing is the exact
-inverse.  Each half is read once, so ``construct`` and ``invert`` take
-time linear in the path length.  One table row per construction names
-its kind and its marks, and one method of the row states the law of each
-mark: the step it must be, the altitude before it and the parity of its
-position.  One check of a given mark reads that law, and the positions
-that may carry a mark are those it accepts.
+The four are variants of one bijection, written as one scan of a running
+minimum, ``_turn_lows``, that reads a half in place in the direction of
+the range it is given and turns each step by which the altitude reaches a
+new lowest value: read rightwards, such falls become rises; read
+leftwards, such rises become falls.  ``construct`` reads p1 rightwards
+from its mark, turning the closing falls of the chain of i rises that
+enclose the mark and, for a marked rise (A, C), the mark's own.  It reads
+p2 leftwards from its mark: the same surgery seen from the path's end, so
+the right half needs no mirrored copy.  Any other mark becomes a new rise
+in p1 and a new fall in p2: D's marked level step, or a level step that B
+inserts after its marked vertex.  ``invert`` reads outwards from the
+middle vertex, leftwards and then rightwards, turning at each new low
+above i; both reads stop at altitude i, on the marks.  The path kind
+decides how a step turns: a Dyck step flips, and an alternating Motzkin
+step trades places with its nearest level step further on, which takes
+the turned step; turning the other way is the exact inverse.  Each half
+is read once, so ``construct`` and ``invert`` take time linear in the
+path length.  One table row per construction names its kind and its
+marks, and one method of the row states the law of each mark: the step
+it must be, the altitude before it and the parity of its position.  One
+check of a given mark reads that law, and the positions that may carry a
+mark are those it accepts.
 ``five_tuples`` and ``image_paths`` enumerate the domain and the
 characterized image of each construction; the tests use them to check
 every construction exhaustively at small k.
@@ -76,7 +76,8 @@ class FiveTuple(NamedTuple):
     def from_json_dict(cls, data: dict) -> "FiveTuple":
         """Build a tuple from its JSON form, rejecting malformed input with
         ValueError: exactly the six fields of ``to_json_dict``, paths
-        strings and i/mark1/mark2 ints (not bools), with no coercion."""
+        strings and i/mark1/mark2 ints (not bools), with no coercion.  A
+        path that does not parse is refused under its field's name."""
         if not isinstance(data, dict):
             raise ValueError(f"five-tuple must be a JSON object, got {type(data).__name__}")
         if data.keys() != _FIELDS:
@@ -91,14 +92,14 @@ class FiveTuple(NamedTuple):
         for name in ("i", "mark1", "mark2"):
             if type(data[name]) is not int:
                 raise ValueError(f"{name} must be an integer, got {data[name]!r}")
-        return cls(
-            construction,
-            parse(data["p1"], kind),
-            parse(data["p2"], kind),
-            data["i"],
-            data["mark1"],
-            data["mark2"],
-        )
+        name = "p1"  # the field being parsed, named in a refusal
+        try:
+            p1 = parse(data["p1"], kind)
+            name = "p2"
+            p2 = parse(data["p2"], kind)
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from exc
+        return cls(construction, p1, p2, data["i"], data["mark1"], data["mark2"])
 
 
 # the fields of a five-tuple's JSON form
@@ -136,7 +137,7 @@ def _level_from(steps, alts, altitude, positions) -> int:
 
 class _Construction(NamedTuple):
     """What sets a construction apart: the kind of its paths, which decides
-    how a fall opens, and its marks, "rise", "vertex" or "level", whose law
+    how a step turns, and its marks, "rise", "vertex" or "level", whose law
     ``_law`` states; ``wording`` names them in errors."""
 
     kind: PathKind
@@ -205,63 +206,42 @@ def _construction_of(path: Path) -> str:
 
 
 # ---------------------------------------------------------------------------
-# the one surgery: two running-minimum scans
+# the one surgery: a running-minimum scan
 
-def _open(kind, out, steps, alts, fall):
-    """Turn a closing fall into a rise in ``out``.  A Dyck fall flips; an
-    alternating Motzkin fall trades places with its nearest level step to
-    the right, which becomes the rise, so rises stay on even steps."""
-    if kind is PathKind.DYCK:
-        out[fall - 1] = RISE
-    else:
-        out[fall - 1] = LEVEL
-        out[_level_from(steps, alts, alts[fall], range(fall + 1, len(steps) + 1)) - 1] = RISE
-
-
-def _close(kind, out, steps, alts, rise):
-    """Undo ``_open`` on the rise it made."""
-    if kind is PathKind.DYCK:
-        out[rise - 1] = FALL
-    else:
-        out[rise - 1] = LEVEL
-        out[_level_from(steps, alts, alts[rise - 1], range(rise - 1, 0, -1)) - 1] = FALL
-
-
-def _open_lows(kind, out, steps, alts, positions, low, stop):
-    """Read ``positions`` rightwards from altitude ``low`` and open each
-    fall that reaches a new low, until one reaches altitude ``stop``: its
-    position is returned, and it stays a fall.  Each level partner that
-    ``_open`` finds lies before the next new low, so the partner scans
-    cover disjoint ranges and the scan is linear."""
+def _turn_lows(kind, out, steps, alts, positions, low, stop):
+    """Read ``positions`` from altitude ``low`` in their direction and turn
+    each step by which the altitude reaches a new low, until one reaches
+    altitude ``stop``: its position is returned, and it is not turned.
+    Rightwards the scan reads the altitude after each step and turns a
+    fall into a rise; leftwards it reads the altitude before each step and
+    turns a rise into a fall.  A Dyck step flips; an alternating Motzkin
+    step becomes level, and its nearest level partner further on in that
+    direction, up to the path's end or start, takes the turned step, so
+    rises stay on even steps and falls on odd ones.  Each partner lies
+    before the next new low, so the partner searches cover disjoint ranges
+    and the scan is linear."""
+    ahead = positions.step
+    turned, before = (RISE, 0) if ahead > 0 else (FALL, 1)
     for q in positions:
-        if alts[q] < low:
-            low = alts[q]
+        if alts[q - before] < low:
+            low = alts[q - before]
             if low == stop:
                 return q
-            _open(kind, out, steps, alts, q)
-    return None
-
-
-def _close_lows(kind, out, steps, alts, positions, low, stop):
-    """``_open_lows`` read leftwards: close each rise from which the
-    altitude, read from ``low``, reaches a new low, until one reaches
-    ``stop``; ``_close`` finds each level partner before the next new
-    low."""
-    for q in positions:
-        if alts[q - 1] < low:
-            low = alts[q - 1]
-            if low == stop:
-                return q
-            _close(kind, out, steps, alts, q)
+            if kind is PathKind.DYCK:
+                out[q - 1] = turned
+            else:
+                out[q - 1] = LEVEL
+                end = len(steps) + 1 if ahead > 0 else 0
+                out[_level_from(steps, alts, low, range(q + ahead, end, ahead)) - 1] = turned
     return None
 
 
 def construct(t: FiveTuple) -> MidPath:
     """Apply the construction named by the five-tuple and concatenate the
-    halves.  The left half opens the falls after its mark that reach a new
-    low, the right half closes the rises before its mark that reach one,
-    read leftwards, and a mark of B or D becomes a rise in p1 and a fall
-    in p2.  The result has middle altitude 2i+2 (A, C) or 2i+1 (B, D)."""
+    halves.  The scan turns the steps after p1's mark that reach a new low
+    into rises and, read leftwards, the steps before p2's mark from which
+    one is reached into falls; a mark of B or D becomes a rise in p1 and a
+    fall in p2.  The result has middle altitude 2i+2 (A, C) or 2i+1 (B, D)."""
     c = _construction(t.construction)
     if t.p1.kind is not c.kind or t.p2.kind is not c.kind:
         raise ValueError(f"construction {t.construction} needs {c.kind.value} paths")
@@ -286,8 +266,8 @@ def construct(t: FiveTuple) -> MidPath:
     if c.marks != "rise":
         out[m1 - 1], out[m2 - 1] = RISE, FALL
     # no altitude is -1, so both scans run to the end of their half
-    _open_lows(c.kind, out, steps, alts, range(m1 + 1, half + 1), alts[m1], -1)
-    _close_lows(c.kind, out, steps, alts, range(m2 - 1, half, -1), alts[m2 - 1], -1)
+    _turn_lows(c.kind, out, steps, alts, range(m1 + 1, half + 1), alts[m1], -1)
+    _turn_lows(c.kind, out, steps, alts, range(m2 - 1, half, -1), alts[m2 - 1], -1)
     path = Path(out, c.kind)
     return MidPath(path, middle_altitude(path))
 
@@ -296,11 +276,12 @@ def invert(construction: str, path: Path) -> FiveTuple:
     """Recover the unique five-tuple that the named construction maps to
     ``path``.  Read outwards from the middle vertex, the step at which each
     half first reaches each altitude below the middle is its rise from that
-    altitude (left) or fall to it (right).  Those above i close (left) or
-    open (right), and the ones at i, where the scans stop, are the marks:
-    kept (A, C), made level again (D) or deleted (B, whose marks are the
-    vertices before them).  Each level partner lies before the next one
-    found, so the surgery changes no step beyond the marks."""
+    altitude (left) or fall to it (right).  The scan turns those above i
+    into falls on the left and rises on the right, and stops at the ones
+    at i, the marks: kept (A, C), made level again (D) or deleted (B,
+    whose marks are the vertices before them).  Each level partner lies
+    before the next one found, so the surgery changes no step beyond the
+    marks."""
     c = _construction(construction)
     if path.kind is not c.kind:
         raise ValueError(f"construction {construction} inverts {c.kind.value} paths")
@@ -318,8 +299,8 @@ def invert(construction: str, path: Path) -> FiveTuple:
         raise ValueError(f"middle altitude {mid} is not in the image of construction "
                          f"{construction}: it must be {law}")
     out = list(steps)
-    m1 = _close_lows(c.kind, out, steps, alts, range(half, 0, -1), mid, i)
-    m2 = _open_lows(c.kind, out, steps, alts, range(half + 1, n + 1), mid, i)
+    m1 = _turn_lows(c.kind, out, steps, alts, range(half, 0, -1), mid, i)
+    m2 = _turn_lows(c.kind, out, steps, alts, range(half + 1, n + 1), mid, i)
     if c.marks == "level":
         out[m1 - 1] = out[m2 - 1] = LEVEL
     elif c.marks == "vertex":  # B's marks are the vertices before the steps it deletes

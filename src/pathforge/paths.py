@@ -8,8 +8,9 @@ owns that encoding, and every other module reads steps through it.
 It also owns the step law of each kind, which steps may come at each
 1-based position: a Dyck path rises or falls at every step; an alternating
 Motzkin path may level anywhere but rises only on even steps and falls
-only on odd steps.  ``Path`` validation, the enumerator and the exact
-fold in ``fold`` all read the law through ``steps_at`` and ``fall_room``.
+only on odd steps.  ``Path`` validation reads the law's table ``_LAW``
+directly, two positions a turn; the enumerator and the exact fold in
+``fold`` read it through ``steps_at`` and ``fall_room``.
 
 The one enumerator lists rendered strings: it walks the prefixes of a
 path depth first and joins each to every precomputed tail that closes it,

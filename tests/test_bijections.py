@@ -412,7 +412,7 @@ def test_five_tuple_refuses_whitespace_around_a_path(field, text):
     with pytest.raises(ValueError) as info:
         bj.FiveTuple.from_json_dict(data)
     pos = 1 if text[0] in " \t" else 3
-    assert str(info.value) == f"invalid character {text[pos - 1]!r} at position {pos}"
+    assert str(info.value) == f"{field}: invalid character {text[pos - 1]!r} at position {pos}"
 
 
 def test_midpath_outputs_validate_as_their_kind():

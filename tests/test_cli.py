@@ -698,9 +698,16 @@ def test_map_input_names_the_fields_it_refuses(capsys):
          "field 'bogus' is unknown"),
         # a path is read as written, as --path reads it: whitespace is refused
         ('{"construction": "A", "p1": " UD ", "p2": "UD", "i": 0, "mark1": 1, "mark2": 2}',
-         "error: invalid character ' ' at position 1"),
+         "error: p1: invalid character ' ' at position 1"),
         ('{"construction": "A", "p1": "UD", "p2": "UD\\n", "i": 0, "mark1": 1, "mark2": 2}',
-         "error: invalid character '\\n' at position 3"),
+         "error: p2: invalid character '\\n' at position 3"),
+        # a path that does not parse is named by its field
+        ('{"construction": "A", "p1": "UX", "p2": "UD", "i": 0, "mark1": 1, "mark2": 2}',
+         "error: p1: invalid character 'X' at position 2"),
+        ('{"construction": "A", "p1": "UD", "p2": "UX", "i": 0, "mark1": 1, "mark2": 2}',
+         "error: p2: invalid character 'X' at position 2"),
+        ('{"construction": "A", "p1": "UUD", "p2": "UD", "i": 0, "mark1": 1, "mark2": 2}',
+         "error: p1: path length must be even, got 3"),
         # a field named twice is refused, where json.loads alone keeps the last and runs
         ('{"construction": "A", "p1": "UD", "p2": "UUDD", "i": 0, "mark1": 1, "mark2": 4, "p1": "UDUD"}',
          "error: --input names field 'p1' twice"),
