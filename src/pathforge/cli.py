@@ -66,7 +66,7 @@ _MC_TRIAL_PS, _MC_DRAW_PS, _MC_PRODUCT_PS = 150_000_000, 24_000, 11
 _MC_CHI_PS, _MC_STEP_PS, _MC_CELL_PS = 60_000, 8_000_000, 3_000
 _MC_SECONDS = 60
 # the most bytes one mc trial's arrays may hold at once; the acceptance
-# cases come to 40 MB (Wigner, traced 34 MB) and 1.1 MB (Wishart, 0.12 MB)
+# cases come to 28 MB (Wigner, traced 26 MB) and 1.1 MB (Wishart, 0.12 MB)
 _MC_BYTES = 2 << 30
 
 
@@ -286,20 +286,24 @@ def _cmd_walk(args) -> int:
 def _mc_trial(ensemble: str, k: int, n: int, m: int | None) -> tuple[int, int]:
     """One mc trial's estimated (picoseconds, bytes its float64 arrays hold
     at once), read from moments.  A Wigner trial makes n*(n+1)/2 draws and
-    holds the n*n matrix; for k >= 3, _wigner_trace adds about ceil(log2 k)
-    products of n**3 and holds up to three powers of that size beside it,
-    formed by squaring (none at k = 3 or 4), and four blocks of 128 rows
-    are the most that the mirror's temporaries or the trace's panels
-    hold.  A Wishart trial, p = min(m, n), makes 2*p chi draws, walks
+    holds its matrix in block form, its n1 = n // 2 top rows and its
+    trailing n2-square block (n2 = n - n1); for k >= 3, _wigner_trace adds
+    about ceil(log2 k) products of n**3, and from k = 5 it holds up to two
+    powers in block form beside the matrix, formed by squaring, and an
+    n2-square product term, and four blocks of 128 rows by n2 columns are
+    the most that the mirror's temporaries or the trace's panels hold.
+    A Wishart trial, p = min(m, n), makes 2*p chi draws, walks
     about p*k**2 / 2 band cells (priced as p*k**2) and holds a few p-long
     arrays beside four blocks of at most 2**15 band cells (k + 2 when a
     row is wider).  Ints, so no n overflows them."""
     if ensemble == "wigner":
+        n1, n2 = n // 2, n - n // 2
+        matrix = n1 * n + n2 * n2
         picoseconds = _MC_DRAW_PS * (n * (n + 1) // 2)
-        held = n * n + 4 * 128 * n
+        held = matrix + 4 * 128 * n2
         if k >= 3:
             picoseconds += _MC_PRODUCT_PS * (k - 1).bit_length() * n ** 3
-            held += 0 if k <= 4 else 3 * n * n
+            held += 0 if k <= 4 else 2 * matrix + n2 * n2
     else:
         p = min(m, n)
         picoseconds = _MC_CHI_PS * 2 * p + _MC_STEP_PS * k + _MC_CELL_PS * p * k * k

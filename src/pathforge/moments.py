@@ -9,7 +9,10 @@ combinatorial values from ``numeric`` double as statistical targets.
 A trial draws only what its law reads: a Wigner trial the n(n+1)/2
 entries on and above the diagonal, and a Wishart trial the 2p - 1 chi
 variables of the beta = 1 Laguerre tridiagonal model, p = min(m, n),
-whose trace power is a sum over half-line walks.
+whose trace power is a sum over half-line walks.  A Wigner trial holds
+its symmetric matrix as its top n // 2 rows and its trailing diagonal
+block, about 3n^2/4 floats, and takes its traces and powers block by
+block: no n-by-n array is ever formed.
 """
 
 from __future__ import annotations
@@ -39,61 +42,109 @@ class MomentEstimate(NamedTuple):
     target: Scalar
 
 
-def _wigner_trace(a: np.ndarray, k: int) -> float:
-    """tr(A^k) for a Wigner trial matrix A, which is exactly symmetric.
+def _wigner_trace(a: tuple[np.ndarray, np.ndarray], k: int) -> float:
+    """tr(A^k) for a Wigner trial matrix A, exactly symmetric, in the block
+    form of ``_wigner_matrix``: its top rows [A11 | C] and its block A22.
 
-    k = 1 is the trace and k = 2 the sum of A times A^T entry by entry.
-    For k >= 3 the powers of A are symmetric, so they are built by squarings
-    ``p @ p.T``, which numpy hands to BLAS syrk at half the flops of a
-    general product, with one extra ``@ A`` for each odd exponent.  Then
-    tr(A^k) is the inner product of A^ceil(k/2) and A^floor(k/2), and
-    A^ceil(k/2) is never formed: it is X Y^T, with X = A^ceil(h/2) and
-    Y = A^floor(h/2) for even k = 2h (the other factor is X Y^T again),
-    and X = A^h and Y = A for odd k = 2h + 1.  One kernel sums the product
-    over the upper triangle of X Y^T, one row panel of 128 rows at a time.
-    At k = 3 and 4 nothing beside the matrix is held but that 128-by-n
-    panel, at n^3 flops; k = 5, 6 and 8 cost 2 n^3.
+    k = 1 is the trace and k = 2 the sum of A times A^T entry by entry,
+    ||A11||^2 + 2 ||C||^2 + ||A22||^2.  For k >= 3, tr(A^k) is the inner product of
+    A^ceil(k/2) and A^floor(k/2), and A^ceil(k/2) is never formed: it is
+    X Y^T, with X = A^ceil(h/2) and Y = A^floor(h/2) for even k = 2h (the
+    other factor is X Y^T again), and X = A^h and Y = A for odd
+    k = 2h + 1.  ``_inner`` sums it block by block, one row panel of 128
+    rows at a time, and the powers X and Y are built in block form by
+    ``_product``.  At k = 3 and 4 nothing beside the matrix is held but
+    a few panels of 128 rows by n - n // 2 columns, at n^3 flops; k = 5,
+    6 and 8 cost 2 n^3.
     """
+    a11, c, a22 = _blocks(a)
     if k == 1:
-        return float(a.trace())
+        # one sum over the whole diagonal, in order: the bits of A's trace
+        return float(np.concatenate((a11.diagonal(), a22.diagonal())).sum())
     if k == 2:
-        return float(np.einsum("ij,ji->", a, a))
+        return float(np.einsum("ij,ij->", a11, a11) + 2 * np.einsum("ij,ij->", c, c)
+                     + np.einsum("ij,ij->", a22, a22))
     h = k // 2
     if k % 2:
         half = _symmetric_power(a, h)
-        return _upper_inner(half, a, half)
+        return _inner(half, a, half)
     y = _symmetric_power(a, h // 2)
-    # y @ a.T is y @ a for a symmetric a; at k = 6, where y is a itself,
-    # numpy runs it as syrk
-    x = y if h % 2 == 0 else y @ a.T
-    return _upper_inner(x, y)
+    x = y if h % 2 == 0 else _product(y, a)
+    return _inner(x, y)
 
 
 _BLOCK = 128  # rows or columns per block: the Wigner mirror and the trace panels
 
 
-def _upper_inner(x: np.ndarray, y: np.ndarray, w: np.ndarray | None = None) -> float:
-    # <x @ y.T, w> for symmetric x @ y.T and w (None: x @ y.T), summed over the
-    # upper triangle: panel P = (x @ y.T)[i:j, i:] against w's counts its
-    # diagonal block once and the rest, which mirrors the part left of it, twice
+def _blocks(a):
+    # the views A11, C and A22 of A's block form (top, A22), top = [A11 | C]
+    top, a22 = a
+    n1 = len(top)
+    return top[:, :n1], top[:, n1:], a22
+
+
+def _block_terms(x, y):
+    # the blocks P11, P12 and P22 of P = X Y^T, for symmetric X and Y in
+    # block form, each a list of pairs (l, r) whose l @ r.T it sums:
+    # P11 = X11 Y11^T + X12 Y12^T, P12 = X11 Y12 + X12 Y22^T and
+    # P22 = X12^T Y12 + X22 Y22^T, X21 being X12^T
+    (x11, c_x, x22), (_, c_y, y22) = _blocks(x), _blocks(y)
+    return [(x[0], y[0])], [(x11, c_y.T), (c_x, y22)], [(c_x.T, c_y.T), (x22, y22)]
+
+
+def _sum_of_products(pairs, out=None) -> np.ndarray:
+    # the sum of l @ r.T over the pairs, into out (a new array if None); each
+    # product with l and r on one buffer, as when X is Y, runs as syrk
+    (l, r), *rest = pairs
+    out = np.matmul(l, r.T, out=out)
+    for l, r in rest:
+        out += l @ r.T
+    return out
+
+
+def _product(x, y) -> tuple[np.ndarray, np.ndarray]:
+    # X Y^T in block form, for symmetric X and Y in it
+    p11, p12, p22 = _block_terms(x, y)
+    n1 = len(x[0])
+    top = np.empty(x[0].shape)
+    _sum_of_products(p11, top[:, :n1])
+    _sum_of_products(p12, top[:, n1:])
+    return top, _sum_of_products(p22)
+
+
+def _inner(x, y, w=None) -> float:
+    # <X Y^T, W> for symmetric X Y^T and W (None: X Y^T) in block form, as
+    # <P11, W11> + 2 <P12, W12> + <P22, W22>, one row panel of a block P at
+    # a time.  P11 and P22 are symmetric, so their panels are P[i:j, i:],
+    # counted twice less their diagonal block: the upper triangle, each
+    # entry right of the diagonal standing for its mirror too
     total = 0.0
-    for i in range(0, x.shape[0], _BLOCK):
-        j = min(i + _BLOCK, x.shape[0])
-        panel = x[i:j] @ y[i:].T
-        v = panel if w is None else w[i:j, i:]
-        total += 2 * np.vdot(v, panel) - np.vdot(v[:, : j - i], panel[:, : j - i])
-        del panel, v  # else the next panel is formed beside this one
+    w_blocks = (None,) * 3 if w is None else _blocks(w)
+    for terms, w_block, upper in zip(_block_terms(x, y), w_blocks, (True, False, True)):
+        rows = len(terms[0][0])
+        for i in range(0, rows, _BLOCK):
+            j = min(i + _BLOCK, rows)
+            c = i if upper else 0
+            panel = _sum_of_products([(l[i:j], r[c:]) for l, r in terms])
+            v = panel if w_block is None else w_block[i:j, c:]
+            total += 2 * np.vdot(v, panel)
+            if upper:
+                total -= np.vdot(v[:, : j - i], panel[:, : j - i])
+            del panel, v  # else the next panel is formed beside this one
     return float(total)
 
 
-def _symmetric_power(matrix: np.ndarray, h: int) -> np.ndarray:
-    # A^h for a symmetric A: each intermediate p is a power of A, so p.T is
-    # p up to rounding and the squaring p @ p.T runs as syrk
+def _symmetric_power(matrix, h: int):
+    # A^h in block form, for a symmetric A in it: each intermediate p is a
+    # power of A, and in the square p p^T each product of a block with its
+    # own transpose runs as syrk; p is dropped before the odd exponent's
+    # product, so A, the square and that product are the most powers held
     if h == 1:
         return matrix
     p = _symmetric_power(matrix, h // 2)
-    square = p @ p.T
-    return square @ matrix if h % 2 else square
+    square = _product(p, p)
+    del p
+    return _product(square, matrix) if h % 2 else square
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -115,28 +166,35 @@ def _estimate(ensemble, k, n, m, trials, seed, trace, size, target) -> MomentEst
                           stderr, target)
 
 
-def _wigner_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
-    """One scaled Wigner trial matrix, exactly symmetric.
+def _wigner_matrix(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """One scaled Wigner trial matrix A, exactly symmetric, in block form.
 
-    The draws and their order fix the substream: row i's entries on and
-    right of the diagonal, a[i, i:], for i = 0..n-1, drawn straight into
-    the n-by-n array, n(n+1)/2 normals in all.  Then the upper triangle
-    is mirrored into the lower one in place: column block [i, j) takes
-    its rows below the block from the transposed rows i..j-1 right of it;
-    the two regions share no memory, so numpy copies without the n-by-n
-    buffer that ``a += a.T`` needs, and the diagonal block takes its
-    strict lower triangle from its own upper one.
+    With n1 = n // 2, A is held as its first n1 rows, top = [A11 | C]
+    (n1-by-n), and its trailing block A22 (n - n1 square): its other rows
+    are [C^T | A22], so C^T is never stored, and A takes about 3n^2/4
+    floats.  The draws and their order fix the substream: row i's entries
+    on and right of the diagonal, for i = 0..n-1, drawn straight into top
+    or A22, n(n+1)/2 normals in all.  Then the upper triangles of A11 and
+    A22 are mirrored into their lower ones in place: column block [i, j)
+    takes its rows below the block from the transposed rows i..j-1 right
+    of it; the two regions share no memory, so numpy copies without a
+    buffer the size of the block, and the diagonal block takes its strict
+    lower triangle from its own upper one.
     """
-    a = np.empty((n, n))
-    for i in range(n):
-        rng.standard_normal(out=a[i, i:])
-    for i in range(0, n, _BLOCK):
-        j = min(i + _BLOCK, n)
-        a[j:, i:j] = a[i:j, j:].T
-        block = a[i:j, i:j]
-        np.copyto(block, np.triu(block, 1).T, where=np.tri(j - i, k=-1, dtype=bool))
-    a /= sqrt(n)
-    return a
+    n1 = n // 2
+    top, a22 = np.empty((n1, n)), np.empty((n - n1, n - n1))
+    for part in (top, a22):
+        for i, row in enumerate(part):
+            rng.standard_normal(out=row[i:])
+    for block in (top[:, :n1], a22):
+        for i in range(0, len(block), _BLOCK):
+            j = min(i + _BLOCK, len(block))
+            block[j:, i:j] = block[i:j, j:].T
+            diagonal = block[i:j, i:j]
+            np.copyto(diagonal, np.triu(diagonal, 1).T, where=np.tri(j - i, k=-1, dtype=bool))
+    top /= sqrt(n)
+    a22 /= sqrt(n)
+    return top, a22
 
 
 def wigner_moment(k: int, n: int, trials: int = 20, seed: int = 0) -> MomentEstimate:
@@ -146,11 +204,12 @@ def wigner_moment(k: int, n: int, trials: int = 20, seed: int = 0) -> MomentEsti
     mirrored below), scaled by 1/sqrt(n); each trial contributes
     tr(A^k)/n.  The limit is C_{k/2} for even k and 0 for odd k.
 
-    Each trial matrix is drawn row by row on and above its diagonal and
-    mirrored in place, block by block, and goes straight into
-    ``_wigner_trace``, so it is freed before the next trial draws: a
-    trial holds one n-by-n array and a 128-row panel at k = 3 and 4, and
-    k = 6 costs 2 n^3 flops.
+    Each trial matrix is drawn row by row on and above its diagonal into
+    its block form, its top n // 2 rows and its trailing diagonal block,
+    and its diagonal blocks are mirrored in place; it goes straight into
+    ``_wigner_trace``, so it is freed before the next trial draws.  A
+    trial holds those two arrays, about 3n^2/4 floats, and a few 128-row
+    panels at k = 3 and 4, and k = 6 costs 2 n^3 flops.
     """
     _check_size(k, 1)
     _check_size(n, 2, "n")

@@ -489,15 +489,15 @@ def test_mc_above_the_work_bound_needs_no_numpy():
 
 
 def test_mc_above_the_byte_bound_needs_no_numpy():
-    # inside the time bound (44.7 s estimated), but a 61,000-square matrix
-    # is about 28 GiB
+    # inside the time bound (44.7 s estimated), but three quarters of a
+    # 61,000-square matrix, the block form a trial holds, are about 21 GiB
     script = ("import sys; sys.modules['numpy'] = None; from pathforge.cli import main; "
               "sys.exit(main(['mc', '--ensemble', 'wigner', '--k', '2', '--n', '61000', "
               "'--trials', '1']))")
     proc = _pathforge(["-c", script], subprocess.PIPE, module=False)
     out, err = proc.communicate(timeout=120)
     assert (proc.returncode, out) == (2, b"")
-    assert err.decode().startswith("error: mc run estimated to hold 28.0 GiB at once, above the "
+    assert err.decode().startswith("error: mc run estimated to hold 20.9 GiB at once, above the "
                                    "limit of 2 GiB ")
     assert len(err.decode().splitlines()) == 1
 
@@ -525,11 +525,12 @@ def test_mc_work_bound_keeps_a_tenfold_margin():
 
 def test_mc_trial_estimate_is_pinned():
     # (picoseconds, bytes) of one trial for k = 1..8: from k = 3 _wigner_trace
-    # adds products, and holds three powers beside the matrix from k = 5;
+    # adds products, and holds two powers and a product term beside the
+    # matrix from k = 5;
     # the Wishart walk grows with k and k**2, and its bytes with neither
     assert [cli._mc_trial("wigner", k, 100, None) for k in range(1, 9)] == [
-        (271_200_000, 489_600), (271_200_000, 489_600), (293_200_000, 489_600),
-        (293_200_000, 489_600), *[(304_200_000, 729_600)] * 4]
+        (271_200_000, 264_800), (271_200_000, 264_800), (293_200_000, 264_800),
+        (293_200_000, 264_800), *[(304_200_000, 404_800)] * 4]
     assert [cli._mc_trial("wishart", k, 100, 50) for k in range(1, 9)] == [
         (164_150_000, 1_050_976), (172_600_000, 1_050_976), (181_350_000, 1_050_976),
         (190_400_000, 1_050_976), (199_750_000, 1_050_976), (209_400_000, 1_050_976),

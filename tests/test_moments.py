@@ -27,12 +27,19 @@ def index_walk_trace(matrix, k):
     return total
 
 
+def blocks(matrix):
+    # a full symmetric matrix laid into _wigner_trace's block form: its top
+    # n // 2 rows and its trailing diagonal block
+    n1 = len(matrix) // 2
+    return matrix[:n1].copy(), matrix[n1:, n1:].copy()
+
+
 def test_wigner_trace_identity():
-    assert _wigner_trace(np.eye(3), 5) == pytest.approx(3.0)
+    assert _wigner_trace(blocks(np.eye(3)), 5) == pytest.approx(3.0)
 
 
 def test_wigner_trace_diagonal():
-    assert _wigner_trace(np.diag([1.0, 2.0]), 2) == pytest.approx(5.0)
+    assert _wigner_trace(blocks(np.diag([1.0, 2.0])), 2) == pytest.approx(5.0)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -42,20 +49,20 @@ def test_trace_power_symmetric_matches_index_walk_expansion(n, k):
     z = np.random.default_rng(n).standard_normal((n, n))
     matrix = z + z.T
     assert np.array_equal(matrix, matrix.T)
-    assert _wigner_trace(matrix, k) == pytest.approx(index_walk_trace(matrix, k), rel=1e-10)
+    assert _wigner_trace(blocks(matrix), k) == pytest.approx(index_walk_trace(matrix, k), rel=1e-10)
 
 
 @pytest.mark.parametrize("n", [127, 128, 129, 300])
 @pytest.mark.parametrize("k", [3, 4, 5, 6, 7, 8, 10])
 def test_trace_power_symmetric_across_panels(n, k):
-    # one panel short of, exactly at and past a 128-row panel, and a partial
-    # last panel; k = 6 and 10 take the odd-h product y @ A, and odd k
-    # sums A^h @ A against A^h
+    # blocks of about 64 rows, each in one 128-row panel, and of 150 rows
+    # (n = 300), a full and a partial panel; k = 6 and 10 take the odd-h
+    # product of y and A, and odd k sums A^h A against A^h
     z = np.random.default_rng(n).standard_normal((n, n))
     matrix = (z + z.T) / sqrt(n)
     assert np.array_equal(matrix, matrix.T)
     expected = np.trace(np.linalg.matrix_power(matrix, k))
-    assert _wigner_trace(matrix, k) == pytest.approx(expected, rel=1e-10)
+    assert _wigner_trace(blocks(matrix), k) == pytest.approx(expected, rel=1e-10)
 
 
 def traced_peak(run):
@@ -76,6 +83,18 @@ def test_trial_holds_one_matrix():
         assert traced_peak(lambda: wigner_moment(k, n, trials=3)) < 1.6 * n * n * 8
 
 
+def test_wigner_trial_holds_three_quarters_of_its_matrix():
+    # a trial holds its top rows and trailing block, 3n^2/4 floats, and no
+    # n-by-n array: one n-by-n matrix alone is above the first bound, and a
+    # full matrix beside its full square above the second
+    n = 1200
+    wigner_moment(2, n, trials=1)
+    for k in (2, 3, 4):
+        assert traced_peak(lambda: wigner_moment(k, n, trials=1)) < 0.95 * n * n * 8, k
+    for k in (5, 6):
+        assert traced_peak(lambda: wigner_moment(k, n, trials=1)) < 2.0 * n * n * 8, k
+
+
 @pytest.mark.parametrize("ensemble,k,n,m", [
     *(("wigner", k, n, None) for k in (2, 3, 4, 5, 6, 11) for n in (50, 600)),
     *(("wishart", k, n, m) for k in (2, 3) for n, m in ((60, 40), (300, 200), (200, 300))),
@@ -92,18 +111,21 @@ def test_mc_byte_estimate_covers_one_trial(ensemble, k, n, m):
     assert traced_peak(lambda: run(trials=1)) <= _mc_trial(ensemble, k, n, m)[1]
 
 
-@pytest.mark.parametrize("n", [2, 127, 128, 129, 300])
+@pytest.mark.parametrize("n", [2, 3, 127, 128, 129, 300])
 def test_wigner_matrix_is_the_mirrored_draw(n):
     # the row-wise draw is one stream of n(n+1)/2 normals laid over the
     # upper triangle, row by row, and the blocked in-place mirror gives
-    # its symmetric matrix, for one block, exact blocks and a partial last block
-    got = _wigner_matrix(np.random.default_rng(n), n)
+    # its symmetric matrix, whose top rows and trailing block are the two
+    # arrays: blocks of unequal size (n = 3, 127, 129), one panel, and a
+    # full and a partial one (n = 300)
+    top, a22 = _wigner_matrix(np.random.default_rng(n), n)
     upper = np.zeros((n, n))
     upper[np.triu_indices(n)] = np.random.default_rng(n).standard_normal(n * (n + 1) // 2)
     expected = upper + np.triu(upper, 1).T
     expected /= sqrt(n)
-    assert np.array_equal(got, expected)
-    assert np.array_equal(got, got.T)
+    n1 = n // 2
+    assert np.array_equal(top, expected[:n1])
+    assert np.array_equal(a22, expected[n1:, n1:])
 
 
 @pytest.mark.parametrize("p", [2, 3, 7, 130])
