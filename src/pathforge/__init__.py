@@ -43,12 +43,11 @@ _EXPORTS = {
     **dict.fromkeys(
         ["GAMMA", "GammaPoly", "catalan", "narayana", "narayana_poly"], "numeric"),
     **dict.fromkeys(
-        ["AltitudeStats", "Path", "PathKind", "check_level_parity", "enumerate_alt_motzkin",
-         "enumerate_dyck", "parse", "stats"], "paths"),
+        ["AltitudeStats", "Path", "PathKind", "enumerate_alt_motzkin", "enumerate_dyck", "parse",
+         "stats"], "paths"),
     **dict.fromkeys(["Fold", "fold_upto"], "fold"),
     **dict.fromkeys(
-        ["FiveTuple", "MidPath", "construct", "five_tuples", "image_paths", "invert",
-         "middle_altitude"], "bijections"),
+        ["FiveTuple", "MidPath", "construct", "invert", "middle_altitude"], "bijections"),
     **dict.fromkeys(["IdentityReport", "SweepResult", "sweep", "verify"], "identities"),
     **dict.fromkeys(["Walk", "path_to_walk", "walk_to_path"], "walks"),
 }

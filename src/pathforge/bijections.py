@@ -26,29 +26,14 @@ is read once, so ``construct`` and ``invert`` take time linear in the
 path length.  One table row per construction names its kind and its
 marks, and one method of the row states the law of each mark: the step
 it must be, the altitude before it and the parity of its position.  One
-check of a given mark reads that law, and the positions that may carry a
-mark are those it accepts.
-``five_tuples`` and ``image_paths`` enumerate the domain and the
-characterized image of each construction; the tests use them to check
-every construction exhaustively at small k.
+check of a given mark reads that law.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
-from .numeric import _check_size
-from .paths import (
-    FALL,
-    LEVEL,
-    RISE,
-    Path,
-    PathKind,
-    altitudes,
-    enumerate_alt_motzkin,
-    enumerate_dyck,
-    parse,
-)
+from .paths import FALL, LEVEL, RISE, Path, PathKind, altitudes, parse
 
 
 class FiveTuple(NamedTuple):
@@ -156,23 +141,17 @@ class _Construction(NamedTuple):
             return LEVEL, i, side - 1
         return (RISE, i, None) if side == 1 else (FALL, i + 1, None)
 
-    def candidates(self, path: Path, i: int, side: int) -> tuple[int, ...]:
-        """The positions in ``path`` that ``admits`` accepts for mark
-        ``side`` at altitude i, in order."""
-        return tuple(q for q in range(len(path.steps) + 1) if self.admits(path, i, side, q))
-
     def admits(self, path: Path, i: int, side: int, mark: int) -> bool:
         """Whether ``path`` may carry mark ``side`` at ``mark``, decided
         from the step at it and the altitude before it (for a vertex, the
         altitude at it), so a check costs one sum over the steps before the
-        mark."""
+        mark.  A mark that is no int (a bool is one) is refused."""
         step, start, parity = self._law(i, side)
         steps = path.steps
         first = 0 if step is None else 1  # vertices count from 0, steps from 1
-        # range membership compares by equality, so a mark equal to no
-        # position (None, "1") is refused here where an ordering test would
-        # raise TypeError
-        return (mark in range(first, len(steps) + 1)
+        # the type first: an ordering test raises TypeError on None or "1",
+        # and range membership, which compares by equality, takes 1.0
+        return (isinstance(mark, int) and first <= mark <= len(steps)
                 and (parity is None or mark % 2 == parity)
                 and (step is None or steps[mark - 1] == step)
                 and sum(steps[:mark - first]) == start)
@@ -250,6 +229,8 @@ def construct(t: FiveTuple) -> MidPath:
         raise ValueError("p1 and p2 must have the same length")
     if n == 0:
         raise ValueError("paths must be nonempty")
+    if not isinstance(t.i, int):
+        raise ValueError(f"i must be an integer, got {t.i!r}")
     for side, path, mark in ((1, t.p1, t.mark1), (2, t.p2, t.mark2)):
         if not c.admits(path, t.i, side, mark):
             raise ValueError(f"mark{side}={mark} is not {c.wording[side - 1].format(i=t.i)} "
@@ -308,32 +289,3 @@ def invert(construction: str, path: Path) -> FiveTuple:
         half, m1, m2 = half - 1, m1 - 1, m2 - 2
     return FiveTuple(construction, Path(out[:half], c.kind), Path(out[half:], c.kind),
                      i, m1, m2 - half)
-
-
-# ---------------------------------------------------------------------------
-# domain and image enumeration (exhaustive; the tests' oracle)
-
-def five_tuples(construction: str, k: int) -> Iterator[FiveTuple]:
-    """Yield every valid five-tuple for the construction at size k, its paths found at the call."""
-    c = _construction(construction)
-    pool = list(_paths(c, k))
-    # each path's marks on both sides at each altitude, found once
-    marks = [[(c.candidates(p, i, 1), c.candidates(p, i, 2)) for i in range(k + 1)] for p in pool]
-    return (FiveTuple(construction, p1, p2, i, m1, m2)
-            for p1, marks1 in zip(pool, marks) for p2, marks2 in zip(pool, marks)
-            for i in range(k + 1)  # only B has marks at altitude k
-            for m1 in marks1[i][0] for m2 in marks2[i][1])
-
-
-def image_paths(construction: str, k: int) -> Iterator[Path]:
-    """Yield the characterized image of the construction at size k: doubled
-    paths whose middle altitude follows the construction's law."""
-    c = _construction(construction)
-    _check_size(k)
-    return (p for p in _paths(c, 2 * k + 1 if c.marks == "vertex" else 2 * k)
-            if c.middle_index(middle_altitude(p)) is not None)
-
-
-def _paths(c: _Construction, k: int) -> Iterator[Path]:
-    """Every path of size k of the kind the construction takes."""
-    return (enumerate_dyck if c.kind is PathKind.DYCK else enumerate_alt_motzkin)(k)

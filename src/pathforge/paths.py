@@ -256,52 +256,19 @@ class AltitudeStats(NamedTuple):
     rise_count: int
 
 
-def _walk(path: Path) -> tuple[tuple[int, ...], ...]:
-    """One walk of a path, counting per altitude its rises from i (length
-    k), its vertices at i (length k+1) and its level steps at i on even
-    and on odd steps (length k each)."""
+def stats(path: Path) -> AltitudeStats:
+    """Compute the rise, vertex, and even-level altitude vectors of a path
+    in one walk of its steps."""
     k = path.k
-    rises, verts, levels = [0] * k, [0] * (k + 1), ([0] * k, [0] * k)
+    rises, verts, even = [0] * k, [0] * (k + 1), [0] * k
     alt = 0
     verts[0] = 1
     for pos, s in enumerate(path.steps, start=1):
         if s == RISE:
             rises[alt] += 1
-        elif s == LEVEL:
-            levels[pos % 2][alt] += 1
+        elif s == LEVEL and pos % 2 == 0:
+            even[alt] += 1
         alt += s
         verts[alt] += 1
-    return tuple(rises), tuple(verts), tuple(levels[0]), tuple(levels[1])
-
-
-def stats(path: Path) -> AltitudeStats:
-    """Compute the rise, vertex, and even-level altitude vectors of a path."""
-    rises, verts, even, _ = _walk(path)
-    return AltitudeStats(rises, verts, even if path.kind is PathKind.ALT_MOTZKIN else None,
-                         sum(rises))
-
-
-class LevelParityReport(NamedTuple):
-    """Per-altitude level-step counts of an alternating Motzkin path.
-
-    counts[i] is (total level steps at altitude i, those on even steps);
-    the total must be even with exactly half on even steps at every
-    altitude, so a nonempty violations tuple signals a bug.
-    """
-
-    counts: tuple[tuple[int, int], ...]
-    violations: tuple[int, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def check_level_parity(path: Path) -> LevelParityReport:
-    """Check that level steps pair up evenly at every altitude: as many
-    on even steps as on odd ones."""
-    if path.kind is not PathKind.ALT_MOTZKIN:
-        raise ValueError("level parity applies to alternating Motzkin paths")
-    _, _, even, odd = _walk(path)
-    return LevelParityReport(tuple((e + o, e) for e, o in zip(even, odd)),
-                             tuple(i for i, (e, o) in enumerate(zip(even, odd)) if e != o))
+    return AltitudeStats(tuple(rises), tuple(verts),
+                         tuple(even) if path.kind is PathKind.ALT_MOTZKIN else None, sum(rises))

@@ -22,6 +22,8 @@ from pathforge.identities import verify
 from pathforge.numeric import catalan
 from pathforge.paths import enumerate_alt_motzkin, enumerate_dyck, parse
 
+from oracles import five_tuples
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -843,7 +845,7 @@ def test_listing_writes_blocks_to_an_unbuffered_stdout(monkeypatch, command):
 # field moved by a little, doubled paths, and arbitrary text, missing keys
 # and wrong types
 _VALID_TUPLES = [t.to_json_dict() for c in "ABCD" for k in (1, 2, 3)
-                 for t in bijections.five_tuples(c, k)]
+                 for t in five_tuples(c, k)]
 _SMALL_PATHS = [p.render() for k in range(4) for p in (*enumerate_dyck(k), *enumerate_alt_motzkin(k))]
 _DOUBLED_PATHS = [p.render() for k in range(1, 5) for p in (*enumerate_dyck(k), *enumerate_alt_motzkin(k))]
 _PATH_TEXT = st.one_of(st.sampled_from(_SMALL_PATHS), st.text(alphabet="UDLX", max_size=8))

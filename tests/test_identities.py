@@ -7,7 +7,6 @@ from types import SimpleNamespace
 
 import pytest
 
-from pathforge import bijections as bj
 from pathforge import identities
 from pathforge.cli import K_MAX_LIMIT
 from pathforge.fold import fold_upto
@@ -18,6 +17,8 @@ from pathforge.identities import (
 )
 from pathforge.numeric import GAMMA, GammaPoly, catalan, narayana_poly
 from pathforge.paths import PathKind, enumerate_alt_motzkin, enumerate_dyck, stats
+
+from oracles import five_tuples, image_paths
 
 
 def test_thm1_worked_values():
@@ -343,14 +344,14 @@ def test_thm5_sides_are_a_narayana_convolution():
 
 @pytest.mark.parametrize("k", (1, 2, 3, 4))
 def test_thm1_counts_a_inputs_and_image(k):
-    count = sum(1 for _ in bj.five_tuples("A", k))
+    count = sum(1 for _ in five_tuples("A", k))
     assert verify("thm1", k).lhs == Fraction(count, catalan(k) ** 2)
-    assert count == sum(1 for _ in bj.image_paths("A", k))
+    assert count == sum(1 for _ in image_paths("A", k))
 
 
 @pytest.mark.parametrize("k", (1, 2, 3, 4))
 def test_thm2_counts_b_inputs_and_image(k):
-    count = sum(1 for _ in bj.five_tuples("B", k))
+    count = sum(1 for _ in five_tuples("B", k))
     assert verify("thm2", k).lhs == Fraction(count, catalan(k) ** 2)
     assert count == catalan(2 * k + 1)
 
@@ -358,10 +359,10 @@ def test_thm2_counts_b_inputs_and_image(k):
 @pytest.mark.parametrize("k", (1, 2, 3, 4))
 def test_thm3_lhs_splits_into_cd_weights(k):
     c_weight = GammaPoly()
-    for t in bj.five_tuples("C", k):
+    for t in five_tuples("C", k):
         c_weight = c_weight + GammaPoly([0] * (t.p1.rise_count() + t.p2.rise_count()) + [1])
     d_weight = GammaPoly()
-    for t in bj.five_tuples("D", k):
+    for t in five_tuples("D", k):
         d_weight = d_weight + GammaPoly([0] * (t.p1.rise_count() + t.p2.rise_count() + 1) + [1])
     assert verify("thm3", k).lhs == c_weight + d_weight
 

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pathforge.bijections import five_tuples, image_paths
 from pathforge.fold import fold_upto
 from pathforge.identities import sweep, verify
 from pathforge.numeric import GAMMA, GammaPoly, _parse_int, catalan, narayana, narayana_poly
@@ -82,8 +81,6 @@ _SIZE_ENTRIES = {
     "_listing": (lambda v: _listing(PathKind.DYCK, v), 0),
     "enumerate_dyck": (enumerate_dyck, 0),
     "enumerate_alt_motzkin": (enumerate_alt_motzkin, 0),
-    **{f"five_tuples {c}": (lambda v, c=c: five_tuples(c, v), 0) for c in "ABCD"},
-    **{f"image_paths {c}": (lambda v, c=c: image_paths(c, v), 0) for c in "ABCD"},
     "fold_upto": (lambda v: fold_upto(PathKind.ALT_MOTZKIN, v), 0),
     "sweep": (lambda v: sweep(["thm1", "thm5"], v), 0),
     "verify thm1": (lambda v: verify("thm1", v), 1),

@@ -21,13 +21,14 @@ from pathforge.paths import (
     PathKind,
     _listing,
     altitudes,
-    check_level_parity,
     enumerate_alt_motzkin,
     enumerate_dyck,
     parse,
     stats,
     steps_at,
 )
+
+from oracles import levels
 
 
 def test_parse_sawtooth():
@@ -274,30 +275,19 @@ def test_stats_sum_invariants(k):
 
 
 def test_level_parity_examples():
-    rep = check_level_parity(parse("LL", PathKind.ALT_MOTZKIN))
-    assert rep.counts == ((2, 1),)
-    assert rep.ok
-
-    rep = check_level_parity(parse("LUDL", PathKind.ALT_MOTZKIN))
-    assert rep.counts == ((2, 1), (0, 0))
-    assert rep.ok
+    assert levels(parse("LL", PathKind.ALT_MOTZKIN)) == ((1,), (1,))
+    assert levels(parse("LUDL", PathKind.ALT_MOTZKIN)) == ((1, 0), (1, 0))
+    assert levels(parse("LLLUDL", PathKind.ALT_MOTZKIN)) == ((2, 0, 0), (2, 0, 0))
 
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_level_parity_lemma_exhaustive(k):
+    # at every altitude, as many level steps on even steps as on odd ones;
+    # stats counts the even ones
     for p in enumerate_alt_motzkin(k):
-        rep = check_level_parity(p)
-        assert rep.ok, (p.render(), rep)
-        for total, even in rep.counts:
-            assert total % 2 == 0
-            assert 2 * even == total
-        # stats and the parity check read the same walk
-        assert stats(p).even_levels_by_altitude == tuple(even for _, even in rep.counts)
-
-
-def test_level_parity_requires_alt_motzkin():
-    with pytest.raises(ValueError):
-        check_level_parity(parse("UD", PathKind.DYCK))
+        even, odd = levels(p)
+        assert even == odd, p.render()
+        assert stats(p).even_levels_by_altitude == even
 
 
 def test_expectation_vectors_dyck_k3():
