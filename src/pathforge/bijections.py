@@ -7,30 +7,32 @@ on all Dyck paths of length 4k+2; C and D are the alternating Motzkin
 versions, steering to even and odd middle altitudes respectively.
 
 The four are variants of one bijection, written as one scan of a running
-minimum, ``_turn_lows``, that reads a half in place in the direction of
-the range it is given and turns each step by which the altitude reaches a
-new lowest value: read rightwards, such falls become rises; read
-leftwards, such rises become falls.  ``construct`` reads p1 rightwards
-from its mark, turning the closing falls of the chain of i rises that
-enclose the mark and, for a marked rise (A, C), the mark's own.  It reads
-p2 leftwards from its mark: the same surgery seen from the path's end, so
-the right half needs no mirrored copy.  Any other mark becomes a new rise
-in p1 and a new fall in p2: D's marked level step, or a level step that B
-inserts after its marked vertex.  ``invert`` reads outwards from the
-middle vertex, leftwards and then rightwards, turning at each new low
-above i; both reads stop at altitude i, on the marks.  The path kind
-decides how a step turns: a Dyck step flips, and an alternating Motzkin
-step trades places with its nearest level step further on, which takes
-the turned step; turning the other way is the exact inverse.  Each half
-is read once, so ``construct`` and ``invert`` take time linear in the
-path length.  One table row per construction names its kind and its
-marks, and one method of the row states the law of each mark: the step
-it must be, the altitude before it and the parity of its position.  One
-check of a given mark reads that law.
+minimum, ``_turn_lows``, that reads a half of a Dyck path in place in the
+direction of the range it is given and flips each step by which the
+altitude reaches a new lowest value: read rightwards, such falls become
+rises; read leftwards, such rises become falls.  C and D map their steps
+through the letter map φ, which reads a level step as a rise on an odd
+step and a fall on an even one, run the scan, and map the result back.  φ
+is a bijection onto the Dyck paths of the same size, and it takes an
+altitude h after step q to 2h + q mod 2.  ``construct`` reads p1 rightwards
+from its mark, flipping the closing falls of the rises that enclose the
+mark and, for a marked rise (A, C), the mark's own.  It reads p2 leftwards
+from its mark: the same surgery seen from the path's end, so the right
+half needs no mirrored copy.  Any other mark becomes a new rise in p1 and a
+new fall in p2: D's marked level step, which φ reads as a fall in p1 and a
+rise in p2, or a level step that B inserts after its marked
+vertex.  ``invert`` reads outwards from the middle vertex, leftwards and
+then rightwards, flipping each new low above the marks, and stops on them:
+at altitude i (A, B) or 2i+1 under φ (C, D).  Each half is read once, so
+both take time linear in the path length.  One table row per construction
+names its kind and its marks, and its method ``_law`` states the law of
+each mark in its kind's terms: the step it must be, the altitude before it
+and the parity of its position; ``admits`` checks a given mark by it.
 """
 
 from __future__ import annotations
 
+from itertools import cycle
 from typing import NamedTuple
 
 from .paths import FALL, LEVEL, RISE, Path, PathKind, altitudes, parse
@@ -104,25 +106,27 @@ def middle_altitude(path: Path) -> int:
 
 
 # ---------------------------------------------------------------------------
-# step helpers (steps are Path.steps tuples, positions 1-based)
+# the letter map φ of C and D, on step lists (positions 1-based)
 
-def _level_from(steps, alts, altitude, positions) -> int:
-    """The first of ``positions`` (1-based, in the order given) that holds a
-    level step from ``altitude``.  The level-parity lemma puts it on an even
-    step right of a fall and on an odd step left of a rise; validation of
-    the finished ``Path`` checks that."""
-    for q in positions:
-        if steps[q - 1] == LEVEL and alts[q - 1] == altitude:
-            return q
-    raise RuntimeError(f"no level step from altitude {altitude} in steps {positions}")
+_LEVEL_AS = (RISE, FALL)  # what φ reads a level step as on an odd and an even step
+
+
+def _to_dyck(steps) -> list:
+    """φ: a level step becomes a rise on an odd step and a fall on an even one."""
+    return [s or level_as for s, level_as in zip(steps, cycle(_LEVEL_AS))]
+
+
+def _from_dyck(steps) -> list:
+    """φ⁻¹: a rise on an odd step and a fall on an even one become level."""
+    return [LEVEL if s == level_as else s for s, level_as in zip(steps, cycle(_LEVEL_AS))]
 
 
 # ---------------------------------------------------------------------------
 # the four variants
 
 class _Construction(NamedTuple):
-    """What sets a construction apart: the kind of its paths, which decides
-    how a step turns, and its marks, "rise", "vertex" or "level", whose law
+    """What sets a construction apart: the kind of its paths, read through
+    φ for C and D, and its marks, "rise", "vertex" or "level", whose law
     ``_law`` states; ``wording`` names them in errors."""
 
     kind: PathKind
@@ -187,43 +191,35 @@ def _construction_of(path: Path) -> str:
 # ---------------------------------------------------------------------------
 # the one surgery: a running-minimum scan
 
-def _turn_lows(kind, out, steps, alts, positions, low, stop):
-    """Read ``positions`` from altitude ``low`` in their direction and turn
-    each step by which the altitude reaches a new low, until one reaches
-    altitude ``stop``: its position is returned, and it is not turned.
-    Rightwards the scan reads the altitude after each step and turns a
-    fall into a rise; leftwards it reads the altitude before each step and
-    turns a rise into a fall.  A Dyck step flips; an alternating Motzkin
-    step becomes level, and its nearest level partner further on in that
-    direction, up to the path's end or start, takes the turned step, so
-    rises stay on even steps and falls on odd ones.  Each partner lies
-    before the next new low, so the partner searches cover disjoint ranges
-    and the scan is linear."""
-    ahead = positions.step
-    turned, before = (RISE, 0) if ahead > 0 else (FALL, 1)
+def _turn_lows(out, alts, positions, low, stop):
+    """Read the altitudes ``alts`` of the Dyck steps ``out`` at ``positions``
+    from altitude ``low`` and flip each step by which the altitude reaches a
+    new low, until one reaches altitude ``stop``: its position is returned,
+    and it is not flipped.  Rightwards the scan reads the altitude after
+    each step and turns a fall into a rise; leftwards it reads the altitude
+    before each step and turns a rise into a fall."""
+    turned, before = (RISE, 0) if positions.step > 0 else (FALL, 1)
     for q in positions:
         if alts[q - before] < low:
             low = alts[q - before]
             if low == stop:
                 return q
-            if kind is PathKind.DYCK:
-                out[q - 1] = turned
-            else:
-                out[q - 1] = LEVEL
-                end = len(steps) + 1 if ahead > 0 else 0
-                out[_level_from(steps, alts, low, range(q + ahead, end, ahead)) - 1] = turned
+            out[q - 1] = turned
     return None
 
 
 def construct(t: FiveTuple) -> MidPath:
-    """Apply the construction named by the five-tuple and concatenate the
-    halves.  The scan turns the steps after p1's mark that reach a new low
-    into rises and, read leftwards, the steps before p2's mark from which
-    one is reached into falls; a mark of B or D becomes a rise in p1 and a
-    fall in p2.  The result has middle altitude 2i+2 (A, C) or 2i+1 (B, D)."""
+    """The doubled path of the five-tuple, read through φ for C and D.
+    The scan flips the steps after p1's mark that reach a new low into
+    rises and, leftwards, the steps before p2's mark from which one is
+    reached into falls; a mark of B or D becomes a rise in p1 and a fall in
+    p2.  The result has middle altitude 2i+2 (A, C) or 2i+1 (B, D)."""
     c = _construction(t.construction)
-    if t.p1.kind is not c.kind or t.p2.kind is not c.kind:
-        raise ValueError(f"construction {t.construction} needs {c.kind.value} paths")
+    for name, path in (("p1", t.p1), ("p2", t.p2)):
+        if not isinstance(path, Path):
+            raise ValueError(f"{name} must be a Path, got {path!r}")
+        if path.kind is not c.kind:
+            raise ValueError(f"construction {t.construction} needs {c.kind.value} paths")
     n = len(t.p1.steps)
     if len(t.p2.steps) != n:
         raise ValueError("p1 and p2 must have the same length")
@@ -240,30 +236,30 @@ def construct(t: FiveTuple) -> MidPath:
         s1, s2, m1, m2 = s1[:m1] + (LEVEL,) + s1[m1:], s2[:m2] + (LEVEL,) + s2[m2:], m1 + 1, m2 + 1
     half = len(s1)
     m2 += half
+    dyck = c.kind is PathKind.DYCK
+    out = list(s1 + s2) if dyck else _to_dyck(s1 + s2)
     # p1 closes at 0, so these are the altitudes of each half on its own
-    steps = s1 + s2
-    alts = altitudes(steps)
-    out = list(steps)
+    alts = altitudes(out)
     if c.marks != "rise":
         out[m1 - 1], out[m2 - 1] = RISE, FALL
     # no altitude is -1, so both scans run to the end of their half
-    _turn_lows(c.kind, out, steps, alts, range(m1 + 1, half + 1), alts[m1], -1)
-    _turn_lows(c.kind, out, steps, alts, range(m2 - 1, half, -1), alts[m2 - 1], -1)
-    path = Path(out, c.kind)
+    _turn_lows(out, alts, range(m1 + 1, half + 1), alts[m1], -1)
+    _turn_lows(out, alts, range(m2 - 1, half, -1), alts[m2 - 1], -1)
+    path = Path(out if dyck else _from_dyck(out), c.kind)
     return MidPath(path, middle_altitude(path))
 
 
 def invert(construction: str, path: Path) -> FiveTuple:
     """Recover the unique five-tuple that the named construction maps to
-    ``path``.  Read outwards from the middle vertex, the step at which each
-    half first reaches each altitude below the middle is its rise from that
-    altitude (left) or fall to it (right).  The scan turns those above i
-    into falls on the left and rises on the right, and stops at the ones
-    at i, the marks: kept (A, C), made level again (D) or deleted (B,
-    whose marks are the vertices before them).  Each level partner lies
-    before the next one found, so the surgery changes no step beyond the
-    marks."""
+    ``path``.  Read outwards from the middle vertex (through φ for C and
+    D), the step at which each half first reaches each altitude below the
+    middle is its rise from that altitude (left) or fall to it (right).
+    The scan flips those above the marks into falls on the left and rises
+    on the right, and stops at the marks: kept (A, C), made level again
+    (D) or deleted (B, whose marks are the vertices before them)."""
     c = _construction(construction)
+    if not isinstance(path, Path):
+        raise ValueError(f"path must be a Path, got {path!r}")
     if path.kind is not c.kind:
         raise ValueError(f"construction {construction} inverts {c.kind.value} paths")
     extra = 2 if c.marks == "vertex" else 0  # B inserts one step in each half
@@ -272,16 +268,19 @@ def invert(construction: str, path: Path) -> FiveTuple:
     if n % 4 != extra or n <= extra:
         raise ValueError(f"path length must be 4k{'+2' if extra else ''} with k >= 1, got {n}")
     half = n // 2
-    alts = altitudes(steps)
-    mid = alts[half]
+    dyck = c.kind is PathKind.DYCK
+    out = list(steps) if dyck else _to_dyck(steps)
+    alts = altitudes(out)
+    mid = alts[half] if dyck else alts[half] // 2  # φ doubles the middle altitude
     i = c.middle_index(mid)
     if i is None:
         law = "positive and even" if c.marks == "rise" else "odd"
         raise ValueError(f"middle altitude {mid} is not in the image of construction "
                          f"{construction}: it must be {law}")
-    out = list(steps)
-    m1 = _turn_lows(c.kind, out, steps, alts, range(half, 0, -1), mid, i)
-    m2 = _turn_lows(c.kind, out, steps, alts, range(half + 1, n + 1), mid, i)
+    stop = i if dyck else 2 * i + 1
+    m1 = _turn_lows(out, alts, range(half, 0, -1), alts[half], stop)
+    m2 = _turn_lows(out, alts, range(half + 1, n + 1), alts[half], stop)
+    out = out if dyck else _from_dyck(out)
     if c.marks == "level":
         out[m1 - 1] = out[m2 - 1] = LEVEL
     elif c.marks == "vertex":  # B's marks are the vertices before the steps it deletes

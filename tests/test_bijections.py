@@ -24,6 +24,7 @@ from pathforge.paths import (
     RISE,
     Path,
     PathKind,
+    altitudes,
     enumerate_alt_motzkin,
     enumerate_dyck,
     parse,
@@ -180,6 +181,10 @@ _REFUSALS = [
      "construction D needs altmotzkin paths"),
     (lambda: bj.invert("C", parse("UUUDDUDD", PathKind.DYCK)), "construction C inverts altmotzkin paths"),
     (lambda: bj.invert("B", parse("LUDL", PathKind.ALT_MOTZKIN)), "construction B inverts dyck paths"),
+    (lambda: bj.construct(bj.FiveTuple("A", "UD", "UD", 0, 1, 2)), "p1 must be a Path, got 'UD'"),
+    (lambda: bj.construct(bj.FiveTuple("B", parse("UD", PathKind.DYCK), ["UD"], 0, 0, 0)),
+     "p2 must be a Path, got ['UD']"),
+    (lambda: bj.invert("A", "UUDD"), "path must be a Path, got 'UUDD'"),
     (lambda: bj.construct(t5("A", "UD", "UUDD", 0, 1, 4)), "p1 and p2 must have the same length"),
     (lambda: bj.construct(t5("B", "", "", 0, 0, 0)), "paths must be nonempty"),
     (lambda: bj.construct(t5("A", "UDUD", "UUDD", 0, 2, 4)), "mark1=2 is not a rise from altitude 0 in p1"),
@@ -421,9 +426,83 @@ def test_middle_altitude_even_positions():
         assert bj.middle_altitude(p) % 2 == 1
 
 
+# C and D are A read through the letter map phi, which reads a level step
+# as a rise on an odd step and a fall on an even one; its inverse reads a
+# rise on an odd step and a fall on an even one as a level step
+_LEVEL_AS = (RISE, FALL)  # what phi reads a level step as, by 0-based index parity
+
+
+def _phi(steps):
+    """The Dyck path that phi reads from an alternating Motzkin path."""
+    return tuple(s or _LEVEL_AS[q % 2] for q, s in enumerate(steps))
+
+
+def _pair_reading(steps):
+    """phi's inverse: the alternating Motzkin path of the same size as the
+    Dyck path.  Steps 2..2k-1 read in pairs become UU -> UL, DD -> LD,
+    UD -> UD and DU -> LL, between one level step and another."""
+    return tuple(LEVEL if s == _LEVEL_AS[q % 2] else s for q, s in enumerate(steps))
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_phi_is_a_bijection_onto_dyck_paths(k):
+    """phi maps the alternating Motzkin paths of size k onto the Dyck paths
+    of size k, the pair reading undoes it, and an altitude h after step q
+    becomes 2h + q mod 2."""
+    motzkin = [p.steps for p in enumerate_alt_motzkin(k)]
+    images = [_phi(steps) for steps in motzkin]
+    assert len(set(images)) == len(images) == catalan(k)
+    assert set(images) == {p.steps for p in enumerate_dyck(k)}
+    for steps, image in zip(motzkin, images):
+        assert _pair_reading(image) == steps
+        assert altitudes(image) == tuple(2 * h + q % 2 for q, h in enumerate(altitudes(steps)))
+
+
+def _matched(steps, q):
+    """The step of a Dyck path matched with step q: the fall that closes a
+    rise, or the rise that a fall closes."""
+    alts = altitudes(steps)
+    if steps[q - 1] == RISE:
+        return next(r for r in range(q + 1, len(steps) + 1) if alts[r] == alts[q - 1])
+    return next(r for r in range(q - 1, 0, -1) if alts[r - 1] == alts[q])
+
+
+@pytest.mark.parametrize("construction,count", [("C", 427), ("D", 925)])
+def test_c_and_d_are_a_through_phi(construction, count):
+    """Read through phi, C is A at 2i+1 with the same marks, and D is A at
+    2i with each marked level moved to the step matched with it: phi reads
+    D's mark as a fall in p1, whose rise A marks, and as a rise in p2, whose
+    fall A marks.  Every tuple with k <= 4."""
+    n = 0
+    for k in range(1, 5):
+        for t in five_tuples(construction, k):
+            s1, s2 = _phi(t.p1.steps), _phi(t.p2.steps)
+            if construction == "C":
+                i, m1, m2 = 2 * t.i + 1, t.mark1, t.mark2
+            else:
+                i, m1, m2 = 2 * t.i, _matched(s1, t.mark1), _matched(s2, t.mark2)
+            a = bj.FiveTuple("A", Path(s1, PathKind.DYCK), Path(s2, PathKind.DYCK), i, m1, m2)
+            path = bj.construct(a).path
+            assert path.steps == _phi(bj.construct(t).path.steps), t
+            assert bj.invert("A", path) == a
+            n += 1
+    assert n == count
+
+
+def test_phi_splits_a_images_by_middle_mod_4():
+    """Read through phi, C's images are A's with middle altitude 0 mod 4
+    and D's those with middle altitude 2 mod 4."""
+    for k in range(1, 5):
+        a_images = list(image_paths("A", k))
+        for construction, rest in (("C", 0), ("D", 2)):
+            images = [_phi(p.steps) for p in image_paths(construction, k)]
+            assert len(set(images)) == len(images)
+            assert set(images) == {p.steps for p in a_images if bj.middle_altitude(p) % 4 == rest}
+
+
 # constructions A-D far beyond exhaustive reach: uniform Dyck paths of size
 # k drawn by the cycle lemma, and uniform alternating Motzkin paths read
-# from them in pairs of steps, with a seed fixed before the first run
+# from them by phi's inverse, with a seed fixed before the first run
 LARGE_K = 1000
 LARGE_SEED = 7321
 
@@ -448,19 +527,6 @@ def test_cycle_lemma_sampler_is_exact_at_k3():
     images = Counter(_cycle_lemma(word) for word in words)
     assert sorted(images.values()) == [7] * 5
     assert set(images) == {p.steps for p in enumerate_dyck(3)}
-
-
-# steps 2..2k-1 of a Dyck path of size k, read in pairs, are a Motzkin path
-# of k-1 steps with two kinds of flat step (UD and DU); each pair becomes a
-# pair of an alternating Motzkin path, between one level step and another
-_PAIR_STEPS = {(RISE, RISE): (RISE, LEVEL), (FALL, FALL): (LEVEL, FALL),
-               (RISE, FALL): (RISE, FALL), (FALL, RISE): (LEVEL, LEVEL)}
-
-
-def _pair_reading(steps):
-    """The alternating Motzkin path of the same size as the Dyck path."""
-    pairs = (_PAIR_STEPS[steps[q:q + 2]] for q in range(1, len(steps) - 1, 2))
-    return (LEVEL, *(step for pair in pairs for step in pair), LEVEL)
 
 
 @pytest.mark.parametrize("k", range(1, 7))

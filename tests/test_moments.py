@@ -44,7 +44,7 @@ def test_wigner_trace_diagonal():
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 @pytest.mark.parametrize("k", range(1, 9))
-def test_trace_power_symmetric_matches_index_walk_expansion(n, k):
+def test_wigner_trace_matches_index_walk_expansion(n, k):
     # k = 6 and 8 square a square, so the trace runs syrk twice
     z = np.random.default_rng(n).standard_normal((n, n))
     matrix = z + z.T
