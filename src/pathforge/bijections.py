@@ -7,32 +7,31 @@ on all Dyck paths of length 4k+2; C and D are the alternating Motzkin
 versions, steering to even and odd middle altitudes respectively.
 
 The four are variants of one bijection, written as one scan of a running
-minimum, ``_turn_lows``, that reads a half of a Dyck path in place in the
-direction of the range it is given and flips each step by which the
+minimum, ``_turn_lows``, that reads a half of a path in place in the
+direction of the range it is given and turns each step by which the
 altitude reaches a new lowest value: read rightwards, such falls become
-rises; read leftwards, such rises become falls.  C and D map their steps
-through the letter map φ, which reads a level step as a rise on an odd
-step and a fall on an even one, run the scan, and map the result back.  φ
-is a bijection onto the Dyck paths of the same size, and it takes an
-altitude h after step q to 2h + q mod 2.  ``construct`` reads p1 rightwards
-from its mark, flipping the closing falls of the rises that enclose the
-mark and, for a marked rise (A, C), the mark's own.  It reads p2 leftwards
-from its mark: the same surgery seen from the path's end, so the right
-half needs no mirrored copy.  Any other mark becomes a new rise in p1 and a
-new fall in p2: D's marked level step, which φ reads as a fall in p1 and a
-rise in p2, or a level step that B inserts after its marked
+rises; read leftwards, such rises become falls.  C and D scan their own
+steps at the scale s = 2 of the letter map φ, a bijection onto the Dyck
+paths of the same size that reads a level step as a rise on an odd step
+and a fall on an even one, and an altitude h after step q as 2h + q mod 2;
+a turn of φ's letters moves a Motzkin step by one.  ``construct`` reads p1
+rightwards from its mark, turning the closing falls of the rises that
+enclose the mark and, for a marked rise (A, C), the mark's own.  It reads
+p2 leftwards from its mark: the same surgery seen from the path's end, so
+the right half needs no mirrored copy.  Any other mark becomes a new rise
+in p1 and a new fall in p2: D's marked level step, which φ reads as a fall
+in p1 and a rise in p2, or a level step that B inserts after its marked
 vertex.  ``invert`` reads outwards from the middle vertex, leftwards and
-then rightwards, flipping each new low above the marks, and stops on them:
-at altitude i (A, B) or 2i+1 under φ (C, D).  Each half is read once, so
-both take time linear in the path length.  One table row per construction
-names its kind and its marks, and its method ``_law`` states the law of
-each mark in its kind's terms: the step it must be, the altitude before it
-and the parity of its position; ``admits`` checks a given mark by it.
+then rightwards, turning each new low above the marks, and stops on them,
+at altitude s·i + s − 1.  Each half is read once, so both take time linear
+in the path length.  One table row per construction names its kind and
+its marks, and its method ``_law`` states the law of each mark in its
+kind's terms: the step it must be, the altitude before it and the parity
+of its position; ``admits`` checks a given mark by it.
 """
 
 from __future__ import annotations
 
-from itertools import cycle
 from typing import NamedTuple
 
 from .paths import FALL, LEVEL, RISE, Path, PathKind, altitudes, parse
@@ -106,28 +105,12 @@ def middle_altitude(path: Path) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the letter map φ of C and D, on step lists (positions 1-based)
-
-_LEVEL_AS = (RISE, FALL)  # what φ reads a level step as on an odd and an even step
-
-
-def _to_dyck(steps) -> list:
-    """φ: a level step becomes a rise on an odd step and a fall on an even one."""
-    return [s or level_as for s, level_as in zip(steps, cycle(_LEVEL_AS))]
-
-
-def _from_dyck(steps) -> list:
-    """φ⁻¹: a rise on an odd step and a fall on an even one become level."""
-    return [LEVEL if s == level_as else s for s, level_as in zip(steps, cycle(_LEVEL_AS))]
-
-
-# ---------------------------------------------------------------------------
 # the four variants
 
 class _Construction(NamedTuple):
-    """What sets a construction apart: the kind of its paths, read through
-    φ for C and D, and its marks, "rise", "vertex" or "level", whose law
-    ``_law`` states; ``wording`` names them in errors."""
+    """What sets a construction apart: the kind of its paths, read at φ's
+    scale for C and D, and its marks, "rise", "vertex" or "level", whose
+    law ``_law`` states; ``wording`` names them in errors."""
 
     kind: PathKind
     marks: str
@@ -191,29 +174,38 @@ def _construction_of(path: Path) -> str:
 # ---------------------------------------------------------------------------
 # the one surgery: a running-minimum scan
 
-def _turn_lows(out, alts, positions, low, stop):
-    """Read the altitudes ``alts`` of the Dyck steps ``out`` at ``positions``
-    from altitude ``low`` and flip each step by which the altitude reaches a
-    new low, until one reaches altitude ``stop``: its position is returned,
-    and it is not flipped.  Rightwards the scan reads the altitude after
-    each step and turns a fall into a rise; leftwards it reads the altitude
-    before each step and turns a rise into a fall."""
-    turned, before = (RISE, 0) if positions.step > 0 else (FALL, 1)
+# φ as a scale s: the altitude h after step q reads as s·h + (s−1)·(q mod 2),
+# so a Dyck path is its own image.  Only an odd fall or an even level step
+# reaches a new low rightwards, and only an even rise or an odd level step
+# leftwards, so each alternating Motzkin turn by ±2/s = ±1 is lawful
+_SCALE = {PathKind.DYCK: 1, PathKind.ALT_MOTZKIN: 2}
+
+
+def _turn_lows(out, alts, s, positions, low, stop):
+    """Read the altitudes ``alts`` of the steps ``out`` at ``positions``,
+    at scale s, from altitude ``low`` and turn each step by which the
+    altitude reaches a new low, until one reaches altitude ``stop``: its
+    position is returned, and it is not turned.  Rightwards the scan reads
+    the altitude after each step and adds 2/s to it; leftwards it reads the
+    altitude before each step and subtracts 2/s."""
+    turn, before = (2 // s, 0) if positions.step > 0 else (-2 // s, 1)
+    odd = s - 1  # 0 or 1, so v & odd is (s−1)·(v mod 2) for a vertex v
     for q in positions:
-        if alts[q - before] < low:
-            low = alts[q - before]
+        a = s * alts[q - before] + ((q - before) & odd)
+        if a < low:
+            low = a
             if low == stop:
                 return q
-            out[q - 1] = turned
+            out[q - 1] += turn
     return None
 
 
 def construct(t: FiveTuple) -> MidPath:
-    """The doubled path of the five-tuple, read through φ for C and D.
-    The scan flips the steps after p1's mark that reach a new low into
-    rises and, leftwards, the steps before p2's mark from which one is
-    reached into falls; a mark of B or D becomes a rise in p1 and a fall in
-    p2.  The result has middle altitude 2i+2 (A, C) or 2i+1 (B, D)."""
+    """The doubled path of the five-tuple.  The scan turns the steps after
+    p1's mark that reach a new low into rises and, leftwards, the steps
+    before p2's mark from which one is reached into falls, by one step of
+    φ's letters for C and D; a mark of B or D becomes a rise in p1 and a
+    fall in p2.  The result has middle altitude 2i+2 (A, C) or 2i+1 (B, D)."""
     c = _construction(t.construction)
     for name, path in (("p1", t.p1), ("p2", t.p2)):
         if not isinstance(path, Path):
@@ -236,27 +228,27 @@ def construct(t: FiveTuple) -> MidPath:
         s1, s2, m1, m2 = s1[:m1] + (LEVEL,) + s1[m1:], s2[:m2] + (LEVEL,) + s2[m2:], m1 + 1, m2 + 1
     half = len(s1)
     m2 += half
-    dyck = c.kind is PathKind.DYCK
-    out = list(s1 + s2) if dyck else _to_dyck(s1 + s2)
-    # p1 closes at 0, so these are the altitudes of each half on its own
+    s = _SCALE[c.kind]
+    out = list(s1 + s2)
+    # p1 closes at 0, so these are the altitudes of each half on its own;
+    # C's and D's scans start from even vertices, at s·h
     alts = altitudes(out)
     if c.marks != "rise":
         out[m1 - 1], out[m2 - 1] = RISE, FALL
     # no altitude is -1, so both scans run to the end of their half
-    _turn_lows(out, alts, range(m1 + 1, half + 1), alts[m1], -1)
-    _turn_lows(out, alts, range(m2 - 1, half, -1), alts[m2 - 1], -1)
-    path = Path(out if dyck else _from_dyck(out), c.kind)
+    _turn_lows(out, alts, s, range(m1 + 1, half + 1), s * alts[m1], -1)
+    _turn_lows(out, alts, s, range(m2 - 1, half, -1), s * alts[m2 - 1], -1)
+    path = Path(out, c.kind)
     return MidPath(path, middle_altitude(path))
 
 
 def invert(construction: str, path: Path) -> FiveTuple:
     """Recover the unique five-tuple that the named construction maps to
-    ``path``.  Read outwards from the middle vertex (through φ for C and
-    D), the step at which each half first reaches each altitude below the
-    middle is its rise from that altitude (left) or fall to it (right).
-    The scan flips those above the marks into falls on the left and rises
-    on the right, and stops at the marks: kept (A, C), made level again
-    (D) or deleted (B, whose marks are the vertices before them)."""
+    ``path``.  Read outwards from the middle vertex at scale s, the step at
+    which each half first reaches each altitude below the middle is its
+    rise from that altitude (left) or fall to it (right).  The scan turns
+    those above the marks back and stops at the marks: kept (A, C), made
+    level (D) or deleted (B, whose marks are the vertices before them)."""
     c = _construction(construction)
     if not isinstance(path, Path):
         raise ValueError(f"path must be a Path, got {path!r}")
@@ -268,19 +260,19 @@ def invert(construction: str, path: Path) -> FiveTuple:
     if n % 4 != extra or n <= extra:
         raise ValueError(f"path length must be 4k{'+2' if extra else ''} with k >= 1, got {n}")
     half = n // 2
-    dyck = c.kind is PathKind.DYCK
-    out = list(steps) if dyck else _to_dyck(steps)
-    alts = altitudes(out)
-    mid = alts[half] if dyck else alts[half] // 2  # φ doubles the middle altitude
+    s = _SCALE[c.kind]
+    out = list(steps)
+    alts = altitudes(steps)
+    mid = alts[half]
     i = c.middle_index(mid)
     if i is None:
         law = "positive and even" if c.marks == "rise" else "odd"
         raise ValueError(f"middle altitude {mid} is not in the image of construction "
                          f"{construction}: it must be {law}")
-    stop = i if dyck else 2 * i + 1
-    m1 = _turn_lows(out, alts, range(half, 0, -1), alts[half], stop)
-    m2 = _turn_lows(out, alts, range(half + 1, n + 1), alts[half], stop)
-    out = out if dyck else _from_dyck(out)
+    stop = s * i + s - 1  # i for A and B, 2i+1 for C and D
+    # half is even for C and D, so the middle vertex reads as s·mid
+    m1 = _turn_lows(out, alts, s, range(half, 0, -1), s * mid, stop)
+    m2 = _turn_lows(out, alts, s, range(half + 1, n + 1), s * mid, stop)
     if c.marks == "level":
         out[m1 - 1] = out[m2 - 1] = LEVEL
     elif c.marks == "vertex":  # B's marks are the vertices before the steps it deletes

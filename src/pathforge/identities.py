@@ -30,7 +30,13 @@ g x N / Delta, Delta = (1 - x(1+g))^2 - 4 g x^2, so both are
 sum_{j=2..k} g N_{j-1}(g) c_{k-j}, c_n the x^n coefficient of 1/Delta.
 The tests check the Dyck pieces, the alternating Motzkin rows and both
 sides against the DP.  The derivation is algebraic: the combinatorial
-proof the paper asks for is still open.
+proof the paper asks for is still open.  Found in pathforge, not taken
+from the paper: through the letter map phi of ``bijections``, alternating
+Motzkin paths are the Dyck paths of the same size, R_j and L_j summing the
+rises D_h from h = 2j+1 and 2j, gamma counting rises on even steps.  So
+identity 3 is identity 1 refined by gamma, and identity 5 is (5')
+sum_h ceil(h/2) D_h = sum_h C(D_h, 2), over Dyck paths, refined by gamma;
+given (5'), identity 4 is (4') sum_h (floor(h/2) + 1) D_h = 4^(k-1).
 """
 
 from __future__ import annotations

@@ -467,24 +467,37 @@ def _matched(steps, q):
     return next(r for r in range(q - 1, 0, -1) if alts[r - 1] == alts[q])
 
 
+def _a_through_phi(t):
+    """The A tuple that a C or D tuple reads as through phi: C's at 2i+1
+    with the same marks, D's at 2i with each marked level moved to the step
+    matched with it (phi reads D's mark as a fall in p1, whose rise A
+    marks, and as a rise in p2, whose fall A marks)."""
+    s1, s2 = _phi(t.p1.steps), _phi(t.p2.steps)
+    if t.construction == "C":
+        i, m1, m2 = 2 * t.i + 1, t.mark1, t.mark2
+    else:
+        i, m1, m2 = 2 * t.i, _matched(s1, t.mark1), _matched(s2, t.mark2)
+    return bj.FiveTuple("A", Path(s1, PathKind.DYCK), Path(s2, PathKind.DYCK), i, m1, m2)
+
+
+def assert_a_through_phi(t, image):
+    """C and D are A through phi: A maps the tuple t reads as to phi of
+    t's image, and inverts it back."""
+    a = _a_through_phi(t)
+    path = bj.construct(a).path
+    assert path.steps == _phi(image.steps), t
+    assert bj.invert("A", path) == a
+
+
 @pytest.mark.parametrize("construction,count", [("C", 427), ("D", 925)])
 def test_c_and_d_are_a_through_phi(construction, count):
     """Read through phi, C is A at 2i+1 with the same marks, and D is A at
-    2i with each marked level moved to the step matched with it: phi reads
-    D's mark as a fall in p1, whose rise A marks, and as a rise in p2, whose
-    fall A marks.  Every tuple with k <= 4."""
+    2i with each marked level moved to the step matched with it.  Every
+    tuple with k <= 4."""
     n = 0
     for k in range(1, 5):
         for t in five_tuples(construction, k):
-            s1, s2 = _phi(t.p1.steps), _phi(t.p2.steps)
-            if construction == "C":
-                i, m1, m2 = 2 * t.i + 1, t.mark1, t.mark2
-            else:
-                i, m1, m2 = 2 * t.i, _matched(s1, t.mark1), _matched(s2, t.mark2)
-            a = bj.FiveTuple("A", Path(s1, PathKind.DYCK), Path(s2, PathKind.DYCK), i, m1, m2)
-            path = bj.construct(a).path
-            assert path.steps == _phi(bj.construct(t).path.steps), t
-            assert bj.invert("A", path) == a
+            assert_a_through_phi(t, bj.construct(t).path)
             n += 1
     assert n == count
 
@@ -576,6 +589,7 @@ def test_large_k_tuples_round_trip(construction):
         assert out.middle_altitude == 2 * i + (2 if construction in "AC" else 1)
         if construction in "CD":
             assert out.path.rise_count() == _image_rises(t)
+            assert_a_through_phi(t, out.path)
         assert bj.invert(construction, out.path) == t
 
 
@@ -608,27 +622,44 @@ def _chi_square_bound(df, p=1e-6):
     return df * (1 - a + z * math.sqrt(a)) ** 3
 
 
-@pytest.mark.parametrize("construction", "ABCD")
-def test_uniform_images_invert_by_the_law_of_i(construction):
-    *_, fold = fold_upto(PathKind.DYCK if construction in "AB" else PathKind.ALT_MOTZKIN, LAW_K)
-    row = fold.others if construction in "BD" else fold.rises
-    weights = [(x if isinstance(x, int) else x.evaluate(1)) ** 2 for x in row]
-    total = sum(weights)
-    rng = random.Random(LAW_SEED)
-    tally = Counter(bj.invert(construction, _uniform_image(rng, construction, LAW_K)).i
-                    for _ in range(LAW_DRAWS))
-    # bins upwards in i, each pooled with the next until its expected
-    # count reaches 5; what is left joins the last
+def _pooled_chi_square(tally, weights):
+    """Chi-square of the tally of LAW_DRAWS draws against the weights of
+    its cells, which are binned in the weights' order, each pooled with the
+    next until its expected count reaches 5; what is left joins the last.
+    Returns the statistic and the number of bins."""
+    total = sum(weights.values())
     observed, expected = [], []
     o = e = 0
-    for i, w in enumerate(weights):
-        o, e = o + tally[i], e + LAW_DRAWS * w / total
+    for cell, w in weights.items():
+        o, e = o + tally[cell], e + LAW_DRAWS * w / total
         if e >= 5:
             observed.append(o)
             expected.append(e)
             o = e = 0
     observed[-1] += o
     expected[-1] += e
-    assert sum(observed) == LAW_DRAWS  # every i drawn has a weight
-    chi2 = sum((o - e) ** 2 / e for o, e in zip(observed, expected))
-    assert chi2 < _chi_square_bound(len(observed) - 1), (chi2, len(observed))
+    assert sum(observed) == LAW_DRAWS  # every cell drawn has a weight
+    return sum((o - e) ** 2 / e for o, e in zip(observed, expected)), len(observed)
+
+
+@pytest.mark.parametrize("construction", "ABCD")
+def test_uniform_images_invert_by_the_law_of_i(construction):
+    *_, fold = fold_upto(PathKind.DYCK if construction in "AB" else PathKind.ALT_MOTZKIN, LAW_K)
+    row = fold.others if construction in "BD" else fold.rises
+    rng = random.Random(LAW_SEED)
+    draws = []
+    for _ in range(LAW_DRAWS):
+        p = _uniform_image(rng, construction, LAW_K)
+        draws.append((bj.invert(construction, p).i, p.rise_count()))
+    # bins upwards in i
+    weights = {i: (x if isinstance(x, int) else x.evaluate(1)) ** 2 for i, x in enumerate(row)}
+    chi2, bins = _pooled_chi_square(Counter(i for i, _ in draws), weights)
+    assert chi2 < _chi_square_bound(bins - 1), (chi2, bins)
+    if construction in "CD":
+        # jointly with the image's rise count r: the inputs at i whose
+        # image has r rises are [gamma^r] R_i^2 (C), or [gamma^(r-1)] L_i^2
+        # (D, whose marks become one more rise); bins upwards in i, then r
+        joint = {(i, r): w for i, x in enumerate(row)
+                 for r, w in enumerate((x * x).coeffs, start=1 if construction == "D" else 0)}
+        chi2, bins = _pooled_chi_square(Counter(draws), joint)
+        assert chi2 < _chi_square_bound(bins - 1), (chi2, bins)

@@ -16,7 +16,7 @@ from pathforge.identities import (
     verify,
 )
 from pathforge.numeric import GAMMA, GammaPoly, catalan, narayana_poly
-from pathforge.paths import PathKind, enumerate_alt_motzkin, enumerate_dyck, stats
+from pathforge.paths import RISE, PathKind, enumerate_alt_motzkin, enumerate_dyck, stats
 
 from oracles import five_tuples, image_paths
 
@@ -338,6 +338,43 @@ def test_thm5_sides_are_a_narayana_convolution():
         k = r.k
         closed = sum((GAMMA * narayana_poly(j - 1) * c[k - j] for j in range(2, k + 1)), GammaPoly())
         assert r.lhs == closed == r.rhs, k
+
+
+# --- identities 3-5 read on Dyck paths through the letter map phi ---------
+# phi reads a level step as a rise on an odd step and a fall on an even
+# one, taking an alternating Motzkin path to the Dyck path whose altitude
+# after step q is 2h + q mod 2; its rises on even steps are the path's rises
+
+def test_alt_motzkin_rows_are_dyck_rows_split_by_parity():
+    """Over every Dyck path of size k <= 8, each weighted by gamma^(its
+    rises on even steps), the rises from altitude 2j+1 and their pair totals
+    are the alternating Motzkin rise row and rise pairs, and those from 2j
+    the even-step level row and level pairs, for every gamma."""
+    for k in range(1, 9):
+        *_, fold = fold_upto(PathKind.ALT_MOTZKIN, k)
+        # rows[h][e], pairs[h][e]: rises from h and their pairs over the
+        # paths with e rises on even steps
+        rows = [[0] * (k + 1) for _ in range(2 * k)]
+        pairs = [[0] * (k + 1) for _ in range(2 * k)]
+        for p in enumerate_dyck(k):
+            e = p.steps[1::2].count(RISE)
+            for h, r in enumerate(stats(p).rises_by_altitude):
+                rows[h][e] += r
+                pairs[h][e] += math.comb(r, 2)
+        assert [GammaPoly(rows[2 * j + 1]) for j in range(k)] == list(fold.rises), k
+        assert [GammaPoly(rows[2 * j]) for j in range(k)] == list(fold.others), k
+        assert sum(GammaPoly(pairs[2 * j + 1]) for j in range(k)) == fold.rise_pairs, k
+        assert sum(GammaPoly(pairs[2 * j]) for j in range(k)) == fold.other_pairs, k
+
+
+def test_identities_4_and_5_as_dyck_rise_sums():
+    """(4') sum_h (floor(h/2) + 1) R_h = 4^(k-1) and (5') sum_h
+    ceil(h/2) R_h = rise_pairs, over the Dyck paths of size k."""
+    folds = tuple(fold_upto(PathKind.DYCK, 60))
+    for k in range(2, 61):
+        f = folds[k]
+        assert sum((h // 2 + 1) * r for h, r in enumerate(f.rises)) == 4 ** (k - 1), k
+        assert sum((h + 1) // 2 * r for h, r in enumerate(f.rises)) == f.rise_pairs, k
 
 
 # --- cross-module: identity left sides count the construction inputs ------

@@ -54,7 +54,7 @@ def test_wigner_trace_matches_index_walk_expansion(n, k):
 
 @pytest.mark.parametrize("n", [127, 128, 129, 300])
 @pytest.mark.parametrize("k", [3, 4, 5, 6, 7, 8, 10])
-def test_trace_power_symmetric_across_panels(n, k):
+def test_wigner_trace_across_panels(n, k):
     # blocks of about 64 rows, each in one 128-row panel, and of 150 rows
     # (n = 300), a full and a partial panel; k = 6 and 10 take the odd-h
     # product of y and A, and odd k sums A^h A against A^h
